@@ -176,7 +176,10 @@ bool DoppelgangerSystem::install(uint64_t now, uint64_t line, bool dirty) {
     }
     if (!victim || base[w].lru < victim->lru) victim = &base[w];
   }
-  if (victim->valid) detach_tag(now, *victim, /*write_back=*/true);
+  if (victim->valid) {
+    detach_tag(now, *victim, /*write_back=*/true);
+    ++counters_.tag_evictions;
+  }
 
   bool deduped = false;
   uint32_t idx;

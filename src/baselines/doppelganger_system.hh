@@ -35,6 +35,9 @@ struct DoppelgangerCounters {
   uint64_t data_evictions = 0;
   uint64_t traffic_approx_bytes = 0;
   uint64_t traffic_other_bytes = 0;
+  /// Valid tags displaced by the tag array's own per-set LRU. Kept out of
+  /// the stats() snapshot so persisted result records stay byte-stable.
+  uint64_t tag_evictions = 0;
 };
 
 class DoppelgangerSystem final : public LlcSystem {

@@ -7,6 +7,7 @@
 #include "baselines/doppelganger_system.hh"
 #include "baselines/truncate_system.hh"
 #include "common/fp_bits.hh"
+#include "common/prng.hh"
 
 namespace avr {
 namespace {
@@ -195,6 +196,87 @@ TEST_F(DgTest, DrainWritesDirtyLines) {
   sys_.request(0, ap_, true);
   sys_.drain(0);
   EXPECT_GE(sys_.dram().bytes_written(), kCachelineBytes);
+}
+
+struct Fnv1a {
+  uint64_t h = 1469598103934665603ull;
+  void bytes(const void* p, size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (size_t i = 0; i < n; ++i) h = (h ^ b[i]) * 1099511628211ull;
+  }
+  void u64(uint64_t v) { bytes(&v, sizeof(v)); }
+  void str(const std::string& s) { bytes(s.data(), s.size()); }
+};
+
+// A seeded churn of reads, writes and writebacks over approximate and exact
+// lines with repeated contents, so every Doppelganger path fires: dedup
+// hits, write unshares, data-array LRU evictions and tag-array LRU
+// evictions. Everything observable — the stats snapshot, each returned
+// latency, the DRAM byte/latency totals and the final backing-store bytes —
+// folds into one FNV-1a digest. The digest was captured before the data
+// array's victim scan was replaced by a recency list: any change in victim
+// choice moves it.
+TEST(DoppelgangerChurn, DigestPinned) {
+  RegionRegistry regions;
+  DoppelgangerSystem sys(tiny_cfg(), regions);
+  constexpr uint64_t kApLines = 2048, kExLines = 512, kHotLines = 192;
+  const uint64_t ap = regions.allocate("ap", kApLines * kCachelineBytes, true);
+  const uint64_t ex = regions.allocate("ex", kExLines * kCachelineBytes, false);
+  Xoshiro256 rng(0xD0ffe1);
+  // Two in three lines hold one of 24 patterns (they dedup with each other);
+  // the rest hold noise and need a data entry of their own.
+  const auto fill = [&](uint64_t line) {
+    const bool patterned = rng.below(3) != 0;
+    const float base = static_cast<float>(rng.below(24)) * 3.0f;
+    for (uint32_t i = 0; i < kValuesPerLine; ++i)
+      regions.store<float>(line + i * 4,
+                           patterned ? base + 0.01f * static_cast<float>(i)
+                                     : static_cast<float>(rng.uniform(-50, 50)));
+  };
+  for (uint64_t i = 0; i < kApLines; ++i) fill(ap + i * kCachelineBytes);
+  for (uint64_t i = 0; i < kExLines; ++i) fill(ex + i * kCachelineBytes);
+
+  Fnv1a d;
+  uint64_t now = 0;
+  for (int op = 0; op < 60000; ++op) {
+    const bool approx = rng.below(4) != 0;
+    const uint64_t lines = approx ? kApLines : kExLines;
+    const uint64_t idx = rng.below(2) ? rng.below(kHotLines) : rng.below(lines);
+    const uint64_t line = (approx ? ap : ex) + idx * kCachelineBytes;
+    const uint64_t kind = rng.below(10);
+    if (kind >= 6) fill(line);  // the core stored new values before this op
+    if (kind < 8)
+      d.u64(sys.request(now, line, /*write=*/kind >= 6));
+    else
+      sys.writeback(now, line);
+    now += 1 + rng.below(40);
+  }
+  sys.drain(now);
+
+  const DoppelgangerCounters& c = sys.counters();
+  EXPECT_GT(c.dedup_hits, 0u);
+  EXPECT_GT(c.unshares, 0u);
+  EXPECT_GT(c.data_evictions, 0u);
+  EXPECT_GT(c.tag_evictions, 0u);
+
+  const StatGroup stats = sys.stats();
+  for (const auto& [name, value] : stats.counters()) {
+    d.str(name);
+    d.u64(value);
+  }
+  const DramCounters& m = sys.dram().counters();
+  for (uint64_t v : {m.reads, m.writes, m.bytes_read, m.bytes_written,
+                     m.activations, m.row_hits, m.row_conflicts,
+                     m.read_latency_total, m.write_latency_total})
+    d.u64(v);
+  d.bytes(regions.host_ptr(ap), kApLines * kCachelineBytes);
+  d.bytes(regions.host_ptr(ex), kExLines * kCachelineBytes);
+  EXPECT_EQ(d.h, 0x836a14f1c7e84823ull) << std::hex << "digest 0x" << d.h << std::dec
+                         << " dedup_hits=" << c.dedup_hits
+                         << " unshares=" << c.unshares
+                         << " data_evictions=" << c.data_evictions
+                         << " tag_evictions=" << c.tag_evictions
+                         << " hits=" << c.hits << "/" << c.requests;
 }
 
 }  // namespace
