@@ -1,8 +1,10 @@
 // Micro-benchmarks of the decoupled AVR LLC model vs a conventional
-// set-associative cache model (simulator throughput, not hardware latency).
+// set-associative cache model, plus the Doppelganger miss path (simulator
+// throughput, not hardware latency).
 #include <benchmark/benchmark.h>
 
 #include "avr/avr_llc.hh"
+#include "baselines/doppelganger_system.hh"
 #include "cache/set_assoc_cache.hh"
 #include "common/prng.hh"
 
@@ -64,6 +66,31 @@ void BM_AvrUclInsertEvict(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AvrUclInsertEvict);
+
+// Doppelganger in steady state with its data array full: a cyclic stream
+// over twice the data capacity of exact lines misses on every request, so
+// each one evicts the data array's LRU entry (and its tag) before it
+// installs. A victim search that scanned the array would make this O(N).
+void BM_DoppelgangerMissStream(benchmark::State& state) {
+  SimConfig cfg;
+  cfg.llc = {1 << 20, 16, 15};
+  RegionRegistry regions;
+  DoppelgangerSystem sys(cfg, regions);
+  const uint64_t lines = 2 * cfg.llc.size_bytes / kCachelineBytes;
+  const uint64_t base =
+      regions.allocate("stream", lines * kCachelineBytes, /*approx=*/false);
+  uint64_t now = 0;
+  for (uint64_t i = 0; i < lines; ++i, now += 100)
+    sys.request(now, base + i * kCachelineBytes, false);
+  uint64_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sys.request(now, base + i * kCachelineBytes, false));
+    now += 100;
+    if (++i == lines) i = 0;
+  }
+  if (sys.counters().hits != 0) state.SkipWithError("stream hit the LLC");
+}
+BENCHMARK(BM_DoppelgangerMissStream);
 
 }  // namespace
 

@@ -88,26 +88,35 @@ uint64_t DoppelgangerSystem::map_key(uint64_t line) {
   return (r->base << 20) ^ (quant << 32) ^ shape;
 }
 
+void DoppelgangerSystem::lru_unlink(uint32_t idx) {
+  DataEntry& d = data_[idx];
+  (d.prev == kNil ? lru_head_ : data_[d.prev].next) = d.next;
+  (d.next == kNil ? lru_tail_ : data_[d.next].prev) = d.prev;
+  d.prev = d.next = kNil;
+}
+
+void DoppelgangerSystem::lru_touch(uint32_t idx) {
+  if (idx == lru_tail_) return;
+  DataEntry& d = data_[idx];
+  if (d.prev != kNil || idx == lru_head_) lru_unlink(idx);
+  d.prev = lru_tail_;
+  (lru_tail_ == kNil ? lru_head_ : data_[lru_tail_].next) = idx;
+  lru_tail_ = idx;
+}
+
 uint32_t DoppelgangerSystem::alloc_data_entry(uint64_t now, uint64_t key) {
+  // Evict the LRU data entry (and every tag that shares it).
   if (free_data_.empty()) {
-    // Evict the LRU data entry (and every tag that shares it).
-    uint32_t victim = 0;
-    bool found = false;
-    for (uint32_t i = 0; i < data_.size(); ++i)
-      if (data_[i].valid && (!found || data_[i].lru < data_[victim].lru)) {
-        victim = i;
-        found = true;
-      }
-    assert(found);
-    evict_data_entry(now, victim);
+    assert(lru_head_ != kNil);
+    evict_data_entry(now, lru_head_);
   }
   const uint32_t idx = free_data_.back();
   free_data_.pop_back();
   DataEntry& d = data_[idx];
   d.valid = true;
   d.key = key;
-  d.lru = ++lru_clock_;
   d.sharers.clear();
+  lru_touch(idx);
   if (key) by_key_[key] = idx;
   return idx;
 }
@@ -116,7 +125,7 @@ void DoppelgangerSystem::evict_data_entry(uint64_t now, uint32_t idx) {
   DataEntry& d = data_[idx];
   // Invalidate all sharers; dirty ones write back their (representative)
   // contents.
-  for (uint64_t line : std::vector<uint64_t>(d.sharers)) {
+  for (uint64_t line : d.sharers) {
     TagEntry* t = find_tag(line);
     if (!t) continue;
     if (t->dirty) {
@@ -128,6 +137,7 @@ void DoppelgangerSystem::evict_data_entry(uint64_t now, uint32_t idx) {
   by_key_.erase(d.key);
   d.valid = false;
   d.sharers.clear();
+  lru_unlink(idx);
   free_data_.push_back(idx);
   ++counters_.data_evictions;
 }
@@ -143,6 +153,7 @@ void DoppelgangerSystem::detach_tag(uint64_t now, TagEntry& t, bool write_back) 
   if (d.sharers.empty() && d.valid) {
     by_key_.erase(d.key);
     d.valid = false;
+    lru_unlink(t.data_idx);
     free_data_.push_back(t.data_idx);
   }
   t.valid = false;
@@ -156,7 +167,6 @@ void DoppelgangerSystem::unshare_for_write(uint64_t now, TagEntry& t) {
   if (it != d.sharers.end()) d.sharers.erase(it);
   const uint64_t line = t.line;
   const uint32_t idx = alloc_data_entry(now, 0);
-  data_[idx].key = 0;
   std::memcpy(data_[idx].repr.data(), regions_.host_ptr(line), kCachelineBytes);
   data_[idx].sharers.push_back(line);
   // alloc_data_entry may have evicted tags; re-find ours.
@@ -165,21 +175,22 @@ void DoppelgangerSystem::unshare_for_write(uint64_t now, TagEntry& t) {
   ++counters_.unshares;
 }
 
-bool DoppelgangerSystem::install(uint64_t now, uint64_t line, bool dirty) {
-  // Tag allocation first (LRU within the 4x tag array set).
+DoppelgangerSystem::TagEntry& DoppelgangerSystem::take_tag_way(uint64_t now,
+                                                               uint64_t line) {
   TagEntry* base = &tags_[tag_set_of(line) * tag_ways_];
   TagEntry* victim = nullptr;
   for (uint32_t w = 0; w < tag_ways_; ++w) {
-    if (!base[w].valid) {
-      victim = &base[w];
-      break;
-    }
+    if (!base[w].valid) return base[w];
     if (!victim || base[w].lru < victim->lru) victim = &base[w];
   }
-  if (victim->valid) {
-    detach_tag(now, *victim, /*write_back=*/true);
-    ++counters_.tag_evictions;
-  }
+  detach_tag(now, *victim, /*write_back=*/true);
+  ++counters_.tag_evictions;
+  return *victim;
+}
+
+bool DoppelgangerSystem::install(uint64_t now, uint64_t line, bool dirty) {
+  // Tag allocation first (LRU within the 4x tag array set).
+  take_tag_way(now, line);
 
   bool deduped = false;
   uint32_t idx;
@@ -203,24 +214,15 @@ bool DoppelgangerSystem::install(uint64_t now, uint64_t line, bool dirty) {
     std::memcpy(data_[idx].repr.data(), regions_.host_ptr(line), kCachelineBytes);
   }
   data_[idx].sharers.push_back(line);
-  data_[idx].lru = ++lru_clock_;
+  lru_touch(idx);
 
   // alloc/evict may have recycled our victim slot; find a free way again.
-  base = &tags_[tag_set_of(line) * tag_ways_];
-  victim = nullptr;
-  for (uint32_t w = 0; w < tag_ways_; ++w) {
-    if (!base[w].valid) {
-      victim = &base[w];
-      break;
-    }
-    if (!victim || base[w].lru < victim->lru) victim = &base[w];
-  }
-  if (victim->valid) detach_tag(now, *victim, /*write_back=*/true);
-  victim->valid = true;
-  victim->dirty = dirty;
-  victim->line = line;
-  victim->data_idx = idx;
-  victim->lru = ++lru_clock_;
+  TagEntry& t = take_tag_way(now, line);
+  t.valid = true;
+  t.dirty = dirty;
+  t.line = line;
+  t.data_idx = idx;
+  t.lru = ++lru_clock_;
   return deduped;
 }
 
@@ -230,7 +232,7 @@ uint64_t DoppelgangerSystem::request(uint64_t now, uint64_t line, bool write) {
   last_was_miss_ = false;
   if (TagEntry* t = find_tag(line)) {
     t->lru = ++lru_clock_;
-    data_[t->data_idx].lru = lru_clock_;
+    lru_touch(t->data_idx);
     if (write) {
       unshare_for_write(now, *t);
       if (TagEntry* t2 = find_tag(line)) t2->dirty = true;

@@ -65,22 +65,32 @@ class DoppelgangerSystem final : public LlcSystem {
     uint32_t data_idx = 0;
     uint64_t lru = 0;
   };
+  static constexpr uint32_t kNil = UINT32_MAX;
   struct DataEntry {
     bool valid = false;
     uint64_t key = 0;
-    uint64_t lru = 0;
+    // Recency-list links (indices into data_, kNil at the ends). Every valid
+    // entry is on the list, least recently used at the head.
+    uint32_t prev = kNil;
+    uint32_t next = kNil;
     std::array<std::byte, kCachelineBytes> repr{};  // representative contents
     std::vector<uint64_t> sharers;                  // line addresses
   };
 
   uint64_t tag_set_of(uint64_t line) const { return (line >> 6) & (tag_sets_ - 1); }
   TagEntry* find_tag(uint64_t line);
+  /// The LRU way of `line`'s tag set (an invalid way if there is one),
+  /// detached and written back first if it still holds a line.
+  TagEntry& take_tag_way(uint64_t now, uint64_t line);
   /// Approximate map hash of the line's current backing contents.
   uint64_t map_key(uint64_t line);
   /// Insert `line` after a fill; returns true if it deduplicated.
   bool install(uint64_t now, uint64_t line, bool dirty);
   uint32_t alloc_data_entry(uint64_t now, uint64_t key);
   void evict_data_entry(uint64_t now, uint32_t idx);
+  /// Moves (or appends) a valid data entry to the MRU end of the list.
+  void lru_touch(uint32_t idx);
+  void lru_unlink(uint32_t idx);
   void detach_tag(uint64_t now, TagEntry& t, bool write_back);
   void count_traffic(uint64_t line, uint32_t bytes) {
     if (regions_.is_approx(line))
@@ -99,8 +109,9 @@ class DoppelgangerSystem final : public LlcSystem {
   std::vector<uint32_t> free_data_;
   uint32_t tag_sets_ = 0;
   uint32_t tag_ways_ = 0;
-  uint64_t lru_clock_ = 0;
-  uint64_t next_private_key_ = 1;  // keys for non-deduplicated entries
+  uint64_t lru_clock_ = 0;    // tag-array recency stamps
+  uint32_t lru_head_ = kNil;  // least recently used valid data entry
+  uint32_t lru_tail_ = kNil;  // most recently used valid data entry
   // Per-region observed span for quantization.
   struct Span {
     float lo = 0, hi = 0;

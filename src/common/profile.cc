@@ -85,6 +85,8 @@ bool write_profile_json(const std::string& path, const Report& report) {
   append_json_escaped(out, report.simd);
   out += "\",\"wall_seconds\":";
   append_double(out, report.wall_seconds);
+  out += ",\"jobs\":";
+  out += std::to_string(report.jobs);
   out += ",\"aggregate\":";
   append_totals(out, report.aggregate);
   out += ",\"points\":[";
@@ -139,15 +141,19 @@ bool write_profile_json(const std::string& path, const Report& report) {
 void print_summary(std::FILE* out, const Report& report) {
   const Totals& t = report.aggregate;
   const double wall = report.wall_seconds;
-  std::fprintf(out, "\n== profile: %s (%s, simd %s, %.2fs wall) ==\n",
+  const unsigned jobs = std::max(1u, report.jobs);
+  // Phase time is summed over the worker threads: take its share of the
+  // pool's thread time, so no phase can exceed 100 %.
+  const double capacity = wall * jobs;
+  std::fprintf(out, "\n== profile: %s (%s, simd %s, %.2fs wall x %u jobs) ==\n",
                report.owner.c_str(), report.mode.c_str(),
-               report.simd.empty() ? "?" : report.simd.c_str(), wall);
-  std::fprintf(out, "%-12s %10s %8s %8s\n", "phase", "seconds", "% wall",
-               "calls");
+               report.simd.empty() ? "?" : report.simd.c_str(), wall, jobs);
+  std::fprintf(out, "%-12s %10s %11s %8s\n", "phase", "seconds",
+               "% wall*jobs", "calls");
   for (size_t i = 0; i < kNumPhases; ++i) {
     const double secs = static_cast<double>(t.ns[i]) * 1e-9;
-    const double pct = wall > 0 ? 100.0 * secs / wall : 0.0;
-    std::fprintf(out, "%-12s %10.3f %7.1f%% %8llu\n", kPhaseNames[i], secs,
+    const double pct = capacity > 0 ? 100.0 * secs / capacity : 0.0;
+    std::fprintf(out, "%-12s %10.3f %10.1f%% %8llu\n", kPhaseNames[i], secs,
                  pct, static_cast<unsigned long long>(t.calls[i]));
   }
   std::fprintf(out, "counters:");

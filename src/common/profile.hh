@@ -209,6 +209,9 @@ struct Report {
   std::string mode;   // "claim", "shard", "runner", ...
   std::string simd;   // active kernel dispatch level: "scalar"|"sse4"|"avx2"
   double wall_seconds = 0;
+  // Worker threads the points ran on. Phase time is summed over them, so
+  // wall_seconds x jobs is the thread time a phase's share is taken of.
+  unsigned jobs = 1;
   Totals aggregate;
   std::vector<PointProfile> points;
 };
@@ -218,8 +221,9 @@ struct Report {
 /// failure — the sidecar is diagnostics, callers may warn and carry on.
 bool write_profile_json(const std::string& path, const Report& report);
 
-/// Human summary: one row per phase (total seconds, share of wall, calls),
-/// the counters, and the most expensive points — the `--profile` table.
+/// Human summary: one row per phase (total seconds, share of wall x jobs,
+/// calls), the counters, and the most expensive points — the `--profile`
+/// table.
 void print_summary(std::FILE* out, const Report& report);
 
 /// "<host>-<pid>" with non-identifier characters mapped to '-': unique per

@@ -13,6 +13,7 @@
 //   avr_sweep --shard 1/3 --cache shard1.csv       static slice 1 of 3
 //   avr_sweep --check --cache merged.csv           assert full-grid coverage
 //   avr_sweep --assert-same other.csv --cache a.csv   compare two caches
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -21,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/profile.hh"
@@ -462,6 +464,10 @@ int main(int argc, char** argv) {
   report.mode = o.claim ? "claim" : "shard";
   report.simd = simd_level_name(simd_level());
   report.wall_seconds = secs;
+  // As the pools size themselves: never more threads than points.
+  const unsigned jobs = o.jobs ? o.jobs : std::thread::hardware_concurrency();
+  report.jobs = static_cast<unsigned>(
+      std::max<size_t>(1, std::min<size_t>(jobs, slice.size())));
   report.aggregate = steal.sched;
   for (auto& [variant, runner] : runners) {
     report.aggregate.merge(runner->profile_totals());

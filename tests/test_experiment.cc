@@ -1,5 +1,5 @@
-// Harness tests: the result cache round-trips and config_for applies the
-// per-workload knobs.
+// Harness tests: the result cache round-trips, config_for applies the
+// per-workload knobs, and the self-profile counts and shares are right.
 #include "harness/experiment.hh"
 
 #include <gtest/gtest.h>
@@ -163,6 +163,74 @@ TEST(ExperimentRunner, RunPointsHandlesArbitrarySlicesAndDuplicates) {
   EXPECT_EQ(got[1].workload, "bscholes");
   EXPECT_EQ(got[1].design, Design::kTruncate);
   EXPECT_EQ(got[2].m.cycles, got[0].m.cycles);
+}
+
+TEST(ExperimentRunner, ProfileCountsOneCacheHitPerWarmPoint) {
+  const std::string path = std::filesystem::temp_directory_path() /
+                           "avr_test_cache_hits.csv";
+  std::remove(path.c_str());
+  const std::vector<std::pair<std::string, Design>> points = {
+      {"kmeans", Design::kBaseline},
+      {"bscholes", Design::kBaseline},
+      {"bscholes", Design::kTruncate},
+  };
+  {
+    // Cold: every point simulates and none is a hit, although run_points
+    // hands all of them back.
+    ExperimentRunner r({}, false, path);
+    ASSERT_EQ(r.run_points(points, 2).size(), points.size());
+    const prof::Totals t = r.profile_totals();
+    // (Compiled-out profiling counts no simulated points.)
+    EXPECT_EQ(t.count(prof::Counter::kPointsSimulated),
+              AVR_PROFILE ? points.size() : 0u);
+    EXPECT_EQ(t.count(prof::Counter::kCacheHits), 0u);
+  }
+  {
+    // Warm rerun: exactly one hit per point, nothing simulated.
+    ExperimentRunner r({}, false, path);
+    ASSERT_EQ(r.run_points(points, 2).size(), points.size());
+    const prof::Totals t = r.profile_totals();
+    EXPECT_EQ(t.count(prof::Counter::kPointsSimulated), 0u);
+    EXPECT_EQ(t.count(prof::Counter::kCacheHits), points.size());
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ProfileReport, PhaseShareIsOfWallTimesJobs) {
+  prof::Report report;
+  report.owner = "w0";
+  report.mode = "claim";
+  report.simd = "scalar";
+  report.wall_seconds = 2.0;
+  report.jobs = 4;
+  report.aggregate.add(prof::Phase::kTiming, 6'000'000'000);  // 6 thread-s
+
+  char* buf = nullptr;
+  size_t len = 0;
+  std::FILE* f = open_memstream(&buf, &len);
+  ASSERT_NE(f, nullptr);
+  prof::print_summary(f, report);
+  std::fclose(f);
+  const std::string table(buf, len);
+  std::free(buf);
+  EXPECT_NE(table.find("2.00s wall x 4 jobs"), std::string::npos) << table;
+  EXPECT_NE(table.find("% wall*jobs"), std::string::npos) << table;
+  // 6 thread-seconds of a 2 s x 4-thread pool: 75 %, not 300 %.
+  EXPECT_NE(table.find(" 75.0%"), std::string::npos) << table;
+  EXPECT_EQ(table.find("300.0%"), std::string::npos) << table;
+
+  // The sidecar gains the job count; every avr-profile-v1 field stays.
+  const std::string path =
+      std::filesystem::temp_directory_path() / "avr_test_profile.json";
+  ASSERT_TRUE(prof::write_profile_json(path, report));
+  std::ifstream in(path);
+  const std::string json((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_NE(json.find("\"schema\":\"avr-profile-v1\""), std::string::npos);
+  EXPECT_NE(json.find("\"wall_seconds\":2,\"jobs\":4,\"aggregate\":"),
+            std::string::npos)
+      << json;
+  std::remove(path.c_str());
 }
 
 TEST(ExperimentRunner, PaperDesignsList) {

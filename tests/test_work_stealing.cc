@@ -292,6 +292,7 @@ TEST(WorkStealing, ThreeClaimProcessesMatchSingleProcessSweep) {
     const std::string simd =
         std::string("\"simd\":\"") + simd_level_name(simd_level()) + "\"";
     EXPECT_NE(text.find(simd), std::string::npos);
+    EXPECT_NE(text.find("\"jobs\":1,"), std::string::npos);
     std::remove(sidecar.c_str());
   }
   std::remove(cache.c_str());
