@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/prng.hh"
 
 namespace avr {
@@ -101,6 +103,66 @@ TEST(SetAssocCache, DistinctSetsDoNotInterfere) {
   c.fill(0x40, false);  // next line, different set
   EXPECT_TRUE(c.access(0x0, false));
   EXPECT_TRUE(c.access(0x40, false));
+}
+
+struct Fnv1a {
+  uint64_t h = 1469598103934665603ull;
+  void u64(uint64_t v) {
+    for (int i = 0; i < 8; ++i) h = (h ^ ((v >> (8 * i)) & 0xFF)) * 1099511628211ull;
+  }
+};
+
+// A seeded mix of reads, writes (access, then fill on a miss) and
+// writebacks (mark_dirty, then a dirty fill on a miss) over a footprint of
+// about three times the capacity, with a hot subset, on the tiny geometries
+// the scaled L1/L2 use and on an LLC-like one. Every hit bit, every
+// eviction, the final counters and the final contents fold into one FNV-1a
+// digest, captured before the victim search was rewritten: any change in
+// which way a miss evicts moves it.
+TEST(SetAssocCacheChurn, DigestPinned) {
+  struct Geometry {
+    uint32_t sets, ways;
+  };
+  constexpr Geometry kGeometries[] = {{1, 2}, {2, 4}, {4, 8}, {64, 16}};
+  Fnv1a d;
+  for (const Geometry g : kGeometries) {
+    SetAssocCache c("churn", uint64_t{g.sets} * g.ways * kCachelineBytes, g.ways);
+    Xoshiro256 rng(0xCAC4E + g.sets * 131 + g.ways);
+    const uint64_t lines = uint64_t{g.sets} * g.ways * 3;
+    const uint64_t hot = std::max<uint64_t>(1, lines / 8);
+    const auto fold = [&](const Eviction& ev) {
+      d.u64(ev.valid);
+      d.u64(ev.addr);
+      d.u64(ev.dirty);
+    };
+    for (int op = 0; op < 20000; ++op) {
+      const uint64_t idx = rng.below(2) ? rng.below(hot) : rng.below(lines);
+      const uint64_t addr =
+          0x4000'0000 + idx * kCachelineBytes + rng.below(kCachelineBytes);
+      const uint64_t kind = rng.below(10);
+      if (kind < 7) {
+        const bool write = kind >= 5;
+        const bool hit = c.access(addr, write);
+        d.u64(hit);
+        if (!hit) fold(c.fill(addr, write));
+      } else {
+        const bool present = c.mark_dirty(addr);
+        d.u64(present);
+        if (!present) fold(c.fill(addr, /*dirty=*/true));
+      }
+    }
+    const CacheCounters& k = c.counters();
+    EXPECT_GT(k.hits, 0u);
+    EXPECT_GT(k.dirty_evictions, 0u);
+    EXPECT_LT(k.dirty_evictions, k.evictions);
+    for (uint64_t v : {k.accesses, k.hits, k.misses}) d.u64(v);
+    for (uint64_t v : {k.fills, k.evictions, k.dirty_evictions}) d.u64(v);
+    for (const auto& [addr, dirty] : c.valid_lines()) {
+      d.u64(addr);
+      d.u64(dirty);
+    }
+  }
+  EXPECT_EQ(d.h, 0x36c9a9f723d80630ull) << std::hex << "digest 0x" << d.h;
 }
 
 class CacheProperty : public ::testing::TestWithParam<uint64_t> {};
