@@ -26,6 +26,25 @@ void BM_ConventionalLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_ConventionalLookup);
 
+// Every lookup misses and installs through its slot: a cyclic stream over
+// twice the capacity evicts each line before it comes round again, so each
+// iteration is one scan of a full 16-way set that picks the LRU victim, then
+// the fill into that way.
+void BM_SetAssocMissFill(benchmark::State& state) {
+  constexpr uint64_t kBytes = 1 << 20;
+  SetAssocCache c("bench", kBytes, 16);
+  const uint64_t lines = 2 * kBytes / kCachelineBytes;
+  uint64_t i = 0;
+  for (auto _ : state) {
+    const uint64_t line = i * kCachelineBytes;
+    const SetAssocCache::Slot slot = c.lookup(line, false);
+    benchmark::DoNotOptimize(c.fill(slot, line, false));
+    if (++i == lines) i = 0;
+  }
+  if (c.counters().hits != 0) state.SkipWithError("stream hit the cache");
+}
+BENCHMARK(BM_SetAssocMissFill);
+
 void BM_AvrUclLookup(benchmark::State& state) {
   AvrLlc llc(CacheConfig{1 << 20, 16, 15});
   Xoshiro256 rng(1);

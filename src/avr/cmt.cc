@@ -30,17 +30,17 @@ Cmt::Cmt(uint32_t cached_pages)
 BlockMeta& Cmt::lookup(uint64_t addr) {
   const uint64_t page = page_addr(addr);
   ++counters_.lookups;
-  if (!cache_.access(page, /*write=*/false)) {
+  // Any lookup may update the entry, so it marks the cached page dirty.
+  // This is conservative (extra writeback traffic is a few bytes per miss).
+  const SetAssocCache::Slot slot = cache_.lookup(page, /*write=*/true);
+  if (!slot.hit) {
     // TLB/CMT miss: fetch the page's 4 entries (4 x 23 bits ~ 12 B) and
     // write back the victim's entries if dirty. We charge 12 B each way.
-    const Eviction ev = cache_.fill(page, /*dirty=*/false);
+    const Eviction ev = cache_.fill(slot, page, /*dirty=*/true);
     ++counters_.misses;
     counters_.metadata_bytes += 12;
     if (ev.valid && ev.dirty) counters_.metadata_bytes += 12;
   }
-  // Any lookup may update the entry; mark the cached page dirty. This is
-  // conservative (extra writeback traffic is a few bytes per miss).
-  cache_.mark_dirty(page);
   return table_[block_addr(addr)];
 }
 

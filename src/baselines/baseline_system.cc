@@ -6,12 +6,13 @@ uint64_t BaselineSystem::request(uint64_t now, uint64_t line, bool write) {
   line = line_addr(line);
   ++counters_.requests;
   last_was_miss_ = false;
-  if (llc_.access(line, write)) return cfg_.llc.latency;
+  const SetAssocCache::Slot slot = llc_.lookup(line, write);
+  if (slot.hit) return cfg_.llc.latency;
 
   last_was_miss_ = true;
   const uint64_t lat = dram_.read(now, line, kCachelineBytes);
   count_traffic(line, kCachelineBytes);
-  const Eviction ev = llc_.fill(line, write);
+  const Eviction ev = llc_.fill(slot, line, write);
   if (ev.valid && ev.dirty) {
     dram_.write(now, ev.addr, kCachelineBytes);
     count_traffic(ev.addr, kCachelineBytes);
@@ -21,8 +22,7 @@ uint64_t BaselineSystem::request(uint64_t now, uint64_t line, bool write) {
 
 void BaselineSystem::writeback(uint64_t now, uint64_t line) {
   line = line_addr(line);
-  if (llc_.mark_dirty(line)) return;
-  const Eviction ev = llc_.fill(line, /*dirty=*/true);
+  const Eviction ev = llc_.write_back(line);
   if (ev.valid && ev.dirty) {
     dram_.write(now, ev.addr, kCachelineBytes);
     count_traffic(ev.addr, kCachelineBytes);

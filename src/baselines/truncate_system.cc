@@ -20,13 +20,14 @@ uint64_t TruncateSystem::request(uint64_t now, uint64_t line, bool write) {
   line = line_addr(line);
   ++counters_.requests;
   last_was_miss_ = false;
-  if (llc_.access(line, write)) return cfg_.llc.latency;
+  const SetAssocCache::Slot slot = llc_.lookup(line, write);
+  if (slot.hit) return cfg_.llc.latency;
 
   last_was_miss_ = true;
   const uint32_t bytes = line_bytes(line);
   const uint64_t lat = dram_.read(now, line, bytes);
   count_traffic(line, bytes);
-  const Eviction ev = llc_.fill(line, write);
+  const Eviction ev = llc_.fill(slot, line, write);
   if (ev.valid && ev.dirty) {
     const uint32_t eb = line_bytes(ev.addr);
     if (regions_.is_approx(ev.addr)) truncate_line(ev.addr);
@@ -38,8 +39,7 @@ uint64_t TruncateSystem::request(uint64_t now, uint64_t line, bool write) {
 
 void TruncateSystem::writeback(uint64_t now, uint64_t line) {
   line = line_addr(line);
-  if (llc_.mark_dirty(line)) return;
-  const Eviction ev = llc_.fill(line, /*dirty=*/true);
+  const Eviction ev = llc_.write_back(line);
   if (ev.valid && ev.dirty) {
     const uint32_t eb = line_bytes(ev.addr);
     if (regions_.is_approx(ev.addr)) truncate_line(ev.addr);

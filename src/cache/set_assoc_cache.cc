@@ -8,85 +8,53 @@ namespace avr {
 
 SetAssocCache::SetAssocCache(std::string name, uint64_t size_bytes, uint32_t ways,
                              uint64_t line_bytes)
-    : ways_(ways), line_bytes_(line_bytes), name_(std::move(name)) {
+    : ways_(ways), name_(std::move(name)) {
+  if (!std::has_single_bit(line_bytes))
+    throw std::invalid_argument("line size must be a power of two");
   if (ways == 0 || size_bytes % (ways * line_bytes) != 0)
     throw std::invalid_argument("cache size must be a multiple of ways*line");
   const uint64_t sets = size_bytes / (ways * line_bytes);
   if (!std::has_single_bit(sets))
     throw std::invalid_argument("number of sets must be a power of two");
   sets_ = static_cast<uint32_t>(sets);
+  line_shift_ = static_cast<uint32_t>(std::countr_zero(line_bytes));
+  tag_shift_ = line_shift_ + static_cast<uint32_t>(std::countr_zero(sets));
+  set_mask_ = sets - 1;
   lines_.resize(uint64_t{sets_} * ways_);
 }
 
-SetAssocCache::Line* SetAssocCache::find(uint64_t addr) {
-  const uint64_t set = set_of(addr);
-  const uint64_t tag = tag_of(addr);
-  Line* base = &lines_[set * ways_];
-  for (uint32_t w = 0; w < ways_; ++w)
-    if (base[w].tag == tag) return &base[w];
-  return nullptr;
-}
-
-const SetAssocCache::Line* SetAssocCache::find(uint64_t addr) const {
-  return const_cast<SetAssocCache*>(this)->find(addr);
-}
-
-bool SetAssocCache::probe(uint64_t addr) const { return find(addr) != nullptr; }
-
-bool SetAssocCache::access(uint64_t addr, bool write) {
-  Line* l = find(addr);
-  ++counters_.accesses;
-  if (!l) {
-    ++counters_.misses;
-    return false;
-  }
-  l->lru = ++lru_clock_;
-  if (write) l->dirty = true;
-  ++counters_.hits;
-  return true;
-}
-
-Eviction SetAssocCache::fill(uint64_t addr, bool dirty) {
-  assert(!probe(addr) && "fill of a line already present");
-  const uint64_t set = set_of(addr);
-  Line* base = &lines_[set * ways_];
-  Line* victim = nullptr;
-  for (uint32_t w = 0; w < ways_; ++w) {
-    if (!base[w].valid()) {
-      victim = &base[w];
-      break;
-    }
-    if (!victim || base[w].lru < victim->lru) victim = &base[w];
-  }
+Eviction SetAssocCache::fill(Slot slot, uint64_t addr, bool dirty) {
+  // The slot must be the miss slot of `addr` in the cache as it is now: a
+  // mutation of this cache between lookup and fill would stale it.
+  assert(!slot.hit && locate(addr) == slot &&
+         "fill of a present line or through a stale slot");
+  Line& victim = lines_[slot.idx];
   Eviction ev;
-  if (victim->valid()) {
+  if (victim.valid()) {
     ev.valid = true;
-    ev.dirty = victim->dirty;
-    ev.addr = (victim->tag * sets_ + set) * line_bytes_;
+    ev.dirty = victim.dirty;
+    ev.addr = (victim.tag << tag_shift_) | (set_of(addr) << line_shift_);
     ++counters_.evictions;
     if (ev.dirty) ++counters_.dirty_evictions;
   }
-  victim->dirty = dirty;
-  victim->tag = tag_of(addr);
-  victim->lru = ++lru_clock_;
+  victim.dirty = dirty;
+  victim.tag = tag_of(addr);
+  victim.lru = ++lru_clock_;
   ++counters_.fills;
   return ev;
 }
 
-std::optional<bool> SetAssocCache::invalidate(uint64_t addr) {
-  Line* l = find(addr);
-  if (!l) return std::nullopt;
-  const bool dirty = l->dirty;
-  l->tag = kNoTag;
-  return dirty;
+Eviction SetAssocCache::write_back(uint64_t addr) {
+  const Slot s = locate(addr);
+  if (!s.hit) return fill(s, addr, /*dirty=*/true);
+  touch(lines_[s.idx], /*write=*/true);
+  return {};
 }
 
 bool SetAssocCache::mark_dirty(uint64_t addr) {
-  Line* l = find(addr);
-  if (!l) return false;
-  l->dirty = true;
-  l->lru = ++lru_clock_;
-  return true;
+  const Slot s = locate(addr);
+  if (s.hit) touch(lines_[s.idx], /*write=*/true);
+  return s.hit;
 }
 
 std::vector<std::pair<uint64_t, bool>> SetAssocCache::valid_lines() const {
@@ -94,7 +62,8 @@ std::vector<std::pair<uint64_t, bool>> SetAssocCache::valid_lines() const {
   for (uint64_t set = 0; set < sets_; ++set)
     for (uint32_t w = 0; w < ways_; ++w) {
       const Line& l = lines_[set * ways_ + w];
-      if (l.valid()) out.emplace_back((l.tag * sets_ + set) * line_bytes_, l.dirty);
+      if (l.valid())
+        out.emplace_back((l.tag << tag_shift_) | (set << line_shift_), l.dirty);
     }
   return out;
 }

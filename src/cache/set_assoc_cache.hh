@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "common/stats.hh"
@@ -37,21 +36,38 @@ class SetAssocCache {
   SetAssocCache(std::string name, uint64_t size_bytes, uint32_t ways,
                 uint64_t line_bytes = kCachelineBytes);
 
-  /// Lookup without side effects.
-  bool probe(uint64_t addr) const;
+  /// Result of one scan of `addr`'s set: the way holding the line (hit) or,
+  /// on a miss, the way a fill replaces — the first invalid way, else the
+  /// LRU one. A miss slot stays valid until the next mutation of this cache.
+  struct Slot {
+    uint64_t idx = 0;  // index into the set-major line array
+    bool hit = false;
+    bool operator==(const Slot&) const = default;
+  };
 
-  /// Lookup; on hit updates LRU (and dirty bit for writes) and returns true.
-  bool access(uint64_t addr, bool write);
+  /// Lookup without side effects.
+  bool probe(uint64_t addr) const { return locate(addr).hit; }
+
+  /// Counted lookup: on a hit updates LRU (and the dirty bit for writes);
+  /// on a miss the slot names the victim way for fill(slot, ...).
+  Slot lookup(uint64_t addr, bool write);
+
+  /// Allocate `addr` into the miss slot `lookup` returned for it, evicting
+  /// the way's line if valid. Returns the eviction (valid=false if none).
+  Eviction fill(Slot slot, uint64_t addr, bool dirty);
+
+  /// A writeback landing from above: mark the line dirty (refreshing LRU)
+  /// if present, else allocate it dirty. Returns the allocation's eviction.
+  Eviction write_back(uint64_t addr);
+
+  /// lookup(addr, write).hit.
+  bool access(uint64_t addr, bool write) { return lookup(addr, write).hit; }
 
   /// Allocate `addr` (must not be present), evicting the LRU victim of its
-  /// set if the set is full. Returns the eviction (valid=false if none).
-  Eviction fill(uint64_t addr, bool dirty);
+  /// set if the set is full.
+  Eviction fill(uint64_t addr, bool dirty) { return fill(locate(addr), addr, dirty); }
 
-  /// Remove the line if present; returns whether it was dirty.
-  std::optional<bool> invalidate(uint64_t addr);
-
-  /// Mark an existing line dirty (e.g. a writeback landing from above).
-  /// Returns false if the line is absent.
+  /// Mark an existing line dirty (refreshing LRU). Returns false if absent.
   bool mark_dirty(uint64_t addr);
 
   /// Fold `n` MRU-filter hits (accounted by MemoryHierarchy's line filter,
@@ -66,7 +82,7 @@ class SetAssocCache {
 
   uint32_t num_sets() const { return sets_; }
   uint32_t ways() const { return ways_; }
-  uint64_t line_bytes() const { return line_bytes_; }
+  uint64_t line_bytes() const { return uint64_t{1} << line_shift_; }
   const std::string& name() const { return name_; }
 
   const CacheCounters& counters() const { return counters_; }
@@ -74,31 +90,72 @@ class SetAssocCache {
   StatGroup stats() const;
 
  private:
-  // An invalid line stores the sentinel tag, so the lookup scan — executed
-  // once per instrumented load/store for the L1 — is a single compare per
-  // way instead of a valid-check plus a tag compare. No real tag can be the
-  // sentinel: tags are addr / line_bytes / sets < 2^58.
+  // An invalid line stores the sentinel tag, so the scan — executed for
+  // every access the L1 filter passes on — is a single compare per way
+  // instead of a valid-check plus a tag compare. No real tag can be the
+  // sentinel: tags are addr >> tag_shift_ < 2^58. An invalid line also holds
+  // LRU stamp 0 while every valid one holds a distinct stamp >= 1 (lines are
+  // never invalidated), so the first strict minimum stamp of a set is its
+  // first invalid way, else its LRU way.
   static constexpr uint64_t kNoTag = ~uint64_t{0};
   struct Line {
     uint64_t tag = kNoTag;
-    uint64_t lru = 0;  // higher = more recently used
+    uint64_t lru = 0;  // higher = more recently used; 0 = never filled
     bool dirty = false;
 
     bool valid() const { return tag != kNoTag; }
   };
 
-  uint64_t set_of(uint64_t addr) const { return (addr / line_bytes_) & (sets_ - 1); }
-  uint64_t tag_of(uint64_t addr) const { return addr / line_bytes_ / sets_; }
-  Line* find(uint64_t addr);
-  const Line* find(uint64_t addr) const;
+  uint64_t set_of(uint64_t addr) const { return (addr >> line_shift_) & set_mask_; }
+  uint64_t tag_of(uint64_t addr) const { return addr >> tag_shift_; }
+  /// The one scan every operation shares: the matching way, else the victim.
+  Slot locate(uint64_t addr) const;
+  /// Make a present line the MRU of its set; a write also dirties it.
+  void touch(Line& l, bool write) {
+    l.lru = ++lru_clock_;
+    if (write) l.dirty = true;
+  }
 
   std::vector<Line> lines_;  // sets_ * ways_, set-major
   uint32_t sets_;
   uint32_t ways_;
-  uint64_t line_bytes_;
+  uint32_t line_shift_;  // log2(line bytes)
+  uint32_t tag_shift_;   // log2(line bytes * sets_)
+  uint64_t set_mask_;    // sets_ - 1
   uint64_t lru_clock_ = 0;
   std::string name_;
   CacheCounters counters_;
 };
+
+// The scan and the counted lookup are inline: they run on every access the
+// L1 filter passes on, and on the L2 and LLC paths below it.
+inline SetAssocCache::Slot SetAssocCache::locate(uint64_t addr) const {
+  const uint64_t tag = tag_of(addr);
+  const uint64_t base = set_of(addr) * ways_;
+  const Line* set = &lines_[base];
+  // Branchless first strict minimum of the stamps: the host cannot predict
+  // stamp comparisons, so the victim index and its stamp are selects.
+  uint32_t victim = 0;
+  uint64_t oldest = set[0].lru;
+  for (uint32_t w = 0; w < ways_; ++w) {
+    if (set[w].tag == tag) return {base + w, true};
+    const bool older = set[w].lru < oldest;
+    victim = older ? w : victim;
+    oldest = older ? set[w].lru : oldest;
+  }
+  return {base + victim, false};
+}
+
+inline SetAssocCache::Slot SetAssocCache::lookup(uint64_t addr, bool write) {
+  const Slot s = locate(addr);
+  ++counters_.accesses;
+  if (!s.hit) {
+    ++counters_.misses;
+    return s;
+  }
+  touch(lines_[s.idx], write);
+  ++counters_.hits;
+  return s;
+}
 
 }  // namespace avr

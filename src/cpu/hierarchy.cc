@@ -51,8 +51,7 @@ void MemoryHierarchy::flush_filters() const {
 void MemoryHierarchy::evict_from_l1(uint32_t core, uint64_t now, const Eviction& ev) {
   if (!ev.valid || !ev.dirty) return;
   // Dirty L1 victim lands in the L2 (write-back, allocate on writeback).
-  if (l2_[core]->mark_dirty(ev.addr)) return;
-  const Eviction ev2 = l2_[core]->fill(ev.addr, /*dirty=*/true);
+  const Eviction ev2 = l2_[core]->write_back(ev.addr);
   if (ev2.valid && ev2.dirty) llc_.writeback(now, ev2.addr);
 }
 
@@ -62,8 +61,13 @@ AccessOutcome MemoryHierarchy::access(uint32_t core, uint64_t now, uint64_t addr
   ++accesses_;
   AccessOutcome out;
 
+  // One scan per level: a miss slot names the victim way the fill below
+  // uses, and stays valid because nothing between lookup and fill touches
+  // that cache (the L2 and LLC work never reaches the L1; the LLC request
+  // never reaches the L2).
   SetAssocCache& l1 = *l1_[core];
-  if (l1.access(addr, write)) {
+  const SetAssocCache::Slot s1 = l1.lookup(addr, write);
+  if (s1.hit) {
     arm_filter(core, addr, write);
     out.latency = lat_l1_;
     out.level = ServedBy::kL1;
@@ -72,7 +76,8 @@ AccessOutcome MemoryHierarchy::access(uint32_t core, uint64_t now, uint64_t addr
   }
 
   SetAssocCache& l2 = *l2_[core];
-  if (l2.access(addr, /*write=*/false)) {
+  const SetAssocCache::Slot s2 = l2.lookup(addr, /*write=*/false);
+  if (s2.hit) {
     out.latency = lat_l1l2_;
     out.level = ServedBy::kL2;
   } else {
@@ -85,14 +90,14 @@ AccessOutcome MemoryHierarchy::access(uint32_t core, uint64_t now, uint64_t addr
       out.level = ServedBy::kLlc;
     }
     out.latency = lat_l1l2_ + reply.latency;
-    const Eviction ev2 = l2.fill(addr, /*dirty=*/false);
+    const Eviction ev2 = l2.fill(s2, addr, /*dirty=*/false);
     if (ev2.valid && ev2.dirty) llc_.writeback(now, ev2.addr);
   }
 
   // Fill L1 (write-allocate: the store dirties the L1 copy). The filled
   // line is the new MRU of its set, so it arms the filter slot — which also
   // retires any line the fill evicted from that set.
-  const Eviction ev1 = l1.fill(addr, write);
+  const Eviction ev1 = l1.fill(s1, addr, write);
   arm_filter(core, addr, write);
   evict_from_l1(core, now, ev1);
   latency_sum_ += out.latency;

@@ -23,6 +23,9 @@ TEST(SetAssocCache, RejectsBadGeometry) {
   EXPECT_THROW(SetAssocCache("t", 4096, 0), std::invalid_argument);
   // 4096/4/64 = 16 sets: fine. 4096+64 not a multiple.
   EXPECT_THROW(SetAssocCache("t", 4096 + 64, 4), std::invalid_argument);
+  // 768/4/96 = 2 sets, but the line size is not a power of two.
+  EXPECT_THROW(SetAssocCache("t", 768, 4, 96), std::invalid_argument);
+  EXPECT_THROW(SetAssocCache("t", 4096, 4, 0), std::invalid_argument);
 }
 
 TEST(SetAssocCache, LruEviction) {
@@ -52,22 +55,64 @@ TEST(SetAssocCache, DirtyBitOnWriteAndWritebackReporting) {
 TEST(SetAssocCache, FillWithDirtyFlag) {
   SetAssocCache c("t", 128, 2);
   c.fill(0x0, /*dirty=*/true);
-  auto inv = c.invalidate(0x0);
-  ASSERT_TRUE(inv.has_value());
-  EXPECT_TRUE(*inv);
-}
-
-TEST(SetAssocCache, InvalidateMissing) {
-  SetAssocCache c("t", 128, 2);
-  EXPECT_FALSE(c.invalidate(0x123000).has_value());
+  const auto lines = c.valid_lines();
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(lines[0].first, 0x0u);
+  EXPECT_TRUE(lines[0].second);
 }
 
 TEST(SetAssocCache, MarkDirty) {
   SetAssocCache c("t", 128, 2);
   EXPECT_FALSE(c.mark_dirty(0x0));
   c.fill(0x0, false);
-  EXPECT_TRUE(c.mark_dirty(0x0));
-  EXPECT_TRUE(*c.invalidate(0x0));
+  c.fill(0x40 * 16, false);
+  EXPECT_TRUE(c.mark_dirty(0x0));  // dirties 0x0 and makes it MRU
+  Eviction ev = c.fill(0x40 * 32, false);
+  ASSERT_TRUE(ev.valid);
+  EXPECT_EQ(ev.addr, 0x40u * 16);
+  EXPECT_FALSE(ev.dirty);
+  ev = c.fill(0x40 * 48, false);
+  ASSERT_TRUE(ev.valid);
+  EXPECT_EQ(ev.addr, 0x0u);
+  EXPECT_TRUE(ev.dirty);
+}
+
+TEST(SetAssocCache, LookupSlotNamesTheVictimWay) {
+  // 1 set x 4 ways: a miss slot is the first invalid way, then the LRU way.
+  SetAssocCache c("t", 256, 4);
+  for (uint64_t i = 0; i < 3; ++i) c.fill(0x40 * 8 * i, false);
+  SetAssocCache::Slot s = c.lookup(0x40 * 24, /*write=*/true);
+  EXPECT_FALSE(s.hit);
+  EXPECT_EQ(s.idx, 3u);
+  EXPECT_FALSE(c.fill(s, 0x40 * 24, /*dirty=*/true).valid);
+  EXPECT_TRUE(c.lookup(0x0, false).hit);  // way 1 (0x200) is now LRU
+  s = c.lookup(0x40 * 32, false);
+  EXPECT_FALSE(s.hit);
+  EXPECT_EQ(s.idx, 1u);
+  const Eviction ev = c.fill(s, 0x40 * 32, false);
+  ASSERT_TRUE(ev.valid);
+  EXPECT_EQ(ev.addr, 0x40u * 8);
+  EXPECT_EQ(c.counters().accesses, 3u);
+  EXPECT_EQ(c.counters().misses, 2u);
+  EXPECT_EQ(c.counters().fills, 5u);
+}
+
+TEST(SetAssocCache, WriteBackDirtiesOrAllocatesDirty) {
+  SetAssocCache c("t", 128, 2);
+  EXPECT_FALSE(c.write_back(0x0).valid);  // absent: allocated dirty
+  c.fill(0x40 * 16, false);
+  EXPECT_FALSE(c.write_back(0x40 * 16).valid);  // present: dirtied, made MRU
+  Eviction ev = c.fill(0x40 * 32, false);
+  ASSERT_TRUE(ev.valid);
+  EXPECT_EQ(ev.addr, 0x0u);
+  EXPECT_TRUE(ev.dirty);
+  ev = c.write_back(0x40 * 48);
+  ASSERT_TRUE(ev.valid);
+  EXPECT_EQ(ev.addr, 0x40u * 16);
+  EXPECT_TRUE(ev.dirty);
+  EXPECT_EQ(c.counters().accesses, 0u);  // writebacks are not lookups
+  EXPECT_EQ(c.counters().fills, 4u);
+  EXPECT_EQ(c.counters().dirty_evictions, 2u);
 }
 
 TEST(SetAssocCache, ValidLinesEnumeratesAddressesCorrectly) {
