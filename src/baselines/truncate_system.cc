@@ -1,19 +1,15 @@
 #include "baselines/truncate_system.hh"
 
-#include <array>
+#include <span>
 
 namespace avr {
 
 void TruncateSystem::truncate_line(uint64_t line) {
-  line = line_addr(line);
-  // Batch kernel over the line's 16 values (same SoA convention as the
-  // compressor pipeline stages).
-  std::array<float, kValuesPerLine> vals;
-  for (uint64_t i = 0; i < kValuesPerLine; ++i)
-    vals[i] = regions_.load<float>(line + i * sizeof(float));
-  f32_truncate_low_bits_batch(vals, cfg_.truncate_bits);
-  for (uint64_t i = 0; i < kValuesPerLine; ++i)
-    regions_.store(line + i * sizeof(float), vals[i]);
+  // Resolve the backing line once: regions are block-aligned, so a line
+  // never straddles two of them. The batch kernel then chops the line's 16
+  // values in place (same SoA convention as the compressor pipeline stages).
+  auto* vals = reinterpret_cast<float*>(regions_.host_ptr(line_addr(line)));
+  f32_truncate_low_bits_batch(std::span<float>(vals, kValuesPerLine), cfg_.truncate_bits);
 }
 
 uint64_t TruncateSystem::request(uint64_t now, uint64_t line, bool write) {

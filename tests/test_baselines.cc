@@ -86,6 +86,26 @@ TEST(TruncateSystem, WritebackTruncatesBackingValues) {
   EXPECT_NEAR(stored, precise, std::abs(precise) / 128.0f);
 }
 
+// The chop covers exactly the written-back line: all 16 of its values, none
+// of its neighbours', even when the request names a mid-line address.
+TEST(TruncateSystem, WritebackTruncatesTheWholeLineOnly) {
+  RegionRegistry regions;
+  TruncateSystem sys(tiny_cfg(), regions);
+  const uint64_t ap = regions.allocate("ap", kBlockBytes, true);
+  const auto value = [](uint64_t i) { return 1.0f + static_cast<float>(i) / 3.0f; };
+  for (uint64_t i = 0; i < 3 * kValuesPerLine; ++i)
+    regions.store<float>(ap + 4 * i, value(i));
+  sys.request(0, ap + kCachelineBytes + 20, true);  // dirty the middle line
+  sys.drain(0);
+  for (uint64_t i = 0; i < 3 * kValuesPerLine; ++i) {
+    const uint32_t bits = f32_bits(regions.load<float>(ap + 4 * i));
+    if (i / kValuesPerLine == 1)
+      EXPECT_EQ(bits & 0xFFFF, 0u) << "value " << i;
+    else
+      EXPECT_EQ(bits, f32_bits(value(i))) << "value " << i;
+  }
+}
+
 TEST(TruncateSystem, ExactLinesUntouched) {
   RegionRegistry regions;
   TruncateSystem sys(tiny_cfg(), regions);
