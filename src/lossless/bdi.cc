@@ -16,7 +16,11 @@ uint32_t try_base_delta(const std::byte* p) {
   for (uint32_t i = 1; i < kWords; ++i) {
     Base w;
     std::memcpy(&w, p + i * sizeof(Base), sizeof(Base));
-    const auto delta = static_cast<int64_t>(w) - static_cast<int64_t>(base);
+    // Modular difference: the value the hardware's subtractor produces. For
+    // 4-byte bases it equals the exact difference; for 8-byte bases it
+    // avoids the signed overflow of subtracting two int64 casts.
+    const auto delta =
+        static_cast<int64_t>(static_cast<uint64_t>(w) - static_cast<uint64_t>(base));
     if (delta < std::numeric_limits<Delta>::min() ||
         delta > std::numeric_limits<Delta>::max())
       return 0;

@@ -157,6 +157,17 @@ TEST(Bdi, Delta4BoundaryLeavesLineUncompressed) {
   EXPECT_EQ(encode_line(from_u64(w)).bytes, kCachelineBytes);
 }
 
+// 8-byte deltas are the modular difference the hardware subtractor gives:
+// INT64_MAX against base INT64_MIN is delta -1, a b8d1 line. Computing it as
+// a signed subtraction would overflow (UB).
+TEST(Bdi, EightByteDeltaWrapsModulo2To64) {
+  std::array<uint64_t, 8> w;
+  w.fill(0x7FFFFFFFFFFFFFFFull);
+  w[0] = 0x8000000000000000ull;  // the base
+  EXPECT_EQ(encode_line(from_u64(w)).encoding, BdiEncoding::kBase8Delta1);
+  EXPECT_EQ(encode_line(from_u64(w)).bytes, 8u + 8u);
+}
+
 TEST(Bdi, FourByteBaseDelta1Boundary) {
   std::array<uint32_t, 16> w;
   for (uint32_t i = 0; i < 16; ++i) w[i] = 1000 + i;
