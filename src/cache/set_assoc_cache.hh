@@ -60,11 +60,11 @@ class SetAssocCache {
   /// if present, else allocate it dirty. Returns the allocation's eviction.
   Eviction write_back(uint64_t addr);
 
-  /// lookup(addr, write).hit.
+  /// Hit-or-miss form of lookup (tests and benches).
   bool access(uint64_t addr, bool write) { return lookup(addr, write).hit; }
 
-  /// Allocate `addr` (must not be present), evicting the LRU victim of its
-  /// set if the set is full.
+  /// Allocate `addr` (must not be present) with its own scan (tests and
+  /// benches).
   Eviction fill(uint64_t addr, bool dirty) { return fill(locate(addr), addr, dirty); }
 
   /// Mark an existing line dirty (refreshing LRU). Returns false if absent.
@@ -82,7 +82,6 @@ class SetAssocCache {
 
   uint32_t num_sets() const { return sets_; }
   uint32_t ways() const { return ways_; }
-  uint64_t line_bytes() const { return uint64_t{1} << line_shift_; }
   const std::string& name() const { return name_; }
 
   const CacheCounters& counters() const { return counters_; }
