@@ -206,7 +206,7 @@ struct PointProfile {
 /// breakdowns, and the aggregate (sum of points + harness/scheduler time).
 struct Report {
   std::string owner;  // claim-owner token or "<host>-<pid>"
-  std::string mode;   // "claim", "shard", "runner", ...
+  std::string mode;   // "claim", "local", "runner", ...
   std::string simd;   // active kernel dispatch level: "scalar"|"sse4"|"avx2"
   double wall_seconds = 0;
   // Worker threads the points ran on. Phase time is summed over them, so

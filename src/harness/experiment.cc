@@ -289,8 +289,7 @@ const ExperimentResult& ExperimentRunner::run(const std::string& name, Design d)
 std::vector<ExperimentResult> ExperimentRunner::run_all(
     const std::vector<std::string>& workloads, const std::vector<Design>& designs,
     unsigned n_threads) {
-  // sweep::full_grid is the single definition of the canonical order the
-  // shard slicing partitions.
+  // sweep::full_grid is the single definition of the canonical order.
   return run_points(sweep::full_grid(workloads, designs), n_threads);
 }
 

@@ -80,7 +80,7 @@ class ExperimentRunner {
                                         const std::vector<Design>& designs,
                                         unsigned n_threads = 0);
 
-  /// Run an arbitrary point list (e.g. one shard's slice of the grid) on the
+  /// Run an arbitrary point list (e.g. avr_sweep's selection) on the
   /// pool. Uncached points are scheduled longest-first by cost_estimate() —
   /// points vary ~30x in cost, so starting the expensive ones first keeps
   /// the pool busy until the end of the sweep. Returns results in the given
@@ -112,7 +112,7 @@ class ExperimentRunner {
   /// Number of results that could not be appended to the disk cache (disk
   /// full, permissions, ...). Simulation carries on from the in-memory
   /// cache — each failure warns on stderr — but a persistence-critical
-  /// caller (avr_sweep: the shard cache IS its output) must check this and
+  /// caller (avr_sweep: the cache IS its output) must check this and
   /// fail loudly.
   size_t disk_write_failures() const { return disk_write_failures_.load(); }
 

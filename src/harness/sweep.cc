@@ -41,27 +41,6 @@ std::vector<std::string> split_csv(const std::string& csv) {
 
 }  // namespace
 
-Shard parse_shard(const std::string& spec) {
-  const size_t slash = spec.find('/');
-  Shard s;
-  try {
-    if (slash == std::string::npos || slash == 0 || slash + 1 >= spec.size())
-      throw std::invalid_argument("");
-    size_t pos_i = 0, pos_n = 0;
-    const std::string is = spec.substr(0, slash), ns = spec.substr(slash + 1);
-    const int i = std::stoi(is, &pos_i);
-    const int n = std::stoi(ns, &pos_n);
-    if (pos_i != is.size() || pos_n != ns.size() || i < 0 || n <= 0 || i >= n)
-      throw std::invalid_argument("");
-    s.index = static_cast<unsigned>(i);
-    s.count = static_cast<unsigned>(n);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("bad shard spec '" + spec +
-                                "' (want i/N with 0 <= i < N)");
-  }
-  return s;
-}
-
 std::vector<Point> full_grid(const std::vector<std::string>& workloads,
                              const std::vector<Design>& designs) {
   std::vector<Point> grid;
@@ -69,13 +48,6 @@ std::vector<Point> full_grid(const std::vector<std::string>& workloads,
   for (const auto& w : workloads)
     for (Design d : designs) grid.emplace_back(w, d);
   return grid;
-}
-
-std::vector<Point> shard_slice(const std::vector<Point>& grid, Shard s) {
-  std::vector<Point> slice;
-  slice.reserve(grid.size() / s.count + 1);
-  for (size_t i = s.index; i < grid.size(); i += s.count) slice.push_back(grid[i]);
-  return slice;
 }
 
 std::vector<VariantPoint> full_variant_grid(
@@ -96,14 +68,6 @@ std::vector<VariantPoint> full_variant_grid(
       for (const auto& w : workloads)
         for (Design d : designs) grid.push_back({t1, {w, d}, methods});
   return grid;
-}
-
-std::vector<VariantPoint> shard_slice(const std::vector<VariantPoint>& grid,
-                                      Shard s) {
-  std::vector<VariantPoint> slice;
-  slice.reserve(grid.size() / s.count + 1);
-  for (size_t i = s.index; i < grid.size(); i += s.count) slice.push_back(grid[i]);
-  return slice;
 }
 
 SimConfig variant_config(int t1, int methods) {

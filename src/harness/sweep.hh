@@ -1,21 +1,15 @@
-// Grid enumeration, shard slicing and the claim-based work-stealing
-// scheduler for the distributed paper sweep.
+// Grid enumeration and the claim-based work-stealing scheduler for the
+// distributed paper sweep.
 //
 // The canonical grid order is workload-major, design-minor — the same order
-// run_all() returns. Two ways to split it across processes:
-//
-//   - *Static shards* (--shard i/N): shard i owns every grid point whose
-//     canonical index ≡ i (mod N). Slices are computed independently by
-//     each process from nothing but the (workloads, designs, i, N) tuple,
-//     are pairwise disjoint, and their union is exactly the full grid.
-//     Round-robin spreads cheap and expensive designs across shards, but a
-//     ~30x cost spread still leaves shards idle while a straggler finishes.
-//   - *Work stealing* (--claim): every process sees the full grid and
-//     claims points one at a time by appending claim records through the
-//     flock'd cache file (run_work_stealing below, protocol in
-//     harness/result_cache.hh and docs/OPERATIONS.md). Stragglers
-//     rebalance automatically, a killed process's claims expire and get
-//     reclaimed, and no i/N coordination is needed up front.
+// run_all() returns. A process without --claim runs its whole selection
+// in-process (ExperimentRunner::run_points). To split a sweep across
+// processes, every process runs with --claim: each sees the full grid and
+// claims points one at a time by appending claim records through the
+// flock'd cache file (run_work_stealing below, protocol in
+// harness/result_cache.hh and docs/OPERATIONS.md). Stragglers rebalance
+// automatically, a killed process's claims expire and get reclaimed, and no
+// coordination is needed up front.
 #pragma once
 
 #include <functional>
@@ -32,12 +26,6 @@ namespace avr {
 class ExperimentRunner;
 
 namespace sweep {
-
-/// One static slice of the grid: this process is shard `index` of `count`.
-struct Shard {
-  unsigned index = 0;
-  unsigned count = 1;
-};
 
 using Point = std::pair<std::string, Design>;
 
@@ -63,10 +51,6 @@ struct VariantPoint {
   auto operator<=>(const VariantPoint&) const = default;
 };
 
-/// Parses "i/N" (e.g. "0/3"). Throws std::invalid_argument unless
-/// 0 <= i < N.
-Shard parse_shard(const std::string& spec);
-
 /// Full cross product in canonical (workload-major) order.
 std::vector<Point> full_grid(const std::vector<std::string>& workloads,
                              const std::vector<Design>& designs);
@@ -84,11 +68,6 @@ std::vector<VariantPoint> full_variant_grid(
     const std::vector<int>& t1_values, const std::vector<int>& methods_values,
     const std::vector<std::string>& workloads,
     const std::vector<Design>& designs);
-
-/// The points shard `s` owns, in canonical order.
-std::vector<Point> shard_slice(const std::vector<Point>& grid, Shard s);
-std::vector<VariantPoint> shard_slice(const std::vector<VariantPoint>& grid,
-                                      Shard s);
 
 /// The base SimConfig simulating variant (`t1`, `methods`): default except
 /// avr.t1_override (see AvrConfig::t1_override) and — when methods >= 0 —
@@ -135,8 +114,8 @@ struct StealOptions {
   std::string owner;
   /// Fixed lease in seconds for every claim; 0 picks an adaptive lease of
   /// max(30, 20 x cost_estimate) seconds per point — generous enough that a
-  /// live shard never loses a point it is still simulating, short enough
-  /// that a killed shard's points come back within a minute.
+  /// live worker never loses a point it is still simulating, short enough
+  /// that a killed worker's points come back within a minute.
   uint64_t lease_seconds = 0;
   /// Sleep between rescans when every remaining point is claimed by a live
   /// foreign owner (waiting for their results — or their leases — to land).

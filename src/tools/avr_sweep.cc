@@ -1,16 +1,15 @@
-// avr_sweep: shardable command-line driver for the paper's (workload x
-// design) sweep. Each invocation owns a slice of the grid — a fixed
-// round-robin `--shard i/N` slice, or (preferred) whatever it wins under
-// `--claim` work stealing — and appends its results to a writer-safe CSV
-// cache, so a full reproduction splits across processes (or CI jobs) and
-// the caches merge by concatenation. Every run also emits a per-phase
-// profile sidecar (docs/OPERATIONS.md documents both the claim protocol
-// and the profile schema).
+// avr_sweep: command-line driver for the paper's (workload x design)
+// sweep. Without --claim an invocation runs its whole selection in-process;
+// with --claim it runs whatever points it wins by work stealing, so a full
+// reproduction splits across processes (or CI jobs). Results go to a
+// writer-safe CSV cache, and caches merge by concatenation. Every run also
+// emits a per-phase profile sidecar (docs/OPERATIONS.md documents both the
+// claim protocol and the profile schema).
 //
 //   avr_sweep --claim --cache sweep.csv &          three cooperating
 //   avr_sweep --claim --cache sweep.csv &          workers splitting the
 //   avr_sweep --claim --cache sweep.csv            grid by work stealing
-//   avr_sweep --shard 1/3 --cache shard1.csv       static slice 1 of 3
+//   avr_sweep --workloads lbm --cache lbm.csv      one selection, in-process
 //   avr_sweep --check --cache merged.csv           assert full-grid coverage
 //   avr_sweep --assert-same other.csv --cache a.csv   compare two caches
 #include <algorithm>
@@ -36,19 +35,17 @@ namespace {
 
 constexpr const char* kUsage = R"(usage: avr_sweep [options]
 
-Runs (a shard of) the full (workload x design) sweep and appends results to
-the shared CSV cache. Exits nonzero if any point fails.
+Runs the selected (workload x design) sweep and appends results to the
+shared CSV cache. Exits nonzero if any point fails.
 
   --claim            work-stealing mode: claim points one at a time through
                      the shared cache file until the whole grid has results;
                      any number of concurrent --claim processes cooperate
-                     (mutually exclusive with --shard; requires a cache)
+                     (requires a cache)
   --claim-lease s    fixed claim lease in seconds (default 0 = adaptive:
                      max(30, 20 x estimated point cost))
   --owner name       claim-owner token, unique per process, comma-free
                      (default <hostname>-<pid>)
-  --shard i/N        static mode: run grid points with canonical index == i
-                     (mod N) (default 0/1: the whole grid)
   --jobs n           thread-pool size (default 0 = hardware concurrency)
   --workloads a,b    comma-separated workload subset (default: all seven)
   --designs x,y      comma-separated design subset, names as printed in the
@@ -70,8 +67,8 @@ the shared CSV cache. Exits nonzero if any point fails.
   --profile          print the per-phase profile summary table on exit
   --profile-out p    profile sidecar JSON path (default
                      <cache>.<owner>.profile.json; "" disables the sidecar)
-  --list             print this shard's points and exit (runs nothing)
-  --check            verify the cache already covers this shard's points and
+  --list             print the selected points and exit (runs nothing)
+  --check            verify the cache already covers the selected points and
                      audit its claim records; exit 1 listing any missing
                      point (runs nothing)
   --assert-same p    verify the cache and cache file `p` contain the same
@@ -91,8 +88,6 @@ the shared CSV cache. Exits nonzero if any point fails.
 )";
 
 struct Options {
-  avr::sweep::Shard shard;
-  bool shard_set = false;
   bool claim = false;
   uint64_t claim_lease = 0;
   std::string owner = avr::prof::default_owner();
@@ -125,10 +120,7 @@ Options parse_args(int argc, char** argv) {
   };
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a == "--shard") {
-      o.shard = avr::sweep::parse_shard(value(i, "--shard"));
-      o.shard_set = true;
-    } else if (a == "--claim") {
+    if (a == "--claim") {
       o.claim = true;
     } else if (a == "--claim-lease") {
       const std::string v = value(i, "--claim-lease");
@@ -184,10 +176,6 @@ Options parse_args(int argc, char** argv) {
       throw std::invalid_argument("unknown flag: " + a);
     }
   }
-  if (o.claim && o.shard_set)
-    throw std::invalid_argument(
-        "--claim and --shard are mutually exclusive (claim mode splits the "
-        "grid dynamically)");
   if (o.claim && o.cache_path.empty())
     throw std::invalid_argument("--claim needs a cache file (claims live in it)");
   if (o.repair && !o.fsck)
@@ -199,7 +187,7 @@ Options parse_args(int argc, char** argv) {
 
 /// --fsck [--repair]: audit (and optionally rewrite) the cache, exit by the
 /// final audit's verdict. Unlike --check this is grid-agnostic — it judges
-/// the file itself, not its coverage of any particular slice.
+/// the file itself, not its coverage of any particular selection.
 int run_fsck(const Options& o) {
   const uint64_t now = static_cast<uint64_t>(std::time(nullptr));
   avr::FsckReport report = avr::fsck_cache(o.cache_path, now);
@@ -252,18 +240,18 @@ std::string variant_suffix(Variant v) {
   return s.empty() ? s : " (" + s.substr(1) + ")";
 }
 
-/// The slice grouped by (t1, methods) variant, preserving point order
+/// The grid grouped by (t1, methods) variant, preserving point order
 /// within a group.
 std::map<Variant, std::vector<avr::sweep::Point>> by_variant(
-    const std::vector<avr::sweep::VariantPoint>& slice) {
+    const std::vector<avr::sweep::VariantPoint>& grid) {
   std::map<Variant, std::vector<avr::sweep::Point>> groups;
-  for (const auto& vp : slice)
+  for (const auto& vp : grid)
     groups[{vp.t1, vp.methods}].push_back(vp.point);
   return groups;
 }
 
 int check_coverage(const Options& o,
-                   const std::vector<avr::sweep::VariantPoint>& slice) {
+                   const std::vector<avr::sweep::VariantPoint>& grid) {
   size_t missing = 0;
   // Claim audit alongside coverage: a claim is *moot* once its point has a
   // result, *dangling* otherwise (its point is also missing, so dangling
@@ -271,7 +259,7 @@ int check_coverage(const Options& o,
   // this check passing).
   size_t claims = 0, dangling = 0;
   const uint64_t now = static_cast<uint64_t>(std::time(nullptr));
-  for (const auto& [variant, points] : by_variant(slice)) {
+  for (const auto& [variant, points] : by_variant(grid)) {
     const uint64_t fp = variant_fingerprint(variant);
     const auto cache = avr::load_result_cache(o.cache_path, fp);
     for (const auto& [key, c] : avr::load_claims(o.cache_path, fp)) {
@@ -294,12 +282,12 @@ int check_coverage(const Options& o,
     std::fprintf(stderr,
                  "%s covers %zu/%zu points (%zu missing, %zu dangling "
                  "claim(s))\n",
-                 o.cache_path.c_str(), slice.size() - missing, slice.size(),
+                 o.cache_path.c_str(), grid.size() - missing, grid.size(),
                  missing, dangling);
     return 1;
   }
   std::printf("%s covers all %zu points (%zu claim record(s), all moot)\n",
-              o.cache_path.c_str(), slice.size(), claims);
+              o.cache_path.c_str(), grid.size(), claims);
   return 0;
 }
 
@@ -369,13 +357,12 @@ int main(int argc, char** argv) {
   // grid — the claims do the splitting.
   const auto grid = sweep::full_variant_grid(o.t1_values, o.methods_values,
                                              o.workloads, o.designs);
-  const auto slice = o.claim ? grid : sweep::shard_slice(grid, o.shard);
   const bool t1_axis = o.t1_values.size() > 1 || o.t1_values[0] >= 0;
   const bool methods_axis =
       o.methods_values.size() > 1 || o.methods_values[0] >= 0;
 
   if (o.list) {
-    for (const auto& [t1, p, methods] : slice) {
+    for (const auto& [t1, p, methods] : grid) {
       if (methods_axis)
         std::printf("%s,", sweep::method_set_name(methods).c_str());
       if (t1_axis || methods_axis) std::printf("%d,", t1);
@@ -383,14 +370,14 @@ int main(int argc, char** argv) {
     }
     return 0;
   }
-  if (o.check) return check_coverage(o, slice);
+  if (o.check) return check_coverage(o, grid);
   if (o.assert_same) return check_same(o);
   if (o.fsck) return run_fsck(o);
 
-  // One runner per (t1, methods) variant in this slice: each loads and
+  // One runner per (t1, methods) variant in the grid: each loads and
   // appends only records carrying its own config fingerprint, so all
   // variants share the one cache file.
-  const auto groups = by_variant(slice);
+  const auto groups = by_variant(grid);
   size_t warm = 0;
   std::vector<std::pair<Variant, std::unique_ptr<ExperimentRunner>>> runners;
   for (const auto& [variant, points] : groups) {
@@ -410,10 +397,9 @@ int main(int argc, char** argv) {
                  o.cache_path.c_str());
   else
     std::fprintf(stderr,
-                 "[sweep] shard %u/%u: %zu of %zu grid points (%zu cached, "
-                 "%zu variant(s)), %u jobs, cache=%s\n",
-                 o.shard.index, o.shard.count, slice.size(), grid.size(), warm,
-                 groups.size(), o.jobs,
+                 "[sweep] %zu grid points (%zu cached, %zu variant(s)), %u "
+                 "jobs, cache=%s\n",
+                 grid.size(), warm, groups.size(), o.jobs,
                  o.cache_path.empty() ? "<disabled>" : o.cache_path.c_str());
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -446,7 +432,7 @@ int main(int argc, char** argv) {
   }
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  // The shard cache IS this process's output: results that only exist in
+  // The cache IS this process's output: results that only exist in
   // memory are lost when it exits, so persistence failures are fatal here
   // (unlike in the figure benches, which still print their tables).
   if (!o.cache_path.empty() && write_failures > 0) {
@@ -461,13 +447,13 @@ int main(int argc, char** argv) {
   // nobody asked for the table.
   prof::Report report;
   report.owner = o.owner;
-  report.mode = o.claim ? "claim" : "shard";
+  report.mode = o.claim ? "claim" : "local";
   report.simd = simd_level_name(simd_level());
   report.wall_seconds = secs;
   // As the pools size themselves: never more threads than points.
   const unsigned jobs = o.jobs ? o.jobs : std::thread::hardware_concurrency();
   report.jobs = static_cast<unsigned>(
-      std::max<size_t>(1, std::min<size_t>(jobs, slice.size())));
+      std::max<size_t>(1, std::min<size_t>(jobs, grid.size())));
   report.aggregate = steal.sched;
   for (auto& [variant, runner] : runners) {
     report.aggregate.merge(runner->profile_totals());
@@ -498,8 +484,7 @@ int main(int argc, char** argv) {
         o.owner.c_str(), steal.simulated, steal.reclaimed, steal.done_elsewhere,
         secs);
   else
-    std::printf("[sweep] shard %u/%u done: %zu points (%zu simulated) in %.1fs\n",
-                o.shard.index, o.shard.count, slice.size(), slice.size() - warm,
-                secs);
+    std::printf("[sweep] done: %zu points (%zu simulated) in %.1fs\n",
+                grid.size(), grid.size() - warm, secs);
   return 0;
 }

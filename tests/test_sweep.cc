@@ -1,7 +1,7 @@
-// Shard slicing tests: spec parsing, exact grid partitioning (union of N
-// shards == full grid, pairwise disjoint), and the end-to-end acceptance
-// path — N avr_sweep processes against one cache produce the same merged
-// cache as a single in-process sweep.
+// Sweep grid tests: canonical grid order, config-variant axes and list
+// parsing, and the end-to-end acceptance paths — concurrent avr_sweep
+// processes appending to one cache produce the same records as a single
+// in-process sweep, with and without --claim.
 #include "harness/sweep.hh"
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/experiment.hh"
@@ -25,22 +26,7 @@ namespace {
 
 using sweep::Point;
 
-TEST(SweepShard, ParseShardAcceptsValidSpecs) {
-  const auto s = sweep::parse_shard("1/3");
-  EXPECT_EQ(s.index, 1u);
-  EXPECT_EQ(s.count, 3u);
-  const auto whole = sweep::parse_shard("0/1");
-  EXPECT_EQ(whole.index, 0u);
-  EXPECT_EQ(whole.count, 1u);
-}
-
-TEST(SweepShard, ParseShardRejectsBadSpecs) {
-  for (const char* bad :
-       {"", "3", "1/", "/3", "3/3", "4/3", "-1/3", "0/0", "0/-2", "a/b", "1/3x"})
-    EXPECT_THROW(sweep::parse_shard(bad), std::invalid_argument) << bad;
-}
-
-TEST(SweepShard, FullGridIsWorkloadMajor) {
+TEST(Sweep, FullGridIsWorkloadMajor) {
   const auto grid = sweep::full_grid({"a", "b"}, {Design::kBaseline, Design::kAvr});
   ASSERT_EQ(grid.size(), 4u);
   EXPECT_EQ(grid[0], Point("a", Design::kBaseline));
@@ -49,28 +35,7 @@ TEST(SweepShard, FullGridIsWorkloadMajor) {
   EXPECT_EQ(grid[3], Point("b", Design::kAvr));
 }
 
-TEST(SweepShard, SlicesPartitionTheGrid) {
-  const auto grid =
-      sweep::full_grid(workload_names(), ExperimentRunner::paper_designs());
-  ASSERT_EQ(grid.size(), 35u);
-  for (unsigned n : {1u, 2u, 3u, 5u, 7u, 35u, 40u}) {
-    std::multiset<Point> merged;
-    size_t total = 0;
-    for (unsigned i = 0; i < n; ++i) {
-      const auto slice = sweep::shard_slice(grid, {i, n});
-      total += slice.size();
-      merged.insert(slice.begin(), slice.end());
-      // Balanced to within one point.
-      EXPECT_LE(slice.size(), (grid.size() + n - 1) / n);
-    }
-    EXPECT_EQ(total, grid.size()) << "N=" << n;
-    // A multiset equal to the grid's point set == union covers everything
-    // exactly once (disjoint + complete).
-    EXPECT_EQ(merged, std::multiset<Point>(grid.begin(), grid.end()));
-  }
-}
-
-TEST(SweepShard, VariantGridIsT1MajorAndDefaultsToPlainGrid) {
+TEST(Sweep, VariantGridIsT1MajorAndDefaultsToPlainGrid) {
   const auto grid = sweep::full_variant_grid({4, 6}, {"a", "b"},
                                              {Design::kBaseline, Design::kAvr});
   ASSERT_EQ(grid.size(), 8u);
@@ -91,26 +56,7 @@ TEST(SweepShard, VariantGridIsT1MajorAndDefaultsToPlainGrid) {
   }
 }
 
-TEST(SweepShard, VariantSlicesPartitionTheGrid) {
-  const auto grid = sweep::full_variant_grid(
-      {4, 6, 8}, workload_names(), ExperimentRunner::paper_designs());
-  ASSERT_EQ(grid.size(), 105u);
-  for (unsigned n : {1u, 3u, 7u, 105u}) {
-    std::multiset<sweep::VariantPoint> merged;
-    size_t total = 0;
-    for (unsigned i = 0; i < n; ++i) {
-      const auto slice = sweep::shard_slice(grid, {i, n});
-      total += slice.size();
-      merged.insert(slice.begin(), slice.end());
-      EXPECT_LE(slice.size(), (grid.size() + n - 1) / n);
-    }
-    EXPECT_EQ(total, grid.size()) << "N=" << n;
-    EXPECT_EQ(merged,
-              std::multiset<sweep::VariantPoint>(grid.begin(), grid.end()));
-  }
-}
-
-TEST(SweepShard, VariantConfigsHaveDistinctFingerprints) {
+TEST(Sweep, VariantConfigsHaveDistinctFingerprints) {
   // t1 == -1 must be THE default config (so existing caches keep working);
   // each forced threshold is a distinct cache key.
   EXPECT_EQ(config_fingerprint(sweep::variant_config(-1)),
@@ -121,7 +67,7 @@ TEST(SweepShard, VariantConfigsHaveDistinctFingerprints) {
   EXPECT_EQ(fps.size(), 6u);
 }
 
-TEST(SweepShard, ParseT1List) {
+TEST(Sweep, ParseT1List) {
   EXPECT_EQ(sweep::parse_t1_list(""), (std::vector<int>{-1}));
   EXPECT_EQ(sweep::parse_t1_list("4"), (std::vector<int>{4}));
   EXPECT_EQ(sweep::parse_t1_list("4,6,8"), (std::vector<int>{4, 6, 8}));
@@ -129,7 +75,7 @@ TEST(SweepShard, ParseT1List) {
     EXPECT_THROW(sweep::parse_t1_list(bad), std::invalid_argument) << bad;
 }
 
-TEST(SweepShard, ParseMethodsList) {
+TEST(Sweep, ParseMethodsList) {
   using namespace sweep;
   EXPECT_EQ(parse_methods_list(""), (std::vector<int>{kMethodsDefault}));
   EXPECT_EQ(parse_methods_list("1d"), (std::vector<int>{kMethods1D}));
@@ -148,7 +94,7 @@ TEST(SweepShard, ParseMethodsList) {
     EXPECT_THROW(parse_methods_list(bad), std::invalid_argument) << bad;
 }
 
-TEST(SweepShard, MethodSetName) {
+TEST(Sweep, MethodSetName) {
   using namespace sweep;
   EXPECT_EQ(method_set_name(kMethodsDefault), "default");
   EXPECT_EQ(method_set_name(kMethods1D), "1d");
@@ -156,7 +102,7 @@ TEST(SweepShard, MethodSetName) {
   EXPECT_EQ(method_set_name(kMethods1D | kMethods2D | kMethodsBdi), "1d+2d+bdi");
 }
 
-TEST(SweepShard, MethodsGridIsMethodsMajorOutsideT1) {
+TEST(Sweep, MethodsGridIsMethodsMajorOutsideT1) {
   using namespace sweep;
   const int avr_bdi = kMethods1D | kMethods2D | kMethodsBdi;
   const auto grid = full_variant_grid({4, 6}, {kMethodsDefault, avr_bdi}, {"a"},
@@ -173,7 +119,7 @@ TEST(SweepShard, MethodsGridIsMethodsMajorOutsideT1) {
   for (size_t i = 0; i < legacy.size(); ++i) EXPECT_EQ(legacy[i], grid[i]);
 }
 
-TEST(SweepShard, MethodsVariantConfigFingerprints) {
+TEST(Sweep, MethodsVariantConfigFingerprints) {
   using namespace sweep;
   // Explicitly selecting the paper's method set must reproduce the default
   // fingerprint bit-for-bit: "--methods avr" is not a new cache key.
@@ -197,7 +143,7 @@ TEST(SweepShard, MethodsVariantConfigFingerprints) {
   EXPECT_FALSE(only_1d.avr.enable_bdi_hybrid);
 }
 
-TEST(SweepShard, DesignAndWorkloadListParsing) {
+TEST(Sweep, DesignAndWorkloadListParsing) {
   EXPECT_EQ(sweep::design_from_name("AVR"), Design::kAvr);
   EXPECT_EQ(sweep::design_from_name("avr"), Design::kAvr);
   EXPECT_EQ(sweep::design_from_name("ZeroAVR"), Design::kZeroAvr);
@@ -232,34 +178,40 @@ pid_t spawn_sweep(const std::vector<std::string>& args) {
   _exit(127);  // exec failed
 }
 
-TEST(SweepShard, ThreeShardProcessesMatchSingleProcessSweep) {
-  const std::string bin = sweep_binary();
-  if (bin.empty()) GTEST_SKIP() << "AVR_SWEEP_BIN not set";
-
-  const std::string cache =
-      (std::filesystem::temp_directory_path() /
-       ("avr_shard_e2e_" + std::to_string(::getpid()) + ".csv"))
-          .string();
-  std::remove(cache.c_str());
-
-  // A small but representative sub-grid (6 points across 2 workloads and 3
-  // designs, including AVR) to keep the three processes fast.
-  const std::string workloads = "kmeans,bscholes";
-  const std::string designs = "baseline,truncate,AVR";
-
-  // All three shards run concurrently against ONE cache path — this is the
-  // writer contract the flock+O_APPEND records exist for.
-  std::vector<pid_t> pids;
-  for (int i = 0; i < 3; ++i)
-    pids.push_back(spawn_sweep({bin, "--shard", std::to_string(i) + "/3",
-                                "--workloads", workloads, "--designs", designs,
-                                "--cache", cache, "--jobs", "1", "--quiet"}));
+void wait_ok(const std::vector<pid_t>& pids) {
   for (pid_t pid : pids) {
     int status = 0;
     ASSERT_EQ(waitpid(pid, &status, 0), pid);
     ASSERT_TRUE(WIFEXITED(status));
     EXPECT_EQ(WEXITSTATUS(status), 0);
   }
+}
+
+TEST(Sweep, ThreeLocalProcessesMatchSingleProcessSweep) {
+  const std::string bin = sweep_binary();
+  if (bin.empty()) GTEST_SKIP() << "AVR_SWEEP_BIN not set";
+
+  const std::string cache =
+      (std::filesystem::temp_directory_path() /
+       ("avr_local_e2e_" + std::to_string(::getpid()) + ".csv"))
+          .string();
+  std::remove(cache.c_str());
+
+  // A small but representative sub-grid (6 points across 2 workloads and 3
+  // designs, including AVR), split into three disjoint --workloads/--designs
+  // selections. The three processes run without --claim, concurrently
+  // against ONE cache path — the writer contract the flock+O_APPEND records
+  // exist for, whether or not anyone claims.
+  const std::vector<std::pair<std::string, std::string>> selections = {
+      {"kmeans", "baseline,truncate,AVR"},
+      {"bscholes", "baseline,truncate"},
+      {"bscholes", "AVR"}};
+  std::vector<pid_t> pids;
+  for (const auto& [workloads, designs] : selections)
+    pids.push_back(spawn_sweep({bin, "--workloads", workloads, "--designs",
+                                designs, "--cache", cache, "--profile-out",
+                                "", "--jobs", "1", "--quiet"}));
+  wait_ok(pids);
 
   const auto merged = load_result_cache(cache);
   const auto grid = sweep::full_grid({"kmeans", "bscholes"},
@@ -281,7 +233,7 @@ TEST(SweepShard, ThreeShardProcessesMatchSingleProcessSweep) {
   std::remove(cache.c_str());
 }
 
-TEST(SweepShard, T1VariantShardsCoexistInOneCache) {
+TEST(Sweep, T1VariantClaimWorkersCoexistInOneCache) {
   const std::string bin = sweep_binary();
   if (bin.empty()) GTEST_SKIP() << "AVR_SWEEP_BIN not set";
 
@@ -291,20 +243,16 @@ TEST(SweepShard, T1VariantShardsCoexistInOneCache) {
           .string();
   std::remove(cache.c_str());
 
-  // Two --t1 variants of one cheap AVR point, split across two concurrent
-  // shard processes appending to ONE cache file.
+  // Two --t1 variants of one cheap AVR point, split by two concurrent
+  // --claim workers appending to ONE cache file.
   std::vector<pid_t> pids;
   for (int i = 0; i < 2; ++i)
-    pids.push_back(spawn_sweep({bin, "--shard", std::to_string(i) + "/2",
-                                "--t1", "4,6", "--workloads", "bscholes",
-                                "--designs", "AVR", "--cache", cache, "--jobs",
-                                "1", "--quiet"}));
-  for (pid_t pid : pids) {
-    int status = 0;
-    ASSERT_EQ(waitpid(pid, &status, 0), pid);
-    ASSERT_TRUE(WIFEXITED(status));
-    EXPECT_EQ(WEXITSTATUS(status), 0);
-  }
+    pids.push_back(spawn_sweep({bin, "--claim", "--owner",
+                                "t1-w" + std::to_string(i), "--t1", "4,6",
+                                "--workloads", "bscholes", "--designs", "AVR",
+                                "--cache", cache, "--profile-out", "",
+                                "--jobs", "1", "--quiet"}));
+  wait_ok(pids);
 
   // Each variant's record is keyed by its own config fingerprint, and both
   // match an in-process runner simulating under the same forced threshold.

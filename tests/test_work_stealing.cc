@@ -172,9 +172,9 @@ TEST(TryClaimPoint, StateMachine) {
 
 // Work stealing drains points longest-first into whichever worker is free —
 // the classic LPT schedule. On the committed seed-cost mix its makespan must
-// beat the static --shard i/N round-robin slices, which pin each point to a
-// shard no matter how the costs land. This is the deterministic core of the
-// "3-process claim sweep beats 3 static shards" acceptance criterion.
+// beat a static round-robin split (computed here), which pins each point to
+// a process no matter how the costs land. This is the deterministic case
+// for claiming points instead of splitting the grid up front.
 TEST(WorkStealing, LptBeatsStaticShardsOnSeedCosts) {
   ExperimentRunner runner({}, /*verbose=*/false, /*cache_path=*/"");
   const auto grid =
@@ -257,8 +257,8 @@ TEST(WorkStealing, ThreeClaimProcessesMatchSingleProcessSweep) {
           .string();
   std::remove(cache.c_str());
 
-  // Same sub-grid as the static-shard e2e (6 points, AVR included) — but no
-  // i/N slices: all three workers race for the whole grid through claims.
+  // Same sub-grid as test_sweep's concurrent-writer e2e (6 points, AVR
+  // included): all three workers race for the whole grid through claims.
   const std::string workloads = "kmeans,bscholes";
   const std::string designs = "baseline,truncate,AVR";
   std::vector<pid_t> pids;
