@@ -2,7 +2,7 @@
 // model of the 49-cycle / 12-cycle pipelines of Sec. 3.3), plus per-kernel
 // SIMD-vs-scalar comparisons of the dispatched batch kernels
 // (common/simd.hh): the BM_Kernel* benches take the dispatch level as their
-// argument (0 = scalar, 1 = sse4, 2 = avx2), so one run shows each
+// argument (0 = scalar, 2 = avx2), so one run shows each
 // kernel's vector speedup next to its scalar reference.
 #include <benchmark/benchmark.h>
 
@@ -146,7 +146,7 @@ void BM_KernelConvert(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kBlockBytes);
 }
-BENCHMARK(BM_KernelConvert)->DenseRange(0, 2);
+BENCHMARK(BM_KernelConvert)->Arg(0)->Arg(2);
 
 void BM_KernelBias(benchmark::State& state) {
   ScopedSimdLevel pin(state);
@@ -159,7 +159,7 @@ void BM_KernelBias(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kBlockBytes);
 }
-BENCHMARK(BM_KernelBias)->DenseRange(0, 2);
+BENCHMARK(BM_KernelBias)->Arg(0)->Arg(2);
 
 void BM_KernelSummarize1D(benchmark::State& state) {
   ScopedSimdLevel pin(state);
@@ -173,7 +173,7 @@ void BM_KernelSummarize1D(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kBlockBytes);
 }
-BENCHMARK(BM_KernelSummarize1D)->DenseRange(0, 2);
+BENCHMARK(BM_KernelSummarize1D)->Arg(0)->Arg(2);
 
 void BM_KernelSummarize2D(benchmark::State& state) {
   ScopedSimdLevel pin(state);
@@ -187,7 +187,7 @@ void BM_KernelSummarize2D(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kBlockBytes);
 }
-BENCHMARK(BM_KernelSummarize2D)->DenseRange(0, 2);
+BENCHMARK(BM_KernelSummarize2D)->Arg(0)->Arg(2);
 
 void BM_KernelReconstruct1D(benchmark::State& state) {
   ScopedSimdLevel pin(state);
@@ -202,7 +202,7 @@ void BM_KernelReconstruct1D(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kBlockBytes);
 }
-BENCHMARK(BM_KernelReconstruct1D)->DenseRange(0, 2);
+BENCHMARK(BM_KernelReconstruct1D)->Arg(0)->Arg(2);
 
 void BM_KernelReconstruct2D(benchmark::State& state) {
   ScopedSimdLevel pin(state);
@@ -217,7 +217,7 @@ void BM_KernelReconstruct2D(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kBlockBytes);
 }
-BENCHMARK(BM_KernelReconstruct2D)->DenseRange(0, 2);
+BENCHMARK(BM_KernelReconstruct2D)->Arg(0)->Arg(2);
 
 void BM_KernelErrorScan(benchmark::State& state) {
   ScopedSimdLevel pin(state);
@@ -247,7 +247,7 @@ void BM_KernelErrorScan(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kBlockBytes);
 }
-BENCHMARK(BM_KernelErrorScan)->DenseRange(0, 2);
+BENCHMARK(BM_KernelErrorScan)->Arg(0)->Arg(2);
 
 void BM_KernelTruncate(benchmark::State& state) {
   ScopedSimdLevel pin(state);
@@ -259,7 +259,7 @@ void BM_KernelTruncate(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kBlockBytes);
 }
-BENCHMARK(BM_KernelTruncate)->DenseRange(0, 2);
+BENCHMARK(BM_KernelTruncate)->Arg(0)->Arg(2);
 
 void BM_KernelCrc32c(benchmark::State& state) {
   // The v5 result-cache checksum over a typical encoded record (~300 bytes):
@@ -278,7 +278,7 @@ void BM_KernelCrc32c(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(buf.size()));
 }
-BENCHMARK(BM_KernelCrc32c)->DenseRange(0, 2);
+BENCHMARK(BM_KernelCrc32c)->Arg(0)->Arg(2);
 
 }  // namespace
 

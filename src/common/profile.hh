@@ -207,7 +207,7 @@ struct PointProfile {
 struct Report {
   std::string owner;  // claim-owner token or "<host>-<pid>"
   std::string mode;   // "claim", "local", "runner", ...
-  std::string simd;   // active kernel dispatch level: "scalar"|"sse4"|"avx2"
+  std::string simd;   // active kernel dispatch level: "scalar"|"avx2"
   double wall_seconds = 0;
   // Worker threads the points ran on. Phase time is summed over them, so
   // wall_seconds x jobs is the thread time a phase's share is taken of.

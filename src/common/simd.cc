@@ -1,11 +1,10 @@
 // SIMD dispatch core + the scalar reference kernels.
 //
 // Everything in this file is compiled for baseline x86-64 (no -m flags):
-// the scalar kernels double as the slow paths the vector TUs fall back to,
-// so they must be callable from any CPU the binary runs on. The vector
-// tables live in simd_sse42.cc / simd_avx2.cc, referenced only when the
-// build enables dispatch (AVR_SIMD_DISPATCH, set by the AVR_SIMD CMake
-// option on x86-64).
+// the scalar kernels double as the slow paths the AVX2 TU falls back to,
+// so they must be callable from any CPU the binary runs on. The AVX2 table
+// lives in simd_avx2.cc, referenced only when the build enables dispatch
+// (AVR_SIMD_DISPATCH, set by the AVR_SIMD CMake option on x86-64).
 #include <algorithm>
 #include <atomic>
 #include <bit>
@@ -26,14 +25,7 @@ std::atomic<SimdLevel> g_level{SimdLevel::kScalar};
 
 const simd::KernelTable* table_for(SimdLevel lvl) {
 #if defined(AVR_SIMD_DISPATCH)
-  switch (lvl) {
-    case SimdLevel::kAvx2:
-      return &simd::detail::kAvx2Table;
-    case SimdLevel::kSse4:
-      return &simd::detail::kSse4Table;
-    case SimdLevel::kScalar:
-      break;
-  }
+  if (lvl == SimdLevel::kAvx2) return &simd::detail::kAvx2Table;
 #endif
   (void)lvl;
   return &simd::detail::kScalarTable;
@@ -60,25 +52,16 @@ SimdLevel init_level() {
 SimdLevel simd_max_supported_level() {
 #if defined(AVR_SIMD_DISPATCH)
   if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
-  if (__builtin_cpu_supports("sse4.2")) return SimdLevel::kSse4;
 #endif
   return SimdLevel::kScalar;
 }
 
 const char* simd_level_name(SimdLevel lvl) {
-  switch (lvl) {
-    case SimdLevel::kSse4:
-      return "sse4";
-    case SimdLevel::kAvx2:
-      return "avx2";
-    case SimdLevel::kScalar:
-      break;
-  }
-  return "scalar";
+  return lvl == SimdLevel::kAvx2 ? "avx2" : "scalar";
 }
 
 bool simd_parse_level(std::string_view name, SimdLevel* out) {
-  for (SimdLevel lvl : {SimdLevel::kScalar, SimdLevel::kSse4, SimdLevel::kAvx2}) {
+  for (SimdLevel lvl : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
     if (name == simd_level_name(lvl)) {
       *out = lvl;
       return true;
@@ -93,7 +76,7 @@ SimdLevel simd_choose_level(const char* env_value) {
   SimdLevel want;
   if (!simd_parse_level(env_value, &want)) {
     std::fprintf(stderr,
-                 "[simd] unknown AVR_SIMD value '%s' (want scalar|sse4|avx2); "
+                 "[simd] unknown AVR_SIMD value '%s' (want scalar|avx2); "
                  "using %s\n",
                  env_value, simd_level_name(max));
     return max;

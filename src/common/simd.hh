@@ -8,31 +8,32 @@
 // software analogue.
 //
 // Dispatch contract:
-//   - Three implementation levels: kScalar (the reference, always built),
-//     kSse4 (SSE4.2, 4 lanes) and kAvx2 (AVX2, 8 lanes). The active level
-//     is chosen ONCE, on first use, as the highest level both the build
-//     (CMake option AVR_SIMD) and the CPU (__builtin_cpu_supports) provide,
-//     overridable with the environment variable AVR_SIMD=scalar|sse4|avx2
-//     (an unsupported or unparseable override warns and clamps).
+//   - Two implementation levels: kScalar (the reference, always built) and
+//     kAvx2 (AVX2, 8 lanes). The active level is chosen ONCE, on first use,
+//     as the highest level both the build (CMake option AVR_SIMD) and the
+//     CPU (__builtin_cpu_supports) provide, overridable with the
+//     environment variable AVR_SIMD=scalar|avx2 (an unsupported or
+//     unparseable override warns and clamps). A CPU without AVX2 runs the
+//     scalar reference, which produces the same bits.
 //   - Every kernel is *proven bit-identical* to the scalar reference on all
 //     inputs: the vector bodies run an in-range fast path and re-run the
 //     scalar reference for any lane (or block) whose value falls outside it
 //     (non-finite, saturating, exponent-field over/underflow, 32-bit
-//     interpolation-delta overflow). test_simd_kernels sweeps every level
-//     against scalar on adversarial corpora; test_compressor_identity's
-//     pinned digests and the full-sweep --assert-same hold at every level.
+//     interpolation-delta overflow). test_simd_kernels sweeps AVX2 against
+//     scalar on adversarial corpora; test_compressor_identity's pinned
+//     digests and the full-sweep --assert-same hold at both levels.
 //   - Kernels are reached through a function-pointer table (kernels()), one
 //     indirect call per *block-sized batch*, never per value. The active
 //     table pointer is an atomic: simulation threads may race the first
 //     call, and tests/benches switch levels between (not during) runs via
 //     simd_set_level.
 //
-// The SSE4.2/AVX2 translation units are compiled with per-file -m flags
-// (no global -march), so the binary still runs on baseline x86-64: only the
-// dispatched calls execute ISA-specific instructions. Those TUs must not
+// The AVX2 translation unit is compiled with a per-file -mavx2 flag (no
+// global -march), so the binary still runs on baseline x86-64: only the
+// dispatched calls execute ISA-specific instructions. That TU must not
 // call inline functions from shared headers (the linker could keep the
 // AVX2-compiled copy of an inline symbol and hand it to scalar callers);
-// they include only <immintrin.h> plus simd_impl.hh and cross back into
+// it includes only <immintrin.h> plus simd_impl.hh and crosses back into
 // baseline code through the out-of-line detail:: helpers.
 #pragma once
 
@@ -42,8 +43,9 @@
 
 namespace avr {
 
-/// Implementation levels, in increasing preference order.
-enum class SimdLevel : uint8_t { kScalar = 0, kSse4 = 1, kAvx2 = 2 };
+/// Implementation levels, in increasing preference order. The values are
+/// stable: benches label their rows with them (BM_Kernel*/0 and /2).
+enum class SimdLevel : uint8_t { kScalar = 0, kAvx2 = 2 };
 
 /// The level the dispatched kernels currently run at (initializing the
 /// dispatch on first call: build/CPU detection + the AVR_SIMD override).
@@ -57,7 +59,7 @@ SimdLevel simd_max_supported_level();
 /// another thread is inside the datapath.
 bool simd_set_level(SimdLevel lvl);
 
-/// Stable lower-case identifier: "scalar", "sse4", "avx2" (the AVR_SIMD
+/// Stable lower-case identifier: "scalar", "avx2" (the AVR_SIMD
 /// env grammar, profile sidecar field, and bench/test labels).
 const char* simd_level_name(SimdLevel lvl);
 
@@ -153,7 +155,7 @@ struct KernelTable {
   /// `crc` and returns the new state — same chaining convention as the
   /// x86 crc32 instruction, so callers start from ~0 and finalize with ~.
   /// Guards the result-cache v5 record framing (result_cache.cc); the
-  /// sse4/avx2 entries use the hardware instruction, 8 bytes per step.
+  /// avx2 entry uses the hardware instruction, 8 bytes per step.
   uint32_t (*crc32c_update)(uint32_t crc, const uint8_t* data, size_t n);
 };
 

@@ -394,7 +394,7 @@ bool error_scan_f32_avx2(const float* original, const int32_t* recon_raw,
   return true;
 }
 
-// -mavx2 implies SSE4.2, so the AVX2 level reuses the hardware crc32
+// -mavx2 implies SSE4.2, so the AVX2 level uses the hardware crc32
 // instruction (there is no wider CRC datapath to exploit; carry-less
 // multiply folding would need PCLMUL and buys nothing at record sizes).
 uint32_t crc32c_update_avx2(uint32_t crc, const uint8_t* data, size_t n) {

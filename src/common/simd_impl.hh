@@ -1,8 +1,8 @@
 // Internal interface between the dispatch core (simd.cc) and the
-// ISA-specific kernel translation units (simd_sse42.cc, simd_avx2.cc).
+// ISA-specific kernel translation unit (simd_avx2.cc).
 //
-// The vector TUs are compiled with per-file -msse4.2 / -mavx2 flags, so
-// they must not pull inline code out of shared headers: an inline symbol
+// The vector TU is compiled with a per-file -mavx2 flag, so it must not
+// pull inline code out of shared headers: an inline symbol
 // compiled with AVX2 enabled could be the copy the linker keeps, and would
 // then be handed to scalar callers on a baseline CPU. This header therefore
 // carries only constants, declarations of the *out-of-line* scalar helpers
@@ -63,11 +63,10 @@ bool error_scan_range_scalar(const float* original, const int32_t* recon_raw,
 void lerp_rows_scalar(const int32_t* top, const int32_t* bot, int w,
                       int log2_den, int32_t* out, size_t n);
 
-// Declared unconditionally (so the vector TUs' definitions get external
-// linkage); simd.cc references the vector tables only when the build
-// compiles them in (AVR_SIMD_DISPATCH).
+// Declared unconditionally (so the AVX2 TU's definition gets external
+// linkage); simd.cc references the AVX2 table only when the build
+// compiles it in (AVR_SIMD_DISPATCH).
 extern const KernelTable kScalarTable;
-extern const KernelTable kSse4Table;
 extern const KernelTable kAvx2Table;
 
 }  // namespace avr::simd::detail

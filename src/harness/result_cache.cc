@@ -98,7 +98,7 @@ bool record_closed(const std::vector<std::string>& f, const std::string& line) {
 }
 
 // CRC-32C of the payload bytes with the standard pre/post conditioning,
-// through the dispatched kernel table (hardware crc32 on SSE4.2+).
+// through the dispatched kernel table (hardware crc32 at the AVX2 level).
 uint32_t record_crc(const char* data, size_t n) {
   return ~simd::kernels().crc32c_update(
       0xFFFFFFFFu, reinterpret_cast<const uint8_t*>(data), n);

@@ -10,8 +10,8 @@
 // of the line (the trailing "end#" sentinel included), <len> is the decimal
 // payload byte count, and <crc8hex> is the CRC-32C of the payload bytes
 // (Castagnoli, reflected, ~crc32c(~0, payload); 8 lower-case hex digits,
-// computed through the dispatched SIMD kernel table — hardware crc32 on
-// SSE4.2+, table-driven scalar otherwise). The length catches short writes
+// computed through the dispatched SIMD kernel table — hardware crc32 at the
+// AVX2 level, table-driven scalar otherwise). The length catches short writes
 // the sentinel alone cannot (a torn tail that happens to end in ",end#"),
 // and the CRC catches bit rot that still parses.
 //

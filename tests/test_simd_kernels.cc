@@ -43,7 +43,6 @@ constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
 
 std::vector<SimdLevel> supported_levels() {
   std::vector<SimdLevel> v{SimdLevel::kScalar};
-  if (simd_max_supported_level() >= SimdLevel::kSse4) v.push_back(SimdLevel::kSse4);
   if (simd_max_supported_level() >= SimdLevel::kAvx2) v.push_back(SimdLevel::kAvx2);
   return v;
 }
@@ -586,7 +585,7 @@ TEST(SimdKernels, CompressorEndToEndParity) {
 // ---- dispatch contract ----------------------------------------------------
 
 TEST(SimdDispatch, NameParseRoundTrip) {
-  for (SimdLevel lvl : {SimdLevel::kScalar, SimdLevel::kSse4, SimdLevel::kAvx2}) {
+  for (SimdLevel lvl : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
     SimdLevel parsed = SimdLevel::kScalar;
     ASSERT_TRUE(simd_parse_level(simd_level_name(lvl), &parsed));
     EXPECT_EQ(parsed, lvl);
