@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <tuple>
 
 #include "common/file_lock.hh"
@@ -51,8 +52,7 @@ bool scan(const std::string& path, ScanState* st) {
     ExperimentResult r;
     ClaimRecord c;
     std::string reason;
-    int version = 0;
-    switch (classify_cache_line(line, &r, &c, &reason, &version)) {
+    switch (classify_cache_line(line, &r, &c, &reason)) {
       case CacheLineKind::kBlank:
         ++st->report.blank_lines;
         break;
@@ -63,7 +63,7 @@ bool scan(const std::string& path, ScanState* st) {
         st->report.corrupt.push_back({line_no, std::move(reason)});
         break;
       case CacheLineKind::kResult: {
-        ++st->report.result_versions[version];
+        ++st->report.results;
         const PointId id = id_of(r.workload, r.design, r.config_hash);
         std::string ident = value_identity(r);
         auto it = st->last_identity.find(id);
@@ -102,13 +102,6 @@ void finalize(ScanState* st, uint64_t now) {
 
 }  // namespace
 
-size_t FsckReport::legacy_results() const {
-  size_t n = 0;
-  for (const auto& [version, count] : result_versions)
-    if (version != kResultCacheVersion) n += count;
-  return n;
-}
-
 FsckReport fsck_cache(const std::string& path, uint64_t now) {
   ScanState st;
   if (scan(path, &st)) finalize(&st, now);
@@ -124,16 +117,8 @@ void print_fsck_report(std::FILE* out, const std::string& path,
   }
   std::fprintf(out, "  lines: %zu total (%zu blank, %zu foreign)\n",
                r.total_lines, r.blank_lines, r.foreign_lines);
-  std::fprintf(out, "  results:");
-  size_t total_results = 0;
-  for (const auto& [version, count] : r.result_versions) {
-    std::fprintf(out, " v%d=%zu%s", version, count,
-                 version != kResultCacheVersion ? " (legacy)" : "");
-    total_results += count;
-  }
-  if (r.result_versions.empty()) std::fprintf(out, " none");
-  std::fprintf(out, "; %zu duplicate, %zu CONFLICTING\n", r.duplicate_results,
-               r.conflicting_results);
+  std::fprintf(out, "  results: %zu valid; %zu duplicate, %zu CONFLICTING\n",
+               r.results, r.duplicate_results, r.conflicting_results);
   std::fprintf(out,
                "  claims: %zu (%zu superseded, %zu moot, %zu live dangling, "
                "%zu EXPIRED dangling)\n",
@@ -150,11 +135,10 @@ void print_fsck_report(std::FILE* out, const std::string& path,
     std::fprintf(out, "  verdict: NEEDS ATTENTION (run --fsck --repair)\n");
   else if (r.needs_repair())
     std::fprintf(out,
-                 "  verdict: clean (a --repair would tidy legacy/duplicate/"
+                 "  verdict: clean (a --repair would tidy duplicate/"
                  "stale-claim clutter)\n");
   else
     std::fprintf(out, "  verdict: clean\n");
-  (void)total_results;
 }
 
 bool repair_cache(const std::string& path, uint64_t now, std::string* error) {
@@ -175,7 +159,7 @@ bool repair_cache(const std::string& path, uint64_t now, std::string* error) {
 
   std::string out;
   for (const auto& [id, r] : st.last_result) {
-    out += encode_result_line(r);  // re-encoded at the current version
+    out += encode_result_line(r);
     out += '\n';
   }
   for (const auto& [id, c] : st.governing) {

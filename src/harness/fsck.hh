@@ -4,14 +4,15 @@
 // The loaders quarantine bad lines one at a time as they stream past; fsck
 // is the full accounting pass: it classifies every line of a cache —
 // checksum failures, torn tails, unparseable payloads, duplicate and
-// *conflicting* duplicate results, superseded/moot/dangling claims, legacy
-// format versions — and repair_cache() rewrites the file as a clean
-// current-version cache via tmp + rename under the cache flock.
+// *conflicting* duplicate results, superseded/moot/dangling claims,
+// foreign (pre-v5 or future) versions — and repair_cache() rewrites the
+// file as a clean current-version cache via tmp + rename under the cache
+// flock.
 //
 // Repair policy (waste nothing that is still meaningful):
 //   - keep the LAST valid result per (workload, design, config_hash) key —
-//     the same record a load would have used — re-encoded at the current
-//     version (doubles round-trip bit-exactly, so values are preserved);
+//     the same record a load would have used — re-encoded (doubles
+//     round-trip bit-exactly, so values are preserved);
 //   - keep governing claims that are dangling and still LIVE (their owner
 //     may be mid-simulation); drop moot, superseded and expired claims
 //     (an expired dangling claim is a crashed worker: dropping it lets the
@@ -20,7 +21,6 @@
 #pragma once
 
 #include <cstdio>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -38,8 +38,8 @@ struct FsckReport {
   std::string io_error;       // non-empty: the file could not be read at all
   size_t total_lines = 0;
   size_t blank_lines = 0;
-  size_t foreign_lines = 0;   // future versions, stale claim epochs
-  std::map<int, size_t> result_versions;  // version -> valid result records
+  size_t foreign_lines = 0;   // pre-v5 and future versions
+  size_t results = 0;         // valid result records
   size_t claims = 0;              // valid claim records
   size_t superseded_claims = 0;   // replaced by a later claim on the same key
   size_t moot_claims = 0;         // governing claim, but the point has a result
@@ -48,10 +48,6 @@ struct FsckReport {
   size_t duplicate_results = 0;   // re-records with identical metric values
   size_t conflicting_results = 0; // duplicates whose metric values DIFFER
   std::vector<FsckIssue> corrupt; // quarantined lines, file order
-
-  /// Valid result records not at kResultCacheVersion (they load fine; a
-  /// repair upgrades them so the CRC guards them too).
-  size_t legacy_results() const;
 
   /// The cache needs attention: unreadable, corrupt or value-conflicting
   /// lines, or expired dangling claims (a crashed worker's leftovers).
@@ -62,11 +58,11 @@ struct FsckReport {
            dangling_expired > 0;
   }
 
-  /// A repair would change the file: any issue, or mere clutter (legacy
-  /// versions, duplicates, superseded/moot/expired claims).
+  /// A repair would change the file: any issue, or mere clutter
+  /// (duplicates, superseded/moot/expired claims).
   bool needs_repair() const {
-    return has_issues() || legacy_results() > 0 || duplicate_results > 0 ||
-           superseded_claims > 0 || moot_claims > 0;
+    return has_issues() || duplicate_results > 0 || superseded_claims > 0 ||
+           moot_claims > 0;
   }
 };
 

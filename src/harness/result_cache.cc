@@ -22,9 +22,8 @@ namespace avr {
 namespace {
 
 // Result-payload fixed fields (workload through wall_seconds, before the
-// variable detail pairs): v3+ carry config_hash, v2 does not.
+// variable detail pairs).
 constexpr size_t kResultPayloadFixed = 24;
-constexpr size_t kResultPayloadFixedV2 = 23;
 
 // A v5 claim line has exactly 11 fields: version, L<len>, C<crc>, claim#,
 // workload, design, config_hash, owner, claimed_at, lease_seconds, end#.
@@ -133,17 +132,15 @@ bool parse_crc_hex(const std::string& f, uint32_t* out) {
 // Fixed fields + detail pairs of a result payload; f[start] is the
 // workload field and f.back() the already-verified sentinel.
 bool parse_result_payload(const std::vector<std::string>& f, size_t start,
-                          bool has_hash, ExperimentResult* out) {
-  const size_t fixed =
-      start + (has_hash ? kResultPayloadFixed : kResultPayloadFixedV2);
-  if (f.size() < fixed + 1) return false;
+                          ExperimentResult* out) {
+  if (f.size() < start + kResultPayloadFixed + 1) return false;
   try {
     ExperimentResult r;
     size_t i = start;
     r.workload = f[i++];
     if (r.workload.empty()) return false;
     r.design = static_cast<Design>(to_int(f[i++]));
-    r.config_hash = has_hash ? to_u64(f[i++]) : config_fingerprint(SimConfig{});
+    r.config_hash = to_u64(f[i++]);
     RunMetrics& m = r.m;
     m.cycles = to_u64(f[i++]);
     m.instructions = to_u64(f[i++]);
@@ -284,14 +281,13 @@ bool append_line_locked(const FileLock& lock, std::string line,
 
 CacheLineKind classify_cache_line(const std::string& line,
                                   ExperimentResult* result, ClaimRecord* claim,
-                                  std::string* reason, int* version) {
+                                  std::string* reason) {
   if (line.empty()) return CacheLineKind::kBlank;
   const std::vector<std::string> f = split_fields(line);
   if (f.empty()) return CacheLineKind::kBlank;
   const std::string& v = f[0];
 
   if (v == "5") {
-    if (version) *version = 5;
     if (f.size() < 4 || f[1].size() < 2 || f[1][0] != 'L' || f[2].size() != 9 ||
         f[2][0] != 'C')
       return corrupt(reason, "bad v5 framing (want 5,L<len>,C<crc8hex>,...)");
@@ -333,25 +329,14 @@ CacheLineKind classify_cache_line(const std::string& line,
         return corrupt(reason, "corrupt claim payload (crc-valid framing)");
       return CacheLineKind::kClaim;
     }
-    if (!parse_result_payload(f, 3, /*has_hash=*/true, result))
+    if (!parse_result_payload(f, 3, result))
       return corrupt(reason, "corrupt result payload (crc-valid framing)");
     return CacheLineKind::kResult;
   }
 
-  if (v == "2" || v == "3" || v == "4") {
-    if (version) *version = v[0] - '0';
-    // Claims are transient scheduler state: only the current version is
-    // understood, older ones are another epoch's leftovers, not corruption.
-    if (f.size() > 1 && f[1] == kClaimKind) return CacheLineKind::kForeign;
-    if (!record_closed(f, line))
-      return corrupt(reason, "missing end# sentinel (torn append?)");
-    if (!parse_result_payload(f, 1, /*has_hash=*/v != "2", result))
-      return corrupt(reason, "corrupt v" + v + " result payload");
-    return CacheLineKind::kResult;
-  }
-
-  // A decimal version we do not know is a future format — foreign, not
-  // corrupt (forward compatibility for merges). Anything else is garbage.
+  // Any other decimal version — a pre-v5 record (2, 3, 4) or a future
+  // format — is foreign, not corrupt: caches are regenerable memos, so an
+  // old line's point simply re-simulates. Anything else is garbage.
   bool numeric = !v.empty();
   for (char ch : v)
     if (ch < '0' || ch > '9') numeric = false;

@@ -15,7 +15,7 @@
 // the sentinel alone cannot (a torn tail that happens to end in ",end#"),
 // and the CRC catches bit rot that still parses.
 //
-// Result payload (identical to the v4/v3 field layout minus the version):
+// Result payload:
 //
 //   workload,design,config_hash,<19 metric fields>,output_error,
 //       wall_seconds[,detail_key,detail_value]...,end#
@@ -37,11 +37,10 @@
 // (per-workload scaling is deterministic from it), so records produced
 // under different configurations — e.g. the bench_ablation or --t1
 // variants — can share one cache file: loads filter on the hash.
-// Back-compat: v4/v3 result lines (unframed, version-prefixed v5 payload
-// layout) and v2 lines (v3 without config_hash; decodes with the
-// default-config fingerprint) keep decoding forever, so existing caches
-// and merge-by-concatenation stay valid. Claim records are transient
-// scheduler state and only decode at the current version.
+// Only the current version decodes. Lines of any other version — pre-v5
+// records (2, 3, 4) and future formats alike — are foreign: loads skip
+// them and fsck counts them. Caches are regenerable memos, so the points
+// of an old cache simply re-simulate.
 //
 // Contract for concurrent *writer processes* (the sharded sweep):
 //   - a record is encoded to one string and appended with a single write(2)
@@ -76,8 +75,7 @@ namespace avr {
 
 /// Bump whenever results become incomparable (model changes) or the record
 /// framing changes; config changes need no bump — records carry a config
-/// fingerprint. Loads accept this version plus the legacy result layouts
-/// (4/3 identical unframed, 2 without config_hash).
+/// fingerprint. Loads accept only this version; older lines are foreign.
 inline constexpr int kResultCacheVersion = 5;
 
 /// The (workload, design) pair results and claims are keyed by.
@@ -113,30 +111,28 @@ enum class ClaimOutcome {
 /// policy (the single classifier behind decode_*, the loaders and fsck).
 enum class CacheLineKind {
   kBlank,    // empty line
-  kResult,   // a valid result record (v2..v5) — *result is filled
+  kResult,   // a valid current-version result — *result is filled
   kClaim,    // a valid current-version claim — *claim is filled
-  kForeign,  // another tool's/version's line (future version, stale claim):
-             //   not ours to judge, skipped silently
+  kForeign,  // another version's line (pre-v5 or future): not ours to
+             //   judge, skipped silently
   kCorrupt,  // torn, checksum-failing or unparseable — *reason says why
 };
 
 /// Classifies `line`. `result`/`claim` receive the decoded record for
 /// kResult/kClaim; `reason` (optional) the one-line quarantine cause for
-/// kCorrupt; `version` (optional) the record's version field when one was
-/// recognized (2..5), untouched otherwise.
+/// kCorrupt.
 CacheLineKind classify_cache_line(const std::string& line,
                                   ExperimentResult* result, ClaimRecord* claim,
-                                  std::string* reason = nullptr,
-                                  int* version = nullptr);
+                                  std::string* reason = nullptr);
 
 /// One result CSV record (v5 framed), no trailing newline. Doubles are
 /// written with max_digits10 precision so decode() round-trips them
-/// bit-exactly — re-encoding a decoded legacy record is value-identical.
+/// bit-exactly — re-encoding a decoded record is value-identical.
 std::string encode_result_line(const ExperimentResult& r);
 
-/// Parses one result record (v2..v5). Returns false (leaving `*out`
-/// unspecified) for blank, malformed, truncated, checksum-failing,
-/// wrong-version — or claim — lines.
+/// Parses one result record. Returns false (leaving `*out` unspecified)
+/// for blank, malformed, truncated, checksum-failing, wrong-version — or
+/// claim — lines.
 bool decode_result_line(const std::string& line, ExperimentResult* out);
 
 /// One claim CSV record (v5 framed), no trailing newline.

@@ -76,7 +76,7 @@ shared CSV cache. Exits nonzero if any point fails.
                      timing excluded); exit 1 on any difference (runs nothing)
   --fsck             audit every line of the cache file — checksum failures,
                      torn appends, duplicate/conflicting results, stale and
-                     dangling claims, legacy record versions — and print the
+                     dangling claims, foreign record versions — and print the
                      accounting; exit 1 if the cache needs attention (runs
                      nothing)
   --repair           with --fsck: rewrite the cache as a clean current-version

@@ -83,12 +83,9 @@ TEST(CacheV5, WellFormedLineRoundTrips) {
   const std::string line = encode_result_line(r);
   EXPECT_EQ(line.substr(0, 2), "5,");
   EXPECT_EQ(line[2], 'L');
-  int version = 0;
   ExperimentResult back;
   ClaimRecord c;
-  EXPECT_EQ(classify_cache_line(line, &back, &c, nullptr, &version),
-            CacheLineKind::kResult);
-  EXPECT_EQ(version, 5);
+  EXPECT_EQ(classify_cache_line(line, &back, &c), CacheLineKind::kResult);
   EXPECT_EQ(encode_result_line(back), line);
 }
 
@@ -113,14 +110,6 @@ TEST(CacheV5, FlippedPayloadByteThatStillParsesIsCaught) {
   std::string reason;
   EXPECT_EQ(classify(line, &reason), CacheLineKind::kCorrupt);
   EXPECT_NE(reason.find("crc mismatch"), std::string::npos) << reason;
-  // Sanity: the same wound on a v4 line sails through undetected — the
-  // motivation for v5 in one assertion.
-  std::string v4 = legacy_line(encode_result_line(
-      sample_result("wrf", Design::kAvr, 3)), 4);
-  const size_t cyc4 = v4.find(",1003,");
-  ASSERT_NE(cyc4, std::string::npos);
-  v4[cyc4 + 1] = '9';
-  EXPECT_EQ(classify(v4), CacheLineKind::kResult);
 }
 
 TEST(CacheV5, EveryTruncationIsRejected) {
@@ -152,7 +141,6 @@ TEST(CacheV5, TamperedLengthFieldIsQuarantined) {
 }
 
 TEST(CacheV5, OversizedFieldsAreRejectedNotOverflowed) {
-  ExperimentResult out;
   const ExperimentResult r = sample_result("heat", Design::kAvr, 7);
   // An oversized L field: 20+ pure digits overflow uint64 — a range
   // failure, never a silent wraparound to some tiny length.
@@ -161,60 +149,42 @@ TEST(CacheV5, OversizedFieldsAreRejectedNotOverflowed) {
   line.insert(lpos, "99999999999999999");
   std::string reason;
   EXPECT_EQ(classify(line, &reason), CacheLineKind::kCorrupt) << reason;
-  // A 100-digit numeric field in a legacy v4 line (no CRC in front of the
-  // parser there): the payload parser's own range check must reject it.
-  std::string v4 = legacy_line(encode_result_line(r), 4);
-  const size_t cyc = v4.find(",1007,");
-  ASSERT_NE(cyc, std::string::npos);
-  v4.replace(cyc + 1, 4, std::string(100, '7'));
-  EXPECT_FALSE(decode_result_line(v4, &out));
 }
 
-TEST(CacheV5, SplicedMixedVersionFileLoadsEveryValidRecord) {
-  // A cache that grew across three format epochs: v3 and v4 lines (written
-  // by old binaries) plus current v5 — all must load from one file.
-  const std::string path = temp_path("splice");
-  std::remove(path.c_str());
+TEST(CacheV5, PreV5LinesAreForeign) {
+  // Lines written by pre-v5 binaries (v2 without config_hash, v3/v4
+  // unframed) are another format's records: they classify as foreign, loads
+  // skip them and fsck counts them, so their points simply re-simulate.
   const ExperimentResult a = sample_result("heat", Design::kBaseline, 1);
-  const ExperimentResult b = sample_result("wrf", Design::kAvr, 2);
+  std::string v2 = legacy_line(encode_result_line(a), 2);
+  size_t p = 0;  // drop the config_hash (3rd payload field)
+  for (int i = 0; i < 3; ++i) p = v2.find(',', p) + 1;
+  v2.erase(p, v2.find(',', p) + 1 - p);
+  const std::vector<std::string> old = {
+      v2, legacy_line(encode_result_line(a), 3),
+      legacy_line(encode_result_line(a), 4)};
+  for (const auto& line : old)
+    EXPECT_EQ(classify(line), CacheLineKind::kForeign) << line;
+
+  const std::string path = temp_path("prev5");
+  std::remove(path.c_str());
   const ExperimentResult c = sample_result("kmeans", Design::kTruncate, 3);
   {
     std::ofstream out(path);
-    out << legacy_line(encode_result_line(a), 3) << '\n';  // v3
-    out << legacy_line(encode_result_line(b), 4) << '\n';  // v4
-    out << encode_result_line(c) << '\n';                  // v5
-    out << "6,L10,Cdeadbeef,future,stuff,end#\n";          // future: foreign
+    for (const auto& line : old) out << line << '\n';
+    out << encode_result_line(c) << '\n';
   }
+  testing::internal::CaptureStderr();
   const auto cache = load_result_cache(path);
-  ASSERT_EQ(cache.size(), 3u);
-  EXPECT_EQ(encode_result_line(cache.at({"heat", Design::kBaseline})),
-            encode_result_line(a));
-  EXPECT_EQ(encode_result_line(cache.at({"wrf", Design::kAvr})),
-            encode_result_line(b));
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");  // no quarantine
+  ASSERT_EQ(cache.size(), 1u);
+  EXPECT_EQ(encode_result_line(cache.at({"kmeans", Design::kTruncate})),
+            encode_result_line(c));
+  const FsckReport r = fsck_cache(path, 0);
+  EXPECT_EQ(r.foreign_lines, 3u);
+  EXPECT_EQ(r.results, 1u);
+  EXPECT_FALSE(r.has_issues());
   std::remove(path.c_str());
-}
-
-TEST(CacheV5, V2LinesStillDecode) {
-  // v2: no config_hash field; decodes with the default fingerprint.
-  const ExperimentResult r = sample_result("lattice", Design::kAvr, 8);
-  std::string v2 = legacy_line(encode_result_line(r), 2);
-  // Drop the config_hash (3rd payload field => 4th line field).
-  size_t p = 0;
-  for (int i = 0; i < 3; ++i) p = v2.find(',', p) + 1;
-  v2.erase(p, v2.find(',', p) + 1 - p);
-  ExperimentResult back;
-  ASSERT_TRUE(decode_result_line(v2, &back));
-  EXPECT_EQ(back.config_hash, config_fingerprint(SimConfig{}));
-  EXPECT_EQ(back.m.cycles, r.m.cycles);
-}
-
-TEST(CacheV5, LegacyLineMissingSentinelIsQuarantined) {
-  std::string v4 = legacy_line(
-      encode_result_line(sample_result("heat", Design::kAvr, 9)), 4);
-  std::string reason;
-  EXPECT_EQ(classify(v4.substr(0, v4.size() - 5), &reason),
-            CacheLineKind::kCorrupt);
-  EXPECT_NE(reason.find("end#"), std::string::npos) << reason;
 }
 
 TEST(CacheV5, ClaimRoundTripAndCorruptClaim) {
@@ -316,7 +286,8 @@ WoundedCache make_wounded(const std::string& tag, uint64_t now) {
   w.live_b = sample_result("wrf", Design::kTruncate, 2);
   w.live_claim = sample_claim("kmeans", Design::kAvr, "alive", now, 3600);
   std::ofstream out(w.path);
-  out << legacy_line(encode_result_line(w.live_a), 4) << '\n';   // legacy v4
+  out << legacy_line(encode_result_line(w.live_a), 4) << '\n';   // pre-v5
+  out << encode_result_line(w.live_a) << '\n';
   out << encode_result_line(w.live_a) << '\n';        // duplicate (identical)
   out << encode_result_line(w.live_b) << '\n';
   out << '\n';                                                   // blank
@@ -344,16 +315,14 @@ TEST(CacheFsck, AccountsForEveryWound) {
   const WoundedCache w = make_wounded("fsck", now);
   const FsckReport r = fsck_cache(w.path, now);
   EXPECT_TRUE(r.io_error.empty());
-  EXPECT_EQ(r.total_lines, 10u);
+  EXPECT_EQ(r.total_lines, 11u);
   EXPECT_EQ(r.blank_lines, 1u);
-  EXPECT_EQ(r.foreign_lines, 1u);
-  EXPECT_EQ(r.result_versions.at(4), 1u);
-  EXPECT_EQ(r.result_versions.at(5), 2u);
-  EXPECT_EQ(r.legacy_results(), 1u);
+  EXPECT_EQ(r.foreign_lines, 2u);
+  EXPECT_EQ(r.results, 3u);
   EXPECT_EQ(r.duplicate_results, 1u);
   EXPECT_EQ(r.conflicting_results, 0u);
   ASSERT_EQ(r.corrupt.size(), 1u);
-  EXPECT_EQ(r.corrupt[0].line_no, 6u);
+  EXPECT_EQ(r.corrupt[0].line_no, 7u);
   EXPECT_EQ(r.claims, 4u);
   EXPECT_EQ(r.superseded_claims, 1u);
   EXPECT_EQ(r.moot_claims, 1u);
@@ -421,9 +390,9 @@ TEST(CacheFsck, RepairHealsEveryWoundAndPreservesValues) {
   const FsckReport post = fsck_cache(w.path, now);
   EXPECT_FALSE(post.has_issues());
   EXPECT_FALSE(post.needs_repair());
-  // All-v5 now: the legacy v4 record was re-encoded under the checksum.
-  EXPECT_EQ(post.result_versions.size(), 1u);
-  EXPECT_EQ(post.result_versions.at(kResultCacheVersion), 2u);
+  // One record per point; the pre-v5 and future lines are gone.
+  EXPECT_EQ(post.results, 2u);
+  EXPECT_EQ(post.foreign_lines, 0u);
   EXPECT_EQ(post.claims, 1u);
   EXPECT_EQ(post.dangling_live, 1u);  // the live worker's claim survived
 

@@ -120,10 +120,7 @@ TEST(Chaos, CrashedWorkersFsckRepairThenFinishBitIdentical) {
   EXPECT_TRUE(wreck.has_issues());
   EXPECT_GE(wreck.corrupt.size(), 1u) << "w0's torn append is missing";
   EXPECT_GE(wreck.dangling_expired, 1u) << "no crashed-worker claims";
-  const auto valid_v5 = wreck.result_versions.find(kResultCacheVersion);
-  ASSERT_NE(valid_v5, wreck.result_versions.end())
-      << "w1's surviving result is missing";
-  EXPECT_GE(valid_v5->second, 1u);
+  ASSERT_GE(wreck.results, 1u) << "w1's surviving result is missing";
   // The quarantining loader must shrug the torn line off already.
   const size_t valid_before = load_result_cache(cache).size();
   EXPECT_GE(valid_before, 1u);

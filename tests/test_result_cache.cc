@@ -150,33 +150,6 @@ TEST(ResultCache, LoadOfMissingFileIsEmpty) {
   EXPECT_TRUE(load_result_cache(temp_path("nosuch")).empty());
 }
 
-/// A format-2 line: the current encoding with the v5 `L<len>,C<crc>` framing
-/// stripped, the version field rewritten and the config_hash field (4th)
-/// removed — exactly what a pre-v3 binary wrote.
-std::string v2_line_from(const ExperimentResult& r) {
-  std::string s = encode_result_line(r);
-  const size_t c1 = s.find(',');            // after version
-  const size_t c2 = s.find(',', c1 + 1);    // after L<len>
-  const size_t c3 = s.find(',', c2 + 1);    // after C<crc>
-  s = "2," + s.substr(c3 + 1);              // 2,<payload>
-  const size_t p1 = s.find(',');            // after "2"
-  const size_t p2 = s.find(',', p1 + 1);    // after workload
-  const size_t p3 = s.find(',', p2 + 1);    // after design
-  const size_t p4 = s.find(',', p3 + 1);    // after config_hash
-  s.erase(p3, p4 - p3);
-  return s;
-}
-
-TEST(ResultCache, V2LinesDecodeWithDefaultConfigFingerprint) {
-  // Every v2 cache was produced under the default configuration; decoding
-  // one must yield the default fingerprint and identical metric values.
-  const ExperimentResult r = sample_result("lattice", Design::kTruncate, 5);
-  ExperimentResult back;
-  ASSERT_TRUE(decode_result_line(v2_line_from(r), &back));
-  EXPECT_EQ(back.config_hash, config_fingerprint(SimConfig{}));
-  expect_equal(r, back);
-}
-
 TEST(ResultCache, ConfigFilterSelectsOnlyMatchingRecords) {
   const std::string path = temp_path("filter");
   std::remove(path.c_str());
@@ -190,13 +163,13 @@ TEST(ResultCache, ConfigFilterSelectsOnlyMatchingRecords) {
     std::ofstream out(path);
     out << encode_result_line(def) << '\n';
     out << encode_result_line(abl) << '\n';
-    out << v2_line_from(sample_result("wrf", Design::kAvr, 3)) << '\n';
+    out << encode_result_line(sample_result("wrf", Design::kAvr, 3)) << '\n';
   }
   // Unfiltered: both (workload, design) keys; the hash-colliding pair keeps
   // the later record (duplicates-last-wins, as for identical points).
   EXPECT_EQ(load_result_cache(path).size(), 2u);
-  // Default-config filter: the ablation record is skipped, the v2 line
-  // (default by construction) is kept.
+  // Default-config filter: the ablation record is skipped, the default-config
+  // wrf record is kept.
   const auto defs = load_result_cache(path, config_fingerprint(SimConfig{}));
   ASSERT_EQ(defs.size(), 2u);
   expect_equal(defs.at({"heat", Design::kAvr}), def);
