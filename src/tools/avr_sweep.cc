@@ -13,11 +13,13 @@
 //   avr_sweep --check --cache merged.csv           assert full-grid coverage
 //   avr_sweep --assert-same other.csv --cache a.csv   compare two caches
 #include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
 #include <exception>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -109,6 +111,23 @@ struct Options {
   bool quiet = false;
 };
 
+/// Strict integer value of `flag`: digits only, within [lo, hi]. Anything
+/// else (junk, a sign, overflow) throws "bad <flag> value: <v>".
+uint64_t parse_uint(const std::string& v, const char* flag, uint64_t lo,
+                    uint64_t hi) {
+  size_t pos = 0;
+  uint64_t n = 0;
+  try {
+    if (!v.empty() && std::isdigit(static_cast<unsigned char>(v[0])))
+      n = std::stoull(v, &pos);
+  } catch (const std::exception&) {
+    pos = 0;
+  }
+  if (pos == 0 || pos != v.size() || n < lo || n > hi)
+    throw std::invalid_argument(std::string("bad ") + flag + " value: " + v);
+  return n;
+}
+
 Options parse_args(int argc, char** argv) {
   Options o;
   o.workloads = avr::workload_names();
@@ -123,12 +142,8 @@ Options parse_args(int argc, char** argv) {
     if (a == "--claim") {
       o.claim = true;
     } else if (a == "--claim-lease") {
-      const std::string v = value(i, "--claim-lease");
-      size_t pos = 0;
-      const long lease = std::stol(v, &pos);
-      if (pos != v.size() || lease <= 0)
-        throw std::invalid_argument("bad --claim-lease value: " + v);
-      o.claim_lease = static_cast<uint64_t>(lease);
+      o.claim_lease = parse_uint(value(i, "--claim-lease"), "--claim-lease", 1,
+                                 std::numeric_limits<int64_t>::max());
     } else if (a == "--owner") {
       o.owner = value(i, "--owner");
       if (o.owner.empty() || o.owner.find(',') != std::string::npos ||
@@ -140,12 +155,8 @@ Options parse_args(int argc, char** argv) {
       o.profile_out = value(i, "--profile-out");
       o.profile_out_set = true;
     } else if (a == "--jobs") {
-      const std::string v = value(i, "--jobs");
-      size_t pos = 0;
-      const int jobs = std::stoi(v, &pos);
-      if (pos != v.size() || jobs < 0)
-        throw std::invalid_argument("bad --jobs value: " + v);
-      o.jobs = static_cast<unsigned>(jobs);
+      o.jobs = static_cast<unsigned>(parse_uint(
+          value(i, "--jobs"), "--jobs", 0, std::numeric_limits<int>::max()));
     } else if (a == "--workloads") {
       o.workloads = avr::sweep::parse_workload_list(value(i, "--workloads"));
     } else if (a == "--designs") {

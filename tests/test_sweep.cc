@@ -4,6 +4,7 @@
 // in-process sweep, with and without --claim.
 #include "harness/sweep.hh"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -12,6 +13,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <utility>
@@ -168,9 +171,16 @@ std::string sweep_binary() {
   return bin ? bin : "";
 }
 
-pid_t spawn_sweep(const std::vector<std::string>& args) {
+/// Forks and execs `args`; a non-empty `stderr_path` receives the child's
+/// stderr.
+pid_t spawn_sweep(const std::vector<std::string>& args,
+                  const std::string& stderr_path = "") {
   const pid_t pid = fork();
   if (pid != 0) return pid;
+  if (!stderr_path.empty()) {
+    const int fd = ::open(stderr_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    if (fd < 0 || ::dup2(fd, STDERR_FILENO) < 0) _exit(126);
+  }
   std::vector<char*> argv;
   for (const auto& a : args) argv.push_back(const_cast<char*>(a.c_str()));
   argv.push_back(nullptr);
@@ -273,6 +283,34 @@ TEST(Sweep, T1VariantClaimWorkersCoexistInOneCache) {
   EXPECT_TRUE(
       load_result_cache(cache, config_fingerprint(SimConfig{})).empty());
   std::remove(cache.c_str());
+}
+
+TEST(Sweep, BadNumericFlagValueIsNamed) {
+  const std::string bin = sweep_binary();
+  if (bin.empty()) GTEST_SKIP() << "AVR_SWEEP_BIN not set";
+
+  const std::string err_path =
+      (std::filesystem::temp_directory_path() /
+       ("avr_badflag_" + std::to_string(::getpid()) + ".txt"))
+          .string();
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"--jobs", "abc"},
+      {"--jobs", "-1"},
+      {"--claim-lease", "99999999999999999999"},
+      {"--claim-lease", "0"}};
+  for (const auto& [flag, v] : cases) {
+    // --list: even a wrongly accepted value must not start a sweep.
+    const pid_t pid = spawn_sweep({bin, flag, v, "--list"}, err_path);
+    int status = 0;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 2) << flag << " " << v;
+    std::ifstream in(err_path);
+    const std::string err{std::istreambuf_iterator<char>(in), {}};
+    EXPECT_NE(err.find("bad " + flag + " value: " + v), std::string::npos)
+        << err;
+  }
+  std::remove(err_path.c_str());
 }
 
 }  // namespace
