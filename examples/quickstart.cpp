@@ -26,7 +26,7 @@ int main() {
     std::printf("block did not compress\n");
     return 1;
   }
-  std::printf("compressed 1024 B block -> %u line(s) (%s, %zu outliers), ratio %.1f:1\n",
+  std::printf("compressed 1024 B block -> %u line(s) (%s, %u outliers), ratio %.1f:1\n",
               att->block.lines(), to_string(att->block.method),
               att->block.outliers.size(), 16.0 / att->block.lines());
 

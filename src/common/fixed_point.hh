@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <type_traits>
 
 namespace avr {
 
@@ -105,8 +106,13 @@ void fixed32_from_f32_batch(std::span<const float> in, std::span<Fixed32> out);
 /// Q16.16 bit patterns in float-typed storage) as fixed-point values.
 inline void fixed32_from_raw_bits_batch(std::span<const float> in,
                                         std::span<Fixed32> out) {
-  static_assert(sizeof(Fixed32) == sizeof(float));
-  __builtin_memcpy(out.data(), in.data(), in.size() * sizeof(float));
+  static_assert(sizeof(Fixed32) == sizeof(float) &&
+                std::is_trivially_copyable_v<Fixed32>);
+  // Through void*: Fixed32 is trivially copyable (asserted above), but its
+  // default member initializer makes it non-trivial to GCC's
+  // -Wclass-memaccess.
+  __builtin_memcpy(static_cast<void*>(out.data()), in.data(),
+                   in.size() * sizeof(float));
 }
 
 }  // namespace avr
