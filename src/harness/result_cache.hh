@@ -1,6 +1,6 @@
 // On-disk result cache: an append-only CSV journal holding one line per
 // completed (workload, design) point — and, since format v4, one line per
-// *claim* a work-stealing shard stakes on a point it is about to simulate.
+// *claim* a work-stealing worker stakes on a point it is about to simulate.
 //
 // Format v5 adds explicit framing and a checksum. Every record is
 //
@@ -42,19 +42,19 @@
 // them and fsck counts them. Caches are regenerable memos, so the points
 // of an old cache simply re-simulate.
 //
-// Contract for concurrent *writer processes* (the sharded sweep):
+// Contract for concurrent *writer processes* (the distributed sweep):
 //   - a record is encoded to one string and appended with a single write(2)
 //     on an O_APPEND fd, under an exclusive flock(2) on the cache file —
 //     writers never interleave partial lines. Lock acquisition and the
 //     write are retried with bounded exponential backoff (common/
 //     backoff.hh) before the writer degrades to in-memory-only results;
 //   - claim staking (try_claim_point) is read-modify-append under the same
-//     flock, so two shards can never both win a fresh claim on one point;
+//     flock, so two workers can never both win a fresh claim on one point;
 //   - readers take no lock: load_result_cache() *quarantines* corrupt,
 //     truncated or checksum-failing lines — each skipped with a one-line
 //     stderr reason (capped per load) — skips claims and foreign versions,
 //     and tolerates duplicate records (points are deterministic, so
-//     duplicates carry identical values; the last one wins). Merging shard
+//     duplicates carry identical values; the last one wins). Merging
 //     caches is therefore plain concatenation. avr_sweep --fsck audits a
 //     cache offline; --fsck --repair rewrites it clean (harness/fsck.hh).
 //
