@@ -1,10 +1,9 @@
 // Figure 11: DRAM traffic normalized to baseline, split into approximate and
 // non-approximate bytes. A trailing section reports the extension design
-// point (AVR with the lossless BDI-hybrid fallback, `--methods avr+bdi`).
+// point: AVR with the lossless BDI-hybrid fallback (avr.enable_bdi_hybrid).
 #include <cstdio>
 
 #include "harness/experiment.hh"
-#include "harness/sweep.hh"
 
 int main() {
   using namespace avr;
@@ -30,10 +29,11 @@ int main() {
 
   // Extension design point: AVR with the BDI-hybrid fallback tier, traffic
   // normalized to the same (default-config) baseline as the table above.
-  ExperimentRunner rb(sweep::variant_config(
-      -1, sweep::kMethods1D | sweep::kMethods2D | sweep::kMethodsBdi));
+  SimConfig bdi;
+  bdi.avr.enable_bdi_hybrid = true;
+  ExperimentRunner rb(bdi);
   rb.run_all(wls, {Design::kAvr});
-  std::printf("\n-- AVR + BDI-hybrid fallback (--methods avr+bdi), norm. traffic --\n");
+  std::printf("\n-- AVR + BDI fallback (avr.enable_bdi_hybrid=1), norm. traffic --\n");
   std::printf("%-10s %10s %10s\n", "workload", "AVR", "AVR+bdi");
   for (const auto& w : wls) {
     const double base = double(r.run(w, Design::kBaseline).m.dram_bytes);

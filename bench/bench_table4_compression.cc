@@ -2,11 +2,10 @@
 // baseline. Footprint here follows the paper's definition: compressed bytes
 // of approximable data plus exact bytes of everything else, over the
 // uncompressed total. A trailing section reports the extension design point
-// (AVR with the lossless BDI-hybrid fallback tier, `--methods avr+bdi`).
+// (AVR with the lossless BDI-hybrid fallback tier, avr.enable_bdi_hybrid).
 #include <cstdio>
 
 #include "harness/experiment.hh"
-#include "harness/sweep.hh"
 
 int main() {
   using namespace avr;
@@ -38,17 +37,18 @@ int main() {
   std::printf("\npaper ratio    10.5x 9.6x 15.6x 16.0x 2.3x 4.7x 3.4x\n");
   std::printf("paper footprint 12.6%% 20.0%% 7.9%% 54.1%% 58.5%% 78.6%% 89.6%%\n");
 
-  // Extension design point: same grid under `--methods avr+bdi` (the
+  // Extension design point: same grid with avr.enable_bdi_hybrid set (the
   // lossless BDI fallback catches blocks that blow the T1/T2 outlier
   // budget). Its records share the cache file under their own config
   // fingerprint. `bdi blocks` counts compressions won by the fallback
   // tier; `uncompressed` counts failed compression attempts — fewer than
   // the AVR-only row means the fallback converted would-be-uncompressed
   // blocks.
-  ExperimentRunner rb(sweep::variant_config(
-      -1, sweep::kMethods1D | sweep::kMethods2D | sweep::kMethodsBdi));
+  SimConfig bdi;
+  bdi.avr.enable_bdi_hybrid = true;
+  ExperimentRunner rb(bdi);
   rb.run_all(wls, {Design::kAvr});
-  std::printf("\nExtension: AVR + BDI-hybrid fallback (--methods avr+bdi)\n");
+  std::printf("\nExtension: AVR + BDI-hybrid fallback (avr.enable_bdi_hybrid=1)\n");
   std::printf("%-14s", "compr. ratio");
   for (const auto& w : wls)
     std::printf(" %8.1fx", rb.run(w, Design::kAvr).m.compression_ratio);

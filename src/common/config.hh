@@ -4,7 +4,6 @@
 // workload footprint keeps the paper's footprint-to-LLC ratio).
 #pragma once
 
-#include <bit>
 #include <cstdint>
 
 #include "common/types.hh"
@@ -49,7 +48,7 @@ struct AvrConfig {
   uint32_t t1_mantissa_msbit = 4;
   // Sweep override: when >= 0, the harness forces this T1 msbit index for
   // every workload instead of the per-workload Workload::t1_msbit() default
-  // (the avr_sweep --t1 config axis). -1 = per-workload thresholds.
+  // (avr_sweep --set avr.t1_override=N). -1 = per-workload thresholds.
   int32_t t1_override = -1;
   bool enable_1d = true;
   bool enable_2d = true;
@@ -110,70 +109,12 @@ struct SimConfig {
   }
 };
 
-/// Deterministic 64-bit fingerprint of every simulation knob (FNV-1a over
-/// the fields, field by field — never over raw struct bytes, which would
-/// hash padding). Two SimConfigs produce comparable simulation results iff
-/// their fingerprints match, so the result cache keys records with it: the
-/// ablation sweeps can share one cache file with the default-config grid.
-/// Extend the fold list whenever a config field is added — a missed field
-/// would silently alias distinct configs.
-inline uint64_t config_fingerprint(const SimConfig& c) {
-  uint64_t h = 1469598103934665603ull;
-  auto fold = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h = (h ^ (v & 0xFF)) * 1099511628211ull;
-      v >>= 8;
-    }
-  };
-  auto fold_d = [&](double v) { fold(std::bit_cast<uint64_t>(v)); };
-  fold(c.core.dispatch_width);
-  fold(c.core.rob_size);
-  fold_d(c.core.freq_ghz);
-  fold(c.core.l1_latency);
-  fold(c.core.l2_latency);
-  for (const CacheConfig* cc : {&c.l1, &c.l2, &c.llc}) {
-    fold(cc->size_bytes);
-    fold(cc->ways);
-    fold(cc->latency);
-  }
-  fold(c.dram.channels);
-  fold(c.dram.banks_per_channel);
-  fold(c.dram.row_bytes);
-  fold(c.dram.t_cl);
-  fold(c.dram.t_rcd);
-  fold(c.dram.t_rp);
-  fold(c.dram.t_burst);
-  fold(c.dram.cpu_per_dram_cycle);
-  fold(c.dram.controller_latency);
-  fold(c.avr.t1_mantissa_msbit);
-  // Folded only when set: the default (-1, per-workload thresholds) must
-  // keep the exact pre-override fingerprint so existing result caches stay
-  // valid. The marker byte keeps an override from aliasing a config whose
-  // next folded field happens to match the override value.
-  if (c.avr.t1_override >= 0) {
-    fold(0x7431);  // 't1' marker
-    fold(static_cast<uint64_t>(c.avr.t1_override));
-  }
-  // enable_bdi_hybrid defaults to false, so folding it as a fresh bit keeps
-  // every pre-existing configuration's fingerprint (and result cache) valid.
-  fold(static_cast<uint64_t>(c.avr.enable_1d) << 0 |
-       static_cast<uint64_t>(c.avr.enable_2d) << 1 |
-       static_cast<uint64_t>(c.avr.enable_lazy_eviction) << 2 |
-       static_cast<uint64_t>(c.avr.enable_failure_history) << 3 |
-       static_cast<uint64_t>(c.avr.enable_pfe) << 4 |
-       static_cast<uint64_t>(c.avr.enable_bdi_hybrid) << 5);
-  fold(c.avr.pfe_threshold);
-  fold(c.avr.compress_latency);
-  fold(c.avr.decompress_latency);
-  fold(c.avr.cms_stream_cycles);
-  fold(c.avr.max_skips);
-  fold(c.avr.max_failures);
-  fold(c.truncate_bits);
-  fold(c.dg_tag_factor);
-  fold(c.dg_avg_buckets);
-  fold(c.dg_range_buckets);
-  fold(c.ops_per_access);
-  return h;
-}
+/// Deterministic 64-bit fingerprint of every simulation knob: FNV-1a over
+/// the fields, folded from the config table (common/config_table.hh) —
+/// never over raw struct bytes, which would hash padding. Two SimConfigs
+/// produce comparable simulation results iff their fingerprints match, so
+/// the result cache keys records with it: the ablation sweeps can share one
+/// cache file with the default-config grid.
+uint64_t config_fingerprint(const SimConfig& c);
 
 }  // namespace avr

@@ -97,9 +97,9 @@ bool write_profile_json(const std::string& path, const Report& report) {
     append_json_escaped(out, p.workload);
     out += "\",\"design\":\"";
     append_json_escaped(out, p.design);
-    out += "\",\"t1\":";
-    out += std::to_string(p.t1);
-    out += ",\"wall_seconds\":";
+    out += "\",\"config\":\"";
+    append_json_escaped(out, p.config);
+    out += "\",\"wall_seconds\":";
     append_double(out, p.wall_seconds);
     out += ",\"totals\":";
     append_totals(out, p.totals);
@@ -178,16 +178,10 @@ void print_summary(std::FILE* out, const Report& report) {
         static_cast<double>(p.totals.phase_ns(Phase::kTiming)) * 1e-9;
     const double compress =
         static_cast<double>(p.totals.phase_ns(Phase::kCompress)) * 1e-9;
-    if (p.t1 < 0)
-      std::fprintf(out, "  %-10s x %-8s %7.2fs (timing %.2fs, compress %.2fs)\n",
-                   p.workload.c_str(), p.design.c_str(), p.wall_seconds, timing,
-                   compress);
-    else
-      std::fprintf(out,
-                   "  %-10s x %-8s %7.2fs (timing %.2fs, compress %.2fs, "
-                   "t1=%d)\n",
-                   p.workload.c_str(), p.design.c_str(), p.wall_seconds, timing,
-                   compress, p.t1);
+    const char* sep = p.config.empty() ? "" : ", ";
+    std::fprintf(out, "  %-10s x %-8s %7.2fs (timing %.2fs, compress %.2fs%s%s)\n",
+                 p.workload.c_str(), p.design.c_str(), p.wall_seconds, timing, compress,
+                 sep, p.config.c_str());
   }
 }
 

@@ -20,7 +20,7 @@
 //     stays, reporting all-zero totals).
 //
 // The report side (profile.cc) renders a Totals set either as a
-// machine-readable sidecar JSON (schema "avr-profile-v1", documented in
+// machine-readable sidecar JSON (schema "avr-profile-v2", documented in
 // docs/OPERATIONS.md) or as a human summary table (`avr_sweep --profile`).
 #pragma once
 
@@ -190,14 +190,14 @@ inline void count(Counter, uint64_t = 1) {}
 // ---- reporting -------------------------------------------------------------
 
 /// Sidecar JSON schema identifier (see docs/OPERATIONS.md for the schema).
-inline constexpr const char* kProfileSchema = "avr-profile-v1";
+inline constexpr const char* kProfileSchema = "avr-profile-v2";
 
 /// Per-point slice of a report: which grid point, its measured wall time,
 /// and the phase totals its simulation accumulated.
 struct PointProfile {
   std::string workload;
   std::string design;
-  int t1 = -1;  // --t1 variant; -1 = default per-workload thresholds
+  std::string config;  // config_diff() of the point's config; "" = default
   double wall_seconds = 0;
   Totals totals;
 };
@@ -216,7 +216,7 @@ struct Report {
   std::vector<PointProfile> points;
 };
 
-/// Serializes the report as schema "avr-profile-v1" JSON (tmp + rename, so
+/// Serializes the report as schema "avr-profile-v2" JSON (tmp + rename, so
 /// a crashed writer never leaves a torn sidecar). Returns false on I/O
 /// failure — the sidecar is diagnostics, callers may warn and carry on.
 bool write_profile_json(const std::string& path, const Report& report);

@@ -12,6 +12,7 @@
 #include <sstream>
 #include <thread>
 
+#include "common/config_table.hh"
 #include "common/fault_inject.hh"
 #include "harness/result_cache.hh"
 #include "harness/sweep.hh"
@@ -55,6 +56,7 @@ ExperimentRunner::ExperimentRunner(SimConfig base, bool verbose,
                                    std::string cache_path)
     : base_(base),
       cfg_hash_(config_fingerprint(base)),
+      cfg_diff_(config_diff(base)),
       verbose_(verbose),
       cache_path_(std::move(cache_path)) {
   load_disk_cache();
@@ -132,8 +134,8 @@ SimConfig ExperimentRunner::config_for(const Workload& wl) const {
   SimConfig cfg = base_;
   cfg.scale_caches(wl.cache_scale());
   cfg.llc.size_bytes = wl.llc_bytes();
-  // The --t1 sweep axis forces one threshold across all workloads; the
-  // default (-1) keeps the paper's per-application thresholds.
+  // avr.t1_override forces one threshold across all workloads; the default
+  // (-1) keeps the paper's per-application thresholds.
   cfg.avr.t1_mantissa_msbit = base_.avr.t1_override >= 0
                                   ? static_cast<uint32_t>(base_.avr.t1_override)
                                   : wl.t1_msbit();
@@ -278,8 +280,7 @@ const ExperimentResult& ExperimentRunner::run(const std::string& name, Design d)
     }
     std::lock_guard<std::mutex> lk(mu_);
     prof_totals_.merge(pt);
-    prof_points_.push_back({name, to_string(d), base_.avr.t1_override,
-                            res.wall_seconds, pt});
+    prof_points_.push_back({name, to_string(d), cfg_diff_, res.wall_seconds, pt});
     cache_.emplace(key, std::move(res));
   });
   std::lock_guard<std::mutex> lk(mu_);

@@ -133,6 +133,7 @@ class ExperimentRunner {
 
   SimConfig base_;
   uint64_t cfg_hash_;
+  std::string cfg_diff_;  // config_diff(base_), stamped on profile points
   bool verbose_;
   std::string cache_path_;
   // Immutable after construction; read without mu_.

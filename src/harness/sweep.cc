@@ -50,101 +50,54 @@ std::vector<Point> full_grid(const std::vector<std::string>& workloads,
   return grid;
 }
 
-std::vector<VariantPoint> full_variant_grid(
-    const std::vector<int>& t1_values, const std::vector<std::string>& workloads,
-    const std::vector<Design>& designs) {
-  return full_variant_grid(t1_values, {kMethodsDefault}, workloads, designs);
-}
-
-std::vector<VariantPoint> full_variant_grid(
-    const std::vector<int>& t1_values, const std::vector<int>& methods_values,
-    const std::vector<std::string>& workloads,
-    const std::vector<Design>& designs) {
+std::vector<VariantPoint> config_grid(const std::vector<SetAxis>& axes,
+                                      const std::vector<std::string>& workloads,
+                                      const std::vector<Design>& designs) {
+  std::vector<SimConfig> configs{SimConfig{}};
+  for (const SetAxis& axis : axes) {
+    std::vector<SimConfig> next;
+    next.reserve(configs.size() * axis.values.size());
+    for (const SimConfig& c : configs)
+      for (uint64_t v : axis.values) {
+        next.push_back(c);
+        set_knob_word(next.back(), *axis.knob, v);
+      }
+    configs = std::move(next);
+  }
+  const auto points = full_grid(workloads, designs);
   std::vector<VariantPoint> grid;
-  grid.reserve(methods_values.size() * t1_values.size() * workloads.size() *
-               designs.size());
-  for (int methods : methods_values)
-    for (int t1 : t1_values)
-      for (const auto& w : workloads)
-        for (Design d : designs) grid.push_back({t1, {w, d}, methods});
+  grid.reserve(configs.size() * points.size());
+  for (const SimConfig& c : configs)
+    for (const Point& p : points) grid.push_back({c, p});
   return grid;
 }
 
-SimConfig variant_config(int t1, int methods) {
-  SimConfig cfg;
-  cfg.avr.t1_override = t1 < 0 ? -1 : t1;
-  if (methods >= 0) {
-    cfg.avr.enable_1d = (methods & kMethods1D) != 0;
-    cfg.avr.enable_2d = (methods & kMethods2D) != 0;
-    cfg.avr.enable_bdi_hybrid = (methods & kMethodsBdi) != 0;
-  }
-  return cfg;
-}
-
-std::vector<int> parse_methods_list(const std::string& csv) {
-  if (csv.empty()) return {kMethodsDefault};
-  std::vector<int> out;
-  for (const auto& sel : split_csv(csv)) {
-    int mask = 0;
-    size_t start = 0;
-    while (start <= sel.size()) {
-      const size_t plus = sel.find('+', start);
-      const size_t end = plus == std::string::npos ? sel.size() : plus;
-      const std::string tok = lower(sel.substr(start, end - start));
-      if (tok == "1d")
-        mask |= kMethods1D;
-      else if (tok == "2d")
-        mask |= kMethods2D;
-      else if (tok == "bdi")
-        mask |= kMethodsBdi;
-      else if (tok == "avr")  // the paper's lossy pair
-        mask |= kMethods1D | kMethods2D;
-      else
-        throw std::invalid_argument(
-            "bad --methods token '" + tok + "' in '" + sel +
-            "' (want '+'-joined 1d/2d/bdi/avr, e.g. avr+bdi)");
-      if (plus == std::string::npos) break;
-      start = plus + 1;
-    }
-    if (mask == 0) throw std::invalid_argument("empty --methods selection");
-    out.push_back(mask);
-  }
-  if (out.empty()) throw std::invalid_argument("empty --methods list");
-  return out;
-}
-
-std::string method_set_name(int methods) {
-  if (methods < 0) return "default";
-  std::string name;
-  auto append = [&name](const char* tok) {
-    if (!name.empty()) name += '+';
-    name += tok;
+void add_set_axis(std::vector<SetAxis>& axes, const std::string& arg) {
+  auto bad = [&arg](const std::string& why) {
+    return std::invalid_argument("bad --set value: " + arg + " (" + why + ")");
   };
-  if (methods & kMethods1D) append("1d");
-  if (methods & kMethods2D) append("2d");
-  if (methods & kMethodsBdi) append("bdi");
-  return name;
-}
-
-std::vector<int> parse_t1_list(const std::string& csv) {
-  if (csv.empty()) return {-1};
-  std::vector<int> out;
-  for (const auto& tok : split_csv(csv)) {
-    size_t pos = 0;
-    int v = 0;
+  const size_t eq = arg.find('=');
+  if (eq == std::string::npos) throw bad("want name=v[,v...]");
+  const std::string name = arg.substr(0, eq);
+  SetAxis axis;
+  axis.knob = find_knob(name);
+  if (!axis.knob) throw bad("no knob '" + name + "'; avr_sweep --help lists them");
+  if (axis.knob->unsettable) throw bad(name + ": " + axis.knob->unsettable);
+  for (const SetAxis& a : axes)
+    if (a.knob == axis.knob) throw bad(name + " is already a --set axis");
+  // Unlike the name lists, every comma-separated field must be a value.
+  for (size_t start = eq + 1;;) {
+    const size_t comma = arg.find(',', start);
+    const std::string value = arg.substr(start, comma - start);
     try {
-      v = std::stoi(tok, &pos);
-    } catch (const std::exception&) {
-      throw std::invalid_argument("bad --t1 value: " + tok);
+      axis.values.push_back(parse_knob_value(*axis.knob, value));
+    } catch (const std::invalid_argument& e) {
+      throw bad(e.what());
     }
-    // 0..22: an fp32 mantissa MSbit index the compressor can bound against.
-    if (pos != tok.size() || v < 0 || v > 22)
-      throw std::invalid_argument("bad --t1 value: " + tok +
-                                  " (want an integer in 0..22)");
-    out.push_back(v);
+    if (comma == std::string::npos) break;
+    start = comma + 1;
   }
-  if (out.empty()) throw std::invalid_argument("empty --t1 list");
-  return out;
+  axes.push_back(std::move(axis));
 }
 
 Design design_from_name(const std::string& name) {

@@ -17,7 +17,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/config.hh"
+#include "common/config_table.hh"
 #include "common/profile.hh"
 #include "common/types.hh"
 
@@ -29,68 +29,38 @@ namespace sweep {
 
 using Point = std::pair<std::string, Design>;
 
-/// Method-selection bitmask values for the --methods config axis: which
-/// compression methods variant_config() enables. -1 (kMethodsDefault) keeps
-/// the default configuration's flags (1D+2D lossy, BDI-hybrid off).
-inline constexpr int kMethodsDefault = -1;
-inline constexpr int kMethods1D = 1;   // AvrConfig::enable_1d
-inline constexpr int kMethods2D = 2;   // AvrConfig::enable_2d
-inline constexpr int kMethodsBdi = 4;  // AvrConfig::enable_bdi_hybrid
-
-/// One point of a (config x workload x design) grid: the config axes are
-/// the forced T1 threshold (t1 == -1 means the default per-workload
-/// thresholds) and the method-selection mask (methods == -1 means the
-/// default method set). Records of different variants carry different v3
-/// config fingerprints, so one cache file holds the whole variant grid.
+/// One point of a (config x workload x design) grid. Records of different
+/// configs carry different config fingerprints, so one cache file holds
+/// the whole variant grid.
 struct VariantPoint {
-  int t1 = -1;
+  SimConfig config;
   Point point;
-  int methods = kMethodsDefault;
+};
 
-  bool operator==(const VariantPoint&) const = default;
-  auto operator<=>(const VariantPoint&) const = default;
+/// One --set axis: a config knob and the values it sweeps, in order.
+struct SetAxis {
+  const Knob* knob = nullptr;
+  std::vector<uint64_t> values;  // knob words (see knob_word)
 };
 
 /// Full cross product in canonical (workload-major) order.
 std::vector<Point> full_grid(const std::vector<std::string>& workloads,
                              const std::vector<Design>& designs);
 
-/// Full (t1 x workload x design) cross product: t1-major, then the
-/// canonical workload-major order within each variant.
-std::vector<VariantPoint> full_variant_grid(
-    const std::vector<int>& t1_values, const std::vector<std::string>& workloads,
-    const std::vector<Design>& designs);
+/// The (axis x ... x workload x design) grid: every combination of the
+/// axes' values applied to the default config, first axis outermost, then
+/// the canonical workload-major order within each config. With no axes it
+/// is full_grid under the default config.
+std::vector<VariantPoint> config_grid(const std::vector<SetAxis>& axes,
+                                      const std::vector<std::string>& workloads,
+                                      const std::vector<Design>& designs);
 
-/// Full (methods x t1 x workload x design) cross product: methods-major,
-/// then t1-major, then the canonical workload-major order. The default axes
-/// ({-1}, {-1}) reproduce the historical grid point-for-point.
-std::vector<VariantPoint> full_variant_grid(
-    const std::vector<int>& t1_values, const std::vector<int>& methods_values,
-    const std::vector<std::string>& workloads,
-    const std::vector<Design>& designs);
-
-/// The base SimConfig simulating variant (`t1`, `methods`): default except
-/// avr.t1_override (see AvrConfig::t1_override) and — when methods >= 0 —
-/// the three method-enable flags set from the kMethods* mask. The default
-/// axes (-1, -1) are exactly the default config, fingerprint included; so
-/// is the mask that spells out the default method set (1d+2d, no BDI).
-SimConfig variant_config(int t1, int methods = kMethodsDefault);
-
-/// Comma-separated list of T1 mantissa-msbit indices (e.g. "4,6,8");
-/// "" yields {-1}, the default per-workload-threshold grid. Throws
-/// std::invalid_argument for non-numeric or out-of-range (0..22) entries.
-std::vector<int> parse_t1_list(const std::string& csv);
-
-/// Comma-separated list of method selections, each a '+'-joined set of
-/// tokens "1d", "2d", "bdi" or the alias "avr" (= 1d+2d): e.g.
-/// "avr,avr+bdi" sweeps the default lossy pair against the BDI-hybrid.
-/// "" yields {kMethodsDefault}. Throws std::invalid_argument for unknown
-/// tokens or an empty selection.
-std::vector<int> parse_methods_list(const std::string& csv);
-
-/// Canonical display name of a selection mask: "default" for
-/// kMethodsDefault, else the '+'-joined enabled tokens (e.g. "1d+2d+bdi").
-std::string method_set_name(int methods);
+/// Parses one --set argument, "name=v[,v...]" — a knob of the config table
+/// (common/config_table.hh) and the values it sweeps, each parsed strictly
+/// and range-checked — and appends it to `axes`. Throws
+/// std::invalid_argument("bad --set value: <arg> (<reason>)") for an unknown
+/// or unsettable knob, a knob already in `axes`, or a bad value.
+void add_set_axis(std::vector<SetAxis>& axes, const std::string& arg);
 
 /// Parses one design name as printed by to_string(Design) —
 /// "baseline", "dganger", "truncate", "ZeroAVR", "AVR" — case-insensitively.
@@ -141,9 +111,9 @@ struct StealOutcome {
 /// hardware concurrency) repeatedly scans the remaining points in
 /// descending cost_estimate order, stakes a claim through the cache flock
 /// (result_cache.hh), and simulates the points it wins via
-/// `runner_for(vp)` — which must return, for each (t1, methods) variant in
-/// the grid, a runner writing to `cache_path` (the same runner every
-/// call; vp.point is irrelevant to the lookup). Returns
+/// `runner_for(vp)` — which must return, for each config in the grid, a
+/// runner simulating under vp.config and writing to `cache_path` (the same
+/// runner every call; vp.point is irrelevant to the lookup). Returns
 /// once *every* point has a result, whether produced here or by another
 /// process; a process that finishes early keeps polling (poll_seconds) and
 /// reclaims expired claims, so a SIGKILLed peer's points are picked up

@@ -7,6 +7,7 @@
 #include "baselines/baseline_system.hh"
 #include "baselines/doppelganger_system.hh"
 #include "baselines/truncate_system.hh"
+#include "common/config_table.hh"
 
 namespace avr {
 namespace {
@@ -27,6 +28,9 @@ MemoryHierarchy::LlcReply llc_request_thunk(LlcSystem& llc, uint64_t now,
 
 System::System(Design design, SimConfig cfg, uint32_t num_cores, bool timing)
     : design_(design), cfg_(cfg), timing_(timing) {
+  // Out-of-range knobs fail here, naming the knob, instead of dividing by
+  // zero or shifting out of range somewhere in the model.
+  validate_config(cfg_);
   if (!timing_) return;  // golden/functional run: no machinery at all
   MemoryHierarchy::LlcRequestFn request_fn = nullptr;
   switch (design) {

@@ -10,10 +10,11 @@
 //   avr_sweep --claim --cache sweep.csv &          workers splitting the
 //   avr_sweep --claim --cache sweep.csv            grid by work stealing
 //   avr_sweep --workloads lbm --cache lbm.csv      one selection, in-process
+//   avr_sweep --set avr.t1_override=4,6 --cache t1.csv   a config axis
 //   avr_sweep --check --cache merged.csv           assert full-grid coverage
 //   avr_sweep --assert-same other.csv --cache a.csv   compare two caches
 #include <algorithm>
-#include <cctype>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -26,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/config_table.hh"
 #include "common/profile.hh"
 #include "common/simd.hh"
 #include "harness/experiment.hh"
@@ -53,17 +55,14 @@ shared CSV cache. Exits nonzero if any point fails.
   --designs x,y      comma-separated design subset, names as printed in the
                      tables: baseline,dganger,truncate,ZeroAVR,AVR
                      (default: all five)
-  --t1 N[,N...]      config axis: sweep with the T1 error threshold forced
-                     to mantissa-MSbit index N for every workload (records
-                     carry each variant's config fingerprint, so variants
-                     coexist in one cache file). Default: the per-workload
-                     paper thresholds only.
-  --methods m[,m...] config axis: sweep method selections, each a '+'-joined
-                     set of 1d, 2d, bdi or the alias avr (= 1d+2d): e.g.
-                     "avr,avr+bdi" compares the paper's lossy pair against
-                     the BDI-hybrid fallback. Like --t1, each selection is a
-                     config-fingerprint variant in the shared cache.
-                     Default: the default method set (1d+2d, BDI off).
+  --set name=v[,v...]
+                     config axis: sweep config knob `name` (a SimConfig path
+                     such as avr.t1_override or avr.enable_bdi_hybrid; see
+                     the list below) over the given values. Repeatable: the
+                     grid is the cross product of every --set, the first
+                     outermost. Records carry each config's fingerprint, so
+                     variants coexist in one cache file. Default: the
+                     default config only.
   --cache path       result cache file (default: avr_results_cache.csv or
                      $AVR_RESULT_CACHE); "" disables persistence
   --profile          print the per-phase profile summary table on exit
@@ -89,6 +88,19 @@ shared CSV cache. Exits nonzero if any point fails.
   --help             this text
 )";
 
+/// --help: the usage text, then every --set knob with its default and range.
+void print_help() {
+  std::fputs(kUsage, stdout);
+  std::printf("\n--set knobs (default, valid range):\n");
+  const avr::SimConfig def;
+  for (const avr::Knob& k : avr::config_table()) {
+    const std::string text = avr::knob_text(k, avr::knob_word(def, k));
+    const std::string range = avr::knob_range(k);
+    const char* note = k.unsettable ? " (set per workload)" : "";
+    std::printf("  %-28s %-10s %s%s\n", k.name, text.c_str(), range.c_str(), note);
+  }
+}
+
 struct Options {
   bool claim = false;
   uint64_t claim_lease = 0;
@@ -96,8 +108,7 @@ struct Options {
   unsigned jobs = 0;
   std::vector<std::string> workloads;
   std::vector<avr::Design> designs;
-  std::vector<int> t1_values{-1};
-  std::vector<int> methods_values{avr::sweep::kMethodsDefault};
+  std::vector<avr::sweep::SetAxis> axes;
   std::string cache_path = avr::ExperimentRunner::default_cache_path();
   std::string assert_same_path;
   std::string profile_out;
@@ -113,17 +124,10 @@ struct Options {
 
 /// Strict integer value of `flag`: digits only, within [lo, hi]. Anything
 /// else (junk, a sign, overflow) throws "bad <flag> value: <v>".
-uint64_t parse_uint(const std::string& v, const char* flag, uint64_t lo,
-                    uint64_t hi) {
-  size_t pos = 0;
+uint64_t parse_uint(const std::string& v, const char* flag, uint64_t lo, uint64_t hi) {
   uint64_t n = 0;
-  try {
-    if (!v.empty() && std::isdigit(static_cast<unsigned char>(v[0])))
-      n = std::stoull(v, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (pos == 0 || pos != v.size() || n < lo || n > hi)
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
+  if (v.empty() || ec != std::errc() || end != v.data() + v.size() || n < lo || n > hi)
     throw std::invalid_argument(std::string("bad ") + flag + " value: " + v);
   return n;
 }
@@ -161,10 +165,8 @@ Options parse_args(int argc, char** argv) {
       o.workloads = avr::sweep::parse_workload_list(value(i, "--workloads"));
     } else if (a == "--designs") {
       o.designs = avr::sweep::parse_design_list(value(i, "--designs"));
-    } else if (a == "--t1") {
-      o.t1_values = avr::sweep::parse_t1_list(value(i, "--t1"));
-    } else if (a == "--methods") {
-      o.methods_values = avr::sweep::parse_methods_list(value(i, "--methods"));
+    } else if (a == "--set") {
+      avr::sweep::add_set_axis(o.axes, value(i, "--set"));
     } else if (a == "--cache") {
       o.cache_path = value(i, "--cache");
     } else if (a == "--assert-same") {
@@ -181,7 +183,7 @@ Options parse_args(int argc, char** argv) {
     } else if (a == "--quiet") {
       o.quiet = true;
     } else if (a == "--help" || a == "-h") {
-      std::fputs(kUsage, stdout);
+      print_help();
       std::exit(0);
     } else {
       throw std::invalid_argument("unknown flag: " + a);
@@ -229,40 +231,32 @@ bool same_metrics(avr::ExperimentResult a, avr::ExperimentResult b) {
   return avr::encode_result_line(a) == avr::encode_result_line(b);
 }
 
-/// A (t1, methods) config variant — the key every per-variant structure
-/// (runner map, coverage groups) is indexed by.
-using Variant = std::pair<int, int>;
+/// One config of the grid and its points. Coverage and identity checks must
+/// see only records simulated under the config being checked: the shared
+/// cache file may hold records for the same (workload, design) keys under
+/// other fingerprints (ablation or --set variants), which would otherwise
+/// shadow the grid's records in the loaded map.
+struct Variant {
+  avr::SimConfig config;
+  std::string name;  // config_diff(config); "" is the default config
+  std::vector<avr::sweep::Point> points;
+};
 
-/// Coverage and identity checks must see only records simulated under the
-/// variant being checked: the shared cache file may hold records for the
-/// same (workload, design) keys under other fingerprints (ablation, --t1
-/// or --methods variants), which would otherwise shadow the grid's records
-/// in the loaded map. (-1, -1) is the default configuration.
-uint64_t variant_fingerprint(Variant v) {
-  return avr::config_fingerprint(avr::sweep::variant_config(v.first, v.second));
-}
-
-/// "(t1=6, methods=avr+bdi)" suffix for diagnostics; "" for the default
-/// variant, matching the historical message format.
-std::string variant_suffix(Variant v) {
-  std::string s;
-  if (v.first >= 0) s += " t1=" + std::to_string(v.first);
-  if (v.second >= 0) s += " methods=" + avr::sweep::method_set_name(v.second);
-  return s.empty() ? s : " (" + s.substr(1) + ")";
-}
-
-/// The grid grouped by (t1, methods) variant, preserving point order
-/// within a group.
-std::map<Variant, std::vector<avr::sweep::Point>> by_variant(
-    const std::vector<avr::sweep::VariantPoint>& grid) {
-  std::map<Variant, std::vector<avr::sweep::Point>> groups;
-  for (const auto& vp : grid)
-    groups[{vp.t1, vp.methods}].push_back(vp.point);
+/// The grid grouped by config, in order of first appearance, preserving
+/// point order within a group.
+std::vector<Variant> by_variant(const std::vector<avr::sweep::VariantPoint>& grid) {
+  std::vector<Variant> groups;
+  for (const auto& vp : grid) {
+    const std::string name = avr::config_diff(vp.config);
+    auto it = std::find_if(groups.begin(), groups.end(),
+                           [&](const Variant& v) { return v.name == name; });
+    if (it == groups.end()) it = groups.insert(groups.end(), {vp.config, name, {}});
+    it->points.push_back(vp.point);
+  }
   return groups;
 }
 
-int check_coverage(const Options& o,
-                   const std::vector<avr::sweep::VariantPoint>& grid) {
+int check_coverage(const Options& o, const std::vector<Variant>& groups, size_t total) {
   size_t missing = 0;
   // Claim audit alongside coverage: a claim is *moot* once its point has a
   // result, *dangling* otherwise (its point is also missing, so dangling
@@ -270,8 +264,8 @@ int check_coverage(const Options& o,
   // this check passing).
   size_t claims = 0, dangling = 0;
   const uint64_t now = static_cast<uint64_t>(std::time(nullptr));
-  for (const auto& [variant, points] : by_variant(grid)) {
-    const uint64_t fp = variant_fingerprint(variant);
+  for (const Variant& v : groups) {
+    const uint64_t fp = avr::config_fingerprint(v.config);
     const auto cache = avr::load_result_cache(o.cache_path, fp);
     for (const auto& [key, c] : avr::load_claims(o.cache_path, fp)) {
       ++claims;
@@ -281,10 +275,11 @@ int check_coverage(const Options& o,
                    key.first.c_str(), avr::to_string(key.second),
                    c.owner.c_str(), c.expired(now) ? "expired" : "live");
     }
-    for (const auto& p : points) {
+    const std::string suffix = v.name.empty() ? "" : " (" + v.name + ")";
+    for (const auto& p : v.points) {
       if (!cache.count(p)) {
         std::fprintf(stderr, "missing: %s x %s%s\n", p.first.c_str(),
-                     avr::to_string(p.second), variant_suffix(variant).c_str());
+                     avr::to_string(p.second), suffix.c_str());
         ++missing;
       }
     }
@@ -293,22 +288,18 @@ int check_coverage(const Options& o,
     std::fprintf(stderr,
                  "%s covers %zu/%zu points (%zu missing, %zu dangling "
                  "claim(s))\n",
-                 o.cache_path.c_str(), grid.size() - missing, grid.size(),
-                 missing, dangling);
+                 o.cache_path.c_str(), total - missing, total, missing, dangling);
     return 1;
   }
   std::printf("%s covers all %zu points (%zu claim record(s), all moot)\n",
-              o.cache_path.c_str(), grid.size(), claims);
+              o.cache_path.c_str(), total, claims);
   return 0;
 }
 
-int check_same(const Options& o) {
+int check_same(const Options& o, const std::vector<Variant>& groups) {
   size_t differences = 0, compared = 0;
-  std::vector<Variant> variants;
-  for (int methods : o.methods_values)
-    for (int t1 : o.t1_values) variants.push_back({t1, methods});
-  for (const Variant& variant : variants) {
-    const uint64_t fp = variant_fingerprint(variant);
+  for (const Variant& v : groups) {
+    const uint64_t fp = avr::config_fingerprint(v.config);
     const auto a = avr::load_result_cache(o.cache_path, fp);
     const auto b = avr::load_result_cache(o.assert_same_path, fp);
     // A missing or record-free file would make the comparison vacuously
@@ -362,81 +353,63 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // The (methods x t1 x workload x design) variant grid; the default --t1
-  // and --methods lists ({-1} each) make it exactly the historical
-  // (workload x design) grid. In claim mode every process works the full
-  // grid — the claims do the splitting.
-  const auto grid = sweep::full_variant_grid(o.t1_values, o.methods_values,
-                                             o.workloads, o.designs);
-  const bool t1_axis = o.t1_values.size() > 1 || o.t1_values[0] >= 0;
-  const bool methods_axis =
-      o.methods_values.size() > 1 || o.methods_values[0] >= 0;
+  // The (config x workload x design) grid; without --set it is exactly the
+  // default-config (workload x design) grid. In claim mode every process
+  // works the full grid — the claims do the splitting.
+  const auto grid = sweep::config_grid(o.axes, o.workloads, o.designs);
+  const auto groups = by_variant(grid);
 
   if (o.list) {
-    for (const auto& [t1, p, methods] : grid) {
-      if (methods_axis)
-        std::printf("%s,", sweep::method_set_name(methods).c_str());
-      if (t1_axis || methods_axis) std::printf("%d,", t1);
+    for (const auto& [config, p] : grid) {
+      if (!o.axes.empty()) std::printf("%s,", config_diff(config).c_str());
       std::printf("%s,%s\n", p.first.c_str(), to_string(p.second));
     }
     return 0;
   }
-  if (o.check) return check_coverage(o, grid);
-  if (o.assert_same) return check_same(o);
+  if (o.check) return check_coverage(o, groups, grid.size());
+  if (o.assert_same) return check_same(o, groups);
   if (o.fsck) return run_fsck(o);
 
-  // One runner per (t1, methods) variant in the grid: each loads and
-  // appends only records carrying its own config fingerprint, so all
-  // variants share the one cache file.
-  const auto groups = by_variant(grid);
+  // One runner per config in the grid (runners[i] simulates groups[i]):
+  // each loads and appends only records carrying its own config
+  // fingerprint, so all variants share the one cache file.
   size_t warm = 0;
-  std::vector<std::pair<Variant, std::unique_ptr<ExperimentRunner>>> runners;
-  for (const auto& [variant, points] : groups) {
-    runners.emplace_back(
-        variant, std::make_unique<ExperimentRunner>(
-                     sweep::variant_config(variant.first, variant.second),
-                     /*verbose=*/!o.quiet, o.cache_path));
-    for (const auto& [w, d] : points)
-      if (runners.back().second->cached(w, d)) ++warm;
+  std::vector<std::unique_ptr<ExperimentRunner>> runners;
+  std::map<std::string, ExperimentRunner*> runner_by_name;
+  for (const Variant& v : groups) {
+    auto runner = std::make_unique<ExperimentRunner>(v.config, !o.quiet, o.cache_path);
+    for (const auto& [w, d] : v.points)
+      if (runner->cached(w, d)) ++warm;
+    runner_by_name[v.name] = runner.get();
+    runners.push_back(std::move(runner));
   }
 
-  if (o.claim)
-    std::fprintf(stderr,
-                 "[sweep] claim mode (owner %s): %zu grid points (%zu cached, "
-                 "%zu variant(s)), %u jobs, cache=%s\n",
-                 o.owner.c_str(), grid.size(), warm, groups.size(), o.jobs,
-                 o.cache_path.c_str());
-  else
-    std::fprintf(stderr,
-                 "[sweep] %zu grid points (%zu cached, %zu variant(s)), %u "
-                 "jobs, cache=%s\n",
-                 grid.size(), warm, groups.size(), o.jobs,
-                 o.cache_path.empty() ? "<disabled>" : o.cache_path.c_str());
+  const std::string mode = o.claim ? "claim mode (owner " + o.owner + "): " : "";
+  std::fprintf(stderr,
+               "[sweep] %s%zu grid points (%zu cached, %zu variant(s)), %u jobs, "
+               "cache=%s\n",
+               mode.c_str(), grid.size(), warm, groups.size(), o.jobs,
+               o.cache_path.empty() ? "<disabled>" : o.cache_path.c_str());
 
   const auto t0 = std::chrono::steady_clock::now();
   size_t write_failures = 0;
   sweep::StealOutcome steal;
   try {
     if (o.claim) {
-      std::map<Variant, ExperimentRunner*> rmap;
-      for (auto& [variant, runner] : runners) rmap[variant] = runner.get();
       sweep::StealOptions so;
       so.owner = o.owner;
       so.lease_seconds = o.claim_lease;
       steal = sweep::run_work_stealing(
           grid,
           [&](const sweep::VariantPoint& vp) -> ExperimentRunner& {
-            return *rmap.at({vp.t1, vp.methods});
+            return *runner_by_name.at(config_diff(vp.config));
           },
           o.cache_path, so, o.jobs);
-      for (auto& [variant, runner] : runners)
-        write_failures += runner->disk_write_failures();
     } else {
-      for (auto& [variant, runner] : runners) {
-        runner->run_points(groups.at(variant), o.jobs);
-        write_failures += runner->disk_write_failures();
-      }
+      for (size_t i = 0; i < groups.size(); ++i)
+        runners[i]->run_points(groups[i].points, o.jobs);
     }
+    for (const auto& runner : runners) write_failures += runner->disk_write_failures();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "avr_sweep: point failed: %s\n", e.what());
     return 1;
@@ -466,7 +439,7 @@ int main(int argc, char** argv) {
   report.jobs = static_cast<unsigned>(
       std::max<size_t>(1, std::min<size_t>(jobs, grid.size())));
   report.aggregate = steal.sched;
-  for (auto& [variant, runner] : runners) {
+  for (const auto& runner : runners) {
     report.aggregate.merge(runner->profile_totals());
     auto pts = runner->profile_points();
     report.points.insert(report.points.end(),

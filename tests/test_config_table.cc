@@ -1,0 +1,215 @@
+// The config table (common/config_table.hh): the fingerprint every result
+// cache is keyed by, the canonical diff-from-default names, the layout
+// guard that catches a SimConfig field missing from the table, and the
+// range check System construction runs.
+#include "common/config_table.hh"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "runtime/system.hh"
+
+namespace avr {
+namespace {
+
+// Captured before the fingerprint was folded from the table: every value
+// must stay bit-identical, or existing result caches (and the committed
+// bench_e2e reference, which embeds the default hash) stop matching.
+TEST(ConfigTable, PinnedFingerprints) {
+  EXPECT_EQ(config_fingerprint(SimConfig{}), 10906681448266892413ull);
+
+  SimConfig t1;
+  t1.avr.t1_override = 6;
+  EXPECT_EQ(config_fingerprint(t1), 8810537224980109866ull);
+
+  SimConfig bdi;
+  bdi.avr.enable_bdi_hybrid = true;
+  EXPECT_EQ(config_fingerprint(bdi), 1213279155957032029ull);
+
+  SimConfig no2d;
+  no2d.avr.enable_2d = false;
+  EXPECT_EQ(config_fingerprint(no2d), 3752296444044571663ull);
+
+  SimConfig nopfe;
+  nopfe.avr.enable_pfe = false;
+  EXPECT_EQ(config_fingerprint(nopfe), 2784734552073890061ull);
+
+  SimConfig both = t1;
+  both.avr.enable_bdi_hybrid = true;
+  EXPECT_EQ(config_fingerprint(both), 9211575365794650826ull);
+}
+
+/// A valid value of `k` other than its default: the bool flipped, a number
+/// one above the default (or one below, at the top of the range).
+uint64_t other_value(const Knob& k) {
+  const uint64_t def = knob_word(SimConfig{}, k);
+  if (k.type == KnobType::kBool) return def ^ 1;
+  if (k.type == KnobType::kF64) {
+    const double v = std::bit_cast<double>(def);
+    return parse_knob_value(k, knob_text(k, std::bit_cast<uint64_t>(v + 1.0)));
+  }
+  try {
+    return parse_knob_value(k, knob_text(k, def + 1));
+  } catch (const std::invalid_argument&) {
+    return parse_knob_value(k, knob_text(k, def - 1));
+  }
+}
+
+TEST(ConfigTable, EveryKnobMovesTheFingerprintAndIsNamed) {
+  const uint64_t def_fp = config_fingerprint(SimConfig{});
+  EXPECT_EQ(config_diff(SimConfig{}), "");
+  std::set<uint64_t> fps{def_fp};
+  for (const Knob& k : config_table()) {
+    SimConfig c;
+    const uint64_t w = other_value(k);
+    set_knob_word(c, k, w);
+    EXPECT_EQ(knob_word(c, k), w) << k.name;
+    EXPECT_NE(config_fingerprint(c), def_fp) << k.name;
+    EXPECT_TRUE(fps.insert(config_fingerprint(c)).second) << k.name;
+    EXPECT_EQ(config_diff(c), std::string(k.name) + "=" + knob_text(k, w));
+  }
+}
+
+TEST(ConfigTable, NamesAreUniqueAndFindable) {
+  std::set<std::string> names;
+  for (const Knob& k : config_table()) {
+    EXPECT_TRUE(names.insert(k.name).second) << k.name;
+    EXPECT_EQ(find_knob(k.name), &k);
+  }
+  EXPECT_EQ(find_knob("core"), nullptr);
+  EXPECT_EQ(find_knob("nosuch"), nullptr);
+}
+
+// A SimConfig field missing from the table leaves a hole the size of the
+// field: sorted by offset, the table's fields must tile the struct with
+// nothing between them but alignment padding. (Every knob is a scalar
+// whose alignment is its size.)
+TEST(ConfigTable, KnobsTileSimConfig) {
+  std::vector<const Knob*> knobs;
+  for (const Knob& k : config_table()) knobs.push_back(&k);
+  std::sort(knobs.begin(), knobs.end(),
+            [](const Knob* a, const Knob* b) { return a->offset < b->offset; });
+  auto align_up = [](size_t n, size_t a) { return (n + a - 1) / a * a; };
+  size_t end = 0;
+  for (const Knob* k : knobs) {
+    const size_t size = knob_size(k->type);
+    EXPECT_EQ(k->offset, align_up(end, size))
+        << k->name << ": a SimConfig field before it is missing from the table";
+    end = k->offset + size;
+  }
+  EXPECT_EQ(align_up(end, alignof(SimConfig)), sizeof(SimConfig))
+      << "a SimConfig field at the end is missing from the table";
+}
+
+/// Converts to any member type: brace-initializing an aggregate from N of
+/// these compiles iff it has at least N members.
+struct AnyField {
+  template <class T>
+  operator T() const;  // unevaluated use only
+};
+
+template <class T, class... Fields>
+constexpr size_t field_count() {
+  if constexpr (requires { T{Fields{}..., AnyField{}}; })
+    return field_count<T, Fields..., AnyField>();
+  else
+    return sizeof...(Fields);
+}
+
+size_t knobs_under(const std::string& prefix) {
+  size_t n = 0;
+  for (const Knob& k : config_table())
+    if (std::string(k.name).rfind(prefix, 0) == 0) ++n;
+  return n;
+}
+
+// The tiling check cannot see a small field hidden in padding (a seventh
+// AvrConfig bool fits in the two bytes after the six), so the member count
+// of every config struct must match the table too.
+TEST(ConfigTable, MemberCountsMatchTheTable) {
+  EXPECT_EQ(knobs_under("core."), field_count<CoreConfig>());
+  for (const char* cache : {"l1.", "l2.", "llc."})
+    EXPECT_EQ(knobs_under(cache), field_count<CacheConfig>()) << cache;
+  EXPECT_EQ(knobs_under("dram."), field_count<DramConfig>());
+  EXPECT_EQ(knobs_under("avr."), field_count<AvrConfig>());
+  // SimConfig's own scalars: every member but the six sub-structs.
+  size_t top_level = 0;
+  for (const Knob& k : config_table())
+    if (std::string(k.name).find('.') == std::string::npos) ++top_level;
+  EXPECT_EQ(top_level + 6, field_count<SimConfig>());
+}
+
+TEST(ConfigTable, DiffIsInTableOrderAndRoundTrips) {
+  SimConfig c;
+  c.avr.enable_bdi_hybrid = true;
+  c.avr.t1_override = 6;
+  c.core.freq_ghz = 2.5;
+  EXPECT_EQ(config_diff(c),
+            "core.freq_ghz=2.5 avr.t1_override=6 avr.enable_bdi_hybrid=1");
+  // Every knob's default text parses back to the same word.
+  for (const Knob& k : config_table()) {
+    const uint64_t w = knob_word(SimConfig{}, k);
+    EXPECT_EQ(parse_knob_value(k, knob_text(k, w)), w) << k.name;
+  }
+}
+
+// Each knob set just outside its range fails System construction, and the
+// error names that knob. Sides where the range reaches the end of the
+// field's type have no outside value to try.
+TEST(ConfigTable, SystemRejectsEachKnobJustOutsideItsRange) {
+  EXPECT_NO_THROW(System(Design::kAvr, SimConfig{}));
+  size_t tried = 0;
+  for (const Knob& k : config_table()) {
+    std::vector<uint64_t> outside;
+    switch (k.type) {
+      case KnobType::kBool:
+        break;
+      case KnobType::kF64:
+        outside = {std::bit_cast<uint64_t>(std::nextafter(k.lo, -INFINITY)),
+                   std::bit_cast<uint64_t>(std::nextafter(k.hi, INFINITY))};
+        break;
+      case KnobType::kI32:
+        if (k.lo > std::numeric_limits<int32_t>::min())
+          outside.push_back(static_cast<uint64_t>(static_cast<int64_t>(k.lo) - 1));
+        if (k.hi < std::numeric_limits<int32_t>::max())
+          outside.push_back(static_cast<uint64_t>(static_cast<int64_t>(k.hi) + 1));
+        break;
+      case KnobType::kU32:
+      case KnobType::kU64: {
+        const double max = k.type == KnobType::kU32
+                               ? std::numeric_limits<uint32_t>::max()
+                               : std::numeric_limits<uint64_t>::max();
+        if (k.lo > 0) outside.push_back(static_cast<uint64_t>(k.lo) - 1);
+        if (k.hi < max) outside.push_back(static_cast<uint64_t>(k.hi) + 1);
+        break;
+      }
+    }
+    for (uint64_t w : outside) {
+      SimConfig c;
+      set_knob_word(c, k, w);
+      ++tried;
+      try {
+        System sys(Design::kBaseline, c, 1, /*timing=*/false);
+        ADD_FAILURE() << k.name << " = " << knob_text(k, w) << " accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("SimConfig: " + std::string(k.name) + " = "),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  // dispatch_width 0 (the divide-by-zero this check exists for) is among them.
+  EXPECT_GE(tried, 20u);
+}
+
+}  // namespace
+}  // namespace avr

@@ -196,6 +196,40 @@ TEST(ExperimentRunner, ProfileCountsOneCacheHitPerWarmPoint) {
   std::remove(path.c_str());
 }
 
+TEST(ProfileReport, PointsNameTheirConfig) {
+  // A runner stamps config_diff() of its base config on every point it
+  // simulates; the summary and the sidecar both carry it.
+  SimConfig cfg;
+  cfg.avr.t1_override = 6;
+  ExperimentRunner r(cfg, /*verbose=*/false, /*cache_path=*/"");
+  (void)r.run("bscholes", Design::kAvr);
+  prof::Report report;
+  report.points = r.profile_points();
+  ASSERT_EQ(report.points.size(), 1u);
+  EXPECT_EQ(report.points[0].config, "avr.t1_override=6");
+
+  char* buf = nullptr;
+  size_t len = 0;
+  std::FILE* f = open_memstream(&buf, &len);
+  ASSERT_NE(f, nullptr);
+  prof::print_summary(f, report);
+  std::fclose(f);
+  const std::string table(buf, len);
+  std::free(buf);
+  EXPECT_NE(table.find(", avr.t1_override=6)"), std::string::npos) << table;
+
+  const std::string path =
+      std::filesystem::temp_directory_path() / "avr_test_profile_config.json";
+  ASSERT_TRUE(prof::write_profile_json(path, report));
+  std::ifstream in(path);
+  const std::string json((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_NE(json.find("\"design\":\"AVR\",\"config\":\"avr.t1_override=6\","),
+            std::string::npos)
+      << json;
+  std::remove(path.c_str());
+}
+
 TEST(ProfileReport, PhaseShareIsOfWallTimesJobs) {
   prof::Report report;
   report.owner = "w0";
@@ -219,14 +253,14 @@ TEST(ProfileReport, PhaseShareIsOfWallTimesJobs) {
   EXPECT_NE(table.find(" 75.0%"), std::string::npos) << table;
   EXPECT_EQ(table.find("300.0%"), std::string::npos) << table;
 
-  // The sidecar gains the job count; every avr-profile-v1 field stays.
+  // The sidecar carries the job count.
   const std::string path =
       std::filesystem::temp_directory_path() / "avr_test_profile.json";
   ASSERT_TRUE(prof::write_profile_json(path, report));
   std::ifstream in(path);
   const std::string json((std::istreambuf_iterator<char>(in)),
                          std::istreambuf_iterator<char>());
-  EXPECT_NE(json.find("\"schema\":\"avr-profile-v1\""), std::string::npos);
+  EXPECT_NE(json.find("\"schema\":\"avr-profile-v2\""), std::string::npos);
   EXPECT_NE(json.find("\"wall_seconds\":2,\"jobs\":4,\"aggregate\":"),
             std::string::npos)
       << json;

@@ -180,23 +180,6 @@ TEST(ResultCache, ConfigFilterSelectsOnlyMatchingRecords) {
   std::remove(path.c_str());
 }
 
-TEST(ResultCache, ConfigFingerprintSeparatesAblationAxes) {
-  // Stable across calls, and every bench_ablation axis lands on a distinct
-  // fingerprint (a missed field in the fold list would alias two of them).
-  const SimConfig def;
-  EXPECT_EQ(config_fingerprint(def), config_fingerprint(SimConfig{}));
-  std::vector<SimConfig> axes(5);
-  axes[0].avr.enable_lazy_eviction = false;
-  axes[1].avr.enable_pfe = false;
-  axes[2].avr.enable_failure_history = false;
-  axes[3].avr.enable_2d = false;
-  axes[4].avr.enable_1d = false;
-  std::vector<uint64_t> hashes{config_fingerprint(def)};
-  for (const SimConfig& c : axes) hashes.push_back(config_fingerprint(c));
-  std::sort(hashes.begin(), hashes.end());
-  EXPECT_EQ(std::adjacent_find(hashes.begin(), hashes.end()), hashes.end());
-}
-
 TEST(ResultCache, ConcurrentForkedWritersProduceLoadableCache) {
   // The writer-safety contract: multiple *processes* appending to one cache
   // path concurrently yield a file where every record is intact. Each child

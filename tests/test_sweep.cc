@@ -1,4 +1,4 @@
-// Sweep grid tests: canonical grid order, config-variant axes and list
+// Sweep grid tests: canonical grid order, --set config axes and list
 // parsing, and the end-to-end acceptance paths — concurrent avr_sweep
 // processes appending to one cache produce the same records as a single
 // in-process sweep, with and without --claim.
@@ -10,12 +10,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,112 +38,97 @@ TEST(Sweep, FullGridIsWorkloadMajor) {
   EXPECT_EQ(grid[3], Point("b", Design::kAvr));
 }
 
-TEST(Sweep, VariantGridIsT1MajorAndDefaultsToPlainGrid) {
-  const auto grid = sweep::full_variant_grid({4, 6}, {"a", "b"},
-                                             {Design::kBaseline, Design::kAvr});
-  ASSERT_EQ(grid.size(), 8u);
-  EXPECT_EQ(grid[0], (sweep::VariantPoint{4, {"a", Design::kBaseline}}));
-  EXPECT_EQ(grid[3], (sweep::VariantPoint{4, {"b", Design::kAvr}}));
-  EXPECT_EQ(grid[4], (sweep::VariantPoint{6, {"a", Design::kBaseline}}));
-  EXPECT_EQ(grid[7], (sweep::VariantPoint{6, {"b", Design::kAvr}}));
+/// The axes of `args`, each a --set argument, parsed in order.
+std::vector<sweep::SetAxis> axes_of(const std::vector<std::string>& args) {
+  std::vector<sweep::SetAxis> axes;
+  for (const auto& a : args) sweep::add_set_axis(axes, a);
+  return axes;
+}
 
-  // The default axis {-1} reproduces the historical grid point-for-point.
-  const auto plain = sweep::full_grid(workload_names(),
-                                      ExperimentRunner::paper_designs());
-  const auto variant = sweep::full_variant_grid({-1}, workload_names(),
-                                                ExperimentRunner::paper_designs());
-  ASSERT_EQ(variant.size(), plain.size());
-  for (size_t i = 0; i < plain.size(); ++i) {
-    EXPECT_EQ(variant[i].t1, -1);
-    EXPECT_EQ(variant[i].point, plain[i]);
+TEST(Sweep, ConfigGridIsFirstSetOutermost) {
+  const auto axes = axes_of({"avr.t1_override=4,6", "avr.enable_bdi_hybrid=0,1"});
+  const std::vector<Design> designs = {Design::kBaseline, Design::kAvr};
+  const auto grid = sweep::config_grid(axes, {"a", "b"}, designs);
+  ASSERT_EQ(grid.size(), 16u);
+  // First --set outermost, then the second, then workload-major points.
+  EXPECT_EQ(config_diff(grid[0].config), "avr.t1_override=4");
+  EXPECT_EQ(config_diff(grid[4].config), "avr.t1_override=4 avr.enable_bdi_hybrid=1");
+  EXPECT_EQ(config_diff(grid[8].config), "avr.t1_override=6");
+  EXPECT_EQ(config_diff(grid[12].config), "avr.t1_override=6 avr.enable_bdi_hybrid=1");
+  const auto points = sweep::full_grid({"a", "b"}, designs);
+  for (size_t i = 0; i < grid.size(); ++i) {
+    EXPECT_EQ(config_diff(grid[i].config), config_diff(grid[i / 4 * 4].config)) << i;
+    EXPECT_EQ(grid[i].point, points[i % 4]) << i;
   }
 }
 
-TEST(Sweep, VariantConfigsHaveDistinctFingerprints) {
-  // t1 == -1 must be THE default config (so existing caches keep working);
-  // each forced threshold is a distinct cache key.
-  EXPECT_EQ(config_fingerprint(sweep::variant_config(-1)),
-            config_fingerprint(SimConfig{}));
-  std::set<uint64_t> fps;
-  for (int t1 : {-1, 0, 4, 6, 8, 22})
-    fps.insert(config_fingerprint(sweep::variant_config(t1)));
-  EXPECT_EQ(fps.size(), 6u);
+TEST(Sweep, ConfigGridWithoutSetIsTheDefaultGrid) {
+  const auto designs = ExperimentRunner::paper_designs();
+  const auto plain = sweep::full_grid(workload_names(), designs);
+  const auto grid = sweep::config_grid({}, workload_names(), designs);
+  ASSERT_EQ(grid.size(), plain.size());
+  for (size_t i = 0; i < plain.size(); ++i) {
+    EXPECT_EQ(config_diff(grid[i].config), "");
+    EXPECT_EQ(grid[i].point, plain[i]);
+  }
 }
 
-TEST(Sweep, ParseT1List) {
-  EXPECT_EQ(sweep::parse_t1_list(""), (std::vector<int>{-1}));
-  EXPECT_EQ(sweep::parse_t1_list("4"), (std::vector<int>{4}));
-  EXPECT_EQ(sweep::parse_t1_list("4,6,8"), (std::vector<int>{4, 6, 8}));
-  for (const char* bad : {"x", "-1", "23", "4.5"})
-    EXPECT_THROW(sweep::parse_t1_list(bad), std::invalid_argument) << bad;
+TEST(Sweep, SetKeysRecordsByTheConfigFingerprint) {
+  const auto fp_of = [](const std::string& set) {
+    const auto grid = sweep::config_grid(axes_of({set}), {"a"}, {Design::kAvr});
+    return config_fingerprint(grid.at(0).config);
+  };
+  SimConfig t1;
+  t1.avr.t1_override = 6;
+  SimConfig bdi;
+  bdi.avr.enable_bdi_hybrid = true;
+  EXPECT_EQ(fp_of("avr.t1_override=6"), config_fingerprint(t1));
+  EXPECT_EQ(fp_of("avr.enable_bdi_hybrid=1"), config_fingerprint(bdi));
+  // Setting a knob to its default is the default config, not a new key.
+  EXPECT_EQ(fp_of("avr.enable_1d=1"), config_fingerprint(SimConfig{}));
+  EXPECT_EQ(fp_of("avr.t1_override=-1"), config_fingerprint(SimConfig{}));
 }
 
-TEST(Sweep, ParseMethodsList) {
-  using namespace sweep;
-  EXPECT_EQ(parse_methods_list(""), (std::vector<int>{kMethodsDefault}));
-  EXPECT_EQ(parse_methods_list("1d"), (std::vector<int>{kMethods1D}));
-  EXPECT_EQ(parse_methods_list("bdi"), (std::vector<int>{kMethodsBdi}));
-  // "avr" is shorthand for the paper's full lossy table (1d+2d).
-  EXPECT_EQ(parse_methods_list("avr"), (std::vector<int>{kMethods1D | kMethods2D}));
-  EXPECT_EQ(parse_methods_list("avr+bdi"),
-            (std::vector<int>{kMethods1D | kMethods2D | kMethodsBdi}));
-  EXPECT_EQ(parse_methods_list("1d,avr+bdi"),
-            (std::vector<int>{kMethods1D, kMethods1D | kMethods2D | kMethodsBdi}));
-  // Empty CSV fields are skipped (same lenience as --t1), but an empty
-  // '+'-joined token inside a selection is an error.
-  EXPECT_EQ(parse_methods_list("1d,,2d"),
-            (std::vector<int>{kMethods1D, kMethods2D}));
-  for (const char* bad : {"x", "1d+", "+bdi", "1d++bdi", "3d", "bdi "})
-    EXPECT_THROW(parse_methods_list(bad), std::invalid_argument) << bad;
+TEST(Sweep, ParseSetAxis) {
+  const auto axes = axes_of({"avr.t1_override=0,22", "core.freq_ghz=2.5"});
+  ASSERT_EQ(axes.size(), 2u);
+  EXPECT_STREQ(axes[0].knob->name, "avr.t1_override");
+  EXPECT_EQ(axes[0].values, (std::vector<uint64_t>{0, 22}));
+  EXPECT_STREQ(axes[1].knob->name, "core.freq_ghz");
+  ASSERT_EQ(axes[1].values.size(), 1u);
+  EXPECT_EQ(std::bit_cast<double>(axes[1].values[0]), 2.5);
 }
 
-TEST(Sweep, MethodSetName) {
-  using namespace sweep;
-  EXPECT_EQ(method_set_name(kMethodsDefault), "default");
-  EXPECT_EQ(method_set_name(kMethods1D), "1d");
-  EXPECT_EQ(method_set_name(kMethods1D | kMethods2D), "1d+2d");
-  EXPECT_EQ(method_set_name(kMethods1D | kMethods2D | kMethodsBdi), "1d+2d+bdi");
-}
-
-TEST(Sweep, MethodsGridIsMethodsMajorOutsideT1) {
-  using namespace sweep;
-  const int avr_bdi = kMethods1D | kMethods2D | kMethodsBdi;
-  const auto grid = full_variant_grid({4, 6}, {kMethodsDefault, avr_bdi}, {"a"},
-                                      {Design::kAvr});
-  ASSERT_EQ(grid.size(), 4u);
-  EXPECT_EQ(grid[0], (VariantPoint{4, {"a", Design::kAvr}, kMethodsDefault}));
-  EXPECT_EQ(grid[1], (VariantPoint{6, {"a", Design::kAvr}, kMethodsDefault}));
-  EXPECT_EQ(grid[2], (VariantPoint{4, {"a", Design::kAvr}, avr_bdi}));
-  EXPECT_EQ(grid[3], (VariantPoint{6, {"a", Design::kAvr}, avr_bdi}));
-
-  // The 3-arg overload is the {kMethodsDefault} slice of the 4-arg one.
-  const auto legacy = full_variant_grid({4, 6}, {"a"}, {Design::kAvr});
-  ASSERT_EQ(legacy.size(), 2u);
-  for (size_t i = 0; i < legacy.size(); ++i) EXPECT_EQ(legacy[i], grid[i]);
-}
-
-TEST(Sweep, MethodsVariantConfigFingerprints) {
-  using namespace sweep;
-  // Explicitly selecting the paper's method set must reproduce the default
-  // fingerprint bit-for-bit: "--methods avr" is not a new cache key.
-  EXPECT_EQ(config_fingerprint(variant_config(-1, kMethods1D | kMethods2D)),
-            config_fingerprint(SimConfig{}));
-  // Every other selection is its own key, and the BDI bit composes with --t1.
-  std::set<uint64_t> fps;
-  for (int m : {kMethodsDefault, kMethods1D, kMethods2D, kMethods1D | kMethods2D,
-                kMethods1D | kMethods2D | kMethodsBdi})
-    for (int t1 : {-1, 6}) fps.insert(config_fingerprint(variant_config(t1, m)));
-  // 5 masks x 2 thresholds, minus the two default==1d+2d collapses.
-  EXPECT_EQ(fps.size(), 8u);
-
-  const SimConfig bdi = variant_config(-1, kMethods1D | kMethods2D | kMethodsBdi);
-  EXPECT_TRUE(bdi.avr.enable_1d);
-  EXPECT_TRUE(bdi.avr.enable_2d);
-  EXPECT_TRUE(bdi.avr.enable_bdi_hybrid);
-  const SimConfig only_1d = variant_config(-1, kMethods1D);
-  EXPECT_TRUE(only_1d.avr.enable_1d);
-  EXPECT_FALSE(only_1d.avr.enable_2d);
-  EXPECT_FALSE(only_1d.avr.enable_bdi_hybrid);
+TEST(Sweep, BadSetArgumentsAreNamed) {
+  const auto expect_bad = [](const std::string& arg) {
+    std::vector<sweep::SetAxis> axes;
+    try {
+      sweep::add_set_axis(axes, arg);
+      ADD_FAILURE() << "accepted " << arg;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("bad --set value: " + arg), std::string::npos)
+          << e.what();
+    }
+    EXPECT_TRUE(axes.empty()) << arg;
+  };
+  // Malformed, unknown, or refused because config_for overwrites it.
+  for (const char* arg : {"avr.t1_override", "=4", "nosuch=1", "core=4", "AVR.x=1"})
+    expect_bad(arg);
+  for (const char* arg : {"llc.size_bytes=1024", "avr.t1_mantissa_msbit=6"})
+    expect_bad(arg);
+  // Every value is parsed strictly and range-checked.
+  for (const char* v : {"", "4,,6", "4,", "23", "-2", "4.5", " 4", "4 ", "six"})
+    expect_bad(std::string("avr.t1_override=") + v);
+  for (const char* v : {"0", "-1", "+4", "4294967296", "0x4"})
+    expect_bad(std::string("core.dispatch_width=") + v);
+  for (const char* v : {"2", "true", "-0"})
+    expect_bad(std::string("avr.enable_pfe=") + v);
+  for (const char* v : {"nan", "inf", "-1", "1e400"})
+    expect_bad(std::string("core.freq_ghz=") + v);
+  // One axis per knob.
+  std::vector<sweep::SetAxis> axes;
+  sweep::add_set_axis(axes, "avr.enable_pfe=0");
+  EXPECT_THROW(sweep::add_set_axis(axes, "avr.enable_pfe=1"), std::invalid_argument);
 }
 
 TEST(Sweep, DesignAndWorkloadListParsing) {
@@ -253,12 +238,13 @@ TEST(Sweep, T1VariantClaimWorkersCoexistInOneCache) {
           .string();
   std::remove(cache.c_str());
 
-  // Two --t1 variants of one cheap AVR point, split by two concurrent
-  // --claim workers appending to ONE cache file.
+  // Two avr.t1_override variants of one cheap AVR point, split by two
+  // concurrent --claim workers appending to ONE cache file.
+  const std::string axis = "avr.t1_override=4,6";
   std::vector<pid_t> pids;
   for (int i = 0; i < 2; ++i)
     pids.push_back(spawn_sweep({bin, "--claim", "--owner",
-                                "t1-w" + std::to_string(i), "--t1", "4,6",
+                                "t1-w" + std::to_string(i), "--set", axis,
                                 "--workloads", "bscholes", "--designs", "AVR",
                                 "--cache", cache, "--profile-out", "",
                                 "--jobs", "1", "--quiet"}));
@@ -267,12 +253,12 @@ TEST(Sweep, T1VariantClaimWorkersCoexistInOneCache) {
   // Each variant's record is keyed by its own config fingerprint, and both
   // match an in-process runner simulating under the same forced threshold.
   for (int t1 : {4, 6}) {
-    const auto records =
-        load_result_cache(cache, config_fingerprint(sweep::variant_config(t1)));
+    SimConfig cfg;
+    cfg.avr.t1_override = t1;
+    const auto records = load_result_cache(cache, config_fingerprint(cfg));
     ASSERT_EQ(records.size(), 1u) << "t1=" << t1;
     ASSERT_TRUE(records.count({"bscholes", Design::kAvr}));
-    ExperimentRunner runner(sweep::variant_config(t1), /*verbose=*/false,
-                            /*cache_path=*/"");
+    ExperimentRunner runner(cfg, /*verbose=*/false, /*cache_path=*/"");
     ExperimentResult got = records.at({"bscholes", Design::kAvr});
     ExperimentResult want = runner.run("bscholes", Design::kAvr);
     got.wall_seconds = 0;
@@ -297,7 +283,11 @@ TEST(Sweep, BadNumericFlagValueIsNamed) {
       {"--jobs", "abc"},
       {"--jobs", "-1"},
       {"--claim-lease", "99999999999999999999"},
-      {"--claim-lease", "0"}};
+      {"--claim-lease", "0"},
+      {"--set", "avr.t1_override=23"},
+      {"--set", "avr.t1_override=six"},
+      {"--set", "avr.nosuch=1"},
+      {"--set", "llc.size_bytes=1024"}};
   for (const auto& [flag, v] : cases) {
     // --list: even a wrongly accepted value must not start a sweep.
     const pid_t pid = spawn_sweep({bin, flag, v, "--list"}, err_path);

@@ -286,7 +286,7 @@ TEST(WorkStealing, ThreeClaimProcessesMatchSingleProcessSweep) {
     ASSERT_TRUE(in.good()) << sidecar;
     std::string text((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
-    EXPECT_NE(text.find("\"schema\":\"avr-profile-v1\""), std::string::npos);
+    EXPECT_NE(text.find("\"schema\":\"avr-profile-v2\""), std::string::npos);
     EXPECT_NE(text.find("\"mode\":\"claim\""), std::string::npos);
     // The sidecar records which kernel dispatch level produced the numbers.
     const std::string simd =
