@@ -131,6 +131,8 @@ std::string text(long double v) {
   return std::string(buf, res.ptr);
 }
 
+std::string range_text(const Knob& k) { return text(k.lo) + ".." + text(k.hi); }
+
 }  // namespace
 
 std::span<const Knob> config_table() { return kTable; }
@@ -160,8 +162,6 @@ void set_knob_word(SimConfig& c, const Knob& k, uint64_t word) {
 
 std::string knob_text(const Knob& k, uint64_t word) { return text(value(k, word)); }
 
-std::string knob_range(const Knob& k) { return text(k.lo) + ".." + text(k.hi); }
-
 uint64_t parse_knob_value(const Knob& k, std::string_view s) {
   const char* end = s.data() + s.size();
   uint64_t w = 0;
@@ -181,7 +181,7 @@ uint64_t parse_knob_value(const Knob& k, std::string_view s) {
     throw std::invalid_argument(std::string(k.name) + " wants " +
                                 (k.type == KnobType::kF64 ? "a number" : "an integer"));
   if (!in_range(k, w))
-    throw std::invalid_argument(std::string(k.name) + " must be in " + knob_range(k));
+    throw std::invalid_argument(std::string(k.name) + " must be in " + range_text(k));
   return w;
 }
 
@@ -200,7 +200,7 @@ void validate_config(const SimConfig& c) {
     const uint64_t w = knob_word(c, k);
     if (!in_range(k, w))
       throw std::invalid_argument("SimConfig: " + std::string(k.name) + " = " +
-                                  knob_text(k, w) + " is outside " + knob_range(k));
+                                  knob_text(k, w) + " is outside " + range_text(k));
   }
 }
 

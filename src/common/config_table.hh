@@ -38,7 +38,6 @@ size_t knob_size(KnobType type);
 uint64_t knob_word(const SimConfig& c, const Knob& k);
 void set_knob_word(SimConfig& c, const Knob& k, uint64_t word);
 std::string knob_text(const Knob& k, uint64_t word);
-std::string knob_range(const Knob& k);  // "lo..hi"
 
 /// Parses `text` strictly (the whole string; no sign on an unsigned knob)
 /// and range-checks it. Throws std::invalid_argument giving the reason.

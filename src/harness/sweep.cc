@@ -81,7 +81,7 @@ void add_set_axis(std::vector<SetAxis>& axes, const std::string& arg) {
   const std::string name = arg.substr(0, eq);
   SetAxis axis;
   axis.knob = find_knob(name);
-  if (!axis.knob) throw bad("no knob '" + name + "'; avr_sweep --help lists them");
+  if (!axis.knob) throw bad("no config knob named '" + name + "'");
   if (axis.knob->unsettable) throw bad(name + ": " + axis.knob->unsettable);
   for (const SetAxis& a : axes)
     if (a.knob == axis.knob) throw bad(name + " is already a --set axis");

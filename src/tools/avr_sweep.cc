@@ -14,7 +14,7 @@
 //   avr_sweep --check --cache merged.csv           assert full-grid coverage
 //   avr_sweep --assert-same other.csv --cache a.csv   compare two caches
 #include <algorithm>
-#include <charconv>
+#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -57,8 +57,9 @@ shared CSV cache. Exits nonzero if any point fails.
                      (default: all five)
   --set name=v[,v...]
                      config axis: sweep config knob `name` (a SimConfig path
-                     such as avr.t1_override or avr.enable_bdi_hybrid; see
-                     the list below) over the given values. Repeatable: the
+                     such as avr.t1_override or avr.enable_bdi_hybrid, as
+                     listed in src/common/config_table.cc) over the given
+                     values, each range-checked. Repeatable: the
                      grid is the cross product of every --set, the first
                      outermost. Records carry each config's fingerprint, so
                      variants coexist in one cache file. Default: the
@@ -88,19 +89,6 @@ shared CSV cache. Exits nonzero if any point fails.
   --help             this text
 )";
 
-/// --help: the usage text, then every --set knob with its default and range.
-void print_help() {
-  std::fputs(kUsage, stdout);
-  std::printf("\n--set knobs (default, valid range):\n");
-  const avr::SimConfig def;
-  for (const avr::Knob& k : avr::config_table()) {
-    const std::string text = avr::knob_text(k, avr::knob_word(def, k));
-    const std::string range = avr::knob_range(k);
-    const char* note = k.unsettable ? " (set per workload)" : "";
-    std::printf("  %-28s %-10s %s%s\n", k.name, text.c_str(), range.c_str(), note);
-  }
-}
-
 struct Options {
   bool claim = false;
   uint64_t claim_lease = 0;
@@ -124,10 +112,17 @@ struct Options {
 
 /// Strict integer value of `flag`: digits only, within [lo, hi]. Anything
 /// else (junk, a sign, overflow) throws "bad <flag> value: <v>".
-uint64_t parse_uint(const std::string& v, const char* flag, uint64_t lo, uint64_t hi) {
+uint64_t parse_uint(const std::string& v, const char* flag, uint64_t lo,
+                    uint64_t hi) {
+  size_t pos = 0;
   uint64_t n = 0;
-  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
-  if (v.empty() || ec != std::errc() || end != v.data() + v.size() || n < lo || n > hi)
+  try {
+    if (!v.empty() && std::isdigit(static_cast<unsigned char>(v[0])))
+      n = std::stoull(v, &pos);
+  } catch (const std::exception&) {
+    pos = 0;
+  }
+  if (pos == 0 || pos != v.size() || n < lo || n > hi)
     throw std::invalid_argument(std::string("bad ") + flag + " value: " + v);
   return n;
 }
@@ -183,7 +178,7 @@ Options parse_args(int argc, char** argv) {
     } else if (a == "--quiet") {
       o.quiet = true;
     } else if (a == "--help" || a == "-h") {
-      print_help();
+      std::fputs(kUsage, stdout);
       std::exit(0);
     } else {
       throw std::invalid_argument("unknown flag: " + a);
@@ -384,12 +379,18 @@ int main(int argc, char** argv) {
     runners.push_back(std::move(runner));
   }
 
-  const std::string mode = o.claim ? "claim mode (owner " + o.owner + "): " : "";
-  std::fprintf(stderr,
-               "[sweep] %s%zu grid points (%zu cached, %zu variant(s)), %u jobs, "
-               "cache=%s\n",
-               mode.c_str(), grid.size(), warm, groups.size(), o.jobs,
-               o.cache_path.empty() ? "<disabled>" : o.cache_path.c_str());
+  if (o.claim)
+    std::fprintf(stderr,
+                 "[sweep] claim mode (owner %s): %zu grid points (%zu cached, "
+                 "%zu variant(s)), %u jobs, cache=%s\n",
+                 o.owner.c_str(), grid.size(), warm, groups.size(), o.jobs,
+                 o.cache_path.c_str());
+  else
+    std::fprintf(stderr,
+                 "[sweep] %zu grid points (%zu cached, %zu variant(s)), %u "
+                 "jobs, cache=%s\n",
+                 grid.size(), warm, groups.size(), o.jobs,
+                 o.cache_path.empty() ? "<disabled>" : o.cache_path.c_str());
 
   const auto t0 = std::chrono::steady_clock::now();
   size_t write_failures = 0;
