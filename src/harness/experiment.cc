@@ -188,7 +188,9 @@ double ExperimentRunner::cost_estimate(const std::string& wl, Design d) {
   } catch (const std::exception&) {
     // Unknown workload: keep the default; run() will surface the error.
   }
-  // Replayed workloads declare their access count up front, and their cost
+  // Replayed workloads declare their access count up front (counted once,
+  // when the per-process trace memo parses the file, so an estimate per
+  // design neither re-reads the trace nor walks its records), and their cost
   // scales with records, not footprint: ~2e6 replayed accesses per second
   // on the baseline design (measured on the bundled data/traces/ set after
   // the PR-5 fast path; dominated by per-point System construction for
@@ -305,9 +307,19 @@ std::vector<ExperimentResult> ExperimentRunner::run_points(
   std::iota(order.begin(), order.end(), 0);
   std::vector<double> est(points.size());
   std::vector<char> warm(points.size());
-  for (size_t i = 0; i < points.size(); ++i) {
-    est[i] = cost_estimate(points[i].first, points[i].second);
-    warm[i] = cached(points[i].first, points[i].second) ? 1 : 0;
+  {
+    // The estimates run before the pool starts: timed as setup.
+    prof::Totals prelude;
+    {
+      prof::ScopedSink sink(&prelude);
+      AVR_PROF_SCOPE(prof::Phase::kSetup);
+      for (size_t i = 0; i < points.size(); ++i) {
+        est[i] = cost_estimate(points[i].first, points[i].second);
+        warm[i] = cached(points[i].first, points[i].second) ? 1 : 0;
+      }
+    }
+    std::lock_guard<std::mutex> lk(mu_);
+    prof_totals_.merge(prelude);
   }
   std::stable_sort(order.begin(), order.end(),
                    [&](size_t a, size_t b) { return est[a] > est[b]; });

@@ -3,9 +3,11 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -533,12 +535,104 @@ std::map<ResultKey, ClaimRecord> load_claims(
   return out;
 }
 
+namespace {
+
+// Bytes read per pread while scanning a cache file for claims.
+constexpr size_t kScanChunkBytes = 64 * 1024;
+
+// What one line contributes to its point's claim state; false for lines
+// that are neither a result nor a claim.
+bool line_delta(const std::string& line,
+                std::tuple<std::string, Design, uint64_t>* key,
+                ClaimScanCursor::PointState* delta) {
+  ExperimentResult r;
+  ClaimRecord c;
+  switch (classify_cache_line(line, &r, &c)) {
+    case CacheLineKind::kResult:
+      *key = {std::move(r.workload), r.design, r.config_hash};
+      delta->done = true;
+      return true;
+    case CacheLineKind::kClaim:
+      *key = {c.workload, c.design, c.config_hash};
+      delta->governing = std::move(c);
+      return true;
+    default:
+      return false;
+  }
+}
+
+// Later lines add to earlier ones: any result marks the point done, and
+// the later claim governs.
+void merge(ClaimScanCursor::PointState& into, const ClaimScanCursor::PointState& later) {
+  into.done = into.done || later.done;
+  if (later.governing) into.governing = later.governing;
+}
+
+}  // namespace
+
+bool ClaimScanCursor::scan(int fd) {
+  struct stat st;
+  if (::fstat(fd, &st) != 0) return false;
+  const uint64_t size = static_cast<uint64_t>(st.st_size);
+  if (st.st_dev != dev_ || st.st_ino != ino_ || size < offset_) {
+    dev_ = st.st_dev;
+    ino_ = st.st_ino;
+    offset_ = 0;
+    points_.clear();
+  }
+  tail_.reset();
+  std::string chunk(kScanChunkBytes, '\0');
+  std::string line;  // bytes since the last '\n' read
+  for (uint64_t pos = offset_; pos < size;) {
+    const ssize_t n = ::pread(fd, chunk.data(),
+                              std::min<uint64_t>(chunk.size(), size - pos),
+                              static_cast<off_t>(pos));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) return false;
+    if (n == 0) break;
+    pos += static_cast<uint64_t>(n);
+    const char* p = chunk.data();
+    const char* const end = p + n;
+    while (const char* nl = static_cast<const char*>(std::memchr(p, '\n', end - p))) {
+      line.append(p, nl);
+      Key key;
+      PointState delta;
+      if (line_delta(line, &key, &delta)) merge(points_[key], delta);
+      offset_ += line.size() + 1;
+      line.clear();
+      p = nl + 1;
+    }
+    line.append(p, end);
+  }
+  if (!line.empty()) {
+    Key key;
+    PointState delta;
+    if (line_delta(line, &key, &delta)) tail_.emplace(std::move(key), std::move(delta));
+  }
+  return true;
+}
+
+ClaimScanCursor::PointState ClaimScanCursor::state(const std::string& workload,
+                                                   Design design,
+                                                   uint64_t config_hash) const {
+  const Key key{workload, design, config_hash};
+  PointState st;
+  if (auto it = points_.find(key); it != points_.end()) st = it->second;
+  if (tail_ && tail_->first == key) merge(st, tail_->second);
+  return st;
+}
+
 ClaimOutcome try_claim_point(const std::string& path, const ClaimRecord& want,
-                             uint64_t now) {
+                             uint64_t now, ClaimScanCursor* cursor) {
   AVR_PROF_SCOPE(prof::Phase::kCacheIo);
+  ClaimScanCursor whole_file;
+  ClaimScanCursor& cur = cursor ? *cursor : whole_file;
   // Read-modify-append under the same exclusive flock the writers use: no
   // other process can append a result or claim between our scan and our
-  // claim line, so exactly one owner wins a fresh claim on a point.
+  // claim line, so exactly one owner wins a fresh claim on a point. The
+  // cursor's mutex is taken first and released last, so it covers the
+  // whole flock hold.
+  std::lock_guard<std::mutex> guard(cur.mutex());
   FileLock lock =
       FileLock::acquire_with_retry(path, O_RDWR | O_CREAT | O_APPEND);
   if (!lock.ok()) {
@@ -546,38 +640,12 @@ ClaimOutcome try_claim_point(const std::string& path, const ClaimRecord& want,
                  lock.error_detail().c_str());
     return ClaimOutcome::kError;
   }
-
-  bool done = false;
-  bool have_claim = false;
-  ClaimRecord governing;
-  {
-    std::ifstream in(path);
-    if (!in) return ClaimOutcome::kError;
-    std::string line;
-    while (std::getline(in, line)) {
-      ExperimentResult r;
-      ClaimRecord c;
-      switch (classify_cache_line(line, &r, &c)) {
-        case CacheLineKind::kResult:
-          if (r.workload == want.workload && r.design == want.design &&
-              r.config_hash == want.config_hash)
-            done = true;
-          break;
-        case CacheLineKind::kClaim:
-          if (c.workload == want.workload && c.design == want.design &&
-              c.config_hash == want.config_hash) {
-            governing = std::move(c);  // last claim in file order governs
-            have_claim = true;
-          }
-          break;
-        default:
-          break;
-      }
-    }
-  }
-  if (done) return ClaimOutcome::kDone;
-  if (have_claim && !governing.expired(now)) {
-    if (governing.owner == want.owner) return ClaimOutcome::kClaimed;
+  if (!cur.scan(lock.fd())) return ClaimOutcome::kError;
+  const ClaimScanCursor::PointState st =
+      cur.state(want.workload, want.design, want.config_hash);
+  if (st.done) return ClaimOutcome::kDone;
+  if (st.governing && !st.governing->expired(now)) {
+    if (st.governing->owner == want.owner) return ClaimOutcome::kClaimed;
     prof::count(prof::Counter::kClaimsLost);
     return ClaimOutcome::kBusy;
   }
@@ -596,7 +664,7 @@ ClaimOutcome try_claim_point(const std::string& path, const ClaimRecord& want,
   if (!append_line_locked(lock, encode_claim_line(stake) + '\n', std::nullopt))
     return ClaimOutcome::kError;
   if (fk == fault::Kind::kKill) fault::kill_now(fault::Site::kClaimStake);
-  const bool reclaimed = have_claim && governing.owner != want.owner;
+  const bool reclaimed = st.governing && st.governing->owner != want.owner;
   prof::count(reclaimed ? prof::Counter::kClaimsReclaimed
                         : prof::Counter::kClaimsWon);
   return reclaimed ? ClaimOutcome::kReclaimed : ClaimOutcome::kClaimed;

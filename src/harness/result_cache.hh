@@ -49,7 +49,9 @@
 //     write are retried with bounded exponential backoff (common/
 //     backoff.hh) before the writer degrades to in-memory-only results;
 //   - claim staking (try_claim_point) is read-modify-append under the same
-//     flock, so two workers can never both win a fresh claim on one point;
+//     flock, so two workers can never both win a fresh claim on one point.
+//     A ClaimScanCursor lets the read part classify only the lines appended
+//     since the process's previous claim;
 //   - readers take no lock: load_result_cache() *quarantines* corrupt,
 //     truncated or checksum-failing lines — each skipped with a one-line
 //     stderr reason (capped per load) — skips claims and foreign versions,
@@ -64,9 +66,13 @@
 // stake durably on disk), "lock.acquire" inside FileLock.
 #pragma once
 
+#include <sys/types.h>
+
 #include <map>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "harness/experiment.hh"
@@ -168,8 +174,51 @@ std::map<ResultKey, ClaimRecord> load_claims(
     const std::string& path,
     std::optional<uint64_t> config_filter = std::nullopt);
 
+/// What try_claim_point has learned from one cache file so far: the byte
+/// offset just past the last complete line it classified, and per point the
+/// `done` flag and governing claim those lines add up to. Each scan then
+/// classifies only the bytes appended since, so a sweep reads its cache
+/// once instead of once per claim. One cursor per process and cache file;
+/// try_claim_point holds mutex() for as long as it holds the flock.
+class ClaimScanCursor {
+ public:
+  /// A point as a full scan of the file sees it.
+  struct PointState {
+    bool done = false;                     // some result exists
+    std::optional<ClaimRecord> governing;  // the last claim in file order
+  };
+
+  /// Brings the cursor up to date with the cache file open on `fd`, whose
+  /// flock the caller holds. A different file (device or inode changed —
+  /// `--fsck --repair` renames a rewrite into place) or one shorter than
+  /// the offset is rescanned from byte 0; otherwise only the bytes after
+  /// the offset are read. Complete lines are committed; an unterminated
+  /// tail is classified on every scan but never committed, so a torn line
+  /// later completed by an append counts as the full line it becomes.
+  /// False on a read error (the committed state stays consistent).
+  bool scan(int fd);
+
+  /// The point's state as of the last scan: exactly what a getline pass
+  /// over the whole file would conclude, the unterminated tail included.
+  PointState state(const std::string& workload, Design design,
+                   uint64_t config_hash) const;
+
+  std::mutex& mutex() { return mu_; }
+
+ private:
+  using Key = std::tuple<std::string, Design, uint64_t>;
+
+  std::mutex mu_;
+  dev_t dev_ = 0;
+  ino_t ino_ = 0;  // 0 until the first scan: no file has inode 0
+  uint64_t offset_ = 0;  // just past the last committed '\n'
+  std::map<Key, PointState> points_;
+  std::optional<std::pair<Key, PointState>> tail_;  // unterminated last line
+};
+
 /// Atomically stakes a claim for (want.workload, want.design) under
-/// want.config_hash: holding the cache flock, re-reads the file and
+/// want.config_hash: holding the cache flock, brings `cursor` up to date
+/// with the file (no cursor: scans the whole file) and
 ///   - returns kDone if a result for the point already exists,
 ///   - returns kBusy if another owner's claim is live at wall-clock second
 ///     `now` (a live claim by want.owner itself returns kClaimed without
@@ -180,6 +229,6 @@ std::map<ResultKey, ClaimRecord> load_claims(
 /// the bounded lock-acquire retries; callers back off and retry, then
 /// degrade to uncoordinated simulation (sweep.cc) rather than abort.
 ClaimOutcome try_claim_point(const std::string& path, const ClaimRecord& want,
-                             uint64_t now);
+                             uint64_t now, ClaimScanCursor* cursor = nullptr);
 
 }  // namespace avr

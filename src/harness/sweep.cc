@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cctype>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <ctime>
 #include <mutex>
@@ -148,17 +149,23 @@ StealOutcome run_work_stealing(
   // Resolve each point's runner, cost and lease once up front; workers then
   // scan in descending-cost order, which is exactly the longest-first
   // schedule run_points uses — but now across processes: whichever process
-  // gets there first claims the expensive tail.
+  // gets there first claims the expensive tail. This prelude runs before
+  // any worker starts, so it is timed as setup in the scheduler's totals.
+  StealOutcome outcome;
   const size_t n = grid.size();
   std::vector<ExperimentRunner*> runner(n);
   std::vector<double> cost(n);
   std::vector<uint64_t> lease(n);
-  for (size_t i = 0; i < n; ++i) {
-    runner[i] = &runner_for(grid[i]);
-    cost[i] = runner[i]->cost_estimate(grid[i].point.first, grid[i].point.second);
-    lease[i] = opts.lease_seconds
-                   ? opts.lease_seconds
-                   : static_cast<uint64_t>(std::max(30.0, 20.0 * cost[i]));
+  {
+    prof::ScopedSink sink(&outcome.sched);
+    AVR_PROF_SCOPE(prof::Phase::kSetup);
+    for (size_t i = 0; i < n; ++i) {
+      runner[i] = &runner_for(grid[i]);
+      cost[i] = runner[i]->cost_estimate(grid[i].point.first, grid[i].point.second);
+      lease[i] = opts.lease_seconds
+                     ? opts.lease_seconds
+                     : static_cast<uint64_t>(std::max(30.0, 20.0 * cost[i]));
+    }
   }
   std::vector<size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
@@ -171,10 +178,20 @@ StealOutcome run_work_stealing(
   // *processes* off it.
   std::vector<std::atomic<int>> state(n);
   std::atomic<size_t> open_count{n};
-
-  StealOutcome outcome;
-  std::mutex stats_mu;
   std::atomic<bool> failed{false};
+  // A worker with nothing to claim waits on idle_cv for the poll interval,
+  // or until the sweep ends: the last point done or one failed. Both are
+  // changed under idle_mu so the end cannot slip past a worker about to wait.
+  std::mutex idle_mu;
+  std::condition_variable idle_cv;
+  auto finish_point = [&](size_t k) {
+    state[k].store(2);
+    std::lock_guard<std::mutex> lk(idle_mu);
+    if (open_count.fetch_sub(1) == 1) idle_cv.notify_all();
+  };
+
+  ClaimScanCursor cursor;  // shared by the workers: the cache is read once
+  std::mutex stats_mu;
   std::atomic<bool> warned_degraded{false};
   std::exception_ptr first_error;
 
@@ -204,14 +221,14 @@ StealOutcome run_work_stealing(
         // out transient lock contention internally, so kError here means
         // the cache kept failing — back off and re-try a bounded number of
         // times before giving up on coordination for this point.
-        ClaimOutcome got = try_claim_point(cache_path, want, now());
+        ClaimOutcome got = try_claim_point(cache_path, want, now(), &cursor);
         for (int attempt = 1;
              got == ClaimOutcome::kError && attempt < kIoRetryAttempts;
              ++attempt) {
           backoff_sleep(attempt - 1,
                         static_cast<uint64_t>(k) ^
                             (static_cast<uint64_t>(attempt) << 24));
-          got = try_claim_point(cache_path, want, now());
+          got = try_claim_point(cache_path, want, now(), &cursor);
         }
         if (got == ClaimOutcome::kError) {
           // Degrade, don't abort: simulate without a claim. Another process
@@ -241,20 +258,22 @@ StealOutcome run_work_stealing(
           try {
             (void)runner[k]->run(wl, d);
           } catch (...) {
-            failed.store(true, std::memory_order_relaxed);
+            {
+              std::lock_guard<std::mutex> lk(idle_mu);
+              failed.store(true, std::memory_order_relaxed);
+              idle_cv.notify_all();
+            }
             std::lock_guard<std::mutex> lk(stats_mu);
             if (!first_error) first_error = std::current_exception();
             break;
           }
-          state[k].store(2);
-          open_count.fetch_sub(1);
+          finish_point(k);
           progressed = true;
           std::lock_guard<std::mutex> lk(stats_mu);
           outcome.simulated++;
           if (got == ClaimOutcome::kReclaimed) outcome.reclaimed++;
         } else if (got == ClaimOutcome::kDone) {
-          state[k].store(2);
-          open_count.fetch_sub(1);
+          finish_point(k);
           progressed = true;
           std::lock_guard<std::mutex> lk(stats_mu);
           outcome.done_elsewhere++;
@@ -262,12 +281,14 @@ StealOutcome run_work_stealing(
           state[k].store(0);  // a live foreign claim — poll again later
         }
       }
-      // Every remaining point is claimed by a live foreign owner: wait for
-      // their results (or their leases) instead of hammering the flock.
-      if (!progressed && open_count.load(std::memory_order_relaxed) > 0 &&
-          !failed.load(std::memory_order_relaxed))
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(opts.poll_seconds));
+      // Every remaining point is claimed by a live foreign owner or being
+      // simulated by another thread here: wait for their results (or the
+      // foreign leases) instead of hammering the flock.
+      if (!progressed) {
+        std::unique_lock<std::mutex> lk(idle_mu);
+        idle_cv.wait_for(lk, std::chrono::duration<double>(opts.poll_seconds),
+                         [&] { return open_count.load() == 0 || failed.load(); });
+      }
     }
     std::lock_guard<std::mutex> lk(stats_mu);
     outcome.sched.merge(sched);

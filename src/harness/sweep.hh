@@ -87,8 +87,10 @@ struct StealOptions {
   /// live worker never loses a point it is still simulating, short enough
   /// that a killed worker's points come back within a minute.
   uint64_t lease_seconds = 0;
-  /// Sleep between rescans when every remaining point is claimed by a live
-  /// foreign owner (waiting for their results — or their leases — to land).
+  /// Wait between rescans when every remaining point is claimed by a live
+  /// foreign owner or simulating on another thread here (waiting for their
+  /// results — or the foreign leases — to land). The wait ends early once
+  /// every point is done or one has failed.
   double poll_seconds = 0.5;
 };
 

@@ -22,7 +22,16 @@ std::unique_ptr<Workload> make_trace_workload(std::string name, trace::Trace t);
 /// validates the file EAGERLY, so a missing/corrupt trace fails here — at
 /// make_workload time, i.e. at `avr_sweep --list`/startup — with a
 /// diagnosable std::invalid_argument, never mid-sweep at replay time.
+/// The parsed trace is memoised per process, keyed by the path and the
+/// file's (device, inode, size, mtime): later calls on an unchanged file
+/// share it instead of re-reading, and a changed file is parsed afresh.
+/// A file rewritten in place with the same size within one mtime tick is
+/// not noticed. Thread-safe.
 std::unique_ptr<Workload> make_trace_workload_from_spec(const std::string& name);
+
+/// How many times this process has read and validated a trace file for
+/// make_trace_workload_from_spec (memo misses). For tests.
+uint64_t trace_file_parses();
 
 /// True iff `name` is a trace sweep-point spec ("trace:<path>").
 bool is_trace_workload_name(const std::string& name);

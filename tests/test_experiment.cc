@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -11,6 +12,9 @@
 #include <optional>
 
 #include "harness/result_cache.hh"
+#include "harness/sweep.hh"
+#include "trace/trace_format.hh"
+#include "trace/trace_gen.hh"
 #include "workloads/workload_registry.hh"
 
 namespace avr {
@@ -193,6 +197,69 @@ TEST(ExperimentRunner, ProfileCountsOneCacheHitPerWarmPoint) {
     EXPECT_EQ(t.count(prof::Counter::kPointsSimulated), 0u);
     EXPECT_EQ(t.count(prof::Counter::kCacheHits), points.size());
   }
+  std::remove(path.c_str());
+}
+
+TEST(ExperimentRunner, SchedulerPreludeIsTimedAsSetup) {
+  // Both schedulers estimate every point's cost before any worker starts;
+  // that prelude is setup time of the scheduler, not of any point.
+  const std::vector<std::pair<std::string, Design>> points = {
+      {"bscholes", Design::kBaseline}};
+  const std::string path = std::filesystem::temp_directory_path() /
+                           "avr_test_sched_prelude.csv";
+  std::remove(path.c_str());
+  {
+    // Claim mode: the sidecar's aggregate starts from StealOutcome::sched,
+    // which sees no point's sink.
+    ExperimentRunner r({}, false, path);
+    const auto grid = sweep::config_grid({}, {"bscholes"}, {Design::kBaseline});
+    const sweep::StealOutcome out = sweep::run_work_stealing(
+        grid, [&](const sweep::VariantPoint&) -> ExperimentRunner& { return r; },
+        path, {}, 1);
+    EXPECT_EQ(out.simulated, 1u);
+    EXPECT_EQ(out.sched.phase_calls(prof::Phase::kSetup), AVR_PROFILE ? 1u : 0u);
+  }
+  {
+    // run_points: one setup call more than the points' own.
+    ExperimentRunner r({}, false, "");
+    r.run_points(points, 1);
+    uint64_t point_calls = 0;
+    for (const prof::PointProfile& p : r.profile_points())
+      point_calls += p.totals.phase_calls(prof::Phase::kSetup);
+    EXPECT_EQ(r.profile_totals().phase_calls(prof::Phase::kSetup),
+              point_calls + (AVR_PROFILE ? 1u : 0u));
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ExperimentRunner, IdleClaimWorkerStopsWaitingWhenTheSweepEnds) {
+  // Two workers, a kernel point and a tiny trace point: the worker done
+  // with the trace finds the kernel reserved by the other and waits for the
+  // poll interval — and must stop waiting once that point lands, not sleep
+  // the interval out.
+  const auto dir = std::filesystem::temp_directory_path();
+  const std::string path = dir / "avr_test_idle_worker.csv";
+  const std::string tiny = dir / "avr_test_idle_worker.trace";
+  std::remove(path.c_str());
+  trace::GenParams p;
+  p.records = 64;
+  p.regions = 1;
+  p.region_bytes = 4096;
+  std::string err;
+  ASSERT_TRUE(trace::write_trace_file(tiny, trace::make_chase_trace(p), &err)) << err;
+  ExperimentRunner r({}, false, path);
+  sweep::StealOptions opts;
+  opts.poll_seconds = 120;
+  const auto t0 = std::chrono::steady_clock::now();
+  const sweep::StealOutcome out = sweep::run_work_stealing(
+      sweep::config_grid({}, {"bscholes", "trace:" + tiny}, {Design::kAvr}),
+      [&](const sweep::VariantPoint&) -> ExperimentRunner& { return r; }, path,
+      opts, 2);
+  const double secs =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  EXPECT_EQ(out.simulated, 2u);
+  EXPECT_LT(secs, 100.0);
+  std::remove(tiny.c_str());
   std::remove(path.c_str());
 }
 

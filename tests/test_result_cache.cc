@@ -1,9 +1,11 @@
 // Result-cache format and writer-safety tests: encode/decode round-trips
-// bit-exactly, loads tolerate corrupt/truncated/duplicate lines, and
-// concurrent writer *processes* (fork) never tear records.
+// bit-exactly, loads tolerate corrupt/truncated/duplicate lines, concurrent
+// writer *processes* (fork) never tear records, and the incremental claim
+// scan agrees with a full scan after every kind of append.
 #include "harness/result_cache.hh"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -11,8 +13,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <random>
 #include <string>
+#include <tuple>
 #include <vector>
+
+#include "common/file_lock.hh"
+#include "harness/fsck.hh"
 
 namespace avr {
 namespace {
@@ -230,6 +238,209 @@ TEST(ResultCache, ConcurrentForkedWritersProduceLoadableCache) {
                                       Design::kAvr, static_cast<uint64_t>(k));
       expect_equal(cache.at({want.workload, want.design}), want);
     }
+  std::remove(path.c_str());
+}
+
+// ---- the incremental claim scan ---------------------------------------------
+
+using PointKey = std::tuple<std::string, Design, uint64_t>;
+
+/// The reference verdict: a getline pass over the whole file, as
+/// try_claim_point did before it kept a cursor.
+std::map<PointKey, ClaimScanCursor::PointState> full_scan(const std::string& path) {
+  std::map<PointKey, ClaimScanCursor::PointState> out;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    ExperimentResult r;
+    ClaimRecord c;
+    switch (classify_cache_line(line, &r, &c)) {
+      case CacheLineKind::kResult:
+        out[{r.workload, r.design, r.config_hash}].done = true;
+        break;
+      case CacheLineKind::kClaim:
+        out[{c.workload, c.design, c.config_hash}].governing = c;
+        break;
+      default:
+        break;
+    }
+  }
+  return out;
+}
+
+/// Runs `fn` in a forked child: the appends a cursor must pick up come from
+/// other processes.
+void in_child(const std::function<void()>& fn) {
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    fn();
+    _exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+}
+
+/// Appends raw bytes under the cache flock; `fresh_line` first terminates an
+/// unterminated tail, as the cache's own writers do.
+void append_raw(const std::string& path, std::string bytes, bool fresh_line) {
+  FileLock lock(path, O_RDWR | O_CREAT | O_APPEND);
+  if (!lock.ok()) _exit(3);
+  struct stat st;
+  if (::fstat(lock.fd(), &st) != 0) _exit(4);
+  char last = '\n';
+  if (fresh_line && st.st_size > 0 &&
+      ::pread(lock.fd(), &last, 1, st.st_size - 1) == 1 && last != '\n')
+    bytes.insert(bytes.begin(), '\n');
+  if (::write(lock.fd(), bytes.data(), bytes.size()) !=
+      static_cast<ssize_t>(bytes.size()))
+    _exit(5);
+}
+
+std::string describe(const ClaimScanCursor::PointState& st) {
+  return std::string(st.done ? "done" : "open") + " / " +
+         (st.governing ? encode_claim_line(*st.governing) : "no claim");
+}
+
+TEST(ClaimScanCursor, MatchesAFullScanAfterEveryAppend) {
+  const std::string path = temp_path("cursor");
+  std::remove(path.c_str());
+  std::mt19937_64 rng(20261017);
+  auto pick = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
+
+  const std::vector<std::string> workloads = {"kmeans", "heat", "trace:t.trace"};
+  const std::vector<Design> designs = {Design::kBaseline, Design::kAvr};
+  const std::vector<uint64_t> hashes = {7, 8};
+  const std::vector<std::string> owners = {"A", "B", "C"};
+  std::vector<PointKey> keys;
+  for (const auto& w : workloads)
+    for (Design d : designs)
+      for (uint64_t h : hashes) keys.emplace_back(w, d, h);
+  auto random_result = [&] {
+    const auto& [w, d, h] = keys[pick(keys.size())];
+    ExperimentResult r = sample_result(w, d, rng() % 1000);
+    r.config_hash = h;
+    return r;
+  };
+  auto random_claim = [&] {
+    const auto& [w, d, h] = keys[pick(keys.size())];
+    ClaimRecord c;
+    c.workload = w;
+    c.design = d;
+    c.config_hash = h;
+    c.owner = owners[pick(owners.size())];
+    c.claimed_at = 100 + rng() % 100;
+    c.lease_seconds = 30;
+    return c;
+  };
+  auto random_line = [&] {
+    return pick(2) ? encode_result_line(random_result())
+                   : encode_claim_line(random_claim());
+  };
+
+  ClaimScanCursor cursor;
+  std::string torn_rest;  // the rest of a torn tail, if the file ends in one
+  std::vector<size_t> counts(11, 0);
+  for (int step = 0; step < 400; ++step) {
+    const size_t kind = pick(counts.size());
+    // Each kind but 7 appends its own line, ending any torn tail.
+    if (kind != 7) torn_rest.clear();
+    switch (kind) {
+      case 0: {  // a result, by the cache's own writer
+        const ExperimentResult r = random_result();
+        in_child([&] { _exit(append_result_line(path, r) ? 0 : 2); });
+        break;
+      }
+      case 1: {  // a stake through try_claim_point (no cursor)
+        const ClaimRecord c = random_claim();
+        in_child([&] { (void)try_claim_point(path, c, c.claimed_at); });
+        break;
+      }
+      case 2: {  // a foreign-version line: an old record or a future format
+        const std::string line =
+            pick(2) ? "4,claim#,heat,0,9,x,1,2,end#" : "6,L3,C00000000,new,end#";
+        in_child([&] { append_raw(path, line + "\n", true); });
+        break;
+      }
+      case 3: {  // a corrupt line: one payload byte flipped
+        std::string line = random_line();
+        line[line.size() - 6] ^= 0x01;
+        in_child([&] { append_raw(path, line + "\n", true); });
+        break;
+      }
+      case 4: {  // a torn tail: a record cut short, no newline
+        const std::string line = random_line();
+        const size_t cut = 1 + pick(line.size() - 1);
+        in_child([&] { append_raw(path, line.substr(0, cut), true); });
+        torn_rest = line.substr(cut) + "\n";
+        break;
+      }
+      case 5: {  // a whole record whose newline was lost
+        const std::string line = random_line();
+        in_child([&] { append_raw(path, line, true); });
+        break;
+      }
+      case 6: {  // --fsck --repair: a clean rewrite renamed into place
+        if (!std::filesystem::exists(path)) break;
+        std::string err;
+        ASSERT_TRUE(repair_cache(path, 100 + rng() % 100, &err)) << err;
+        break;
+      }
+      case 7:  // the torn tail's writer finishes it, newline and all
+        if (!torn_rest.empty()) in_child([&] { append_raw(path, torn_rest, false); });
+        torn_rest.clear();
+        break;
+      case 8: {  // a longer rewrite renamed into place: only the inode says so
+        const uintmax_t old_size =
+            std::filesystem::exists(path) ? std::filesystem::file_size(path) : 0;
+        std::string bytes;
+        while (bytes.size() <= old_size) bytes += random_line() + "\n";
+        const std::string tmp = path + ".tmp";
+        std::ofstream(tmp, std::ios::binary) << bytes;
+        ASSERT_EQ(std::rename(tmp.c_str(), path.c_str()), 0);
+        break;
+      }
+      case 9: {  // the file shrinks in place
+        if (!std::filesystem::exists(path)) break;
+        const auto size = std::filesystem::file_size(path);
+        std::filesystem::resize_file(path, size - std::min<uintmax_t>(size, pick(200)));
+        break;
+      }
+      case 10: {  // our own stake, through the cursor
+        const ClaimRecord want = random_claim();
+        const auto ref = full_scan(path)[{want.workload, want.design, want.config_hash}];
+        ClaimOutcome expect = ClaimOutcome::kClaimed;
+        if (ref.done)
+          expect = ClaimOutcome::kDone;
+        else if (ref.governing && !ref.governing->expired(want.claimed_at))
+          expect = ref.governing->owner == want.owner ? ClaimOutcome::kClaimed
+                                                      : ClaimOutcome::kBusy;
+        else if (ref.governing)
+          expect = ClaimOutcome::kReclaimed;
+        EXPECT_EQ(try_claim_point(path, want, want.claimed_at, &cursor), expect)
+            << "step " << step;
+        break;
+      }
+    }
+    ++counts[kind];
+
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CREAT, 0644);
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(cursor.scan(fd));
+    ClaimScanCursor fresh;
+    ASSERT_TRUE(fresh.scan(fd));
+    ::close(fd);
+    auto ref = full_scan(path);
+    for (const auto& [w, d, h] : keys) {
+      const std::string want = describe(ref[{w, d, h}]);
+      EXPECT_EQ(describe(cursor.state(w, d, h)), want)
+          << "step " << step << " (kind " << kind << "), " << w << " x "
+          << to_string(d) << " cfg " << h;
+      EXPECT_EQ(describe(fresh.state(w, d, h)), want) << "step " << step;
+    }
+  }
+  for (size_t k = 0; k < counts.size(); ++k) EXPECT_GT(counts[k], 0u) << k;
   std::remove(path.c_str());
 }
 

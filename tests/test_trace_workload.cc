@@ -1,15 +1,18 @@
 // Trace replay as a first-class sweep point: deterministic replay, pinned
 // golden digests for a bundled trace on every design, eager (startup-time)
-// rejection of bad workload names and trace specs, and cache integration.
+// rejection of bad workload names and trace specs, the per-process trace
+// memo, and cache integration.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "harness/experiment.hh"
@@ -129,7 +132,12 @@ class TraceGoldenDigest : public ::testing::TestWithParam<Design> {};
 
 TEST_P(TraceGoldenDigest, BundledZipfTraceIsPinned) {
   const Design d = GetParam();
-  auto wl = make_workload("trace:" + bundled("zipf.trace"));
+  // Replay a memo hit: the first load parses, the second shares its trace.
+  const std::string spec = "trace:" + bundled("zipf.trace");
+  (void)make_workload(spec);
+  const uint64_t parses = trace_file_parses();
+  auto wl = make_workload(spec);
+  EXPECT_EQ(trace_file_parses(), parses) << "an unchanged file was re-parsed";
   System sys(d, point_config(*wl));
   wl->run(sys);
   sys.finish();
@@ -193,6 +201,108 @@ TEST(TraceWorkloadErrors, ParseWorkloadListValidatesTraceSpecsEagerly) {
 TEST(TraceWorkloadErrors, DuplicateRegistrationThrows) {
   // "heat" is taken by the built-in kernel at static-init time.
   EXPECT_THROW(register_workload("heat", nullptr), std::logic_error);
+}
+
+// ---- the per-process trace memo ------------------------------------------
+
+/// Writes `t` to a fresh file under the test temp dir; returns its path.
+std::string write_temp_trace(const std::string& file, const trace::Trace& t) {
+  const std::string path = ::testing::TempDir() + file;
+  std::string err;
+  EXPECT_TRUE(trace::write_trace_file(path, t, &err)) << err;
+  return path;
+}
+
+trace::Trace chase_trace(uint64_t records, uint64_t seed) {
+  trace::GenParams p;
+  p.records = records;
+  p.regions = 2;
+  p.region_bytes = 16384;
+  p.seed = seed;
+  return trace::make_chase_trace(p);
+}
+
+TEST(TraceMemo, UnchangedFileIsParsedOnce) {
+  const std::string spec =
+      "trace:" + write_temp_trace("memo_once.trace", chase_trace(1000, 1));
+  const uint64_t before = trace_file_parses();
+  auto a = make_workload(spec);
+  auto b = make_workload(spec);
+  EXPECT_EQ(trace_file_parses(), before + 1);
+  EXPECT_EQ(a->access_estimate(), b->access_estimate());
+  EXPECT_EQ(b->access_estimate(), chase_trace(1000, 1).access_count());
+}
+
+TEST(TraceMemo, RewrittenFileIsReparsed) {
+  // write_trace_file lands by rename: the rewrite is a new inode of the
+  // same size, so only the inode tells the versions apart.
+  const trace::Trace first = chase_trace(1000, 1);
+  const std::string path = write_temp_trace("memo_rewrite.trace", first);
+  const std::string spec = "trace:" + path;
+  auto wl1 = make_workload(spec);
+  System s1(Design::kBaseline, point_config(*wl1), 1, /*timing=*/false);
+  wl1->run(s1);
+  const uint64_t before = trace_file_parses();
+
+  const trace::Trace second = chase_trace(1000, 2);
+  write_temp_trace("memo_rewrite.trace", second);
+  auto wl2 = make_workload(spec);
+  EXPECT_EQ(trace_file_parses(), before + 1);
+  System s2(Design::kBaseline, point_config(*wl2), 1, /*timing=*/false);
+  wl2->run(s2);
+  auto fresh = make_trace_workload("trace:mem", second);
+  System s3(Design::kBaseline, point_config(*fresh), 1, /*timing=*/false);
+  fresh->run(s3);
+  EXPECT_EQ(fnv1a(wl2->output(s2)), fnv1a(fresh->output(s3)))
+      << "the rewritten file's contents were not replayed";
+  EXPECT_NE(fnv1a(wl2->output(s2)), fnv1a(wl1->output(s1)));
+}
+
+TEST(TraceMemo, TruncatedFileThrowsNamingIt) {
+  const std::string path = write_temp_trace("memo_truncate.trace", chase_trace(1000, 3));
+  const std::string spec = "trace:" + path;
+  (void)make_workload(spec);
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 7);
+  for (int call = 0; call < 2; ++call) {  // a failure is never cached
+    try {
+      (void)make_workload(spec);
+      FAIL() << "a truncated trace must throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(TraceMemo, DeletedFileThrowsAsMissing) {
+  const std::string path = write_temp_trace("memo_delete.trace", chase_trace(1000, 4));
+  const std::string spec = "trace:" + path;
+  (void)make_workload(spec);
+  std::filesystem::remove(path);
+  try {
+    (void)make_workload(spec);
+    FAIL() << "a deleted trace must throw";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(spec), std::string::npos) << msg;
+    EXPECT_NE(msg.find("cannot open"), std::string::npos) << msg;
+  }
+}
+
+TEST(TraceMemo, ConcurrentLoadsOfOneFileAllSucceed) {
+  const trace::Trace t = chase_trace(4000, 5);
+  const std::string spec = "trace:" + write_temp_trace("memo_threads.trace", t);
+  constexpr int kThreads = 8;
+  std::vector<uint64_t> estimates(kThreads, 0);
+  std::vector<std::thread> pool;
+  for (int i = 0; i < kThreads; ++i)
+    pool.emplace_back([&, i] {
+      auto wl = make_workload(spec);
+      System sys(Design::kBaseline, point_config(*wl), 1, /*timing=*/false);
+      wl->run(sys);
+      estimates[i] = wl->access_estimate();
+    });
+  for (auto& th : pool) th.join();
+  for (int i = 0; i < kThreads; ++i) EXPECT_EQ(estimates[i], t.access_count()) << i;
 }
 
 // ---- sweep-point integration ----------------------------------------------
