@@ -34,6 +34,12 @@ std::array<float, kValuesPerBlock> make_block(int kind) {
       // sub-block average by only ~3%, below T1 for the neighbours.
       for (uint32_t i = 7; i < 256; i += 64) b[i] *= 1.5f;
       break;
+    case 3:  // dense outliers: a x1.25 spike in 3 of every 4 8-value groups,
+             // the outlier-in-most-groups shape of trace-driven sweeps
+      for (uint32_t i = 0; i < 256; ++i) b[i] = 50.0f + 0.05f * i;
+      for (uint32_t g = 0; g < 32; ++g)
+        if (g % 4 != 3) b[g * 8 + rng.below(8)] *= 1.25f;
+      break;
     default:  // incompressible
       for (auto& v : b) v = static_cast<float>(rng.uniform(-1e6, 1e6));
   }
@@ -219,12 +225,12 @@ void BM_KernelReconstruct2D(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelReconstruct2D)->Arg(0)->Arg(2);
 
-void BM_KernelErrorScan(benchmark::State& state) {
+/// The error scan of `block` against its 1D reconstruction, at the level
+/// state.range(0) pins.
+void run_error_scan(benchmark::State& state,
+                    const std::array<float, kValuesPerBlock>& block) {
   ScopedSimdLevel pin(state);
   if (!pin.ok()) return;
-  // The sparse-spike block: mostly fast-path groups plus a few outlier
-  // groups taking the per-group scalar fallback, like real traffic.
-  const auto block = make_block(1);
   std::array<float, kValuesPerBlock> biased;
   std::array<Fixed32, kValuesPerBlock> fixed, recon;
   const int8_t bias = choose_bias(block);
@@ -234,6 +240,19 @@ void BM_KernelErrorScan(benchmark::State& state) {
   const uint32_t limit = 1u << (kMantissaBits - AvrConfig{}.t1_mantissa_msbit);
   Bitmap256 map;
   std::array<uint32_t, kMaxBlockOutliers> bits;
+  {
+    // Time whole scans only: an over-budget block would abort early.
+    simd::ErrorScanState st;
+    st.bitmap_words = map.words().data();
+    st.outlier_bits = bits.data();
+    st.max_outliers = kMaxBlockOutliers;
+    if (!simd::kernels().error_scan_f32(
+            block.data(), reinterpret_cast<const int32_t*>(recon.data()),
+            kValuesPerBlock, bias, limit, &st)) {
+      state.SkipWithError("scan exceeds the outlier budget");
+      return;
+    }
+  }
   for (auto _ : state) {
     simd::ErrorScanState st;
     st.bitmap_words = map.words().data();
@@ -247,7 +266,19 @@ void BM_KernelErrorScan(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kBlockBytes);
 }
+
+void BM_KernelErrorScan(benchmark::State& state) {
+  // The sparse-spike block: mostly exact-or-near groups plus a few outlier
+  // groups.
+  run_error_scan(state, make_block(1));
+}
 BENCHMARK(BM_KernelErrorScan)->Arg(0)->Arg(2);
+
+void BM_KernelErrorScanDense(benchmark::State& state) {
+  // An outlier in most groups: the path the trace-driven sweeps take.
+  run_error_scan(state, make_block(3));
+}
+BENCHMARK(BM_KernelErrorScanDense)->Arg(0)->Arg(2);
 
 void BM_KernelTruncate(benchmark::State& state) {
   ScopedSimdLevel pin(state);

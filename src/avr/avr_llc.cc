@@ -26,6 +26,12 @@ AvrLlc::AvrLlc(const CacheConfig& cfg) : ways_(cfg.ways) {
   const uint64_t entries = cfg.size_bytes / kCachelineBytes;
   if (cfg.ways == 0 || entries % cfg.ways != 0)
     throw std::invalid_argument("LLC size/ways mismatch");
+  // TagEntry::cms_way holds a way in one byte.
+  if (cfg.ways > 256) throw std::invalid_argument("LLC ways > 256");
+  // A smaller cache could evict a compressed image's own entries while
+  // cms_insert is still placing it, and the recorded ways would go stale.
+  if (entries < kMaxCompressedLines)
+    throw std::invalid_argument("LLC smaller than one compressed image");
   const uint64_t sets = entries / cfg.ways;
   if (!std::has_single_bit(sets)) throw std::invalid_argument("sets not power of two");
   sets_ = static_cast<uint32_t>(sets);
@@ -115,7 +121,7 @@ void AvrLlc::evict_tag(uint32_t set, uint32_t way, std::vector<LlcVictim>& out) 
   }
   if (t.cms > 0) {
     out.push_back({LlcVictim::kCmsBlock, block, t.block_dirty});
-    remove_cms_entries(block, static_cast<uint32_t>(tag_index(block)), t.cms);
+    remove_cms_entries(tidx);
     t.cms = 0;
   }
   assert(t.ucl == 0);
@@ -171,29 +177,22 @@ void AvrLlc::release_entry(uint64_t set, uint32_t way, std::vector<LlcVictim>& o
   }
   // A CMS victim drags the entire compressed image out (Sec. 3.5).
   out.push_back({LlcVictim::kCmsBlock, block, t.block_dirty});
-  remove_cms_entries(block, static_cast<uint32_t>(tag_index(block)), t.cms);
+  remove_cms_entries(e.tag_idx);
   t.cms = 0;
   t.block_dirty = false;
   maybe_free_tag(e.tag_idx);
   ++counters_.cms_collateral_evictions;
 }
 
-void AvrLlc::remove_cms_entries(uint64_t block, uint32_t set0, uint32_t count) {
-  const TagEntry* t = find_tag(block);
-  assert(t);
-  const uint32_t tidx = static_cast<uint32_t>(t - tags_.data());
-  for (uint32_t i = 0; i < count; ++i) {
-    const uint64_t s = (set0 + i) & (sets_ - 1);
-    const uint64_t want = bpa_key(tidx, static_cast<uint8_t>(i), true);
-    BpaEntry* base = &bpa_[s * ways_];
-    for (uint32_t w = 0; w < ways_; ++w) {
-      BpaEntry& e = base[w];
-      if (bpa_match(e) == want) {
-        e.valid = false;
-        break;
-      }
-    }
-  }
+AvrLlc::BpaEntry& AvrLlc::cms_entry(uint32_t tag_idx, uint32_t i) {
+  const uint64_t s = (tag_idx / ways_ + i) & (sets_ - 1);
+  BpaEntry& e = bpa_[s * ways_ + tags_[tag_idx].cms_way[i]];
+  assert(bpa_match(e) == bpa_key(tag_idx, static_cast<uint8_t>(i), true));
+  return e;
+}
+
+void AvrLlc::remove_cms_entries(uint32_t tag_idx) {
+  for (uint32_t i = 0; i < tags_[tag_idx].cms; ++i) cms_entry(tag_idx, i).valid = false;
 }
 
 // ---- UCL public operations --------------------------------------------------
@@ -284,20 +283,8 @@ void AvrLlc::cms_touch(uint64_t block) {
 }
 
 void AvrLlc::cms_touch_entry(uint32_t tag_idx, TagEntry& t) {
-  const uint32_t tset = tag_idx / ways_;
   t.lru = ++lru_clock_;
-  for (uint32_t i = 0; i < t.cms; ++i) {
-    const uint64_t s = (tset + i) & (sets_ - 1);
-    const uint64_t want = bpa_key(tag_idx, static_cast<uint8_t>(i), true);
-    BpaEntry* base = &bpa_[s * ways_];
-    for (uint32_t w = 0; w < ways_; ++w) {
-      BpaEntry& e = base[w];
-      if (bpa_match(e) == want) {
-        e.lru = lru_clock_;
-        break;
-      }
-    }
-  }
+  for (uint32_t i = 0; i < t.cms; ++i) cms_entry(tag_idx, i).lru = lru_clock_;
 }
 
 void AvrLlc::cms_insert(uint64_t block, uint32_t count, bool dirty,
@@ -307,10 +294,12 @@ void AvrLlc::cms_insert(uint64_t block, uint32_t count, bool dirty,
   assert(!cms_present(block) && "remove the old image first");
   const uint32_t tidx = ensure_tag(block, out);
   const uint32_t tset = tidx / ways_;
+  uint8_t way[kMaxCompressedLines] = {};
   // Consecutive-set allocation starting at the tag index (Sec. 3.4).
   for (uint32_t i = 0; i < count; ++i) {
     const uint64_t s = (tset + i) & (sets_ - 1);
     const uint32_t w = make_room(s, out);
+    way[i] = static_cast<uint8_t>(w);
     BpaEntry& e = bpa_[s * ways_ + w];
     e.valid = true;
     e.dirty = dirty;
@@ -323,6 +312,7 @@ void AvrLlc::cms_insert(uint64_t block, uint32_t count, bool dirty,
   // last UCL while cms is still 0 makes maybe_free_tag clear it.
   TagEntry& t = revive_tag(tidx, block);
   t.cms = static_cast<uint8_t>(count);
+  std::memcpy(t.cms_way, way, count);
   t.block_dirty = dirty;
   t.lru = ++lru_clock_;
   counters_.cms_fills += count;
@@ -332,17 +322,18 @@ void AvrLlc::cms_remove(uint64_t block) {
   block = block_addr(block);
   TagEntry* t = find_tag(block);
   if (!t || t->cms == 0) return;
-  remove_cms_entries(block, static_cast<uint32_t>(tag_index(block)), t->cms);
+  const uint32_t tidx = static_cast<uint32_t>(t - tags_.data());
+  remove_cms_entries(tidx);
   t->cms = 0;
   t->block_dirty = false;
-  maybe_free_tag(static_cast<uint32_t>(t - tags_.data()));
+  maybe_free_tag(tidx);
 }
 
 // ---- block-level queries -----------------------------------------------------
 
-std::vector<uint64_t> AvrLlc::ucls_of_block(uint64_t block, bool dirty_only) const {
+uint16_t AvrLlc::ucls_of_block(uint64_t block, bool dirty_only) const {
   block = block_addr(block);
-  std::vector<uint64_t> out;
+  uint16_t out = 0;
   const TagEntry* t = find_tag(block);
   if (!t || t->ucl == 0) return out;
   const uint32_t tidx = static_cast<uint32_t>(t - tags_.data());
@@ -353,7 +344,8 @@ std::vector<uint64_t> AvrLlc::ucls_of_block(uint64_t block, bool dirty_only) con
     const BpaEntry* base = &bpa_[s * ways_];
     for (uint32_t w = 0; w < ways_; ++w) {
       const BpaEntry& e = base[w];
-      if (bpa_match(e) == want && (!dirty_only || e.dirty)) out.push_back(line);
+      if (bpa_match(e) == want && (!dirty_only || e.dirty))
+        out = static_cast<uint16_t>(out | (1u << cl));
     }
   }
   return out;

@@ -79,8 +79,9 @@ class AvrLlc {
   void cms_remove(uint64_t block);
 
   // ---- block-level queries -------------------------------------------------
-  /// Cacheline addresses of this block's UCLs currently in the LLC.
-  std::vector<uint64_t> ucls_of_block(uint64_t block, bool dirty_only) const;
+  /// Mask of this block's UCLs currently in the LLC (dirty ones only if
+  /// `dirty_only`): bit cl set = the line at CL offset cl is resident.
+  uint16_t ucls_of_block(uint64_t block, bool dirty_only) const;
 
   /// Every resident entry, for the end-of-run drain.
   std::vector<LlcVictim> all_resident() const;
@@ -99,12 +100,18 @@ class AvrLlc {
 
  private:
   // Both arrays are scanned way-by-way on every lookup, so the entries are
-  // packed tight (24 B tags, 16 B BPA entries: a 16-way scan stays inside a
+  // packed tight (32 B tags, 16 B BPA entries: a 16-way scan stays inside a
   // few cachelines) and keyed for single-compare scans: an invalid tag
   // stores a sentinel block_tag (no real block tag reaches 2^54), and the
   // BPA match fields are laid out so one masked 8-byte load compares
   // (tag_idx, cl_id, is_cms, valid) at once. cms <= 8 and ucl <= 16 fit a
   // byte; the owning tag is a single flat index (set * ways + way).
+  //
+  // CMS entries are not scanned for at all: CMS #i of a block sits in the
+  // fixed set (tag index + i), and cms_way[i] records its way at
+  // cms_insert. That is exact because a resident CMS entry never moves
+  // while cms > 0 — make_room only frees a CMS way by releasing the whole
+  // image — so the way stays valid until the image is dropped.
   static constexpr uint64_t kNoTag = ~uint64_t{0};
   struct TagEntry {
     uint64_t block_tag = kNoTag;
@@ -112,6 +119,7 @@ class AvrLlc {
     uint8_t cms = 0;  // CMS count, 0 = compressed image absent
     uint8_t ucl = 0;  // number of UCLs of this block in the LLC
     bool block_dirty = false;  // the compressed image is dirty
+    uint8_t cms_way[kMaxCompressedLines] = {};  // BPA way of CMS #i, i < cms
 
     bool valid() const { return block_tag != kNoTag; }
     void invalidate() { block_tag = kNoTag; }
@@ -155,6 +163,9 @@ class AvrLlc {
   void evict_tag(uint32_t set, uint32_t way, std::vector<LlcVictim>& out);
   /// LRU-refresh the tag and its CMS entries (`t` == tags_[tag_idx]).
   void cms_touch_entry(uint32_t tag_idx, TagEntry& t);
+  /// The BPA entry of CMS #i of tag `tag_idx`'s image, addressed through
+  /// its recorded way.
+  BpaEntry& cms_entry(uint32_t tag_idx, uint32_t i);
 
   BpaEntry* find_ucl(uint64_t line);
   const BpaEntry* find_ucl(uint64_t line) const;
@@ -164,7 +175,9 @@ class AvrLlc {
   /// Release the BPA entry at (set, way): for a UCL report it; for a CMS
   /// evict the whole owning block's compressed image.
   void release_entry(uint64_t set, uint32_t way, std::vector<LlcVictim>& out);
-  void remove_cms_entries(uint64_t block, uint32_t set0, uint32_t count);
+  /// Invalidate the CMS entries of tag `tag_idx`'s image; the caller then
+  /// clears its cms count.
+  void remove_cms_entries(uint32_t tag_idx);
 
   std::vector<TagEntry> tags_;  // sets_ x ways_
   std::vector<BpaEntry> bpa_;   // sets_ x ways_

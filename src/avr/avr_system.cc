@@ -1,6 +1,7 @@
 #include "avr/avr_system.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace avr {
@@ -45,11 +46,11 @@ AvrSystem::CompressOutcome AvrSystem::compress_block_values(uint64_t block) {
     return {};
   }
   // The block now lives in summarized form: every subsequent read observes
-  // the reconstruction. Outliers are stored exactly, so reconstruct() leaves
-  // them bit-identical. Exact-tier encodings (BDI-hybrid) skip this — their
-  // reconstruction is the identity, so the backing store must stay untouched.
-  if (!method_is_exact(att->block.method))
-    compressor_.reconstruct(att->block, vals);
+  // the reconstruction, written back from the image compress() already
+  // built. Outliers are stored exactly, so they stay bit-identical.
+  // Exact-tier encodings (BDI-hybrid) write nothing — their reconstruction
+  // is the identity, so the backing store stays untouched.
+  compressor_.write_reconstruction(att->block, scratch_, vals);
   ++counters_.compress_successes;
   switch (att->block.method) {
     case Method::kDownsample1D: ++counters_.blocks_1d; break;
@@ -101,7 +102,7 @@ uint64_t AvrSystem::request(uint64_t now, uint64_t line, bool write) {
   ++counters_.requests;
   if (ap) ++counters_.approx_requests;
 
-  std::vector<LlcVictim> victims;
+  std::vector<LlcVictim>& victims = victim_list(0);
 
   // 1. DBUF lookup, in parallel with the tag array.
   if (ap && dbuf_.holds(line)) {
@@ -111,7 +112,7 @@ uint64_t AvrSystem::request(uint64_t now, uint64_t line, bool write) {
     if (!llc_.ucl_present(line)) {
       llc_.ucl_insert(line, write, victims);
       dbuf_.mark_in_llc(line);
-      process_victims(now, victims, 0);
+      process_victims(now, 0);
     } else {
       llc_.ucl_access(line, write);
     }
@@ -139,7 +140,7 @@ uint64_t AvrSystem::request(uint64_t now, uint64_t line, bool write) {
     dbuf_.mark_requested(line);
     llc_.ucl_insert(line, write, victims);
     dbuf_.mark_in_llc(line);
-    process_victims(now, victims, 0);
+    process_victims(now, 0);
     const uint64_t lat = cfg_.llc.latency +
                          uint64_t{cfg_.avr.cms_stream_cycles} * (k - 1) +
                          cfg_.avr.decompress_latency;
@@ -157,7 +158,7 @@ uint64_t AvrSystem::request(uint64_t now, uint64_t line, bool write) {
   if (!ap) {
     const uint64_t lat = dram_read(now, line, kCachelineBytes, false);
     llc_.ucl_insert(line, write, victims);
-    process_victims(now, victims, 0);
+    process_victims(now, 0);
     return lat + cfg_.llc.latency;
   }
 
@@ -209,7 +210,7 @@ uint64_t AvrSystem::request(uint64_t now, uint64_t line, bool write) {
     } else {
       llc_.ucl_access(line, write);
     }
-    process_victims(now, victims, 0);
+    process_victims(now, 0);
     const uint32_t k = inserted_cms ? llc_.cms_count(block) : meta.size_lines;
     return lat_dram + uint64_t{cfg_.avr.cms_stream_cycles} * (k > 0 ? k - 1 : 0) +
            cfg_.avr.decompress_latency + cfg_.llc.latency;
@@ -218,30 +219,33 @@ uint64_t AvrSystem::request(uint64_t now, uint64_t line, bool write) {
   // Uncompressed (or never-compressed) block: per-line access like baseline.
   const uint64_t lat = dram_read(now, line, kCachelineBytes, true);
   llc_.ucl_insert(line, write, victims);
-  process_victims(now, victims, 0);
+  process_victims(now, 0);
   return lat + cfg_.llc.latency;
 }
 
 void AvrSystem::writeback(uint64_t now, uint64_t line) {
   line = line_addr(line);
-  std::vector<LlcVictim> victims;
   if (llc_.ucl_access(line, /*write=*/true)) return;  // landed on a resident UCL
-  llc_.ucl_insert(line, /*dirty=*/true, victims);
+  llc_.ucl_insert(line, /*dirty=*/true, victim_list(0));
   if (dbuf_.holds(line)) dbuf_.mark_in_llc(line);
-  process_victims(now, victims, 0);
+  process_victims(now, 0);
 }
 
 // ---------------------------------------------------------------------------
 // Eviction flow (Fig. 8)
 // ---------------------------------------------------------------------------
 
-void AvrSystem::process_victims(uint64_t now, std::vector<LlcVictim>& victims,
-                                int depth) {
-  // Victims may cascade (tag evictions, CMS reallocation); process a copy so
-  // re-entrant inserts can use a fresh vector.
-  std::vector<LlcVictim> local;
-  local.swap(victims);
-  for (const LlcVictim& v : local) {
+std::vector<LlcVictim>& AvrSystem::victim_list(int depth) {
+  assert(depth >= 0 && depth <= kMaxDepth && victims_[depth].empty());
+  return victims_[depth];
+}
+
+void AvrSystem::process_victims(uint64_t now, int depth) {
+  // Victims may cascade (tag evictions, CMS reallocation): a flow handled
+  // here fills only the next depth's list, so this one stays put while it
+  // is walked, in insertion order.
+  std::vector<LlcVictim>& victims = victims_[depth];
+  for (const LlcVictim& v : victims) {
     if (v.kind == LlcVictim::kUcl) {
       if (!v.dirty) continue;  // clean lines vanish silently
       handle_dirty_ucl(now, v.addr, depth);
@@ -249,6 +253,7 @@ void AvrSystem::process_victims(uint64_t now, std::vector<LlcVictim>& victims,
       handle_cms_block_evict(now, v.addr, v.dirty, depth);
     }
   }
+  victims.clear();
 }
 
 void AvrSystem::handle_dirty_ucl(uint64_t now, uint64_t line, int depth) {
@@ -266,10 +271,9 @@ void AvrSystem::handle_dirty_ucl(uint64_t now, uint64_t line, int depth) {
     ++counters_.evict_recompress;
     ++counters_.decompressions;
     const CompressOutcome out = compress_block_values(block);
-    std::vector<LlcVictim> victims;
     llc_.cms_remove(block);
     if (out.lines > 0) {
-      llc_.cms_insert(block, out.lines, /*dirty=*/true, victims);
+      llc_.cms_insert(block, out.lines, /*dirty=*/true, victim_list(depth + 1));
     } else {
       // Compression failed: the block leaves the LLC uncompressed.
       BlockMeta& meta = cmt_.lookup(block);
@@ -280,7 +284,7 @@ void AvrSystem::handle_dirty_ucl(uint64_t now, uint64_t line, int depth) {
       meta.lazy_count = 0;
       cmt_.clear_lazy_lines(block);
     }
-    process_victims(now, victims, depth + 1);
+    process_victims(now, depth + 1);
     return;
   }
 
@@ -332,8 +336,8 @@ void AvrSystem::handle_dirty_ucl(uint64_t now, uint64_t line, int depth) {
   }
 
   // Attempt: missing lines of the block must be read from memory first.
-  const uint32_t resident =
-      static_cast<uint32_t>(llc_.ucls_of_block(block, /*dirty_only=*/false).size());
+  const uint32_t resident = static_cast<uint32_t>(
+      std::popcount(llc_.ucls_of_block(block, /*dirty_only=*/false)));
   const uint32_t missing = kBlockLines - std::min<uint32_t>(resident + 1, kBlockLines);
   if (missing > 0) dram_read(now, block, missing * kCachelineBytes, true);
   const CompressOutcome out = compress_block_values(block);
@@ -348,8 +352,7 @@ void AvrSystem::handle_dirty_ucl(uint64_t now, uint64_t line, int depth) {
     meta.lazy_count = 0;
     cmt_.clear_lazy_lines(block);
     // Other dirty UCLs of the block were folded into the written image.
-    for (uint64_t l : llc_.ucls_of_block(block, /*dirty_only=*/true))
-      llc_.ucl_mark_clean(l);
+    mark_block_ucls_clean(block);
   } else {
     ++counters_.evict_uncompressed_wb;
     dram_write(now, line, kCachelineBytes, true);
@@ -383,8 +386,7 @@ void AvrSystem::handle_cms_block_evict(uint64_t now, uint64_t block, bool dirty,
   }
   meta.lazy_count = 0;
   cmt_.clear_lazy_lines(block);
-  for (uint64_t l : llc_.ucls_of_block(block, /*dirty_only=*/true))
-    llc_.ucl_mark_clean(l);
+  mark_block_ucls_clean(block);
   (void)depth;
 }
 
@@ -437,14 +439,20 @@ void AvrSystem::run_pfe(uint64_t now, int depth) {
   if (dbuf_.requested_count() < cfg_.avr.pfe_threshold) return;
   ++counters_.pfe_promotions;
   const uint64_t block = dbuf_.block();
-  std::vector<LlcVictim> victims;
+  std::vector<LlcVictim>& victims = victim_list(depth + 1);
   for (uint32_t cl = 0; cl < kBlockLines; ++cl) {
     const uint64_t line = block + cl * kCachelineBytes;
     if (dbuf_.line_in_llc(line) || llc_.ucl_present(line)) continue;
     llc_.ucl_insert(line, /*dirty=*/false, victims);
     ++counters_.pfe_lines;
   }
-  process_victims(now, victims, depth + 1);
+  process_victims(now, depth + 1);
+}
+
+void AvrSystem::mark_block_ucls_clean(uint64_t block) {
+  const uint16_t dirty = llc_.ucls_of_block(block, /*dirty_only=*/true);
+  for (uint32_t cl = 0; cl < kBlockLines; ++cl)
+    if ((dirty >> cl) & 1) llc_.ucl_mark_clean(block + cl * kCachelineBytes);
 }
 
 void AvrSystem::drain(uint64_t now) {

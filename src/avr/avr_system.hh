@@ -12,6 +12,7 @@
 // documented in DESIGN.md.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -112,13 +113,21 @@ class AvrSystem final : public LlcSystem {
   void handle_dirty_ucl(uint64_t now, uint64_t line, int depth);
   /// Fig. 8, dirty-CMS branch: the whole compressed block leaves the LLC.
   void handle_cms_block_evict(uint64_t now, uint64_t block, bool dirty, int depth);
-  void process_victims(uint64_t now, std::vector<LlcVictim>& victims, int depth);
+  /// Handles (and clears) the victims collected at cascade depth `depth`.
+  void process_victims(uint64_t now, int depth);
+  /// The victim list of cascade depth `depth`, empty, for an LLC insert to
+  /// fill before process_victims(now, depth).
+  std::vector<LlcVictim>& victim_list(int depth);
+  /// Marks the block's dirty UCLs clean (they were folded into its image).
+  void mark_block_ucls_clean(uint64_t block);
 
   /// PFE decision when the DBUF is about to be displaced (Sec. 3.3).
   void run_pfe(uint64_t now, int depth);
 
   /// Failure-history gate (Sec. 3.5): true if this attempt must be skipped.
   bool should_skip_attempt(BlockMeta& meta);
+
+  static constexpr int kMaxDepth = 4;
 
   SimConfig cfg_;
   RegionRegistry& regions_;
@@ -131,6 +140,11 @@ class AvrSystem final : public LlcSystem {
   // the datapath never allocates. One scratch per AvrSystem suffices —
   // compression events within one simulated system are serial.
   CompressorScratch scratch_;
+  // The same convention for LLC victims: one list per cascade depth
+  // (a flow at depth d fills only list d + 1, so list d stays put while it
+  // is walked). Lists are cleared, never freed, so the victim path stops
+  // allocating once they have grown.
+  std::array<std::vector<LlcVictim>, kMaxDepth + 1> victims_;
   Dbuf dbuf_;
   AvrSystemCounters counters_;
   bool last_was_miss_ = false;
@@ -138,8 +152,6 @@ class AvrSystem final : public LlcSystem {
   // Running tally for Table 4: sum of compressed sizes and #compressions.
   uint64_t compressed_lines_sum_ = 0;
   uint64_t compressed_blocks_ = 0;
-
-  static constexpr int kMaxDepth = 4;
 };
 
 }  // namespace avr

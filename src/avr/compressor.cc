@@ -1,5 +1,6 @@
 #include "avr/compressor.hh"
 
+#include <bit>
 #include <cmath>
 
 #include "avr/bias.hh"
@@ -142,6 +143,7 @@ std::optional<CompressionAttempt> Compressor::compress(
         (att.block.lines() == scratch.best.block.lines() &&
          att.block.outliers.size() < scratch.best.block.outliers.size())) {
       scratch.best = att;
+      scratch.best_recon = scratch.recon;
       have_best = true;
     }
     // A 1-line, zero-outlier encoding is unbeatable: replacement requires
@@ -187,26 +189,40 @@ void Compressor::reconstruct(const CompressedBlock& cb,
 
   std::array<Fixed32, kValuesPerBlock> recon;
   variant_for(cb.method).reconstruct(avg, recon);
+  finish_reconstruct(cb, recon, out);
+}
 
+void Compressor::write_reconstruction(const CompressedBlock& cb,
+                                      const CompressorScratch& scratch,
+                                      std::span<float, kValuesPerBlock> out) const {
+  AVR_PROF_SCOPE(prof::Phase::kCompress);
+  if (method_is_exact(cb.method)) return;
+  finish_reconstruct(cb, scratch.best_recon, out);
+}
+
+void Compressor::finish_reconstruct(const CompressedBlock& cb,
+                                    std::span<const Fixed32, kValuesPerBlock> recon,
+                                    std::span<float, kValuesPerBlock> out) {
   // Back to the float domain (decompressor right half of Fig. 4): kFixed32
   // regions store Q16.16 bit patterns verbatim; float regions unbias
   // through the dispatched batch kernel.
   if (cb.dtype == DType::kFixed32) {
     static_assert(sizeof(Fixed32) == sizeof(float));
-    __builtin_memcpy(out.data(), recon.data(), sizeof(recon));
+    __builtin_memcpy(out.data(), recon.data(), recon.size_bytes());
   } else {
     simd::kernels().fixed32_to_f32_unbias(
         reinterpret_cast<const int32_t*>(recon.data()), out.data(),
         kValuesPerBlock, cb.bias);
   }
 
-  // Overlay the exactly-stored outliers per the bitmap (DBUF fill, Fig. 4).
+  // Overlay the exactly-stored outliers per the bitmap (DBUF fill, Fig. 4),
+  // walking only the set bits; both dtypes store the original bit image.
   uint32_t oi = 0;
-  for (uint32_t i = 0; i < kValuesPerBlock; ++i) {
-    if (!cb.outlier_map.test(i)) continue;
-    const uint32_t bits = cb.outliers[oi++];
-    out[i] = cb.dtype == DType::kFixed32 ? std::bit_cast<float>(bits) : bits_f32(bits);
-  }
+  const std::array<uint64_t, 4>& words = cb.outlier_map.words();
+  for (uint32_t w = 0; w < words.size(); ++w)
+    for (uint64_t m = words[w]; m != 0; m &= m - 1)
+      out[w * 64 + static_cast<uint32_t>(std::countr_zero(m))] =
+          bits_f32(cb.outliers[oi++]);
 }
 
 }  // namespace avr

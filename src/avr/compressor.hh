@@ -20,6 +20,9 @@
 //                fixed-to-float -> unbias -> overlay outliers per bitmap.
 //                Lossless-exact encodings reconstruct to the stored image
 //                itself, so reconstruct() is a documented no-op for them.
+//                write_reconstruction() runs the same tail from the image
+//                compress() kept in scratch, so a compression event
+//                interpolates its winning variant once.
 //
 // The class itself stays a pure function of its inputs (no architectural
 // state), so the LLC-side machinery can reuse one instance everywhere. All
@@ -54,14 +57,18 @@ struct CompressionAttempt {
 
 /// Caller-owned working set of the compression pipeline: the biased float
 /// image, its fixed-point conversion (both shared across variants), the
-/// per-variant reconstruction, and the candidate encoding the error check
-/// fills in place. Everything is a flat array (structure-of-arrays), sized
-/// for one 256-value block; reusing one scratch across events keeps the
-/// datapath allocation-free and its working set cache-resident.
+/// per-variant reconstruction, the winning variant's reconstruction, and
+/// the candidate encoding the error check fills in place. Everything is a
+/// flat array (structure-of-arrays), sized for one 256-value block; reusing
+/// one scratch across events keeps the datapath allocation-free and its
+/// working set cache-resident.
 struct CompressorScratch {
   std::array<float, kValuesPerBlock> biased;
   std::array<Fixed32, kValuesPerBlock> fixed;
   std::array<Fixed32, kValuesPerBlock> recon;
+  /// The fixed-point image of `best` (copied from `recon` whenever `best`
+  /// changes: a later variant's attempt overwrites `recon`).
+  std::array<Fixed32, kValuesPerBlock> best_recon;
   /// Outlier bit images the dispatched error-scan kernel collects before
   /// they are pushed (in block order) into the candidate's outlier list.
   std::array<uint32_t, kMaxBlockOutliers> outlier_bits;
@@ -121,6 +128,14 @@ class Compressor {
   void reconstruct(const CompressedBlock& cb,
                    std::span<float, kValuesPerBlock> out) const;
 
+  /// Writes the reconstruction of the encoding the last compress() call on
+  /// `scratch` returned, from the image compress() already built: equal to
+  /// reconstruct(cb, out) bit for bit, without interpolating again. A no-op
+  /// for lossless-exact encodings, like reconstruct().
+  void write_reconstruction(const CompressedBlock& cb,
+                            const CompressorScratch& scratch,
+                            std::span<float, kValuesPerBlock> out) const;
+
   /// Per-value outlier test of Sec. 3.3: sign and exponent must match and
   /// the mantissa difference must stay below the N-th most significant
   /// mantissa bit (error < 1/2^N). Exposed for tests.
@@ -138,6 +153,13 @@ class Compressor {
   bool try_method(const MethodVariant& variant,
                   std::span<const float, kValuesPerBlock> original,
                   int8_t bias, DType dtype, CompressorScratch& scratch) const;
+
+  /// The decompressor tail shared by reconstruct() and
+  /// write_reconstruction(): fixed-point image -> float (unbiased) ->
+  /// overlay the exactly-stored outliers per the bitmap.
+  static void finish_reconstruct(const CompressedBlock& cb,
+                                 std::span<const Fixed32, kValuesPerBlock> recon,
+                                 std::span<float, kValuesPerBlock> out);
 
   AvrConfig cfg_;
 };

@@ -31,12 +31,16 @@ DoppelgangerSystem::TagEntry* DoppelgangerSystem::find_tag(uint64_t line) {
   return nullptr;
 }
 
-uint64_t DoppelgangerSystem::map_key(uint64_t line) {
-  const MemoryRegion* r = regions_.find(line);
-  assert(r && r->approx);
+uint64_t DoppelgangerSystem::map_key(const MemoryRegion& r, const std::byte* host) {
+  assert(r.approx);
+  const auto value = [host](uint32_t i) {
+    float v;
+    std::memcpy(&v, host + i * sizeof(float), sizeof(float));
+    return v;
+  };
   float lo = 0, hi = 0, sum = 0;
   for (uint32_t i = 0; i < kValuesPerLine; ++i) {
-    const float v = regions_.load<float>(line + i * sizeof(float));
+    const float v = value(i);
     const float f = std::isfinite(v) ? v : 0.0f;
     if (i == 0) lo = hi = f;
     lo = std::min(lo, f);
@@ -45,7 +49,7 @@ uint64_t DoppelgangerSystem::map_key(uint64_t line) {
   }
   const float avg = sum / kValuesPerLine;
 
-  Span& span = spans_[r->base];
+  Span& span = spans_[r.base];
   if (!span.init) {
     span = {lo, hi, true};
   } else {
@@ -71,7 +75,7 @@ uint64_t DoppelgangerSystem::map_key(uint64_t line) {
   uint64_t shape = 0;
   const float lw = std::max(hi - lo, 1e-12f);
   for (uint32_t i = 0; i < kValuesPerLine; ++i) {
-    const float v = regions_.load<float>(line + i * sizeof(float));
+    const float v = value(i);
     const float f = std::isfinite(v) ? v : 0.0f;
     const uint32_t q = static_cast<uint32_t>(
         std::clamp((f - lo) / lw * 4.0f, 0.0f, 3.0f));
@@ -85,7 +89,7 @@ uint64_t DoppelgangerSystem::map_key(uint64_t line) {
   if (q_avg == 0 || q_avg == cfg_.dg_avg_buckets - 1) shape = 0;
   // Keys are namespaced by region so unrelated structures never collide.
   const uint64_t quant = (q_avg << 8) | q_rng;
-  return (r->base << 20) ^ (quant << 32) ^ shape;
+  return (r.base << 20) ^ (quant << 32) ^ shape;
 }
 
 void DoppelgangerSystem::lru_unlink(uint32_t idx) {
@@ -192,26 +196,31 @@ bool DoppelgangerSystem::install(uint64_t now, uint64_t line, bool dirty) {
   // Tag allocation first (LRU within the 4x tag array set).
   take_tag_way(now, line);
 
+  // One registry lookup per install: the key, the dedup copy and the fill
+  // copy all go through the line's resolved host bytes.
+  const MemoryRegion* r = regions_.find(line);
+  if (!r) throw std::out_of_range("unmapped simulated address");
+  std::byte* host = r->host.get() + (line - r->base);
   bool deduped = false;
   uint32_t idx;
-  if (regions_.is_approx(line)) {
-    const uint64_t key = map_key(line);
+  if (r->approx) {
+    const uint64_t key = map_key(*r, host);
     auto it = by_key_.find(key);
     if (it != by_key_.end() && data_[it->second].valid) {
       idx = it->second;
       // The line adopts the representative's values: this is the
       // approximation. Copy them into the backing store so the application
       // observes them on every future read.
-      std::memcpy(regions_.host_ptr(line), data_[idx].repr.data(), kCachelineBytes);
+      std::memcpy(host, data_[idx].repr.data(), kCachelineBytes);
       deduped = true;
       ++counters_.dedup_hits;
     } else {
       idx = alloc_data_entry(now, key);
-      std::memcpy(data_[idx].repr.data(), regions_.host_ptr(line), kCachelineBytes);
+      std::memcpy(data_[idx].repr.data(), host, kCachelineBytes);
     }
   } else {
     idx = alloc_data_entry(now, 0);
-    std::memcpy(data_[idx].repr.data(), regions_.host_ptr(line), kCachelineBytes);
+    std::memcpy(data_[idx].repr.data(), host, kCachelineBytes);
   }
   data_[idx].sharers.push_back(line);
   lru_touch(idx);

@@ -82,8 +82,9 @@ class DoppelgangerSystem final : public LlcSystem {
   /// The LRU way of `line`'s tag set (an invalid way if there is one),
   /// detached and written back first if it still holds a line.
   TagEntry& take_tag_way(uint64_t now, uint64_t line);
-  /// Approximate map hash of the line's current backing contents.
-  uint64_t map_key(uint64_t line);
+  /// Approximate map hash of a line's current backing contents: `host` is
+  /// the line's bytes inside approximate region `r`.
+  uint64_t map_key(const MemoryRegion& r, const std::byte* host);
   /// Insert `line` after a fill; returns true if it deduplicated.
   bool install(uint64_t now, uint64_t line, bool dirty);
   uint32_t alloc_data_entry(uint64_t now, uint64_t key);

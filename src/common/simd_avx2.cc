@@ -369,21 +369,35 @@ bool error_scan_f32_avx2(const float* original, const int32_t* recon_raw,
     const __m256i outl = _mm256_andnot_si256(
         eq, _mm256_or_si256(_mm256_or_si256(nonfin, _mm256_cmpgt_epi32(dm, limm1)),
                             _mm256_xor_si256(hieq, ones)));
-    if (bad | mask32(outl)) {
-      // A slow lane (outlier, or unbias spill): the whole group re-runs
-      // scalar, preserving outlier order and the budget-abort point.
+    if (bad) {
+      // An unbias-spill lane: its vector image is wrong, so the whole group
+      // re-runs scalar, preserving outlier order and the budget verdict.
       if (!error_scan_range_scalar(original, recon_raw, bias, limit, i, i + 8, st))
         return false;
-    } else {
-      dmacc = _mm256_add_epi32(dmacc, _mm256_andnot_si256(eq, dm));
-      fast_lanes += 8;
-      // Lane bound: 32 adds of < 2^23 keep each lane < 2^28 and the 8-lane
-      // horizontal sum < 2^31.
-      if (++groups_since_flush == 32) {
-        dm_sum += hsum_epi32(dmacc);
-        dmacc = zero;
-        groups_since_flush = 0;
-      }
+      continue;
+    }
+    const int om = mask32(outl);
+    const uint32_t k = static_cast<uint32_t>(__builtin_popcount(om));
+    if (k != 0) {
+      // Outliers stay on the vector path. The verdict is the scalar one
+      // (the budget is exceeded iff the running count passes it); an
+      // aborted scan's partial state is discarded by contract. Images are
+      // appended in lane order, which is block order.
+      if (st->n_outliers + k > st->max_outliers) return false;
+      st->bitmap_words[i >> 6] |= uint64_t(static_cast<uint32_t>(om)) << (i & 63);
+      alignas(32) uint32_t img[8];
+      _mm256_store_si256(reinterpret_cast<__m256i*>(img), ob);
+      for (int m = om; m != 0; m &= m - 1)
+        st->outlier_bits[st->n_outliers++] = img[__builtin_ctz(m)];
+    }
+    fast_lanes += 8 - k;
+    dmacc = _mm256_add_epi32(dmacc, _mm256_andnot_si256(_mm256_or_si256(outl, eq), dm));
+    // Lane bound: 32 adds of < 2^23 keep each lane < 2^28 and the 8-lane
+    // horizontal sum < 2^31.
+    if (++groups_since_flush == 32) {
+      dm_sum += hsum_epi32(dmacc);
+      dmacc = zero;
+      groups_since_flush = 0;
     }
   }
   dm_sum += hsum_epi32(dmacc);

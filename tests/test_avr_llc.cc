@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 
 #include "common/prng.hh"
 
@@ -159,12 +160,12 @@ TEST(AvrLlc, UclsOfBlockFindsDirtyOnly) {
   llc.ucl_insert(block + 0x00, true, v);
   llc.ucl_insert(block + 0x40, false, v);
   llc.ucl_insert(block + 0x80, true, v);
-  auto dirty = llc.ucls_of_block(block, /*dirty_only=*/true);
-  auto all = llc.ucls_of_block(block, /*dirty_only=*/false);
-  EXPECT_EQ(dirty.size(), 2u);
-  EXPECT_EQ(all.size(), 3u);
-  EXPECT_TRUE(std::count(dirty.begin(), dirty.end(), block + 0x00));
-  EXPECT_TRUE(std::count(dirty.begin(), dirty.end(), block + 0x80));
+  const uint16_t dirty = llc.ucls_of_block(block, /*dirty_only=*/true);
+  const uint16_t all = llc.ucls_of_block(block, /*dirty_only=*/false);
+  EXPECT_EQ(std::popcount(dirty), 2);
+  EXPECT_EQ(std::popcount(all), 3);
+  EXPECT_EQ(dirty, 0b101);  // CL offsets 0 and 2
+  EXPECT_EQ(all, 0b111);
 }
 
 TEST(AvrLlc, CmsTouchRefreshesLru) {
@@ -205,6 +206,79 @@ TEST(AvrLlc, AllResidentEnumerates) {
 TEST(AvrLlc, RejectsBadGeometry) {
   EXPECT_THROW(AvrLlc(CacheConfig{1000, 3, 1}), std::invalid_argument);
   EXPECT_THROW(AvrLlc(CacheConfig{64 * 1024, 0, 1}), std::invalid_argument);
+  // A CMS way is recorded in one byte: 512 ways (one set) is refused, 256
+  // is the largest accepted associativity.
+  EXPECT_THROW(AvrLlc(CacheConfig{512 * kCachelineBytes, 512, 1}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(AvrLlc(CacheConfig{256 * kCachelineBytes, 256, 1}));
+  // Fewer entries than one compressed image (8 lines) is refused.
+  EXPECT_THROW(AvrLlc(CacheConfig{4 * kCachelineBytes, 4, 1}), std::invalid_argument);
+  EXPECT_NO_THROW(AvrLlc(CacheConfig{8 * kCachelineBytes, 1, 1}));
+}
+
+TEST(AvrLlc, CmsChurnKeepsImagesWhole) {
+  // Seeded cms_insert / ucl_insert / eviction churn on a small cache: CMS
+  // entries are addressed through the ways recorded at insert, and Debug
+  // and sanitizer builds assert on every touch and removal that the indexed
+  // entry is still the image's own. Independently of those asserts, every
+  // image must stay resident whole until it is reported as a victim.
+  for (uint64_t seed : {11u, 12u, 13u}) {
+    AvrLlc llc(CacheConfig{8 * 1024, 4, 15});  // 32 sets x 4 ways
+    Xoshiro256 rng(seed);
+    std::vector<LlcVictim> v;
+    std::vector<uint64_t> images;  // blocks whose image should be resident
+    for (int i = 0; i < 6000; ++i) {
+      const uint64_t block = 0x10000000 + rng.below(96) * kBlockBytes;
+      const uint64_t line = block + rng.below(kBlockLines) * kCachelineBytes;
+      v.clear();
+      switch (rng.below(6)) {
+        case 0:
+        case 1:
+          if (!llc.cms_present(block)) {
+            llc.cms_insert(block, 1 + rng.below(kMaxCompressedLines), rng.below(2), v);
+            images.push_back(block);
+          }
+          break;
+        case 2:
+          if (!llc.ucl_present(line)) llc.ucl_insert(line, rng.below(2), v);
+          break;
+        case 3:
+          llc.ucl_access(line, rng.below(2));  // refreshes the image's CMSs
+          break;
+        case 4:
+          llc.cms_touch(block);
+          break;
+        case 5:
+          llc.cms_remove(block);
+          std::erase(images, block);
+          break;
+      }
+      for (const LlcVictim& x : v)
+        if (x.kind == LlcVictim::kCmsBlock) {
+          ASSERT_EQ(std::count(images.begin(), images.end(), x.addr), 1)
+              << "seed " << seed << " op " << i;
+          std::erase(images, x.addr);
+        }
+      ASSERT_EQ(llc.cms_present(block),
+                std::count(images.begin(), images.end(), block) == 1)
+          << "seed " << seed << " op " << i;
+    }
+    // Every image left is resident, and its CMS entries plus the UCLs fit
+    // the data array.
+    uint64_t cms_entries = 0, ucls = 0;
+    for (const LlcVictim& x : llc.all_resident()) {
+      if (x.kind == LlcVictim::kCmsBlock) {
+        EXPECT_EQ(std::count(images.begin(), images.end(), x.addr), 1);
+        cms_entries += llc.cms_count(x.addr);
+      } else {
+        ++ucls;
+      }
+    }
+    uint64_t image_count = 0;
+    for (uint64_t b : images) image_count += llc.cms_present(b);
+    EXPECT_EQ(image_count, images.size());
+    EXPECT_LE(cms_entries + ucls, 8u * 1024 / kCachelineBytes);
+  }
 }
 
 class AvrLlcStress : public ::testing::TestWithParam<uint64_t> {};

@@ -483,6 +483,160 @@ TEST(SimdKernels, ErrorScanBudgetBoundaryParity) {
   }
 }
 
+/// A dense-outlier scan case: a Q16.16 reconstruction plus an original
+/// whose lanes are crafted against the scalar unbiased image of it.
+struct DenseScanCase {
+  RawBlock recon{};
+  FloatBlock orig{};
+  int8_t bias = 0;
+};
+
+/// Lane recipes for DenseScanCase: `spill` lanes get a raw whose exponent
+/// leaves [0, 255] when unbiased (only meaningful for bias != 0); every
+/// lane's original is then exact, a near miss, or an outlier of `ab`.
+enum class Lane { kExact, kNear, kOutlier, kNan };
+
+int32_t dense_raw(Xoshiro256& rng, int8_t bias, bool spill) {
+  // Normal lanes keep the unbiased exponent in range; spill lanes push it
+  // out (bias 120: tiny raws; bias -128: raws >= 2.0).
+  int64_t mag = 0;
+  if (bias > 0)
+    mag = spill ? 1 + rng.below(16) : (2 << 16) + rng.below(1u << 29);
+  else if (bias < 0)
+    mag = spill ? (2 << 16) + rng.below(1u << 20) : 256 + rng.below(1u << 15);
+  else
+    mag = (1 << 16) + rng.below(1u << 29);
+  return static_cast<int32_t>(rng.below(2) ? -mag : mag);
+}
+
+float dense_orig(Xoshiro256& rng, float ab, Lane lane, uint32_t limit) {
+  const uint32_t b = f32_bits(ab);
+  switch (lane) {
+    case Lane::kExact: return ab;
+    case Lane::kNear: return bits_f32(b ^ (1 + rng.below(limit / 2 - 1)));
+    case Lane::kOutlier:
+      // Mantissa MSB flip (dm = 2^22 >= limit) or a sign flip.
+      return bits_f32(rng.below(2) ? b ^ (1u << 22) : b ^ 0x80000000u);
+    case Lane::kNan: break;
+  }
+  return kNan;
+}
+
+/// Builds the case from per-lane recipes: raws first, then the scalar
+/// unbiased image, then the originals against it.
+DenseScanCase make_dense_case(Xoshiro256& rng, int8_t bias,
+                              const std::array<Lane, kValuesPerBlock>& lanes,
+                              const std::array<bool, kValuesPerBlock>& spill,
+                              uint32_t limit) {
+  DenseScanCase c;
+  c.bias = bias;
+  for (uint32_t i = 0; i < kValuesPerBlock; ++i)
+    c.recon[i] = dense_raw(rng, bias, spill[i] && bias != 0);
+  FloatBlock ab{};
+  {
+    ScopedLevel pin(SimdLevel::kScalar);
+    simd::kernels().fixed32_to_f32_unbias(c.recon.data(), ab.data(),
+                                          kValuesPerBlock, bias);
+  }
+  for (uint32_t i = 0; i < kValuesPerBlock; ++i)
+    c.orig[i] = dense_orig(rng, ab[i], lanes[i], limit);
+  return c;
+}
+
+TEST(SimdKernels, ErrorScanDenseOutlierParity) {
+  // Blocks with 0..8 outliers in every 8-lane group (all-8 groups included),
+  // near misses, NaNs and, for bias != 0, unbias-spill lanes in the same
+  // blocks: the vector kernel keeps outlier groups on its vector path and
+  // re-runs only spill groups scalar, and must agree with the scalar scan.
+  const uint32_t limit = 1u << (kMantissaBits - 10);
+  Xoshiro256 rng(1818);
+  uint32_t passed = 0, aborted = 0, full_groups = 0;
+  for (uint32_t j = 0; j < 240; ++j) {
+    const int8_t bias = (j % 3 == 0) ? 0 : (j % 3 == 1) ? 120 : -128;
+    // Outlier cap per block: mostly within the 104 budget, every 8th over.
+    const uint32_t cap = (j % 8 == 7) ? 200 : 40 + j % 65;
+    std::array<Lane, kValuesPerBlock> lanes{};
+    std::array<bool, kValuesPerBlock> spill{};
+    uint32_t planted = 0;
+    for (uint32_t g = 0; g < kValuesPerBlock / 8; ++g) {
+      uint32_t k = (g + j) % 9;
+      if (planted + k > cap) k = 0;
+      planted += k;
+      // k outlier lanes at random positions in the group.
+      std::array<uint32_t, 8> pos{0, 1, 2, 3, 4, 5, 6, 7};
+      for (uint32_t l = 7; l > 0; --l) std::swap(pos[l], pos[rng.below(l + 1)]);
+      for (uint32_t l = 0; l < 8; ++l) {
+        const uint32_t i = g * 8 + pos[l];
+        lanes[i] = l < k ? (rng.below(16) == 0 ? Lane::kNan : Lane::kOutlier)
+                         : (rng.below(2) ? Lane::kNear : Lane::kExact);
+      }
+      if (bias != 0 && rng.below(4) == 0) spill[g * 8 + rng.below(8)] = true;
+    }
+    const DenseScanCase c = make_dense_case(rng, bias, lanes, spill, limit);
+    expect_scan_parity(c.orig, c.recon, c.bias, limit, "dense outliers");
+    ScopedLevel pin(SimdLevel::kScalar);
+    const ScanResult r = run_scan(c.orig, c.recon, c.bias, limit);
+    if (!r.ok) {
+      ++aborted;
+      continue;
+    }
+    ++passed;
+    for (uint64_t w : r.words)
+      for (int s = 0; s < 64; s += 8) full_groups += ((w >> s) & 0xFF) == 0xFF;
+  }
+  // The corpus reaches both verdicts and holds all-outlier groups in
+  // blocks that pass.
+  EXPECT_GT(passed, 100u);
+  EXPECT_GT(aborted, 20u);
+  EXPECT_GT(full_groups, 20u);
+}
+
+TEST(SimdKernels, ErrorScanBudgetCrossedInsideOneGroup) {
+  // The 104-outlier budget crossed (or exactly met) inside one
+  // multi-outlier group, after `before` outliers in earlier groups: the
+  // verdict must be the scalar one at every level. For bias != 0, spill
+  // groups sit before the crossing group, so the count arrives through
+  // both the vector and the scalar path.
+  const uint32_t limit = 1u << (kMantissaBits - 10);
+  struct Crossing {
+    uint32_t before;
+    uint32_t in_group;
+  };
+  const Crossing cases[] = {{100, 8}, {103, 2}, {104, 1}, {96, 8}, {102, 2},
+                            {97, 7},  {104, 0}, {0, 8}};
+  Xoshiro256 rng(104);
+  for (int8_t bias : {int8_t{0}, int8_t{120}, int8_t{-128}}) {
+    for (const Crossing& x : cases) {
+      std::array<Lane, kValuesPerBlock> lanes{};
+      std::array<bool, kValuesPerBlock> spill{};
+      // `before` outliers packed into the leading groups, one lane of each
+      // of the first groups left free for a spill lane.
+      uint32_t placed = 0;
+      uint32_t g = 0;
+      for (; placed < x.before; ++g) {
+        for (uint32_t l = 1; l < 8 && placed < x.before; ++l, ++placed)
+          lanes[g * 8 + l] = Lane::kOutlier;
+        if (bias != 0) spill[g * 8] = true;
+      }
+      const uint32_t crossing = g;  // the group where the budget is crossed
+      ASSERT_LT(crossing, kValuesPerBlock / 8);
+      for (uint32_t l = 0; l < x.in_group; ++l) lanes[crossing * 8 + l] = Lane::kOutlier;
+      const DenseScanCase c = make_dense_case(rng, bias, lanes, spill, limit);
+      const std::string what = "budget " + std::to_string(x.before) + " + " +
+                               std::to_string(x.in_group) + ", bias " +
+                               std::to_string(bias);
+      expect_scan_parity(c.orig, c.recon, c.bias, limit, what.c_str());
+      // The planted count decides the verdict (spill lanes are exact).
+      ScopedLevel pin(SimdLevel::kScalar);
+      const ScanResult r = run_scan(c.orig, c.recon, c.bias, limit);
+      EXPECT_EQ(r.ok, x.before + x.in_group <= kMaxBlockOutliers) << what;
+      if (r.ok) {
+        EXPECT_EQ(r.n_outliers, x.before + x.in_group) << what;
+      }
+    }
+  }
+}
+
 TEST(SimdKernels, ErrorScanSignedZeroParity) {
   // -0.0 originals against a +0.0 reconstruction: bitwise-unequal with a
   // differing sign, so exactly the -0.0 lanes are outliers at every level.
