@@ -69,7 +69,7 @@ const char* counter_name(Counter c);
 
 /// One accumulation bucket: per-phase time and calls plus the counters.
 /// Plain addition semantics throughout — merge() makes any tree of Totals
-/// (per point -> per runner -> per shard) sum exactly.
+/// (per point -> per runner -> per process) sum exactly.
 struct Totals {
   std::array<uint64_t, kNumPhases> ns{};
   std::array<uint64_t, kNumPhases> calls{};
@@ -206,7 +206,7 @@ struct PointProfile {
 /// breakdowns, and the aggregate (sum of points + harness/scheduler time).
 struct Report {
   std::string owner;  // claim-owner token or "<host>-<pid>"
-  std::string mode;   // "claim", "local", "runner", ...
+  std::string mode;   // "claim" or "local" (avr_sweep without --claim)
   std::string simd;   // active kernel dispatch level: "scalar"|"avx2"
   double wall_seconds = 0;
   // Worker threads the points ran on. Phase time is summed over them, so

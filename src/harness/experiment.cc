@@ -1,16 +1,13 @@
 #include "harness/experiment.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <fstream>
-#include <numeric>
 #include <sstream>
-#include <thread>
 
 #include "common/config_table.hh"
 #include "common/fault_inject.hh"
@@ -61,20 +58,6 @@ ExperimentRunner::ExperimentRunner(SimConfig base, bool verbose,
       cache_path_(std::move(cache_path)) {
   load_disk_cache();
   load_seed_costs();
-}
-
-ExperimentRunner::~ExperimentRunner() {
-  const char* out = std::getenv("AVR_PROFILE_OUT");
-  if (!out || !*out) return;
-  prof::Report report;
-  report.owner = prof::default_owner();
-  report.mode = "runner";
-  report.aggregate = profile_totals();
-  report.points = profile_points();
-  for (const prof::PointProfile& p : report.points)
-    report.wall_seconds += p.wall_seconds;
-  if (!report.aggregate.empty() && !prof::write_profile_json(out, report))
-    std::fprintf(stderr, "[profile] WARNING: could not write %s\n", out);
 }
 
 prof::Totals ExperimentRunner::profile_totals() {
@@ -293,79 +276,21 @@ std::vector<ExperimentResult> ExperimentRunner::run_all(
     const std::vector<std::string>& workloads, const std::vector<Design>& designs,
     unsigned n_threads) {
   // sweep::full_grid is the single definition of the canonical order.
-  return run_points(sweep::full_grid(workloads, designs), n_threads);
-}
-
-std::vector<ExperimentResult> ExperimentRunner::run_points(
-    const std::vector<std::pair<std::string, Design>>& points,
-    unsigned n_threads) {
-  // Longest-first: the pool drains points in descending estimated cost, so a
-  // ~30x-cost outlier starts immediately instead of serializing the tail of
-  // the sweep. Already-cached points are skipped by the workers (run() on
-  // them is a pure lookup), so only fresh work is ordered and reported.
-  std::vector<size_t> order(points.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::vector<double> est(points.size());
-  std::vector<char> warm(points.size());
-  {
-    // The estimates run before the pool starts: timed as setup.
-    prof::Totals prelude;
-    {
-      prof::ScopedSink sink(&prelude);
-      AVR_PROF_SCOPE(prof::Phase::kSetup);
-      for (size_t i = 0; i < points.size(); ++i) {
-        est[i] = cost_estimate(points[i].first, points[i].second);
-        warm[i] = cached(points[i].first, points[i].second) ? 1 : 0;
-      }
-    }
-    std::lock_guard<std::mutex> lk(mu_);
-    prof_totals_.merge(prelude);
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [&](size_t a, size_t b) { return est[a] > est[b]; });
-  const size_t fresh_total = static_cast<size_t>(
-      std::count(warm.begin(), warm.end(), static_cast<char>(0)));
-
-  if (n_threads == 0) n_threads = std::thread::hardware_concurrency();
-  n_threads = std::max(1u, std::min<unsigned>(n_threads, points.size()));
-
-  std::atomic<size_t> next{0};
-  std::atomic<size_t> done{0};
-  std::atomic<bool> failed{false};
-  std::mutex err_mu;
-  std::exception_ptr first_error;
-  auto worker = [&] {
-    for (size_t i = next.fetch_add(1); i < order.size(); i = next.fetch_add(1)) {
-      if (failed.load(std::memory_order_relaxed)) return;  // don't start new points
-      const auto& [w, d] = points[order[i]];
-      try {
-        const ExperimentResult& r = run(w, d);
-        if (!warm[order[i]] && verbose_) {
-          const size_t k = done.fetch_add(1) + 1;
-          std::fprintf(stderr, "[sweep %3zu/%zu] %-8s x %-8s %7.2fs\n", k,
-                       fresh_total, w.c_str(), to_string(d), r.wall_seconds);
-        }
-      } catch (...) {
-        failed.store(true, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lk(err_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(n_threads - 1);
-  for (unsigned t = 1; t < n_threads; ++t) pool.emplace_back(worker);
-  worker();  // the calling thread is part of the pool
-  for (auto& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
+  const auto points = sweep::full_grid(workloads, designs);
+  std::vector<sweep::VariantPoint> grid;
+  grid.reserve(points.size());
+  for (const auto& p : points) grid.push_back({base_, p});
+  const sweep::StealOutcome outcome = sweep::run_grid(
+      grid, [this](const sweep::VariantPoint&) -> ExperimentRunner& { return *this; },
+      "", {}, n_threads);
 
   // Every point is cached now. Collect by plain lookup, not run(): the
-  // workers already counted each warm point as one cache hit.
+  // scheduler already counted each warm point as one cache hit.
   std::vector<ExperimentResult> out;
   out.reserve(points.size());
   std::lock_guard<std::mutex> lk(mu_);
-  for (const auto& [w, d] : points) out.push_back(cache_.at({w, d}));
+  prof_totals_.merge(outcome.sched);  // the scheduler's cost-estimate prelude
+  for (const auto& p : points) out.push_back(cache_.at(p));
   return out;
 }
 

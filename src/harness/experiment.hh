@@ -47,11 +47,6 @@ class ExperimentRunner {
   explicit ExperimentRunner(SimConfig base = {}, bool verbose = true,
                             std::string cache_path = default_cache_path());
 
-  /// If the environment variable AVR_PROFILE_OUT names a path, writes the
-  /// runner's profile there as sidecar JSON (mode "runner"). avr_sweep
-  /// bypasses this and writes a richer per-shard report itself.
-  ~ExperimentRunner();
-
   static std::string default_cache_path();
   /// Committed per-point cost seed (see data/seed_costs.csv): measured
   /// wall_seconds for the default-config grid, so even the very first
@@ -71,23 +66,15 @@ class ExperimentRunner {
   /// construction from disk, or simulated earlier in this process).
   bool cached(const std::string& wl, Design d);
 
-  /// Run the full (workload x design) sweep, independent points concurrently
-  /// on a thread pool of `n_threads` (0 = hardware concurrency). Warms the
-  /// same result cache `run()` uses, so subsequent table printing is pure
-  /// lookup. Returns the results in workload-major, design-minor order —
-  /// identical values to calling `run()` serially in that order.
+  /// Run the full (workload x design) sweep through sweep::run_grid without
+  /// claims: independent points run concurrently on `n_threads` workers (0 =
+  /// hardware concurrency), longest first. Warms the same result cache
+  /// `run()` uses, so subsequent table printing is pure lookup. Returns the
+  /// results in workload-major, design-minor order — identical values to
+  /// calling `run()` serially in that order.
   std::vector<ExperimentResult> run_all(const std::vector<std::string>& workloads,
                                         const std::vector<Design>& designs,
                                         unsigned n_threads = 0);
-
-  /// Run an arbitrary point list (e.g. avr_sweep's selection) on the
-  /// pool. Uncached points are scheduled longest-first by cost_estimate() —
-  /// points vary ~30x in cost, so starting the expensive ones first keeps
-  /// the pool busy until the end of the sweep. Returns results in the given
-  /// order; duplicates are allowed (each point still simulates once).
-  std::vector<ExperimentResult> run_points(
-      const std::vector<std::pair<std::string, Design>>& points,
-      unsigned n_threads = 0);
 
   /// Estimated cost of a point, in arbitrary but mutually comparable units.
   /// A persisted wall_seconds measurement (loaded from the disk cache or

@@ -135,22 +135,19 @@ std::vector<std::string> parse_workload_list(const std::string& csv) {
   return out;
 }
 
-StealOutcome run_work_stealing(
+StealOutcome run_grid(
     const std::vector<VariantPoint>& grid,
     const std::function<ExperimentRunner&(const VariantPoint&)>& runner_for,
     const std::string& cache_path, const StealOptions& opts,
     unsigned n_threads) {
-  if (cache_path.empty())
-    throw std::invalid_argument(
-        "work stealing needs a shared cache file (claims live in it)");
   const std::string owner =
       opts.owner.empty() ? prof::default_owner() : opts.owner;
 
   // Resolve each point's runner, cost and lease once up front; workers then
-  // scan in descending-cost order, which is exactly the longest-first
-  // schedule run_points uses — but now across processes: whichever process
-  // gets there first claims the expensive tail. This prelude runs before
-  // any worker starts, so it is timed as setup in the scheduler's totals.
+  // scan in descending-cost order, the longest-first schedule — with claims
+  // across processes too: whichever process gets there first claims the
+  // expensive tail. This prelude runs before any worker starts, so it is
+  // timed as setup in the scheduler's totals.
   StealOutcome outcome;
   const size_t n = grid.size();
   std::vector<ExperimentRunner*> runner(n);
@@ -217,11 +214,14 @@ StealOutcome run_work_stealing(
         want.config_hash = runner[k]->config_hash();
         want.owner = owner;
         want.lease_seconds = lease[k];
-        // One claim attempt per retry round; try_claim_point already rides
-        // out transient lock contention internally, so kError here means
-        // the cache kept failing — back off and re-try a bounded number of
-        // times before giving up on coordination for this point.
-        ClaimOutcome got = try_claim_point(cache_path, want, now(), &cursor);
+        // Without a claim path, every point this process reserves is its own.
+        // Otherwise one claim attempt per retry round; try_claim_point
+        // already rides out transient lock contention internally, so kError
+        // here means the cache kept failing — back off and re-try a bounded
+        // number of times before giving up on coordination for this point.
+        ClaimOutcome got = cache_path.empty()
+                               ? ClaimOutcome::kClaimed
+                               : try_claim_point(cache_path, want, now(), &cursor);
         for (int attempt = 1;
              got == ClaimOutcome::kError && attempt < kIoRetryAttempts;
              ++attempt) {

@@ -1,15 +1,15 @@
-// Grid enumeration and the claim-based work-stealing scheduler for the
-// distributed paper sweep.
+// Grid enumeration and the sweep scheduler.
 //
 // The canonical grid order is workload-major, design-minor — the same order
-// run_all() returns. A process without --claim runs its whole selection
-// in-process (ExperimentRunner::run_points). To split a sweep across
+// run_all() returns. One scheduler, run_grid below, runs every sweep: the
+// figure benches' run_all, a local avr_sweep and avr_sweep --claim. Without
+// a claim path every point is this process's own. To split a sweep across
 // processes, every process runs with --claim: each sees the full grid and
 // claims points one at a time by appending claim records through the
-// flock'd cache file (run_work_stealing below, protocol in
-// harness/result_cache.hh and docs/OPERATIONS.md). Stragglers rebalance
-// automatically, a killed process's claims expire and get reclaimed, and no
-// coordination is needed up front.
+// flock'd cache file (protocol in harness/result_cache.hh and
+// docs/OPERATIONS.md). Stragglers rebalance automatically, a killed
+// process's claims expire and get reclaimed, and no coordination is needed
+// up front.
 #pragma once
 
 #include <functional>
@@ -76,9 +76,9 @@ std::vector<Design> parse_design_list(const std::string& csv);
 /// and for missing/corrupt trace files.
 std::vector<std::string> parse_workload_list(const std::string& csv);
 
-// ---- claim-based work stealing ---------------------------------------------
+// ---- the scheduler ---------------------------------------------------------
 
-/// Knobs for run_work_stealing.
+/// Knobs for run_grid.
 struct StealOptions {
   /// Claim-owner token (comma-free; "" uses prof::default_owner()).
   std::string owner;
@@ -94,9 +94,10 @@ struct StealOptions {
   double poll_seconds = 0.5;
 };
 
-/// What one process's run_work_stealing did, for logs and --profile.
+/// What one process's run_grid did, for logs and --profile.
 struct StealOutcome {
-  size_t simulated = 0;       // points this process claimed and simulated
+  size_t simulated = 0;       // points this process claimed and ran (without
+                              // claims: every point, a warm one as a lookup)
   size_t reclaimed = 0;       // of those, won by superseding an expired claim
   size_t done_elsewhere = 0;  // points another owner completed
   size_t claim_errors = 0;    // points whose claim I/O failed even after the
@@ -108,22 +109,26 @@ struct StealOutcome {
   prof::Totals sched;         // scheduler-side cache I/O + claim counters
 };
 
-/// Runs `grid` to completion cooperatively with any number of concurrent
-/// processes sharing `cache_path`: each of `n_threads` workers (0 =
-/// hardware concurrency) repeatedly scans the remaining points in
-/// descending cost_estimate order, stakes a claim through the cache flock
-/// (result_cache.hh), and simulates the points it wins via
-/// `runner_for(vp)` — which must return, for each config in the grid, a
-/// runner simulating under vp.config and writing to `cache_path` (the same
-/// runner every call; vp.point is irrelevant to the lookup). Returns
-/// once *every* point has a result, whether produced here or by another
-/// process; a process that finishes early keeps polling (poll_seconds) and
-/// reclaims expired claims, so a SIGKILLed peer's points are picked up
-/// automatically. Throws on a simulation error. Cache I/O failure does NOT
-/// abort the sweep: a claim that still fails after bounded backoff retries
-/// degrades that point to uncoordinated simulation with a loud warning
-/// (waste over wrongness — see StealOutcome::degraded).
-StealOutcome run_work_stealing(
+/// Runs `grid` to completion on `n_threads` workers (0 = hardware
+/// concurrency, capped at the grid size). Each worker repeatedly scans the
+/// remaining points in descending cost_estimate order (longest first:
+/// points vary ~30x in cost) and runs the points it wins via
+/// `runner_for(vp)`, which must return, for each config in the grid, a
+/// runner simulating under vp.config (the same runner every call; vp.point
+/// is irrelevant to the lookup). Throws the first simulation error.
+///
+/// An empty `cache_path` means no claims: every point a worker reserves is
+/// its own and no claim I/O happens. Otherwise the runners must write to
+/// `cache_path`, and a worker stakes a claim through its flock
+/// (result_cache.hh) before running a point, cooperating with any number of
+/// concurrent processes sharing the file. It returns once *every* point has
+/// a result, whether produced here or by another process; a process that
+/// finishes early keeps polling (poll_seconds) and reclaims expired claims,
+/// so a SIGKILLed peer's points are picked up automatically. Cache I/O
+/// failure does NOT abort the sweep: a claim that still fails after bounded
+/// backoff retries degrades that point to uncoordinated simulation with a
+/// loud warning (waste over wrongness — see StealOutcome::degraded).
+StealOutcome run_grid(
     const std::vector<VariantPoint>& grid,
     const std::function<ExperimentRunner&(const VariantPoint&)>& runner_for,
     const std::string& cache_path, const StealOptions& opts,

@@ -365,9 +365,9 @@ int main(int argc, char** argv) {
   if (o.assert_same) return check_same(o, groups);
   if (o.fsck) return run_fsck(o);
 
-  // One runner per config in the grid (runners[i] simulates groups[i]):
-  // each loads and appends only records carrying its own config
-  // fingerprint, so all variants share the one cache file.
+  // One runner per config in the grid: each loads and appends only records
+  // carrying its own config fingerprint, so all variants share the one
+  // cache file.
   size_t warm = 0;
   std::vector<std::unique_ptr<ExperimentRunner>> runners;
   std::map<std::string, ExperimentRunner*> runner_by_name;
@@ -379,37 +379,30 @@ int main(int argc, char** argv) {
     runners.push_back(std::move(runner));
   }
 
-  if (o.claim)
-    std::fprintf(stderr,
-                 "[sweep] claim mode (owner %s): %zu grid points (%zu cached, "
-                 "%zu variant(s)), %u jobs, cache=%s\n",
-                 o.owner.c_str(), grid.size(), warm, groups.size(), o.jobs,
-                 o.cache_path.c_str());
-  else
-    std::fprintf(stderr,
-                 "[sweep] %zu grid points (%zu cached, %zu variant(s)), %u "
-                 "jobs, cache=%s\n",
-                 grid.size(), warm, groups.size(), o.jobs,
-                 o.cache_path.empty() ? "<disabled>" : o.cache_path.c_str());
+  // Never more threads than points (the scheduler clamps the same way).
+  const unsigned wanted = o.jobs ? o.jobs : std::thread::hardware_concurrency();
+  const unsigned jobs = static_cast<unsigned>(
+      std::max<size_t>(1, std::min<size_t>(wanted, grid.size())));
+  const std::string mode = o.claim ? "claim mode (owner " + o.owner + ")" : "local mode";
+  std::fprintf(stderr,
+               "[sweep] %s: %zu grid points (%zu cached, %zu variant(s)), %u "
+               "jobs, cache=%s\n",
+               mode.c_str(), grid.size(), warm, groups.size(), jobs,
+               o.cache_path.empty() ? "<disabled>" : o.cache_path.c_str());
 
   const auto t0 = std::chrono::steady_clock::now();
   size_t write_failures = 0;
   sweep::StealOutcome steal;
   try {
-    if (o.claim) {
-      sweep::StealOptions so;
-      so.owner = o.owner;
-      so.lease_seconds = o.claim_lease;
-      steal = sweep::run_work_stealing(
-          grid,
-          [&](const sweep::VariantPoint& vp) -> ExperimentRunner& {
-            return *runner_by_name.at(config_diff(vp.config));
-          },
-          o.cache_path, so, o.jobs);
-    } else {
-      for (size_t i = 0; i < groups.size(); ++i)
-        runners[i]->run_points(groups[i].points, o.jobs);
-    }
+    sweep::StealOptions so;
+    so.owner = o.owner;
+    so.lease_seconds = o.claim_lease;
+    steal = sweep::run_grid(
+        grid,
+        [&](const sweep::VariantPoint& vp) -> ExperimentRunner& {
+          return *runner_by_name.at(config_diff(vp.config));
+        },
+        o.claim ? o.cache_path : "", so, jobs);
     for (const auto& runner : runners) write_failures += runner->disk_write_failures();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "avr_sweep: point failed: %s\n", e.what());
@@ -426,19 +419,16 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Per-phase profile: aggregate of every runner (and, in claim mode, the
-  // scheduler's claim I/O), one slice per simulated point. The sidecar is
-  // written unconditionally — it documents what this process did even when
-  // nobody asked for the table.
+  // Per-phase profile: aggregate of every runner and the scheduler (its
+  // cost-estimate prelude and, in claim mode, its claim I/O), one slice per
+  // simulated point. The sidecar is written unconditionally — it documents
+  // what this process did even when nobody asked for the table.
   prof::Report report;
   report.owner = o.owner;
   report.mode = o.claim ? "claim" : "local";
   report.simd = simd_level_name(simd_level());
   report.wall_seconds = secs;
-  // As the pools size themselves: never more threads than points.
-  const unsigned jobs = o.jobs ? o.jobs : std::thread::hardware_concurrency();
-  report.jobs = static_cast<unsigned>(
-      std::max<size_t>(1, std::min<size_t>(jobs, grid.size())));
+  report.jobs = jobs;
   report.aggregate = steal.sched;
   for (const auto& runner : runners) {
     report.aggregate.merge(runner->profile_totals());
@@ -462,14 +452,10 @@ int main(int argc, char** argv) {
                  "I/O kept failing); results are correct but duplicate work "
                  "was possible — consider avr_sweep --fsck on %s\n",
                  steal.claim_errors, o.cache_path.c_str());
-  if (o.claim)
-    std::printf(
-        "[sweep] claim done (owner %s): %zu simulated (%zu reclaimed), "
-        "%zu already done, in %.1fs\n",
-        o.owner.c_str(), steal.simulated, steal.reclaimed, steal.done_elsewhere,
-        secs);
-  else
-    std::printf("[sweep] done: %zu points (%zu simulated) in %.1fs\n",
-                grid.size(), grid.size() - warm, secs);
+  // The points simulated here, whichever mode: a warm point has no slice.
+  const size_t simulated = report.points.size();
+  std::printf(
+      "[sweep] %s done: %zu simulated (%zu reclaimed), %zu already done, in %.1fs\n",
+      mode.c_str(), simulated, steal.reclaimed, grid.size() - simulated, secs);
   return 0;
 }

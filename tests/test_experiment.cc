@@ -153,15 +153,32 @@ TEST(ExperimentRunner, CostEstimateHeuristicOrdersDesignsByWork) {
   }
 }
 
-TEST(ExperimentRunner, RunPointsHandlesArbitrarySlicesAndDuplicates) {
+using Points = std::vector<std::pair<std::string, Design>>;
+
+/// The default-config grid of `points`, in the given order.
+std::vector<sweep::VariantPoint> default_grid(const Points& points) {
+  std::vector<sweep::VariantPoint> grid;
+  for (const auto& p : points) grid.push_back({SimConfig{}, p});
+  return grid;
+}
+
+/// run_grid over `points` without claims, every point on runner `r`.
+sweep::StealOutcome run_local(ExperimentRunner& r, const Points& points, unsigned jobs) {
+  const auto runner_for = [&](const sweep::VariantPoint&) -> auto& { return r; };
+  return sweep::run_grid(default_grid(points), runner_for, "", {}, jobs);
+}
+
+TEST(ExperimentRunner, RunGridHandlesArbitrarySlicesAndDuplicates) {
   ExperimentRunner r({}, false, "");
-  // A non-cross-product list with a duplicate — the shape a shard produces.
+  // A non-cross-product list with a duplicate — the shape of a selection.
   const std::vector<std::pair<std::string, Design>> points = {
       {"kmeans", Design::kBaseline},
       {"bscholes", Design::kTruncate},
       {"kmeans", Design::kBaseline},
   };
-  const auto got = r.run_points(points, 2);
+  EXPECT_EQ(run_local(r, points, 2).simulated, points.size());
+  std::vector<ExperimentResult> got;
+  for (const auto& [w, d] : points) got.push_back(r.run(w, d));
   ASSERT_EQ(got.size(), 3u);
   EXPECT_EQ(got[0].workload, "kmeans");
   EXPECT_EQ(got[1].workload, "bscholes");
@@ -179,10 +196,10 @@ TEST(ExperimentRunner, ProfileCountsOneCacheHitPerWarmPoint) {
       {"bscholes", Design::kTruncate},
   };
   {
-    // Cold: every point simulates and none is a hit, although run_points
-    // hands all of them back.
+    // Cold: every point simulates and none is a hit, although run_grid
+    // runs all of them here.
     ExperimentRunner r({}, false, path);
-    ASSERT_EQ(r.run_points(points, 2).size(), points.size());
+    ASSERT_EQ(run_local(r, points, 2).simulated, points.size());
     const prof::Totals t = r.profile_totals();
     // (Compiled-out profiling counts no simulated points.)
     EXPECT_EQ(t.count(prof::Counter::kPointsSimulated),
@@ -192,7 +209,7 @@ TEST(ExperimentRunner, ProfileCountsOneCacheHitPerWarmPoint) {
   {
     // Warm rerun: exactly one hit per point, nothing simulated.
     ExperimentRunner r({}, false, path);
-    ASSERT_EQ(r.run_points(points, 2).size(), points.size());
+    ASSERT_EQ(run_local(r, points, 2).simulated, points.size());
     const prof::Totals t = r.profile_totals();
     EXPECT_EQ(t.count(prof::Counter::kPointsSimulated), 0u);
     EXPECT_EQ(t.count(prof::Counter::kCacheHits), points.size());
@@ -201,10 +218,9 @@ TEST(ExperimentRunner, ProfileCountsOneCacheHitPerWarmPoint) {
 }
 
 TEST(ExperimentRunner, SchedulerPreludeIsTimedAsSetup) {
-  // Both schedulers estimate every point's cost before any worker starts;
-  // that prelude is setup time of the scheduler, not of any point.
-  const std::vector<std::pair<std::string, Design>> points = {
-      {"bscholes", Design::kBaseline}};
+  // In both modes the scheduler estimates every point's cost before any
+  // worker starts; that prelude is setup time of the scheduler, not of any
+  // point.
   const std::string path = std::filesystem::temp_directory_path() /
                            "avr_test_sched_prelude.csv";
   std::remove(path.c_str());
@@ -213,16 +229,16 @@ TEST(ExperimentRunner, SchedulerPreludeIsTimedAsSetup) {
     // which sees no point's sink.
     ExperimentRunner r({}, false, path);
     const auto grid = sweep::config_grid({}, {"bscholes"}, {Design::kBaseline});
-    const sweep::StealOutcome out = sweep::run_work_stealing(
+    const sweep::StealOutcome out = sweep::run_grid(
         grid, [&](const sweep::VariantPoint&) -> ExperimentRunner& { return r; },
         path, {}, 1);
     EXPECT_EQ(out.simulated, 1u);
     EXPECT_EQ(out.sched.phase_calls(prof::Phase::kSetup), AVR_PROFILE ? 1u : 0u);
   }
   {
-    // run_points: one setup call more than the points' own.
+    // run_all: one setup call more than the points' own.
     ExperimentRunner r({}, false, "");
-    r.run_points(points, 1);
+    r.run_all({"bscholes"}, {Design::kBaseline}, 1);
     uint64_t point_calls = 0;
     for (const prof::PointProfile& p : r.profile_points())
       point_calls += p.totals.phase_calls(prof::Phase::kSetup);
@@ -230,6 +246,66 @@ TEST(ExperimentRunner, SchedulerPreludeIsTimedAsSetup) {
               point_calls + (AVR_PROFILE ? 1u : 0u));
   }
   std::remove(path.c_str());
+}
+
+TEST(ExperimentRunner, RunGridRecordsMatchWithAndWithoutClaims) {
+  // One selection run twice, once without claims and once through a claim
+  // cache: kernel points, a tiny seeded trace, a duplicate point and a
+  // --set variant. Both runs must write identical records (wall-clock
+  // aside) and simulate each distinct point exactly once.
+  const auto dir = std::filesystem::temp_directory_path();
+  const std::string tiny = dir / "avr_test_run_grid_modes.trace";
+  trace::GenParams gp;
+  gp.records = 256;
+  gp.regions = 2;
+  gp.region_bytes = 4096;
+  gp.seed = 7;
+  std::string err;
+  ASSERT_TRUE(trace::write_trace_file(tiny, trace::make_zipf_trace(gp), &err)) << err;
+
+  const Points points = {
+      {"bscholes", Design::kAvr},
+      {"kmeans", Design::kBaseline},
+      {"trace:" + tiny, Design::kAvr},
+      {"bscholes", Design::kAvr},  // duplicate
+  };
+  std::vector<sweep::VariantPoint> grid = default_grid(points);
+  std::vector<sweep::SetAxis> axes;
+  sweep::add_set_axis(axes, "avr.t1_override=6");
+  for (const auto& vp : sweep::config_grid(axes, {"kmeans"}, {Design::kAvr}))
+    grid.push_back(vp);
+  const SimConfig variant = grid.back().config;
+  const size_t distinct = grid.size() - 1;
+
+  // Writes the selection's records to `cache`, claiming through it iff
+  // `claim`, and returns them (default config, then the variant) encoded
+  // with wall_seconds zeroed.
+  const auto sweep_into = [&](const std::string& cache, bool claim) {
+    std::remove(cache.c_str());
+    ExperimentRunner base({}, false, cache);
+    ExperimentRunner t1(variant, false, cache);
+    const auto runner_for = [&](const sweep::VariantPoint& vp) -> ExperimentRunner& {
+      return config_fingerprint(vp.config) == t1.config_hash() ? t1 : base;
+    };
+    (void)sweep::run_grid(grid, runner_for, claim ? cache : "", {}, 2);
+    EXPECT_EQ(base.profile_totals().count(prof::Counter::kPointsSimulated) +
+                  t1.profile_totals().count(prof::Counter::kPointsSimulated),
+              AVR_PROFILE ? distinct : 0u)
+        << (claim ? "claim" : "local");
+    std::vector<std::string> lines;
+    for (const ExperimentRunner* r : {&base, &t1})
+      for (auto [key, res] : load_result_cache(cache, r->config_hash())) {
+        res.wall_seconds = 0;
+        lines.push_back(encode_result_line(res));
+      }
+    std::remove(cache.c_str());
+    return lines;
+  };
+  const auto local = sweep_into(dir / "avr_test_run_grid_local.csv", false);
+  const auto claimed = sweep_into(dir / "avr_test_run_grid_claim.csv", true);
+  EXPECT_EQ(local.size(), distinct);
+  EXPECT_EQ(local, claimed);
+  std::remove(tiny.c_str());
 }
 
 TEST(ExperimentRunner, IdleClaimWorkerStopsWaitingWhenTheSweepEnds) {
@@ -251,7 +327,7 @@ TEST(ExperimentRunner, IdleClaimWorkerStopsWaitingWhenTheSweepEnds) {
   sweep::StealOptions opts;
   opts.poll_seconds = 120;
   const auto t0 = std::chrono::steady_clock::now();
-  const sweep::StealOutcome out = sweep::run_work_stealing(
+  const sweep::StealOutcome out = sweep::run_grid(
       sweep::config_grid({}, {"bscholes", "trace:" + tiny}, {Design::kAvr}),
       [&](const sweep::VariantPoint&) -> ExperimentRunner& { return r; }, path,
       opts, 2);

@@ -271,6 +271,32 @@ TEST(Sweep, T1VariantClaimWorkersCoexistInOneCache) {
   std::remove(cache.c_str());
 }
 
+TEST(Sweep, HeaderAndSidecarNameTheResolvedJobCount) {
+  const std::string bin = sweep_binary();
+  if (bin.empty()) GTEST_SKIP() << "AVR_SWEEP_BIN not set";
+
+  const auto dir = std::filesystem::temp_directory_path();
+  const std::string tag = std::to_string(::getpid());
+  const std::string cache = (dir / ("avr_jobs_" + tag + ".csv")).string();
+  const std::string sidecar = (dir / ("avr_jobs_" + tag + ".json")).string();
+  const std::string err_path = (dir / ("avr_jobs_" + tag + ".txt")).string();
+  std::remove(cache.c_str());
+
+  // One point and no --jobs: however many cores the host has, the sweep
+  // runs on one thread, and both the header and the sidecar say so.
+  std::vector<std::string> args = {bin, "--workloads", "bscholes", "--designs", "AVR"};
+  args.insert(args.end(), {"--cache", cache, "--profile-out", sidecar, "--quiet"});
+  wait_ok({spawn_sweep(args, err_path)});
+  std::ifstream err_in(err_path);
+  const std::string err{std::istreambuf_iterator<char>(err_in), {}};
+  EXPECT_NE(err.find("[sweep] local mode: 1 grid points"), std::string::npos) << err;
+  EXPECT_NE(err.find("1 variant(s)), 1 jobs, cache="), std::string::npos) << err;
+  std::ifstream json_in(sidecar);
+  const std::string json{std::istreambuf_iterator<char>(json_in), {}};
+  EXPECT_NE(json.find("\"jobs\":1,"), std::string::npos) << json;
+  for (const std::string& f : {cache, sidecar, err_path}) std::remove(f.c_str());
+}
+
 TEST(Sweep, BadNumericFlagValueIsNamed) {
   const std::string bin = sweep_binary();
   if (bin.empty()) GTEST_SKIP() << "AVR_SWEEP_BIN not set";
