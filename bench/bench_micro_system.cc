@@ -4,9 +4,14 @@
 // paper sweep (L1-resident streaming, L1-hit re-reads, LLC-bound strides)
 // plus a miniature Jacobi kernel as a workload-shaped composite.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
 
 #include "common/profile.hh"
 #include "runtime/system.hh"
+#include "trace/trace_format.hh"
 #include "trace/trace_gen.hh"
 #include "trace/trace_replay.hh"
 
@@ -228,6 +233,49 @@ void BM_TraceReplayZipf(benchmark::State& state) {
                           static_cast<int64_t>(t.access_count()));
 }
 BENCHMARK(BM_TraceReplayZipf);
+
+/// A 32768-record trace file in the system temp directory, removed when the
+/// bench ends; what one trace-mix input holds.
+struct TempTrace {
+  std::string path;
+  trace::Trace t;
+
+  TempTrace() {
+    const std::string name = "avr_bench_" + std::to_string(::getpid()) + ".trace";
+    path = (std::filesystem::temp_directory_path() / name).string();
+    trace::GenParams p;
+    p.records = 32768;
+    p.seed = 11;
+    t = trace::make_chase_trace(p);
+  }
+  ~TempTrace() { std::filesystem::remove(path); }
+};
+
+/// Trace encode + validation + temp-file write and rename: the per-trace
+/// cost of avr_trace_gen beyond generation. Items = records.
+void BM_TraceWrite(benchmark::State& state) {
+  TempTrace f;
+  std::string err;
+  for (auto _ : state)
+    if (!trace::write_trace_file(f.path, f.t, &err)) state.SkipWithError(err.c_str());
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(f.t.records.size()));
+}
+BENCHMARK(BM_TraceWrite);
+
+/// Trace file read + decode + validation under the tolerant-reader contract:
+/// what a sweep pays per trace before its `[sweep]` header. Items = records.
+void BM_TraceRead(benchmark::State& state) {
+  TempTrace f;
+  std::string err;
+  if (!trace::write_trace_file(f.path, f.t, &err)) state.SkipWithError(err.c_str());
+  for (auto _ : state) {
+    trace::Trace back;
+    if (!trace::read_trace_file(f.path, &back, &err)) state.SkipWithError(err.c_str());
+    benchmark::DoNotOptimize(back.records.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(f.t.records.size()));
+}
+BENCHMARK(BM_TraceRead);
 
 }  // namespace
 

@@ -13,6 +13,7 @@
 // Output is deterministic for a given flag tuple, so CI shards can each
 // regenerate an identical trace instead of shipping it between jobs.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <exception>
@@ -32,9 +33,12 @@ Synthesize a replayable access trace, or re-record a workload as one.
 
   --out path         output trace file (required)
   --pattern p        chase | zipf | walk | mixed (default mixed)
-  --records N        synthetic records to emit (default 65536)
-  --regions K        regions to spread the stream over (default 4)
-  --bytes B          bytes per region, 4-aligned (default 262144)
+  --records N        synthetic records to emit (default 65536); mixed
+                     emits 3 x floor(N/3), so 65536 gives 65535
+  --regions K        regions to spread the stream over, 1..4096 (default
+                     4); mixed uses three groups of max(1, floor(K/3))
+  --bytes B          bytes per region, 4-aligned, at least 64 (default
+                     262144)
   --stores F         store fraction 0..1 (default 0.25)
   --seed S           generator seed (default 1)
   --record W         re-record workload W (a kernel name or trace:<path>)
@@ -83,16 +87,23 @@ Options parse_args(int argc, char** argv) {
     } else if (a == "--records") {
       o.gen.records = parse_u64(value(i, "--records"), "--records");
     } else if (a == "--regions") {
-      o.gen.regions =
-          static_cast<uint32_t>(parse_u64(value(i, "--regions"), "--regions"));
+      const std::string v = value(i, "--regions");
+      const uint64_t n = parse_u64(v, "--regions");
+      if (n > UINT32_MAX) throw std::invalid_argument("bad --regions value: " + v);
+      o.gen.regions = static_cast<uint32_t>(n);
     } else if (a == "--bytes") {
       o.gen.region_bytes = parse_u64(value(i, "--bytes"), "--bytes");
     } else if (a == "--stores") {
+      // Range checks are the generator's; this only insists on a number.
+      const std::string v = value(i, "--stores");
+      size_t pos = 0;
       try {
-        o.gen.store_fraction = std::stod(value(i, "--stores"));
+        o.gen.store_fraction = std::stod(v, &pos);
       } catch (const std::exception&) {
-        throw std::invalid_argument("bad --stores value");
+        pos = 0;
       }
+      if (pos == 0 || pos != v.size())
+        throw std::invalid_argument("bad --stores value: " + v);
     } else if (a == "--seed") {
       o.gen.seed = parse_u64(value(i, "--seed"), "--seed");
     } else if (a == "--record") {

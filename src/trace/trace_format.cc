@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <utility>
 
 namespace avr {
 namespace trace {
@@ -15,19 +16,28 @@ bool fail(std::string* error, std::string msg) {
 }
 
 // ---- little-endian field codec ---------------------------------------------
-// Byte-by-byte shifts: endian-portable and free of alignment/padding UB.
+// Byte-by-byte shifts: endian-portable and free of alignment/padding UB. The
+// shifts are unrolled at compile time so the compiler merges each field into
+// one load or store on a little-endian host.
 
-void put_u16(std::string& s, uint16_t v) {
-  s.push_back(static_cast<char>(v & 0xFF));
-  s.push_back(static_cast<char>((v >> 8) & 0xFF));
+template <typename T, size_t... I>
+T load_le(const unsigned char* p, std::index_sequence<I...>) {
+  return static_cast<T>(((uint64_t{p[I]} << (8 * I)) | ...));
 }
 
-void put_u32(std::string& s, uint32_t v) {
-  for (int i = 0; i < 4; ++i) s.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+template <typename T>
+T load_le(const unsigned char* p) {
+  return load_le<T>(p, std::make_index_sequence<sizeof(T)>{});
 }
 
-void put_u64(std::string& s, uint64_t v) {
-  for (int i = 0; i < 8; ++i) s.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+template <typename T, size_t... I>
+void store_le(unsigned char* p, T v, std::index_sequence<I...>) {
+  ((p[I] = static_cast<unsigned char>(uint64_t{v} >> (8 * I))), ...);
+}
+
+template <typename T>
+void store_le(unsigned char* p, T v) {
+  store_le(p, v, std::make_index_sequence<sizeof(T)>{});
 }
 
 /// Bounds-checked read cursor over the loaded file bytes. Every get_* is
@@ -45,10 +55,6 @@ struct Cursor {
       return 0;
     }
     return p[at++];
-  }
-  uint16_t get_u16() {
-    uint16_t v = get_u8();
-    return static_cast<uint16_t>(v | (static_cast<uint16_t>(get_u8()) << 8));
   }
   uint32_t get_u32() {
     uint32_t v = 0;
@@ -100,6 +106,18 @@ bool validate_regions(const std::vector<TraceRegion>& regions, std::string* erro
   return true;
 }
 
+/// The record checks without a message: what the reader, validate_trace and
+/// the writer run per record. validate_record repeats them to explain the
+/// first failure, so the two must test exactly the same conditions.
+bool record_ok(const TraceRecord& rec, const std::vector<TraceRegion>& regions) {
+  if (rec.op != Op::kLoad && rec.op != Op::kStore) return false;
+  if (rec.region >= regions.size()) return false;
+  if (rec.size < 4 || rec.size % 4 != 0 || rec.size > kMaxRecordSize) return false;
+  if (rec.offset % 4 != 0) return false;
+  const uint64_t region_bytes = regions[rec.region].bytes;
+  return rec.offset <= region_bytes && region_bytes - rec.offset >= rec.size;
+}
+
 bool validate_record(const TraceRecord& rec, uint64_t index,
                      const std::vector<TraceRegion>& regions, std::string* error) {
   const std::string where = "record " + std::to_string(index) + ": ";
@@ -147,9 +165,13 @@ bool parse_prefix(Cursor& cur, size_t file_size, std::vector<TraceRegion>* regio
                            " exceeds limit " + std::to_string(kMaxRegions));
   // The exact length the header promises. Anything shorter is torn, anything
   // longer carries trailing garbage; both are rejected before records parse.
-  const uint64_t expect = kHeaderBytes +
-                          uint64_t{region_count} * kRegionEntryBytes +
-                          *record_count * kRecordBytes;
+  // A count whose byte length wraps 64 bits could otherwise promise a small
+  // file and then drive the record loop far past it.
+  const uint64_t prefix = kHeaderBytes + uint64_t{region_count} * kRegionEntryBytes;
+  if (*record_count > (UINT64_MAX - prefix) / kRecordBytes)
+    return fail(error, "record count " + std::to_string(*record_count) +
+                           " overflows the file length");
+  const uint64_t expect = prefix + *record_count * kRecordBytes;
   if (file_size != expect)
     return fail(error, "file is " + std::to_string(file_size) +
                            " bytes but header promises " + std::to_string(expect) +
@@ -205,32 +227,36 @@ bool read_file_bytes(const std::string& path, std::string* bytes,
 bool validate_trace(const Trace& t, std::string* error) {
   if (!validate_regions(t.regions, error)) return false;
   for (uint64_t i = 0; i < t.records.size(); ++i)
-    if (!validate_record(t.records[i], i, t.regions, error)) return false;
+    if (!record_ok(t.records[i], t.regions))
+      return validate_record(t.records[i], i, t.regions, error);
   return true;
 }
 
 bool write_trace_file(const std::string& path, const Trace& t, std::string* error) {
   if (!validate_trace(t, error)) return false;
-  std::string s;
-  s.reserve(kHeaderBytes + t.regions.size() * kRegionEntryBytes +
-            t.records.size() * kRecordBytes);
-  s.append(kTraceMagic, sizeof(kTraceMagic));
-  put_u32(s, kTraceVersion);
-  put_u32(s, static_cast<uint32_t>(t.regions.size()));
-  put_u64(s, t.records.size());
+  // Sized once; every field lands in its fixed slot and the zero fill
+  // supplies the name padding and reserved fields.
+  const size_t size = kHeaderBytes + t.regions.size() * kRegionEntryBytes +
+                      t.records.size() * kRecordBytes;
+  std::string s(size, '\0');
+  unsigned char* p = reinterpret_cast<unsigned char*>(s.data());
+  std::memcpy(p, kTraceMagic, sizeof(kTraceMagic));
+  store_le<uint32_t>(p + 8, kTraceVersion);
+  store_le<uint32_t>(p + 12, static_cast<uint32_t>(t.regions.size()));
+  store_le<uint64_t>(p + 16, t.records.size());
+  p += kHeaderBytes;
   for (const TraceRegion& r : t.regions) {
-    s.append(r.name);
-    s.append(kRegionNameBytes - r.name.size(), '\0');
-    put_u64(s, r.bytes);
-    put_u32(s, r.approx ? 1u : 0u);
-    put_u32(s, 0);
+    std::memcpy(p, r.name.data(), r.name.size());
+    store_le<uint64_t>(p + kRegionNameBytes, r.bytes);
+    store_le<uint32_t>(p + kRegionNameBytes + 8, r.approx ? 1u : 0u);
+    p += kRegionEntryBytes;
   }
   for (const TraceRecord& rec : t.records) {
-    s.push_back(static_cast<char>(rec.op));
-    s.push_back('\0');
-    put_u16(s, rec.region);
-    put_u32(s, rec.size);
-    put_u64(s, rec.offset);
+    p[0] = static_cast<unsigned char>(rec.op);
+    store_le<uint16_t>(p + 2, rec.region);
+    store_le<uint32_t>(p + 4, rec.size);
+    store_le<uint64_t>(p + 8, rec.offset);
+    p += kRecordBytes;
   }
   // Write to a sibling temp file and rename into place: a crashed or
   // disk-full writer must never leave a torn file under the final name.
@@ -263,20 +289,25 @@ bool read_trace_file(const std::string& path, Trace* out, std::string* error) {
   uint64_t record_count = 0;
   if (!parse_prefix(cur, bytes.size(), &t.regions, &record_count, error))
     return false;
-  t.records.reserve(record_count);  // bounded: file_size == expected length
-  for (uint64_t i = 0; i < record_count; ++i) {
+  // parse_prefix proved the file is exactly header + regions + count
+  // records long, so each record decodes from its fixed 16-byte slot with
+  // no per-byte bounds check; this re-check keeps that proof next to the
+  // unchecked reads.
+  if (bytes.size() - cur.at != record_count * kRecordBytes)
+    return fail(error, "truncated record stream");
+  const unsigned char* slot = cur.p + cur.at;
+  t.records.reserve(record_count);
+  for (uint64_t i = 0; i < record_count; ++i, slot += kRecordBytes) {
     TraceRecord rec;
-    rec.op = static_cast<Op>(cur.get_u8());
-    const uint8_t reserved = cur.get_u8();
-    rec.region = cur.get_u16();
-    rec.size = cur.get_u32();
-    rec.offset = cur.get_u64();
-    if (reserved != 0)
+    rec.op = static_cast<Op>(slot[0]);
+    rec.region = load_le<uint16_t>(slot + 2);
+    rec.size = load_le<uint32_t>(slot + 4);
+    rec.offset = load_le<uint64_t>(slot + 8);
+    if (slot[1] != 0)
       return fail(error, "record " + std::to_string(i) + ": nonzero reserved byte");
-    if (!validate_record(rec, i, t.regions, error)) return false;
+    if (!record_ok(rec, t.regions)) return validate_record(rec, i, t.regions, error);
     t.records.push_back(rec);
   }
-  if (cur.torn) return fail(error, "truncated record stream");
   *out = std::move(t);
   return true;
 }

@@ -1,6 +1,7 @@
 #include "trace/trace_gen.hh"
 
 #include <algorithm>
+#include <cstdio>
 #include <stdexcept>
 #include <vector>
 
@@ -11,17 +12,40 @@ namespace avr {
 namespace trace {
 namespace {
 
-uint64_t words_per_region(const GenParams& p) {
+[[noreturn]] void bad_param(const char* field, const std::string& want,
+                            const std::string& got) {
+  throw std::invalid_argument(std::string("trace generator: ") + field + " must be " +
+                              want + ", got " + got);
+}
+
+/// Rejects what no generator can honour as asked, rather than silently
+/// substituting a value; the avr_trace_gen flag is named alongside.
+void check_params(const GenParams& p) {
+  if (p.regions == 0 || p.regions > kMaxRegions)
+    bad_param("regions (--regions)", "1.." + std::to_string(kMaxRegions),
+              std::to_string(p.regions));
   // At least one cacheline so every pattern has room to move.
-  return std::max<uint64_t>(p.region_bytes, kCachelineBytes) / 4;
+  if (p.region_bytes < kCachelineBytes || p.region_bytes % 4 != 0 ||
+      p.region_bytes > kMaxRegionBytes)
+    bad_param("region_bytes (--bytes)", "a multiple of 4 from 64 B to 1 GiB",
+              std::to_string(p.region_bytes));
+  if (uint64_t{p.regions} * p.region_bytes > kMaxTraceFootprint)
+    bad_param("footprint (--regions x --bytes)", "at most 256 MiB",
+              std::to_string(uint64_t{p.regions} * p.region_bytes));
+  // Written so NaN fails too.
+  if (!(p.store_fraction >= 0.0 && p.store_fraction <= 1.0)) {
+    char got[32];
+    std::snprintf(got, sizeof(got), "%g", p.store_fraction);
+    bad_param("store_fraction (--stores)", "in [0, 1]", got);
+  }
 }
 
 std::vector<TraceRegion> make_regions(const GenParams& p, const std::string& stem) {
+  check_params(p);
   std::vector<TraceRegion> regions;
-  const uint32_t n = std::max<uint32_t>(1, p.regions);
-  regions.reserve(n);
-  for (uint32_t i = 0; i < n; ++i)
-    regions.push_back({stem + std::to_string(i), words_per_region(p) * 4,
+  regions.reserve(p.regions);
+  for (uint32_t i = 0; i < p.regions; ++i)
+    regions.push_back({stem + std::to_string(i), p.region_bytes,
                        /*approx=*/true});
   return regions;
 }
@@ -40,7 +64,7 @@ Trace make_chase_trace(const GenParams& p) {
   // One random cyclic permutation of cachelines per region (Sattolo's
   // algorithm: a single cycle, so the chain never gets stuck in a short
   // loop), chased line to line.
-  const uint64_t lines = words_per_region(p) * 4 / kCachelineBytes;
+  const uint64_t lines = p.region_bytes / kCachelineBytes;
   std::vector<std::vector<uint32_t>> next(t.regions.size());
   for (auto& perm : next) {
     perm.resize(lines);
@@ -66,7 +90,7 @@ Trace make_zipf_trace(const GenParams& p) {
   t.regions = make_regions(p, "zipf");
   Xoshiro256 rng(p.seed * 0x9E3779B97F4A7C15ull + 2);
 
-  const uint64_t words = words_per_region(p);
+  const uint64_t words = p.region_bytes / 4;
   t.records.reserve(p.records);
   for (uint64_t i = 0; i < p.records; ++i) {
     const uint16_t r = static_cast<uint16_t>(i % t.regions.size());
@@ -87,7 +111,7 @@ Trace make_walk_trace(const GenParams& p) {
   t.regions = make_regions(p, "walk");
   Xoshiro256 rng(p.seed * 0x9E3779B97F4A7C15ull + 3);
 
-  const uint64_t words = words_per_region(p);
+  const uint64_t words = p.region_bytes / 4;
   std::vector<uint64_t> pos(t.regions.size(), words / 2);
   t.records.reserve(p.records);
   for (uint64_t i = 0; i < p.records; ++i) {
@@ -118,6 +142,7 @@ Trace make_walk_trace(const GenParams& p) {
 Trace make_mixed_trace(const GenParams& p) {
   // Each pattern gets its own region group; records interleave round-robin,
   // so the stream switches pattern (and region) every record.
+  check_params(p);
   GenParams sub = p;
   sub.regions = std::max<uint32_t>(1, p.regions / 3);
   sub.records = p.records / 3;

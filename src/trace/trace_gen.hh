@@ -17,11 +17,14 @@
 namespace avr {
 namespace trace {
 
+/// Every generator validates its parameters and throws std::invalid_argument
+/// naming the field (and the avr_trace_gen flag) for a value it cannot
+/// honour; none is silently clamped.
 struct GenParams {
   uint64_t records = 1 << 16;       // record count (one 4 B access each)
-  uint32_t regions = 4;             // regions to spread the stream over
-  uint64_t region_bytes = 1 << 18;  // bytes per region (4-aligned)
-  double store_fraction = 0.25;     // stores in the stream
+  uint32_t regions = 4;             // regions to spread the stream over, >= 1
+  uint64_t region_bytes = 1 << 18;  // bytes per region: 4-aligned, >= 64
+  double store_fraction = 0.25;     // stores in the stream, in [0, 1]
   uint64_t seed = 1;
 };
 
@@ -40,11 +43,12 @@ Trace make_zipf_trace(const GenParams& p);
 /// the shape of heap-allocator and graph-traversal traffic.
 Trace make_walk_trace(const GenParams& p);
 
-/// All three interleaved round-robin, one pattern per region group.
+/// All three interleaved round-robin, one pattern per region group of
+/// max(1, regions / 3) regions. Emits 3 x floor(records / 3) records.
 Trace make_mixed_trace(const GenParams& p);
 
 /// Generator by name: "chase", "zipf", "walk", "mixed". Throws
-/// std::invalid_argument for unknown names.
+/// std::invalid_argument for unknown names and out-of-range parameters.
 Trace make_synthetic_trace(const std::string& pattern, const GenParams& p);
 
 }  // namespace trace

@@ -1,14 +1,17 @@
 // Trace-replay workload. Unlike the kernels, the "program" here is data
-// read from disk: construction validates it in full (tolerant reader +
-// validate_trace), so by the time run() executes, every record is known to
-// be in bounds and replay needs no per-access checks beyond the Debug
-// asserts every workload gets.
+// read from disk: construction validates it in full (the tolerant reader
+// runs every validate_trace check), so by the time run() executes, every
+// record is known to be in bounds and replay needs no per-access checks
+// beyond the Debug asserts every workload gets.
 //
 // A sweep builds the same trace workload many times over — parse_workload_list,
 // cost_estimate per design, the golden run, run() per design — so parsed
 // files are memoised per process (TraceMemo below): one full read +
 // validation per file version, shared read-only by every workload built
-// from it.
+// from it. A parse costs under a millisecond per 32768-record trace on a
+// 4-vCPU Xeon VM, most of it first touch of the record array, so
+// parse_workload_list loads a sweep's traces serially and reports the
+// first bad one in list order.
 #include "workloads/trace.hh"
 
 #include <sys/stat.h>
@@ -186,7 +189,8 @@ class TraceMemo {
     parses_.fetch_add(1);
     trace::Trace t;
     std::string err;
-    if (!trace::read_trace_file(path, &t, &err) || !trace::validate_trace(t, &err))
+    // The reader runs every validate_trace check itself.
+    if (!trace::read_trace_file(path, &t, &err))
       throw std::invalid_argument("trace workload '" + name + "': " + err);
     return share(std::move(t));
   }

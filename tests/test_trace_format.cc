@@ -5,10 +5,14 @@
 // CI lane).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 
+#include "common/prng.hh"
 #include "trace/trace_format.hh"
 #include "trace/trace_gen.hh"
 
@@ -110,6 +114,81 @@ TEST(TraceFormat, RoundTripIsBitIdentical) {
   }
 }
 
+// The writer's exact bytes, pinned as one FNV-1a digest per generator
+// setting, in the style of the compressor-identity digests: any change to
+// the encoding or to a generator fails here, not only in the end-to-end
+// benchmark's reference records. The first four settings have the shape of
+// the benchmark's trace-mix inputs, the last is CI's trace-replay sweep
+// input. Captured before the fixed-slot codec.
+uint64_t file_digest(const std::string& bytes) {
+  uint64_t h = 1469598103934665603ull;
+  for (unsigned char c : bytes) h = (h ^ c) * 1099511628211ull;
+  return h;
+}
+
+TEST(TraceFormat, WriterBytesArePinned) {
+  auto expect_digest = [](const char* pattern, const GenParams& p, uint64_t digest) {
+    const std::string path = temp_path(std::string("pinned_") + pattern + ".trace");
+    std::string err;
+    ASSERT_TRUE(write_trace_file(path, make_synthetic_trace(pattern, p), &err)) << err;
+    const uint64_t got = file_digest(slurp(path));
+    EXPECT_EQ(got, digest)
+        << pattern << " seed " << p.seed << ": writer bytes drifted; digest is 0x"
+        << std::hex << got;
+  };
+  GenParams mix;  // defaults: 4 regions of 256 KiB
+  mix.records = 32768;
+  mix.store_fraction = 0.05;
+  mix.seed = 1000;
+  GenParams mix50 = mix;
+  mix50.store_fraction = 0.5;
+  expect_digest("chase", mix, 0x64d3567e5ec2c11aull);
+  expect_digest("zipf", mix50, 0x46f3af1f3449bc8full);
+  expect_digest("walk", mix, 0x63cd32bf47bd14abull);
+  expect_digest("mixed", mix50, 0xf03f6627329c9f48ull);
+
+  GenParams ci;
+  ci.records = 8192;
+  ci.regions = 3;
+  ci.region_bytes = 65536;
+  ci.seed = 42;
+  expect_digest("mixed", ci, 0x5e5ed9d40443e3e1ull);
+}
+
+// Out-of-range generator parameters throw naming the field: none is
+// clamped or passed through (a NaN store fraction would act as 0).
+TEST(TraceGen, RejectsOutOfRangeParams) {
+  struct Bad {
+    const char* field;
+    void (*set)(GenParams&);
+  };
+  const Bad bad[] = {
+      {"store_fraction", [](GenParams& p) { p.store_fraction = std::nan(""); }},
+      {"store_fraction", [](GenParams& p) { p.store_fraction = 1.5; }},
+      {"store_fraction", [](GenParams& p) { p.store_fraction = -1; }},
+      {"region_bytes", [](GenParams& p) { p.region_bytes = 6; }},
+      {"region_bytes", [](GenParams& p) { p.region_bytes = 0; }},
+      {"region_bytes", [](GenParams& p) { p.region_bytes = 32; }},
+      {"region_bytes", [](GenParams& p) { p.region_bytes = kMaxRegionBytes + 4; }},
+      {"regions", [](GenParams& p) { p.regions = 0; }},
+      {"regions", [](GenParams& p) { p.regions = kMaxRegions + 1; }},
+      {"footprint", [](GenParams& p) { p.region_bytes = kMaxTraceFootprint; }},
+  };
+  for (const char* pattern : {"chase", "zipf", "walk", "mixed"})
+    for (const Bad& b : bad) {
+      GenParams p;
+      p.records = 64;
+      b.set(p);
+      try {
+        (void)make_synthetic_trace(pattern, p);
+        ADD_FAILURE() << pattern << ": bad " << b.field << " accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(b.field), std::string::npos)
+            << pattern << ": " << e.what();
+      }
+    }
+}
+
 TEST(TraceFormat, WriterProducesCanonicalLength) {
   const Trace t = small_trace();
   const std::string bytes = valid_bytes();
@@ -201,6 +280,16 @@ TEST(TraceFormat, RejectsRecordCountMismatch) {
   expect_rejected(bytes, "count promises more records than the file holds");
 }
 
+TEST(TraceFormat, RejectsRecordCountWhoseLengthWraps) {
+  // count = 2^60: count x 16 wraps to 0, so a file with no records at all
+  // would match the promised length if the product were taken unchecked.
+  const std::string bytes = valid_bytes();
+  std::string header_only = bytes.substr(0, kHeaderBytes + 2 * kRegionEntryBytes);
+  for (size_t b = 16; b < 24; ++b) header_only[b] = 0;
+  header_only[23] = 0x10;
+  expect_rejected(header_only, "record count wraps the length check");
+}
+
 // Byte offsets of the first record's fields (header + 2 region entries).
 constexpr size_t kRec0 = kHeaderBytes + 2 * kRegionEntryBytes;
 
@@ -214,6 +303,20 @@ TEST(TraceFormat, RejectsRegionIndexOutOfRange) {
   std::string err;
   ASSERT_FALSE(read_trace_file(path, &t, &err));
   EXPECT_NE(err.find("out of range"), std::string::npos) << err;
+
+  // Two bad records: the first one in file order is the one reported,
+  // whichever check each fails.
+  bytes = valid_bytes();
+  bytes[kRec0 + 3 * kRecordBytes] = 7;  // record 3: bad op
+  bytes[kRec0 + 9 * kRecordBytes + 2] = static_cast<char>(0xFF);  // record 9: region
+  bytes[kRec0 + 9 * kRecordBytes + 3] = static_cast<char>(0xFF);
+  spit(path, bytes);
+  ASSERT_FALSE(read_trace_file(path, &t, &err));
+  EXPECT_EQ(err, "record 3: bad op 7");
+  bytes[kRec0 + 2 * kRecordBytes + 1] = 1;  // record 2: reserved byte
+  spit(path, bytes);
+  ASSERT_FALSE(read_trace_file(path, &t, &err));
+  EXPECT_EQ(err, "record 2: nonzero reserved byte");
 }
 
 TEST(TraceFormat, RejectsOffsetPastRegionEnd) {
@@ -313,6 +416,94 @@ TEST(TraceFormat, WriterRefusesInvalidTraces) {
   past.records[0].offset = past.regions[past.records[0].region].bytes;
   EXPECT_FALSE(write_trace_file(temp_path("w4.trace"), past, &err));
   EXPECT_NE(err.find("past region"), std::string::npos) << err;
+
+  Trace two_bad = small_trace();
+  two_bad.records[5].size = 6;
+  two_bad.records[8].region = 99;
+  EXPECT_FALSE(write_trace_file(temp_path("w5.trace"), two_bad, &err));
+  EXPECT_EQ(err, "record 5: bad size 6");
+}
+
+// ---- seeded corruption corpus ----------------------------------------------
+
+bool same_trace(const Trace& a, const Trace& b) {
+  if (a.regions.size() != b.regions.size() || a.records.size() != b.records.size())
+    return false;
+  for (size_t i = 0; i < a.regions.size(); ++i)
+    if (a.regions[i].name != b.regions[i].name ||
+        a.regions[i].bytes != b.regions[i].bytes ||
+        a.regions[i].approx != b.regions[i].approx)
+      return false;
+  for (size_t i = 0; i < a.records.size(); ++i)
+    if (a.records[i].op != b.records[i].op ||
+        a.records[i].region != b.records[i].region ||
+        a.records[i].size != b.records[i].size ||
+        a.records[i].offset != b.records[i].offset)
+      return false;
+  return true;
+}
+
+/// Every mutation of a valid file either fails cleanly — a non-empty
+/// one-line reason, *out untouched — or is itself a canonical trace: the
+/// writer reproduces the mutated bytes exactly. Byte flips land in each
+/// of the header, the region table and the record stream; truncations cut
+/// anywhere; appends add 1..40 bytes.
+TEST(TraceFormat, SeededCorruptionCorpus) {
+  GenParams p;
+  p.records = 48;
+  p.regions = 3;
+  p.region_bytes = 256;
+  p.seed = 5;
+  const std::string path = temp_path("corpus_valid.trace");
+  std::string err;
+  ASSERT_TRUE(write_trace_file(path, make_mixed_trace(p), &err)) << err;
+  const std::string base = slurp(path);
+  const size_t regions_end = kHeaderBytes + 3 * kRegionEntryBytes;
+  ASSERT_GT(base.size(), regions_end);
+
+  Trace sentinel;
+  sentinel.regions.push_back({"sentinel", 64, false});
+  sentinel.records.push_back({Op::kStore, 0, 8, 16});
+
+  Xoshiro256 rng(0xC0442u);
+  const std::pair<size_t, size_t> zones[] = {
+      {0, kHeaderBytes}, {kHeaderBytes, regions_end}, {regions_end, base.size()}};
+  int accepted = 0, rejected = 0;
+  for (int i = 0; i < 900; ++i) {
+    std::string bytes = base;
+    const int kind = i % 5;  // 0..2 flip in zone `kind`, 3 truncate, 4 append
+    if (kind < 3) {
+      const auto [lo, hi] = zones[kind];
+      const int flips = 1 + static_cast<int>(rng.below(3));
+      for (int f = 0; f < flips; ++f)
+        bytes[lo + rng.below(hi - lo)] ^= static_cast<char>(1 + rng.below(255));
+    } else if (kind == 3) {
+      bytes.resize(rng.below(base.size()));
+    } else {
+      const size_t extra = 1 + rng.below(40);
+      for (size_t b = 0; b < extra; ++b)
+        bytes.push_back(static_cast<char>(rng.below(256)));
+    }
+    const std::string bad = temp_path("corpus_bad.trace");
+    spit(bad, bytes);
+    Trace out = sentinel;
+    err.clear();
+    if (!read_trace_file(bad, &out, &err)) {
+      ++rejected;
+      EXPECT_FALSE(err.empty()) << "case " << i;
+      EXPECT_EQ(err.find('\n'), std::string::npos) << "case " << i << ": " << err;
+      EXPECT_TRUE(same_trace(out, sentinel)) << "case " << i << ": *out was touched";
+      continue;
+    }
+    ++accepted;
+    const std::string again = temp_path("corpus_again.trace");
+    ASSERT_TRUE(write_trace_file(again, out, &err)) << "case " << i << ": " << err;
+    EXPECT_EQ(slurp(again), bytes) << "case " << i << ": accepted but not canonical";
+  }
+  // Both outcomes occur: a flip inside a record's offset or op can still be
+  // a valid record, and most header damage cannot.
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(TraceFormat, FailedWriteLeavesNoFileBehind) {
