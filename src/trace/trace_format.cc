@@ -40,30 +40,25 @@ void store_le(unsigned char* p, T v) {
   store_le(p, v, std::make_index_sequence<sizeof(T)>{});
 }
 
-/// Bounds-checked read cursor over the loaded file bytes. Every get_* is
-/// total: past-the-end reads return 0 and latch `torn` instead of reading
-/// out of bounds (callers check sizes up front, this is the defense line).
+/// Bounds-checked read cursor over the loaded file bytes. Every get is
+/// total: a read past the end returns 0, consumes the rest and latches
+/// `torn` instead of reading out of bounds (callers check sizes up front,
+/// this is the defense line).
 struct Cursor {
   const unsigned char* p;
   size_t size;
   size_t at = 0;
   bool torn = false;
 
-  uint8_t get_u8() {
-    if (at + 1 > size) {
+  template <typename T>
+  T get() {
+    if (size - at < sizeof(T)) {
+      at = size;
       torn = true;
       return 0;
     }
-    return p[at++];
-  }
-  uint32_t get_u32() {
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(get_u8()) << (8 * i);
-    return v;
-  }
-  uint64_t get_u64() {
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(get_u8()) << (8 * i);
+    const T v = load_le<T>(p + at);
+    at += sizeof(T);
     return v;
   }
 };
@@ -106,40 +101,57 @@ bool validate_regions(const std::vector<TraceRegion>& regions, std::string* erro
   return true;
 }
 
-/// The record checks without a message: what the reader, validate_trace and
-/// the writer run per record. validate_record repeats them to explain the
-/// first failure, so the two must test exactly the same conditions.
-bool record_ok(const TraceRecord& rec, const std::vector<TraceRegion>& regions) {
-  if (rec.op != Op::kLoad && rec.op != Op::kStore) return false;
-  if (rec.region >= regions.size()) return false;
-  if (rec.size < 4 || rec.size % 4 != 0 || rec.size > kMaxRecordSize) return false;
-  if (rec.offset % 4 != 0) return false;
+/// The per-record checks, in reporting order.
+enum class RecordFault { kNone, kOp, kRegion, kSize, kUnaligned, kPastEnd };
+
+RecordFault record_fault(const TraceRecord& rec,
+                         const std::vector<TraceRegion>& regions) {
+  if (rec.op != Op::kLoad && rec.op != Op::kStore) return RecordFault::kOp;
+  if (rec.region >= regions.size()) return RecordFault::kRegion;
+  if (rec.size < 4 || rec.size % 4 != 0 || rec.size > kMaxRecordSize)
+    return RecordFault::kSize;
+  if (rec.offset % 4 != 0) return RecordFault::kUnaligned;
   const uint64_t region_bytes = regions[rec.region].bytes;
-  return rec.offset <= region_bytes && region_bytes - rec.offset >= rec.size;
+  // Overflow-safe: size <= kMaxRecordSize and offset is checked first.
+  if (rec.offset > region_bytes || region_bytes - rec.offset < rec.size)
+    return RecordFault::kPastEnd;
+  return RecordFault::kNone;
+}
+
+/// The one-line reason for a record that failed. Kept apart from the checks
+/// so that a valid record, the per-record common case, builds no string.
+bool explain_fault(RecordFault fault, const TraceRecord& rec, uint64_t index,
+                   const std::vector<TraceRegion>& regions, std::string* error) {
+  std::string why;
+  switch (fault) {
+    case RecordFault::kNone:
+      return true;
+    case RecordFault::kOp:
+      why = "bad op " + std::to_string(static_cast<unsigned>(rec.op));
+      break;
+    case RecordFault::kRegion:
+      why = "region index " + std::to_string(rec.region) + " out of range (have " +
+            std::to_string(regions.size()) + ")";
+      break;
+    case RecordFault::kSize:
+      why = "bad size " + std::to_string(rec.size);
+      break;
+    case RecordFault::kUnaligned:
+      why = "unaligned offset " + std::to_string(rec.offset);
+      break;
+    case RecordFault::kPastEnd:
+      why = "offset " + std::to_string(rec.offset) + "+" + std::to_string(rec.size) +
+            " past region '" + regions[rec.region].name + "' end (" +
+            std::to_string(regions[rec.region].bytes) + ")";
+      break;
+  }
+  return fail(error, "record " + std::to_string(index) + ": " + why);
 }
 
 bool validate_record(const TraceRecord& rec, uint64_t index,
                      const std::vector<TraceRegion>& regions, std::string* error) {
-  const std::string where = "record " + std::to_string(index) + ": ";
-  if (rec.op != Op::kLoad && rec.op != Op::kStore)
-    return fail(error, where + "bad op " +
-                           std::to_string(static_cast<unsigned>(rec.op)));
-  if (rec.region >= regions.size())
-    return fail(error, where + "region index " + std::to_string(rec.region) +
-                           " out of range (have " +
-                           std::to_string(regions.size()) + ")");
-  if (rec.size < 4 || rec.size % 4 != 0 || rec.size > kMaxRecordSize)
-    return fail(error, where + "bad size " + std::to_string(rec.size));
-  if (rec.offset % 4 != 0)
-    return fail(error, where + "unaligned offset " + std::to_string(rec.offset));
-  const uint64_t region_bytes = regions[rec.region].bytes;
-  // Overflow-safe: size <= kMaxRecordSize and offset is checked first.
-  if (rec.offset > region_bytes || region_bytes - rec.offset < rec.size)
-    return fail(error, where + "offset " + std::to_string(rec.offset) + "+" +
-                           std::to_string(rec.size) + " past region '" +
-                           regions[rec.region].name + "' end (" +
-                           std::to_string(region_bytes) + ")");
-  return true;
+  const RecordFault fault = record_fault(rec, regions);
+  return fault == RecordFault::kNone || explain_fault(fault, rec, index, regions, error);
 }
 
 /// Header + region table from the front of the file. On success, `cur` is
@@ -152,13 +164,13 @@ bool parse_prefix(Cursor& cur, size_t file_size, std::vector<TraceRegion>* regio
   if (std::memcmp(cur.p, kTraceMagic, sizeof(kTraceMagic)) != 0)
     return fail(error, "bad magic (not an AVR trace file)");
   cur.at = sizeof(kTraceMagic);
-  const uint32_t version = cur.get_u32();
+  const uint32_t version = cur.get<uint32_t>();
   if (version != kTraceVersion)
     return fail(error, "unsupported trace version " + std::to_string(version) +
                            " (reader speaks v" + std::to_string(kTraceVersion) +
                            ")");
-  const uint32_t region_count = cur.get_u32();
-  *record_count = cur.get_u64();
+  const uint32_t region_count = cur.get<uint32_t>();
+  *record_count = cur.get<uint64_t>();
   if (region_count == 0) return fail(error, "zero regions");
   if (region_count > kMaxRegions)
     return fail(error, "region count " + std::to_string(region_count) +
@@ -182,7 +194,7 @@ bool parse_prefix(Cursor& cur, size_t file_size, std::vector<TraceRegion>* regio
   for (uint32_t i = 0; i < region_count; ++i) {
     char name[kRegionNameBytes];
     for (size_t b = 0; b < kRegionNameBytes; ++b)
-      name[b] = static_cast<char>(cur.get_u8());
+      name[b] = static_cast<char>(cur.get<uint8_t>());
     if (name[kRegionNameBytes - 1] != '\0')
       return fail(error, "region " + std::to_string(i) + ": unterminated name");
     TraceRegion r;
@@ -193,13 +205,13 @@ bool parse_prefix(Cursor& cur, size_t file_size, std::vector<TraceRegion>* regio
       if (name[b] != '\0')
         return fail(error,
                     "region " + std::to_string(i) + ": nonzero name padding");
-    r.bytes = cur.get_u64();
-    const uint32_t flags = cur.get_u32();
+    r.bytes = cur.get<uint64_t>();
+    const uint32_t flags = cur.get<uint32_t>();
     if (flags > 1)
       return fail(error, "region " + r.name + ": unknown flags " +
                              std::to_string(flags));
     r.approx = flags & 1;
-    if (cur.get_u32() != 0)
+    if (cur.get<uint32_t>() != 0)
       return fail(error, "region " + r.name + ": nonzero reserved field");
     regions->push_back(std::move(r));
   }
@@ -227,8 +239,7 @@ bool read_file_bytes(const std::string& path, std::string* bytes,
 bool validate_trace(const Trace& t, std::string* error) {
   if (!validate_regions(t.regions, error)) return false;
   for (uint64_t i = 0; i < t.records.size(); ++i)
-    if (!record_ok(t.records[i], t.regions))
-      return validate_record(t.records[i], i, t.regions, error);
+    if (!validate_record(t.records[i], i, t.regions, error)) return false;
   return true;
 }
 
@@ -305,7 +316,7 @@ bool read_trace_file(const std::string& path, Trace* out, std::string* error) {
     rec.offset = load_le<uint64_t>(slot + 8);
     if (slot[1] != 0)
       return fail(error, "record " + std::to_string(i) + ": nonzero reserved byte");
-    if (!record_ok(rec, t.regions)) return validate_record(rec, i, t.regions, error);
+    if (!validate_record(rec, i, t.regions, error)) return false;
     t.records.push_back(rec);
   }
   *out = std::move(t);

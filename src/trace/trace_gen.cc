@@ -20,7 +20,9 @@ namespace {
 
 /// Rejects what no generator can honour as asked, rather than silently
 /// substituting a value; the avr_trace_gen flag is named alongside.
-void check_params(const GenParams& p) {
+/// `regions` is what the trace will really hold: mixed builds three region
+/// groups from one request, so it passes its own total.
+void check_params(const GenParams& p, uint64_t regions) {
   if (p.regions == 0 || p.regions > kMaxRegions)
     bad_param("regions (--regions)", "1.." + std::to_string(kMaxRegions),
               std::to_string(p.regions));
@@ -29,9 +31,9 @@ void check_params(const GenParams& p) {
       p.region_bytes > kMaxRegionBytes)
     bad_param("region_bytes (--bytes)", "a multiple of 4 from 64 B to 1 GiB",
               std::to_string(p.region_bytes));
-  if (uint64_t{p.regions} * p.region_bytes > kMaxTraceFootprint)
+  if (regions * p.region_bytes > kMaxTraceFootprint)
     bad_param("footprint (--regions x --bytes)", "at most 256 MiB",
-              std::to_string(uint64_t{p.regions} * p.region_bytes));
+              std::to_string(regions * p.region_bytes));
   // Written so NaN fails too.
   if (!(p.store_fraction >= 0.0 && p.store_fraction <= 1.0)) {
     char got[32];
@@ -41,7 +43,7 @@ void check_params(const GenParams& p) {
 }
 
 std::vector<TraceRegion> make_regions(const GenParams& p, const std::string& stem) {
-  check_params(p);
+  check_params(p, p.regions);
   std::vector<TraceRegion> regions;
   regions.reserve(p.regions);
   for (uint32_t i = 0; i < p.regions; ++i)
@@ -142,9 +144,10 @@ Trace make_walk_trace(const GenParams& p) {
 Trace make_mixed_trace(const GenParams& p) {
   // Each pattern gets its own region group; records interleave round-robin,
   // so the stream switches pattern (and region) every record.
-  check_params(p);
+  const uint32_t group_regions = std::max<uint32_t>(1, p.regions / 3);
+  check_params(p, 3 * uint64_t{group_regions});
   GenParams sub = p;
-  sub.regions = std::max<uint32_t>(1, p.regions / 3);
+  sub.regions = group_regions;
   sub.records = p.records / 3;
   const Trace parts[3] = {make_chase_trace(sub), make_zipf_trace(sub),
                           make_walk_trace(sub)};

@@ -187,6 +187,18 @@ TEST(TraceGen, RejectsOutOfRangeParams) {
             << pattern << ": " << e.what();
       }
     }
+  // mixed builds three groups of max(1, regions / 3) regions, so one region
+  // of 100 MiB asks for a 300 MiB trace.
+  GenParams p;
+  p.records = 64;
+  p.regions = 1;
+  p.region_bytes = 100ull << 20;
+  try {
+    (void)make_mixed_trace(p);
+    ADD_FAILURE() << "mixed: 3 x 100 MiB footprint accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("footprint"), std::string::npos) << e.what();
+  }
 }
 
 TEST(TraceFormat, WriterProducesCanonicalLength) {
