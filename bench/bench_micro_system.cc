@@ -174,7 +174,8 @@ void BM_ProfileScopedTimer(benchmark::State& state) {
 BENCHMARK(BM_ProfileScopedTimer);
 
 /// The same scope with NO sink installed — what every timer in a
-/// non-profiled context (figure benches, tests) costs: a TLS load + branch.
+/// non-profiled context (a System run outside ExperimentRunner, as in tests and
+/// examples) costs: a TLS load + branch.
 void BM_ProfileScopedTimerIdle(benchmark::State& state) {
   for (auto _ : state) {
     AVR_PROF_SCOPE(prof::Phase::kTiming);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -292,49 +291,6 @@ std::vector<ExperimentResult> ExperimentRunner::run_all(
   prof_totals_.merge(outcome.sched);  // the scheduler's cost-estimate prelude
   for (const auto& p : points) out.push_back(cache_.at(p));
   return out;
-}
-
-void print_normalized_table(
-    ExperimentRunner& r, const std::string& title,
-    const std::vector<std::string>& workloads, const std::vector<Design>& designs,
-    const std::function<double(const RunMetrics&)>& metric, bool include_geomean) {
-  std::printf("\n== %s (normalized to baseline) ==\n", title.c_str());
-  std::printf("%-10s", "design");
-  for (const auto& w : workloads) std::printf(" %9s", w.c_str());
-  if (include_geomean) std::printf(" %9s", "geomean");
-  std::printf("\n");
-  for (Design d : designs) {
-    std::printf("%-10s", to_string(d));
-    double logsum = 0;
-    int n = 0;
-    for (const auto& w : workloads) {
-      const double base = metric(r.run(w, Design::kBaseline).m);
-      const double val = metric(r.run(w, d).m);
-      const double norm = base > 0 ? val / base : 0.0;
-      std::printf(" %9.3f", norm);
-      if (norm > 0) {
-        logsum += std::log(norm);
-        ++n;
-      }
-    }
-    if (include_geomean) std::printf(" %9.3f", n ? std::exp(logsum / n) : 0.0);
-    std::printf("\n");
-  }
-}
-
-void print_value_table(
-    ExperimentRunner& r, const std::string& title,
-    const std::vector<std::string>& workloads, const std::vector<Design>& designs,
-    const std::function<double(const RunMetrics&)>& metric, const std::string& unit) {
-  std::printf("\n== %s (%s) ==\n", title.c_str(), unit.c_str());
-  std::printf("%-10s", "design");
-  for (const auto& w : workloads) std::printf(" %9s", w.c_str());
-  std::printf("\n");
-  for (Design d : designs) {
-    std::printf("%-10s", to_string(d));
-    for (const auto& w : workloads) std::printf(" %9.3f", metric(r.run(w, d).m));
-    std::printf("\n");
-  }
 }
 
 }  // namespace avr

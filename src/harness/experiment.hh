@@ -1,10 +1,9 @@
-// Experiment driver: runs (workload x design) points, computes application
-// output error against a golden functional run, and prints paper-style
-// tables (rows normalized to baseline where the paper normalizes).
+// Experiment driver: runs (workload x design) points and computes
+// application output error against a golden functional run. avr_report
+// prints the paper's tables from its results.
 #pragma once
 
 #include <atomic>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -35,12 +34,12 @@ struct ExperimentResult {
 
 class ExperimentRunner {
  public:
-  /// `cache_path`: optional CSV file persisting results across the figure
-  /// binaries and sweep shards (they all share one default-config sweep).
+  /// `cache_path`: optional CSV file persisting results across avr_report
+  /// and sweep shards (they all share one default-config sweep).
   /// Appends are safe against concurrent writer *processes* — see
   /// harness/result_cache.hh for the format and locking contract. Records
   /// carry the base config's fingerprint (format v3+), so runners with
-  /// different configurations — the bench_ablation variants — share one
+  /// different configurations — the avr_report ablation variants — share one
   /// file safely: each loads only its own records. Pass "" to disable
   /// caching entirely. The environment variable AVR_RESULT_CACHE overrides
   /// the default path.
@@ -139,22 +138,5 @@ class ExperimentRunner {
   prof::Totals prof_totals_;
   std::vector<prof::PointProfile> prof_points_;
 };
-
-// ---- table printing --------------------------------------------------------
-
-/// Prints one row per design, one column per workload, each cell
-/// extractor(result)/extractor(baseline result) — the shape of Figs. 9-13.
-void print_normalized_table(
-    ExperimentRunner& r, const std::string& title,
-    const std::vector<std::string>& workloads, const std::vector<Design>& designs,
-    const std::function<double(const RunMetrics&)>& metric,
-    bool include_geomean = true);
-
-/// Prints an absolute-valued table (Table 3 / Table 4 shape).
-void print_value_table(
-    ExperimentRunner& r, const std::string& title,
-    const std::vector<std::string>& workloads, const std::vector<Design>& designs,
-    const std::function<double(const RunMetrics&)>& metric,
-    const std::string& unit);
 
 }  // namespace avr

@@ -35,7 +35,7 @@
 //
 // config_hash is the config_fingerprint() of the runner's *base* SimConfig
 // (per-workload scaling is deterministic from it), so records produced
-// under different configurations — e.g. the bench_ablation or --set
+// under different configurations — e.g. the avr_report ablation or --set
 // variants — can share one cache file: loads filter on the hash.
 // Only the current version decodes. Lines of any other version — pre-v5
 // records (2, 3, 4) and future formats alike — are foreign: loads skip

@@ -1,8 +1,8 @@
 // Grid enumeration and the sweep scheduler.
 //
 // The canonical grid order is workload-major, design-minor — the same order
-// run_all() returns. One scheduler, run_grid below, runs every sweep: the
-// figure benches' run_all, a local avr_sweep and avr_sweep --claim. Without
+// run_all() returns. One scheduler, run_grid below, runs every sweep:
+// avr_report's run_all, a local avr_sweep and avr_sweep --claim. Without
 // a claim path every point is this process's own. To split a sweep across
 // processes, every process runs with --claim: each sees the full grid and
 // claims points one at a time by appending claim records through the

@@ -412,7 +412,7 @@ int main(int argc, char** argv) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   // The cache IS this process's output: results that only exist in
   // memory are lost when it exits, so persistence failures are fatal here
-  // (unlike in the figure benches, which still print their tables).
+  // (unlike in avr_report, which still prints its tables).
   if (!o.cache_path.empty() && write_failures > 0) {
     std::fprintf(stderr, "avr_sweep: %zu result(s) could not be appended to %s\n",
                  write_failures, o.cache_path.c_str());

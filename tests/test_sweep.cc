@@ -1,7 +1,8 @@
 // Sweep grid tests: canonical grid order, --set config axes and list
 // parsing, and the end-to-end acceptance paths — concurrent avr_sweep
 // processes appending to one cache produce the same records as a single
-// in-process sweep, with and without --claim.
+// in-process sweep, with and without --claim, and avr_report over a
+// complete cache is pure lookup.
 #include "harness/sweep.hh"
 
 #include <fcntl.h>
@@ -156,16 +157,24 @@ std::string sweep_binary() {
   return bin ? bin : "";
 }
 
-/// Forks and execs `args`; a non-empty `stderr_path` receives the child's
-/// stderr.
-pid_t spawn_sweep(const std::vector<std::string>& args,
-                  const std::string& stderr_path = "") {
+/// Forks and execs `args`. Non-empty `stderr_path` and `stdout_path`
+/// receive the child's stderr and stdout; a non-empty `result_cache`
+/// becomes its AVR_RESULT_CACHE.
+pid_t spawn_tool(const std::vector<std::string>& args,
+                 const std::string& stderr_path = "",
+                 const std::string& stdout_path = "",
+                 const std::string& result_cache = "") {
   const pid_t pid = fork();
   if (pid != 0) return pid;
-  if (!stderr_path.empty()) {
-    const int fd = ::open(stderr_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd < 0 || ::dup2(fd, STDERR_FILENO) < 0) _exit(126);
-  }
+  const auto redirect = [](const std::string& path, int target) {
+    if (path.empty()) return;
+    const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    if (fd < 0 || ::dup2(fd, target) < 0) _exit(126);
+  };
+  redirect(stderr_path, STDERR_FILENO);
+  redirect(stdout_path, STDOUT_FILENO);
+  if (!result_cache.empty() && ::setenv("AVR_RESULT_CACHE", result_cache.c_str(), 1))
+    _exit(126);
   std::vector<char*> argv;
   for (const auto& a : args) argv.push_back(const_cast<char*>(a.c_str()));
   argv.push_back(nullptr);
@@ -203,9 +212,9 @@ TEST(Sweep, ThreeLocalProcessesMatchSingleProcessSweep) {
       {"bscholes", "AVR"}};
   std::vector<pid_t> pids;
   for (const auto& [workloads, designs] : selections)
-    pids.push_back(spawn_sweep({bin, "--workloads", workloads, "--designs",
-                                designs, "--cache", cache, "--profile-out",
-                                "", "--jobs", "1", "--quiet"}));
+    pids.push_back(spawn_tool({bin, "--workloads", workloads, "--designs",
+                               designs, "--cache", cache, "--profile-out",
+                               "", "--jobs", "1", "--quiet"}));
   wait_ok(pids);
 
   const auto merged = load_result_cache(cache);
@@ -243,11 +252,11 @@ TEST(Sweep, T1VariantClaimWorkersCoexistInOneCache) {
   const std::string axis = "avr.t1_override=4,6";
   std::vector<pid_t> pids;
   for (int i = 0; i < 2; ++i)
-    pids.push_back(spawn_sweep({bin, "--claim", "--owner",
-                                "t1-w" + std::to_string(i), "--set", axis,
-                                "--workloads", "bscholes", "--designs", "AVR",
-                                "--cache", cache, "--profile-out", "",
-                                "--jobs", "1", "--quiet"}));
+    pids.push_back(spawn_tool({bin, "--claim", "--owner",
+                               "t1-w" + std::to_string(i), "--set", axis,
+                               "--workloads", "bscholes", "--designs", "AVR",
+                               "--cache", cache, "--profile-out", "",
+                               "--jobs", "1", "--quiet"}));
   wait_ok(pids);
 
   // Each variant's record is keyed by its own config fingerprint, and both
@@ -286,7 +295,7 @@ TEST(Sweep, HeaderAndSidecarNameTheResolvedJobCount) {
   // runs on one thread, and both the header and the sidecar say so.
   std::vector<std::string> args = {bin, "--workloads", "bscholes", "--designs", "AVR"};
   args.insert(args.end(), {"--cache", cache, "--profile-out", sidecar, "--quiet"});
-  wait_ok({spawn_sweep(args, err_path)});
+  wait_ok({spawn_tool(args, err_path)});
   std::ifstream err_in(err_path);
   const std::string err{std::istreambuf_iterator<char>(err_in), {}};
   EXPECT_NE(err.find("[sweep] local mode: 1 grid points"), std::string::npos) << err;
@@ -316,7 +325,7 @@ TEST(Sweep, BadNumericFlagValueIsNamed) {
       {"--set", "llc.size_bytes=1024"}};
   for (const auto& [flag, v] : cases) {
     // --list: even a wrongly accepted value must not start a sweep.
-    const pid_t pid = spawn_sweep({bin, flag, v, "--list"}, err_path);
+    const pid_t pid = spawn_tool({bin, flag, v, "--list"}, err_path);
     int status = 0;
     ASSERT_EQ(waitpid(pid, &status, 0), pid);
     ASSERT_TRUE(WIFEXITED(status));
@@ -327,6 +336,94 @@ TEST(Sweep, BadNumericFlagValueIsNamed) {
         << err;
   }
   std::remove(err_path.c_str());
+}
+
+// ---- end-to-end: avr_report ----------------------------------------------
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+struct ToolRun {
+  int status = -1;
+  std::string out, err;
+};
+
+/// Runs avr_report with `names` over `cache` ("" inherits AVR_RESULT_CACHE).
+ToolRun run_report(const std::vector<std::string>& names, const std::string& cache = "") {
+  const auto dir = std::filesystem::temp_directory_path();
+  const std::string tag = std::to_string(::getpid());
+  const std::string out_path = (dir / ("avr_report_" + tag + ".out")).string();
+  const std::string err_path = (dir / ("avr_report_" + tag + ".err")).string();
+  std::vector<std::string> args = {std::getenv("AVR_REPORT_BIN")};
+  args.insert(args.end(), names.begin(), names.end());
+  const pid_t pid = spawn_tool(args, err_path, out_path, cache);
+  ToolRun run;
+  int status = 0;
+  if (waitpid(pid, &status, 0) == pid && WIFEXITED(status))
+    run.status = WEXITSTATUS(status);
+  run.out = slurp(out_path);
+  run.err = slurp(err_path);
+  std::remove(out_path.c_str());
+  std::remove(err_path.c_str());
+  return run;
+}
+
+bool has_run_line(const std::string& err) {
+  return err.starts_with("[run]") || err.find("\n[run]") != std::string::npos;
+}
+
+// Structure only, never metric values: regenerating the reference with
+// bench_e2e --write-reference must not break this test.
+TEST(Report, DefaultConfigReportsOverTheReferenceArePureLookup) {
+  const char* ref = std::getenv("AVR_REFERENCE_CACHE");
+  if (!std::getenv("AVR_REPORT_BIN") || !ref)
+    GTEST_SKIP() << "AVR_REPORT_BIN or AVR_REFERENCE_CACHE not set";
+
+  const std::string cache =
+      (std::filesystem::temp_directory_path() /
+       ("avr_report_ref_" + std::to_string(::getpid()) + ".csv"))
+          .string();
+  const std::string before = slurp(ref);
+  ASSERT_FALSE(before.empty()) << ref;
+  std::ofstream(cache, std::ios::binary) << before;
+  const std::vector<std::pair<std::string, std::string>> reports = {
+      {"fig9", "Fig. 9: Execution time"},
+      {"fig10", "Fig. 10: Total energy"},
+      {"fig12", "Fig. 12: AMAT"},
+      {"fig13", "Fig. 13: LLC MPKI"},
+      {"fig14", "Fig. 14: AVR LLC requests"},
+      {"fig15", "Fig. 15: AVR LLC evictions"},
+      {"table3", "Table 3: Application output error"}};
+  for (const auto& [name, title] : reports) {
+    const ToolRun run = run_report({name}, cache);
+    EXPECT_EQ(run.status, 0) << name << "\n" << run.err;
+    EXPECT_NE(run.out.find(title), std::string::npos) << name << "\n" << run.out;
+    EXPECT_FALSE(has_run_line(run.err)) << name << " simulated:\n" << run.err;
+    EXPECT_EQ(slurp(cache), before) << name << " changed the cache";
+  }
+  std::remove(cache.c_str());
+}
+
+TEST(Report, UnknownNameExits2ListingTheNames) {
+  if (!std::getenv("AVR_REPORT_BIN")) GTEST_SKIP() << "AVR_REPORT_BIN not set";
+  const ToolRun run = run_report({"fig99"});
+  EXPECT_EQ(run.status, 2);
+  EXPECT_NE(run.err.find("fig99"), std::string::npos) << run.err;
+  for (const char* name : {"fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
+                           "fig15", "table3", "table4", "overheads", "ablation"})
+    EXPECT_NE(run.err.find(std::string("  ") + name + " "), std::string::npos)
+        << name << "\n" << run.err;
+  EXPECT_EQ(run_report({}).status, 2);
+}
+
+TEST(Report, OverheadsExitsZero) {
+  if (!std::getenv("AVR_REPORT_BIN")) GTEST_SKIP() << "AVR_REPORT_BIN not set";
+  const ToolRun run = run_report({"overheads"});
+  EXPECT_EQ(run.status, 0) << run.err;
+  EXPECT_NE(run.out.find("CMT 23-bit encoding round-trip: ok"), std::string::npos)
+      << run.out;
 }
 
 }  // namespace
