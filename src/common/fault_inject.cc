@@ -144,8 +144,6 @@ bool parse_schedule(const std::string& spec, Schedule* out,
   return true;
 }
 
-#if AVR_FAULT_INJECT
-
 namespace detail {
 std::atomic<bool> g_armed{false};
 }  // namespace detail
@@ -251,8 +249,6 @@ uint64_t hits(Site s) {
 uint64_t fired(Site s) {
   return g_fired[static_cast<size_t>(s)].load(std::memory_order_relaxed);
 }
-
-#endif  // AVR_FAULT_INJECT
 
 void kill_now(Site s) {
   std::fprintf(stderr, "[fault] %s: SIGKILL here\n", site_name(s));

@@ -32,10 +32,6 @@
 // terminate. A malformed AVR_FAULTS value disarms the layer with a loud
 // stderr warning — a chaos run that silently ran fault-free would defeat
 // its own assertions downstream.
-//
-// Build-time escape hatch: configure with -DAVR_FAULT_INJECT=OFF and fire()
-// compiles to a constant (no atomic, no branch); parse_schedule() remains
-// available (it is pure string logic) so tooling still validates specs.
 #pragma once
 
 #include <array>
@@ -43,10 +39,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-
-#ifndef AVR_FAULT_INJECT
-#define AVR_FAULT_INJECT 1
-#endif
 
 namespace avr::fault {
 
@@ -102,12 +94,8 @@ struct Schedule {
 };
 
 /// Parses the AVR_FAULTS grammar above. On failure returns false and sets
-/// *error to a one-line reason; *out is unspecified. Available even when
-/// AVR_FAULT_INJECT is OFF (pure string logic, used by spec-validating
-/// tests and tools).
+/// *error to a one-line reason; *out is unspecified.
 bool parse_schedule(const std::string& spec, Schedule* out, std::string* error);
-
-#if AVR_FAULT_INJECT
 
 namespace detail {
 extern std::atomic<bool> g_armed;
@@ -142,17 +130,5 @@ uint64_t fired(Site s);
 /// hurts the most (mid-write for a torn line, post-append for a dangling
 /// claim).
 [[noreturn]] void kill_now(Site s);
-
-#else  // !AVR_FAULT_INJECT: the whole layer folds to constants.
-
-inline Kind fire(Site) { return Kind::kNone; }
-inline void arm(const Schedule&) {}
-inline void disarm() {}
-inline bool reinit_from_env() { return false; }
-inline uint64_t hits(Site) { return 0; }
-inline uint64_t fired(Site) { return 0; }
-[[noreturn]] void kill_now(Site s);  // still defined: aborts loudly
-
-#endif  // AVR_FAULT_INJECT
 
 }  // namespace avr::fault

@@ -15,9 +15,6 @@
 //     under its own lock afterwards.
 //   - Phases may nest (kCompress runs inside kTiming); the report treats
 //     nested phases as sub-spans, not disjoint buckets.
-//   - Compiling with -DAVR_PROFILE=0 turns every timer, counter and sink
-//     operation into a no-op with zero code generated (the report plumbing
-//     stays, reporting all-zero totals).
 //
 // The report side (profile.cc) renders a Totals set either as a
 // machine-readable sidecar JSON (schema "avr-profile-v2", documented in
@@ -30,10 +27,6 @@
 #include <ctime>
 #include <string>
 #include <vector>
-
-#ifndef AVR_PROFILE
-#define AVR_PROFILE 1
-#endif
 
 namespace avr {
 namespace prof {
@@ -99,8 +92,6 @@ struct Totals {
   }
 };
 
-#if AVR_PROFILE
-
 namespace detail {
 inline Totals*& sink_slot() {
   thread_local Totals* sink = nullptr;
@@ -162,24 +153,6 @@ inline void count(Counter c, uint64_t n = 1) {
   if (Totals* s = detail::sink_slot()) s->bump(c, n);
 }
 
-#else  // !AVR_PROFILE — every operation compiles away.
-
-inline Totals* thread_sink() { return nullptr; }
-inline Totals* set_thread_sink(Totals*) { return nullptr; }
-
-class ScopedSink {
- public:
-  explicit ScopedSink(Totals*) {}
-};
-
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Phase) {}
-};
-
-inline void count(Counter, uint64_t = 1) {}
-
-#endif  // AVR_PROFILE
 
 #define AVR_PROF_CAT2(a, b) a##b
 #define AVR_PROF_CAT(a, b) AVR_PROF_CAT2(a, b)

@@ -5,23 +5,11 @@
 
 namespace avr {
 
-namespace {
-
-/// Fallback miss-path dispatch when no concrete-type thunk was supplied:
-/// the two virtual calls the flattened path folds into one.
-MemoryHierarchy::LlcReply virtual_request(LlcSystem& llc, uint64_t now,
-                                          uint64_t line, bool write) {
-  const uint64_t lat = llc.request(now, line, write);
-  return {lat, llc.last_was_miss()};
-}
-
-}  // namespace
-
 MemoryHierarchy::MemoryHierarchy(const SimConfig& cfg, LlcSystem& llc,
                                  uint32_t num_cores, LlcRequestFn request_fn)
     : cfg_(cfg),
       llc_(llc),
-      request_fn_(request_fn ? request_fn : &virtual_request),
+      request_fn_(request_fn),
       lat_l1_(cfg.core.l1_latency),
       lat_l1l2_(uint64_t{cfg.core.l1_latency} + cfg.core.l2_latency) {
   for (uint32_t c = 0; c < num_cores; ++c) {

@@ -40,16 +40,14 @@ class MemoryHierarchy {
     uint64_t latency = 0;
     bool miss = false;
   };
-  /// Non-virtual miss-path entry: System binds this to the concrete LLC
-  /// type (the implementations are final), so LLC dispatch costs one
-  /// indirect call off the L1/L2-hit path instead of two virtual hops.
-  /// Passing nullptr falls back to plain virtual dispatch (tests that
-  /// construct the hierarchy directly).
+  /// Non-virtual miss-path entry, bound to the concrete LLC type — usually
+  /// &llc_request_thunk<Llc> below — so LLC dispatch costs one indirect call
+  /// off the L1/L2-hit path instead of two virtual hops.
   using LlcRequestFn = LlcReply (*)(LlcSystem&, uint64_t now, uint64_t line,
                                     bool write);
 
   MemoryHierarchy(const SimConfig& cfg, LlcSystem& llc, uint32_t num_cores,
-                  LlcRequestFn request_fn = nullptr);
+                  LlcRequestFn request_fn);
 
   /// A load/store of the cacheline containing `addr` by `core` at `now`.
   AccessOutcome access(uint32_t core, uint64_t now, uint64_t addr, bool write);
@@ -150,5 +148,17 @@ class MemoryHierarchy {
   mutable uint64_t accesses_ = 0;
   mutable uint64_t latency_sum_ = 0;
 };
+
+/// Concrete-type LLC dispatch for MemoryHierarchy: one call in place of two
+/// virtual hops (request + last_was_miss). The qualified calls are resolved
+/// statically, so `Llc` must be the exact dynamic type of the LLC (System
+/// binds the type it just constructed).
+template <typename Llc>
+MemoryHierarchy::LlcReply llc_request_thunk(LlcSystem& llc, uint64_t now,
+                                            uint64_t line, bool write) {
+  auto& t = static_cast<Llc&>(llc);
+  const uint64_t latency = t.Llc::request(now, line, write);
+  return {latency, t.Llc::last_was_miss()};
+}
 
 }  // namespace avr

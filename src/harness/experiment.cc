@@ -36,6 +36,20 @@ double design_cost_factor(Design d) {
   return 1.0;
 }
 
+/// `base` scaled for one workload (cache hierarchy per
+/// Workload::cache_scale, the workload's LLC size and T1 threshold).
+SimConfig workload_config(const SimConfig& base, const Workload& wl) {
+  SimConfig cfg = base;
+  cfg.scale_caches(wl.cache_scale());
+  cfg.llc.size_bytes = wl.llc_bytes();
+  // avr.t1_override forces one threshold across all workloads; the default
+  // (-1) keeps the paper's per-application thresholds.
+  cfg.avr.t1_mantissa_msbit = base.avr.t1_override >= 0
+                                  ? static_cast<uint32_t>(base.avr.t1_override)
+                                  : wl.t1_msbit();
+  return cfg;
+}
+
 }  // namespace
 
 std::string ExperimentRunner::default_cache_path() {
@@ -50,12 +64,7 @@ std::string ExperimentRunner::default_seed_cost_path() {
 
 ExperimentRunner::ExperimentRunner(SimConfig base, bool verbose,
                                    std::string cache_path)
-    : base_(base),
-      cfg_hash_(config_fingerprint(base)),
-      cfg_diff_(config_diff(base)),
-      verbose_(verbose),
-      cache_path_(std::move(cache_path)) {
-  load_disk_cache();
+    : base_(base), verbose_(verbose), cache_path_(std::move(cache_path)) {
   load_seed_costs();
 }
 
@@ -69,17 +78,43 @@ std::vector<prof::PointProfile> ExperimentRunner::profile_points() {
   return prof_points_;
 }
 
-void ExperimentRunner::load_disk_cache() {
+ExperimentRunner::Config& ExperimentRunner::config(const SimConfig& cfg) {
+  const uint64_t fp = config_fingerprint(cfg);
+  Config* c;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    auto [it, fresh] = configs_.try_emplace(fp);
+    c = &it->second;
+    if (fresh) {
+      c->base = cfg;
+      c->fingerprint = fp;
+      c->name = config_diff(cfg);
+    }
+  }
+  // Workers racing on a config's first points wait for one load.
+  std::call_once(c->loaded, [&] { load_disk_cache(*c); });
+  return *c;
+}
+
+void ExperimentRunner::load_disk_cache(Config& c) {
   if (cache_path_.empty()) return;
-  // Construction is single-threaded: route the load's cache-io time into
-  // the aggregate without taking mu_.
-  prof::ScopedSink sink(&prof_totals_);
-  // Only records simulated under this runner's configuration: ablation
-  // variants and the default grid can share one cache file.
-  auto loaded = load_result_cache(cache_path_, cfg_hash_);
-  for (auto& [key, r] : loaded) cache_[key] = std::move(r);
-  if (verbose_ && !cache_.empty())
-    std::fprintf(stderr, "[cache] loaded %zu results from %s\n", cache_.size(),
+  // Only records simulated under this config: every config shares the file.
+  prof::Totals io;
+  std::map<sweep::Point, ExperimentResult> loaded;
+  {
+    prof::ScopedSink sink(&io);
+    loaded = load_result_cache(cache_path_, c.fingerprint);
+  }
+  const size_t n = loaded.size();
+  {
+    // Nothing can have reached c.results yet: config() returns c only once
+    // this load is done.
+    std::lock_guard<std::mutex> lk(mu_);
+    prof_totals_.merge(io);
+    c.results = std::move(loaded);
+  }
+  if (verbose_ && n > 0)
+    std::fprintf(stderr, "[cache] loaded %zu results from %s\n", n,
                  cache_path_.c_str());
 }
 
@@ -113,53 +148,50 @@ void ExperimentRunner::load_seed_costs() {
 }
 
 SimConfig ExperimentRunner::config_for(const Workload& wl) const {
-  SimConfig cfg = base_;
-  cfg.scale_caches(wl.cache_scale());
-  cfg.llc.size_bytes = wl.llc_bytes();
-  // avr.t1_override forces one threshold across all workloads; the default
-  // (-1) keeps the paper's per-application thresholds.
-  cfg.avr.t1_mantissa_msbit = base_.avr.t1_override >= 0
-                                  ? static_cast<uint32_t>(base_.avr.t1_override)
-                                  : wl.t1_msbit();
-  return cfg;
+  return workload_config(base_, wl);
 }
 
-const std::vector<double>& ExperimentRunner::golden(const std::string& name) {
-  // One golden run per workload even when several design points of the same
-  // workload start concurrently: the per-workload once_flag makes every other
-  // thread wait for (not duplicate) the computation.
+const std::vector<double>& ExperimentRunner::golden(Config& c,
+                                                    const std::string& name) {
+  // One golden run per (config, workload) even when several design points
+  // of the same workload start concurrently: the once_flag makes every
+  // other thread wait for (not duplicate) the computation.
   std::once_flag* flag;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    flag = &golden_once_[name];
+    flag = &c.golden_once[name];
   }
   std::call_once(*flag, [&] {
     auto wl = make_workload(name);
-    System sys(Design::kBaseline, config_for(*wl), 1, /*timing=*/false);
+    System sys(Design::kBaseline, workload_config(c.base, *wl), 1,
+               /*timing=*/false);
     wl->run(sys);
     std::vector<double> out = wl->output(sys);
     std::lock_guard<std::mutex> lk(mu_);
-    golden_[name] = std::move(out);
+    c.golden[name] = std::move(out);
   });
   std::lock_guard<std::mutex> lk(mu_);
-  return golden_.at(name);
+  return c.golden.at(name);
 }
 
-bool ExperimentRunner::cached(const std::string& wl, Design d) {
+bool ExperimentRunner::cached(const sweep::VariantPoint& vp) {
+  Config& c = config(vp.config);
   std::lock_guard<std::mutex> lk(mu_);
-  return cache_.count({wl, d}) != 0;
+  return c.results.count(vp.point) != 0;
 }
 
-double ExperimentRunner::cost_estimate(const std::string& wl, Design d) {
+double ExperimentRunner::cost_estimate(const sweep::VariantPoint& vp) {
+  const auto& [wl, d] = vp.point;
   {
+    Config& c = config(vp.config);
     std::lock_guard<std::mutex> lk(mu_);
-    auto it = cache_.find({wl, d});
-    if (it != cache_.end() && it->second.wall_seconds > 0)
+    auto it = c.results.find(vp.point);
+    if (it != c.results.end() && it->second.wall_seconds > 0)
       return it->second.wall_seconds;
   }
   // Cold cache: the committed seed costs (measured on the default config)
   // still order points far better than the footprint heuristic below.
-  if (auto it = seed_costs_.find({wl, d}); it != seed_costs_.end())
+  if (auto it = seed_costs_.find(vp.point); it != seed_costs_.end())
     return it->second;
   uint64_t footprint = 64 * 1024;
   uint64_t accesses = 0;
@@ -185,20 +217,21 @@ double ExperimentRunner::cost_estimate(const std::string& wl, Design d) {
   return static_cast<double>(footprint) * design_cost_factor(d) / 5e5;
 }
 
-const ExperimentResult& ExperimentRunner::run(const std::string& name, Design d) {
-  const auto key = std::make_pair(name, d);
+const ExperimentResult& ExperimentRunner::run(const sweep::VariantPoint& vp) {
+  const auto& [name, d] = vp.point;
+  Config& c = config(vp.config);
   // Per-point once_flag: concurrent callers of the same uncached point wait
   // for one simulation instead of each running a duplicate. A throwing run
   // leaves the flag unset, so a later call retries.
   std::once_flag* flag;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) {
+    auto it = c.results.find(vp.point);
+    if (it != c.results.end()) {
       prof_totals_.bump(prof::Counter::kCacheHits);
       return it->second;
     }
-    flag = &run_once_[key];
+    flag = &c.run_once[vp.point];
   }
   std::call_once(*flag, [&] {
     if (verbose_)
@@ -219,7 +252,7 @@ const ExperimentResult& ExperimentRunner::run(const std::string& name, Design d)
       }();
       System sys = [&] {
         AVR_PROF_SCOPE(prof::Phase::kSetup);
-        return System(d, config_for(*wl));
+        return System(d, workload_config(c.base, *wl));
       }();
       std::vector<double> out;
       {
@@ -233,11 +266,11 @@ const ExperimentResult& ExperimentRunner::run(const std::string& name, Design d)
 
       res.workload = name;
       res.design = d;
-      res.config_hash = cfg_hash_;
+      res.config_hash = c.fingerprint;
       res.m = sys.metrics();
       {
         AVR_PROF_SCOPE(prof::Phase::kFunctional);
-        res.m.output_error = mean_relative_error(out, golden(name));
+        res.m.output_error = mean_relative_error(out, golden(c, name));
       }
       res.wall_seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -264,11 +297,11 @@ const ExperimentResult& ExperimentRunner::run(const std::string& name, Design d)
     }
     std::lock_guard<std::mutex> lk(mu_);
     prof_totals_.merge(pt);
-    prof_points_.push_back({name, to_string(d), cfg_diff_, res.wall_seconds, pt});
-    cache_.emplace(key, std::move(res));
+    prof_points_.push_back({name, to_string(d), c.name, res.wall_seconds, pt});
+    c.results.emplace(vp.point, std::move(res));
   });
   std::lock_guard<std::mutex> lk(mu_);
-  return cache_.at(key);
+  return c.results.at(vp.point);
 }
 
 std::vector<ExperimentResult> ExperimentRunner::run_all(
@@ -279,17 +312,16 @@ std::vector<ExperimentResult> ExperimentRunner::run_all(
   std::vector<sweep::VariantPoint> grid;
   grid.reserve(points.size());
   for (const auto& p : points) grid.push_back({base_, p});
-  const sweep::StealOutcome outcome = sweep::run_grid(
-      grid, [this](const sweep::VariantPoint&) -> ExperimentRunner& { return *this; },
-      "", {}, n_threads);
+  const sweep::StealOutcome outcome = sweep::run_grid(grid, *this, "", {}, n_threads);
 
   // Every point is cached now. Collect by plain lookup, not run(): the
   // scheduler already counted each warm point as one cache hit.
+  Config& c = config(base_);
   std::vector<ExperimentResult> out;
   out.reserve(points.size());
   std::lock_guard<std::mutex> lk(mu_);
   prof_totals_.merge(outcome.sched);  // the scheduler's cost-estimate prelude
-  for (const auto& p : points) out.push_back(cache_.at(p));
+  for (const auto& p : points) out.push_back(c.results.at(p));
   return out;
 }
 

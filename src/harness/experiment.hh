@@ -1,4 +1,4 @@
-// Experiment driver: runs (workload x design) points and computes
+// Experiment driver: runs (config x workload x design) points and computes
 // application output error against a golden functional run. avr_report
 // prints the paper's tables from its results.
 #pragma once
@@ -12,6 +12,7 @@
 
 #include "common/profile.hh"
 #include "common/types.hh"
+#include "harness/sweep.hh"
 #include "runtime/system.hh"
 #include "workloads/workload.hh"
 
@@ -34,15 +35,16 @@ struct ExperimentResult {
 
 class ExperimentRunner {
  public:
-  /// `cache_path`: optional CSV file persisting results across avr_report
-  /// and sweep shards (they all share one default-config sweep).
+  /// One runner serves every config: results, goldens and run-once flags
+  /// are held per (config fingerprint, workload, design). `base` is the
+  /// config of the (workload, design) forms below. `cache_path`: optional
+  /// CSV file persisting results across avr_report and sweep processes.
   /// Appends are safe against concurrent writer *processes* — see
   /// harness/result_cache.hh for the format and locking contract. Records
-  /// carry the base config's fingerprint (format v3+), so runners with
-  /// different configurations — the avr_report ablation variants — share one
-  /// file safely: each loads only its own records. Pass "" to disable
-  /// caching entirely. The environment variable AVR_RESULT_CACHE overrides
-  /// the default path.
+  /// carry their config's fingerprint (format v3+), so every config shares
+  /// one file: the first time the runner sees a config it loads that
+  /// config's records, once. Pass "" to disable caching entirely. The
+  /// environment variable AVR_RESULT_CACHE overrides the default path.
   explicit ExperimentRunner(SimConfig base = {}, bool verbose = true,
                             std::string cache_path = default_cache_path());
 
@@ -54,23 +56,28 @@ class ExperimentRunner {
   /// overrides the path; a missing file just disables the seed.
   static std::string default_seed_cost_path();
 
-  /// Run one (workload, design) point. Golden outputs are computed once per
-  /// workload and cached; results are cached too, so table printers can
-  /// share runs. Thread-safe: concurrent calls on distinct points proceed in
-  /// parallel, each with its own System; the caches are mutex-guarded and
-  /// returned references stay valid for the runner's lifetime.
-  const ExperimentResult& run(const std::string& wl, Design d);
+  /// Run one point under vp.config. Golden outputs are computed once per
+  /// (config, workload) and cached; results are cached too, so table
+  /// printers can share runs. Thread-safe: concurrent calls on distinct
+  /// points proceed in parallel, each with its own System; the caches are
+  /// mutex-guarded and returned references stay valid for the runner's
+  /// lifetime.
+  const ExperimentResult& run(const sweep::VariantPoint& vp);
+  const ExperimentResult& run(const std::string& wl, Design d) {
+    return run({base_, {wl, d}});
+  }
 
-  /// True if the point is already in the in-memory cache (hit at
-  /// construction from disk, or simulated earlier in this process).
-  bool cached(const std::string& wl, Design d);
+  /// True if the point is already in the in-memory cache (loaded from disk,
+  /// or simulated earlier in this process).
+  bool cached(const sweep::VariantPoint& vp);
+  bool cached(const std::string& wl, Design d) { return cached({base_, {wl, d}}); }
 
-  /// Run the full (workload x design) sweep through sweep::run_grid without
-  /// claims: independent points run concurrently on `n_threads` workers (0 =
-  /// hardware concurrency), longest first. Warms the same result cache
-  /// `run()` uses, so subsequent table printing is pure lookup. Returns the
-  /// results in workload-major, design-minor order — identical values to
-  /// calling `run()` serially in that order.
+  /// Run the full (workload x design) sweep under the base config through
+  /// sweep::run_grid without claims: independent points run concurrently
+  /// on `n_threads` workers (0 = hardware concurrency), longest first.
+  /// Warms the same result cache `run()` uses, so subsequent table printing
+  /// is pure lookup. Returns the results in workload-major, design-minor
+  /// order — identical values to calling `run()` serially in that order.
   std::vector<ExperimentResult> run_all(const std::vector<std::string>& workloads,
                                         const std::vector<Design>& designs,
                                         unsigned n_threads = 0);
@@ -80,7 +87,10 @@ class ExperimentRunner {
   /// observed this process) wins, then the committed seed-cost file, then a
   /// static heuristic scaling the workload's footprint by a per-design
   /// factor.
-  double cost_estimate(const std::string& wl, Design d);
+  double cost_estimate(const sweep::VariantPoint& vp);
+  double cost_estimate(const std::string& wl, Design d) {
+    return cost_estimate({base_, {wl, d}});
+  }
 
   /// All four comparison designs of Sec. 4 plus the baseline.
   static std::vector<Design> paper_designs() {
@@ -88,11 +98,8 @@ class ExperimentRunner {
             Design::kZeroAvr, Design::kAvr};
   }
 
-  const SimConfig& base_config() const { return base_; }
-  /// Fingerprint identifying base_config() in persisted cache records: the
-  /// runner loads only records carrying it and stamps it on new results.
-  uint64_t config_hash() const { return cfg_hash_; }
-  /// Per-workload config (cache hierarchy scaled per Workload::cache_scale).
+  /// Per-workload config under the base config (cache hierarchy scaled per
+  /// Workload::cache_scale).
   SimConfig config_for(const Workload& wl) const;
 
   /// Number of results that could not be appended to the disk cache (disk
@@ -109,30 +116,41 @@ class ExperimentRunner {
   prof::Totals profile_totals();
 
   /// One PointProfile per point this runner *simulated* (cache hits carry
-  /// no profile), in completion order, each with its per-phase breakdown.
+  /// no profile), in completion order, each with its per-phase breakdown
+  /// and the config_diff of its config.
   std::vector<prof::PointProfile> profile_points();
 
  private:
-  const std::vector<double>& golden(const std::string& wl);
-  void load_disk_cache();
+  /// Everything the runner holds for one config. `base`, `fingerprint` and
+  /// `name` are set when the entry is created and never change.
+  struct Config {
+    SimConfig base;
+    uint64_t fingerprint = 0;
+    std::string name;       // config_diff(base), stamped on profile points
+    std::once_flag loaded;  // the config's disk records, read on first sight
+    std::map<std::string, std::vector<double>> golden;
+    std::map<std::string, std::once_flag> golden_once;
+    std::map<sweep::Point, ExperimentResult> results;
+    std::map<sweep::Point, std::once_flag> run_once;
+  };
+
+  /// The entry for `cfg`, created and loaded from disk on first sight.
+  Config& config(const SimConfig& cfg);
+  const std::vector<double>& golden(Config& c, const std::string& wl);
+  void load_disk_cache(Config& c);
   void load_seed_costs();
 
   SimConfig base_;
-  uint64_t cfg_hash_;
-  std::string cfg_diff_;  // config_diff(base_), stamped on profile points
   bool verbose_;
   std::string cache_path_;
   // Immutable after construction; read without mu_.
-  std::map<std::pair<std::string, Design>, double> seed_costs_;
+  std::map<sweep::Point, double> seed_costs_;
   std::atomic<size_t> disk_write_failures_{0};
-  // mu_ guards golden_, golden_once_ and cache_. Both maps are node-based,
-  // so references handed out stay valid across concurrent inserts; nothing
-  // is ever erased.
+  // mu_ guards configs_ and every map inside its entries. All maps are
+  // node-based, so references handed out stay valid across concurrent
+  // inserts; nothing is ever erased.
   std::mutex mu_;
-  std::map<std::string, std::vector<double>> golden_;
-  std::map<std::string, std::once_flag> golden_once_;
-  std::map<std::pair<std::string, Design>, ExperimentResult> cache_;
-  std::map<std::pair<std::string, Design>, std::once_flag> run_once_;
+  std::map<uint64_t, Config> configs_;  // by config_fingerprint
   // Profile accumulation (guarded by mu_): the merged totals and the
   // per-point slices, appended as each simulated point completes.
   prof::Totals prof_totals_;

@@ -90,11 +90,15 @@ void add_set_axis(std::vector<SetAxis>& axes, const std::string& arg) {
   for (size_t start = eq + 1;;) {
     const size_t comma = arg.find(',', start);
     const std::string value = arg.substr(start, comma - start);
+    uint64_t word = 0;
     try {
-      axis.values.push_back(parse_knob_value(*axis.knob, value));
+      word = parse_knob_value(*axis.knob, value);
     } catch (const std::invalid_argument& e) {
       throw bad(e.what());
     }
+    if (std::find(axis.values.begin(), axis.values.end(), word) != axis.values.end())
+      throw bad(value + " is repeated");
+    axis.values.push_back(word);
     if (comma == std::string::npos) break;
     start = comma + 1;
   }
@@ -112,7 +116,12 @@ Design design_from_name(const std::string& name) {
 std::vector<Design> parse_design_list(const std::string& csv) {
   if (csv.empty()) return ExperimentRunner::paper_designs();
   std::vector<Design> out;
-  for (const auto& name : split_csv(csv)) out.push_back(design_from_name(name));
+  for (const auto& name : split_csv(csv)) {
+    const Design d = design_from_name(name);
+    if (std::find(out.begin(), out.end(), d) != out.end())
+      throw std::invalid_argument("repeated design: " + name);
+    out.push_back(d);
+  }
   if (out.empty()) throw std::invalid_argument("empty design list");
   return out;
 }
@@ -122,6 +131,8 @@ std::vector<std::string> parse_workload_list(const std::string& csv) {
   const auto known = workload_names();
   std::vector<std::string> out;
   for (const auto& name : split_csv(csv)) {
+    if (std::find(out.begin(), out.end(), name) != out.end())
+      throw std::invalid_argument("repeated workload: " + name);
     if (std::find(known.begin(), known.end(), name) == known.end()) {
       // Not a built-in kernel: either a trace spec or a typo. Constructing
       // it is the validation — make_workload loads and checks a trace file
@@ -135,30 +146,28 @@ std::vector<std::string> parse_workload_list(const std::string& csv) {
   return out;
 }
 
-StealOutcome run_grid(
-    const std::vector<VariantPoint>& grid,
-    const std::function<ExperimentRunner&(const VariantPoint&)>& runner_for,
-    const std::string& cache_path, const StealOptions& opts,
-    unsigned n_threads) {
+StealOutcome run_grid(const std::vector<VariantPoint>& grid, ExperimentRunner& runner,
+                      const std::string& cache_path, const StealOptions& opts,
+                      unsigned n_threads) {
   const std::string owner =
       opts.owner.empty() ? prof::default_owner() : opts.owner;
 
-  // Resolve each point's runner, cost and lease once up front; workers then
-  // scan in descending-cost order, the longest-first schedule — with claims
-  // across processes too: whichever process gets there first claims the
-  // expensive tail. This prelude runs before any worker starts, so it is
-  // timed as setup in the scheduler's totals.
+  // Resolve each point's config fingerprint, cost and lease once up front;
+  // workers then scan in descending-cost order, the longest-first schedule —
+  // with claims across processes too: whichever process gets there first
+  // claims the expensive tail. This prelude runs before any worker starts,
+  // so it is timed as setup in the scheduler's totals.
   StealOutcome outcome;
   const size_t n = grid.size();
-  std::vector<ExperimentRunner*> runner(n);
+  std::vector<uint64_t> fingerprint(n);
   std::vector<double> cost(n);
   std::vector<uint64_t> lease(n);
   {
     prof::ScopedSink sink(&outcome.sched);
     AVR_PROF_SCOPE(prof::Phase::kSetup);
     for (size_t i = 0; i < n; ++i) {
-      runner[i] = &runner_for(grid[i]);
-      cost[i] = runner[i]->cost_estimate(grid[i].point.first, grid[i].point.second);
+      fingerprint[i] = config_fingerprint(grid[i].config);
+      cost[i] = runner.cost_estimate(grid[i]);
       lease[i] = opts.lease_seconds
                      ? opts.lease_seconds
                      : static_cast<uint64_t>(std::max(30.0, 20.0 * cost[i]));
@@ -211,7 +220,7 @@ StealOutcome run_grid(
         ClaimRecord want;
         want.workload = wl;
         want.design = d;
-        want.config_hash = runner[k]->config_hash();
+        want.config_hash = fingerprint[k];
         want.owner = owner;
         want.lease_seconds = lease[k];
         // Without a claim path, every point this process reserves is its own.
@@ -256,7 +265,7 @@ StealOutcome run_grid(
             std::fprintf(stderr, "[steal] %s reclaims %s x %s (lease expired)\n",
                          owner.c_str(), wl.c_str(), to_string(d));
           try {
-            (void)runner[k]->run(wl, d);
+            (void)runner.run(grid[k]);
           } catch (...) {
             {
               std::lock_guard<std::mutex> lk(idle_mu);

@@ -2,7 +2,7 @@
 //
 // The canonical grid order is workload-major, design-minor — the same order
 // run_all() returns. One scheduler, run_grid below, runs every sweep:
-// avr_report's run_all, a local avr_sweep and avr_sweep --claim. Without
+// run_all, avr_report, a local avr_sweep and avr_sweep --claim. Without
 // a claim path every point is this process's own. To split a sweep across
 // processes, every process runs with --claim: each sees the full grid and
 // claims points one at a time by appending claim records through the
@@ -12,7 +12,6 @@
 // up front.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -59,7 +58,8 @@ std::vector<VariantPoint> config_grid(const std::vector<SetAxis>& axes,
 /// (common/config_table.hh) and the values it sweeps, each parsed strictly
 /// and range-checked — and appends it to `axes`. Throws
 /// std::invalid_argument("bad --set value: <arg> (<reason>)") for an unknown
-/// or unsettable knob, a knob already in `axes`, or a bad value.
+/// or unsettable knob, a knob already in `axes`, a bad value or a repeated
+/// one.
 void add_set_axis(std::vector<SetAxis>& axes, const std::string& arg);
 
 /// Parses one design name as printed by to_string(Design) —
@@ -68,12 +68,14 @@ void add_set_axis(std::vector<SetAxis>& axes, const std::string& arg);
 Design design_from_name(const std::string& name);
 
 /// Comma-separated design names; "" yields ExperimentRunner::paper_designs().
+/// Throws std::invalid_argument for unknown names and for a design named
+/// twice ("AVR,avr").
 std::vector<Design> parse_design_list(const std::string& csv);
 
 /// Comma-separated workload names — built-in kernels and/or trace specs
 /// ("trace:<path>", whose file is loaded and validated here, eagerly); ""
-/// yields workload_names(). Throws std::invalid_argument for unknown names
-/// and for missing/corrupt trace files.
+/// yields workload_names(). Throws std::invalid_argument for unknown names,
+/// for missing/corrupt trace files and for a name given twice.
 std::vector<std::string> parse_workload_list(const std::string& csv);
 
 // ---- the scheduler ---------------------------------------------------------
@@ -112,13 +114,11 @@ struct StealOutcome {
 /// Runs `grid` to completion on `n_threads` workers (0 = hardware
 /// concurrency, capped at the grid size). Each worker repeatedly scans the
 /// remaining points in descending cost_estimate order (longest first:
-/// points vary ~30x in cost) and runs the points it wins via
-/// `runner_for(vp)`, which must return, for each config in the grid, a
-/// runner simulating under vp.config (the same runner every call; vp.point
-/// is irrelevant to the lookup). Throws the first simulation error.
+/// points vary ~30x in cost) and runs the points it wins on `runner`, each
+/// under its own config. Throws the first simulation error.
 ///
 /// An empty `cache_path` means no claims: every point a worker reserves is
-/// its own and no claim I/O happens. Otherwise the runners must write to
+/// its own and no claim I/O happens. Otherwise the runner must write to
 /// `cache_path`, and a worker stakes a claim through its flock
 /// (result_cache.hh) before running a point, cooperating with any number of
 /// concurrent processes sharing the file. It returns once *every* point has
@@ -128,11 +128,9 @@ struct StealOutcome {
 /// failure does NOT abort the sweep: a claim that still fails after bounded
 /// backoff retries degrades that point to uncoordinated simulation with a
 /// loud warning (waste over wrongness — see StealOutcome::degraded).
-StealOutcome run_grid(
-    const std::vector<VariantPoint>& grid,
-    const std::function<ExperimentRunner&(const VariantPoint&)>& runner_for,
-    const std::string& cache_path, const StealOptions& opts,
-    unsigned n_threads = 0);
+StealOutcome run_grid(const std::vector<VariantPoint>& grid, ExperimentRunner& runner,
+                      const std::string& cache_path, const StealOptions& opts,
+                      unsigned n_threads = 0);
 
 }  // namespace sweep
 }  // namespace avr

@@ -10,21 +10,6 @@
 #include "common/config_table.hh"
 
 namespace avr {
-namespace {
-
-/// Concrete-type LLC dispatch: the hierarchy calls through this function
-/// pointer instead of two virtual hops (request + last_was_miss). The
-/// qualified calls are resolved statically — every LLC implementation is
-/// final, so `Llc` is the exact dynamic type System just constructed.
-template <typename Llc>
-MemoryHierarchy::LlcReply llc_request_thunk(LlcSystem& llc, uint64_t now,
-                                            uint64_t line, bool write) {
-  auto& t = static_cast<Llc&>(llc);
-  const uint64_t latency = t.Llc::request(now, line, write);
-  return {latency, t.Llc::last_was_miss()};
-}
-
-}  // namespace
 
 System::System(Design design, SimConfig cfg, uint32_t num_cores, bool timing)
     : design_(design), cfg_(cfg), timing_(timing) {

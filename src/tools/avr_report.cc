@@ -2,9 +2,9 @@
 // Sec. 4.2 overhead count — and the AVR ablation from the shared result
 // cache ($AVR_RESULT_CACHE, default avr_results_cache.csv). Each report is
 // one row of the table in reports(): the designs and config variants it
-// reads, and a printer. A report first warms its points with
-// ExperimentRunner::run_all, so over a cache avr_sweep already filled it
-// simulates nothing and printing is pure lookup.
+// reads, and a printer. A report first warms all its points with one
+// sweep::run_grid, so over a cache avr_sweep already filled it simulates
+// nothing and printing is pure lookup.
 //
 //   avr_report fig9 table3                       two reports, in that order
 //   AVR_RESULT_CACHE=sweep.csv avr_report fig12  read a sweep's cache
@@ -12,7 +12,6 @@
 #include <cmath>
 #include <cstdio>
 #include <exception>
-#include <map>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -39,33 +38,23 @@ the cache are simulated and appended first.
 
 )";
 
-/// The runners the reports read, one per config, keyed by the config's
-/// "knob=value" string ("" is the default config).
-class Results {
- public:
-  ExperimentRunner& runner(const std::string& set = "") {
-    auto it = runners_.find(set);
-    if (it == runners_.end()) it = runners_.try_emplace(set, config_of(set)).first;
-    return it->second;
-  }
-  const RunMetrics& m(const std::string& w, Design d, const std::string& set = "") {
-    return runner(set).run(w, d).m;
-  }
+/// The default config with `set` ("knob=value"; "" for none) applied through
+/// the config table, the way avr_sweep --set applies it, so both hash to the
+/// same fingerprint.
+SimConfig config_of(const std::string& set) {
+  SimConfig c;
+  if (set.empty()) return c;
+  std::vector<sweep::SetAxis> axes;
+  sweep::add_set_axis(axes, set);
+  set_knob_word(c, *axes[0].knob, axes[0].values[0]);
+  return c;
+}
 
- private:
-  /// The default config with `set` applied through the config table, the
-  /// way avr_sweep --set applies it, so both hash to the same fingerprint.
-  static SimConfig config_of(const std::string& set) {
-    SimConfig c;
-    if (set.empty()) return c;
-    std::vector<sweep::SetAxis> axes;
-    sweep::add_set_axis(axes, set);
-    set_knob_word(c, *axes[0].knob, axes[0].values[0]);
-    return c;
-  }
-
-  std::map<std::string, ExperimentRunner> runners_;
-};
+/// AVR's metrics on `w` under config_of(set).
+const RunMetrics& avr_under(ExperimentRunner& res, const std::string& w,
+                            const std::string& set) {
+  return res.run({config_of(set), {w, Design::kAvr}}).m;
+}
 
 uint64_t counter(const RunMetrics& m, const char* key) {
   const auto it = m.detail.find(key);
@@ -76,8 +65,8 @@ uint64_t counter(const RunMetrics& m, const char* key) {
 
 /// One row per design, one column per workload, each cell metric(result) /
 /// metric(baseline result), then the row's geomean: the shape of Figs. 9-13.
-void print_normalized_table(Results& res, const char* title, const Workloads& wls,
-                            const std::vector<Design>& designs,
+void print_normalized_table(ExperimentRunner& res, const char* title,
+                            const Workloads& wls, const std::vector<Design>& designs,
                             double (*metric)(const RunMetrics&)) {
   std::printf("\n== %s (normalized to baseline) ==\n", title);
   std::printf("%-10s", "design");
@@ -88,8 +77,8 @@ void print_normalized_table(Results& res, const char* title, const Workloads& wl
     double logsum = 0;
     int n = 0;
     for (const auto& w : wls) {
-      const double base = metric(res.m(w, Design::kBaseline));
-      const double norm = base > 0 ? metric(res.m(w, d)) / base : 0.0;
+      const double base = metric(res.run(w, Design::kBaseline).m);
+      const double norm = base > 0 ? metric(res.run(w, d).m) / base : 0.0;
       std::printf(" %9.3f", norm);
       if (norm > 0) {
         logsum += std::log(norm);
@@ -111,13 +100,13 @@ struct Column {
 
 /// The shape of Figs. 14 and 15: four AVR detail counters per workload, as
 /// percent of their sum.
-void print_detail_percent(Results& res, const Workloads& wls, const char* title,
+void print_detail_percent(ExperimentRunner& res, const Workloads& wls, const char* title,
                           const char* noun, std::span<const Column, 4> cols) {
   std::printf("%s (%%)\n%-10s", title, "workload");
   for (const Column& c : cols) std::printf(" %*s", c.width, c.label);
   std::printf("\n");
   for (const auto& w : wls) {
-    const RunMetrics& m = res.m(w, Design::kAvr);
+    const RunMetrics& m = res.run(w, Design::kAvr).m;
     double total = 0;
     for (const Column& c : cols) total += double(counter(m, c.key));
     if (total == 0) {
@@ -139,13 +128,13 @@ double traffic(const RunMetrics& m) { return double(m.dram_bytes); }
 double amat(const RunMetrics& m) { return m.amat; }
 double mpki(const RunMetrics& m) { return m.llc_mpki; }
 
-void print_fig9(Results& res, const Workloads& wls) {
+void print_fig9(ExperimentRunner& res, const Workloads& wls) {
   print_normalized_table(res, "Fig. 9: Execution time", wls, kCompared, cycles);
   std::printf("\npaper AVR row: heat 0.57, lattice 0.49, lbm 0.43, orbit 0.79,"
               " kmeans ~0.85, bscholes ~1.0, wrf 0.98\n");
 }
 
-void print_fig10(Results& res, const Workloads& wls) {
+void print_fig10(ExperimentRunner& res, const Workloads& wls) {
   const auto designs = ExperimentRunner::paper_designs();
   print_normalized_table(res, "Fig. 10: Total energy", wls, designs, energy);
   std::printf("\n-- component breakdown (fraction of each design's total) --\n");
@@ -154,7 +143,7 @@ void print_fig10(Results& res, const Workloads& wls) {
     std::printf("  %-10s %8s %8s %8s %8s %8s\n", "design", "core", "l1+l2", "llc",
                 "dram", "comp");
     for (Design d : designs) {
-      const EnergyBreakdown& e = res.m(w, d).energy;
+      const EnergyBreakdown& e = res.run(w, d).m.energy;
       const double t = e.total();
       std::printf("  %-10s %7.1f%% %7.1f%% %7.1f%% %7.1f%% %7.1f%%\n", to_string(d),
                   100 * e.core / t, 100 * e.l1l2 / t, 100 * e.llc / t,
@@ -169,13 +158,13 @@ void print_fig10(Results& res, const Workloads& wls) {
 // BDI-hybrid fallback tier.
 constexpr const char* kBdi = "avr.enable_bdi_hybrid=1";
 
-void print_fig11(Results& res, const Workloads& wls) {
+void print_fig11(ExperimentRunner& res, const Workloads& wls) {
   const auto designs = ExperimentRunner::paper_designs();
   print_normalized_table(res, "Fig. 11: Memory traffic", wls, designs, traffic);
   std::printf("\n-- approx / non-approx split (bytes, AVR) --\n");
   std::printf("%-10s %14s %14s %14s\n", "workload", "approx", "other", "metadata");
   for (const auto& w : wls) {
-    const RunMetrics& m = res.m(w, Design::kAvr);
+    const RunMetrics& m = res.run(w, Design::kAvr).m;
     std::printf("%-10s %14llu %14llu %14llu\n", w.c_str(),
                 static_cast<unsigned long long>(m.dram_bytes_approx),
                 static_cast<unsigned long long>(m.dram_bytes_other),
@@ -188,14 +177,14 @@ void print_fig11(Results& res, const Workloads& wls) {
   std::printf("\n-- AVR + BDI fallback (%s), norm. traffic --\n", kBdi);
   std::printf("%-10s %10s %10s\n", "workload", "AVR", "AVR+bdi");
   for (const auto& w : wls) {
-    const double base = traffic(res.m(w, Design::kBaseline));
+    const double base = traffic(res.run(w, Design::kBaseline).m);
     std::printf("%-10s %10.3f %10.3f\n", w.c_str(),
-                traffic(res.m(w, Design::kAvr)) / base,
-                traffic(res.m(w, Design::kAvr, kBdi)) / base);
+                traffic(res.run(w, Design::kAvr).m) / base,
+                traffic(avr_under(res, w, kBdi)) / base);
   }
 }
 
-void print_fig12(Results& res, const Workloads& wls) {
+void print_fig12(ExperimentRunner& res, const Workloads& wls) {
   print_normalized_table(res, "Fig. 12: AMAT", wls, kCompared, amat);
   std::printf("\npaper AVR row: heat 0.80, lattice 0.57, lbm 0.70, orbit 0.84,"
               " kmeans 0.77, wrf ~1.0\n");
@@ -203,13 +192,13 @@ void print_fig12(Results& res, const Workloads& wls) {
 
 // An AVR request that hits a compressed block in the LLC or the DBUF counts
 // as a hit (it avoided DRAM), which is what drives AVR's low MPKI.
-void print_fig13(Results& res, const Workloads& wls) {
+void print_fig13(ExperimentRunner& res, const Workloads& wls) {
   print_normalized_table(res, "Fig. 13: LLC MPKI", wls, kCompared, mpki);
   std::printf("\npaper: ZeroAVR ~1.0 everywhere; AVR lattice 0.14 vs dganger"
               " 0.48 / truncate 0.53\n");
 }
 
-void print_fig14(Results& res, const Workloads& wls) {
+void print_fig14(ExperimentRunner& res, const Workloads& wls) {
   constexpr Column kCols[] = {
       {"miss", "req_miss", 9},
       {"uncomp", "req_hit_ucl", 9},
@@ -222,7 +211,7 @@ void print_fig14(Results& res, const Workloads& wls) {
               " kmeans ~55%% compressed + ~20%% DBUF\n");
 }
 
-void print_fig15(Results& res, const Workloads& wls) {
+void print_fig15(ExperimentRunner& res, const Workloads& wls) {
   constexpr Column kCols[] = {
       {"recompr", "evict_recompress", 10},
       {"lazy", "evict_lazy_wb", 10},
@@ -236,7 +225,7 @@ void print_fig15(Results& res, const Workloads& wls) {
 }
 
 // Table 3: the mean relative error of each output value vs the exact run.
-void print_table3(Results& res, const Workloads& wls) {
+void print_table3(ExperimentRunner& res, const Workloads& wls) {
   std::printf("Table 3: Application output error (%%)\n");
   std::printf("%-10s", "design");
   for (const auto& w : wls) std::printf(" %9s", w.c_str());
@@ -244,7 +233,7 @@ void print_table3(Results& res, const Workloads& wls) {
   for (Design d : {Design::kDoppelganger, Design::kTruncate, Design::kAvr}) {
     std::printf("%-10s", to_string(d));
     for (const auto& w : wls) {
-      const double e = 100.0 * res.m(w, d).output_error;
+      const double e = 100.0 * res.run(w, d).m.output_error;
       if (e < 0.05)
         std::printf(" %9s", "<0.05");
       else if (e > 100.0)
@@ -264,10 +253,10 @@ void print_table3(Results& res, const Workloads& wls) {
 // won by the fallback tier and `uncompressed` counts failed compression
 // attempts: fewer than AVR alone means the fallback converted
 // would-be-uncompressed blocks.
-void print_table4(Results& res, const Workloads& wls) {
+void print_table4(ExperimentRunner& res, const Workloads& wls) {
   const auto row = [&](const char* label, const std::string& set, auto cell) {
     std::printf("%-14s", label);
-    for (const auto& w : wls) cell(res.m(w, Design::kAvr, set));
+    for (const auto& w : wls) cell(avr_under(res, w, set));
     std::printf("\n");
   };
   const auto ratio = [](const RunMetrics& m) {
@@ -302,7 +291,7 @@ void print_table4(Results& res, const Workloads& wls) {
 
 // Sec. 4.2, computed from the implemented structure geometry, not simulated.
 // Throws if a CMT entry does not round-trip through its 23 bits.
-void print_overheads(Results&, const Workloads&) {
+void print_overheads(ExperimentRunner&, const Workloads&) {
   // CMT: four 23-bit entries per 4 kB page, plus 1 approx bit in the TLB.
   // The paper's ~2x is the size of a TLB entry carrying them relative to
   // an unmodified one (52+36 bits).
@@ -347,15 +336,15 @@ constexpr std::pair<const char*, const char*> kAblation[] = {
     {"2D only", "avr.enable_1d=0"},
 };
 
-void print_ablation(Results& res, const Workloads& wls) {
+void print_ablation(ExperimentRunner& res, const Workloads& wls) {
   std::printf("AVR ablation (each cell normalized to the full design)\n");
   for (const auto& w : wls) {
     std::printf("\n%s\n", w.c_str());
     std::printf("  %-20s %10s %10s %10s\n", "variant", "cycles", "traffic",
                 "error(%)");
-    const RunMetrics& full = res.m(w, Design::kAvr);
+    const RunMetrics& full = res.run(w, Design::kAvr).m;
     for (const auto& [label, set] : kAblation) {
-      const RunMetrics& m = res.m(w, Design::kAvr, set);
+      const RunMetrics& m = avr_under(res, w, set);
       std::printf("  %-20s %10.3f %10.3f %9.2f%%\n", label, cycles(m) / cycles(full),
                   traffic(m) / traffic(full), 100 * m.output_error);
     }
@@ -368,7 +357,7 @@ struct Report {
   Workloads workloads;
   std::vector<Design> designs;        // read under the default config
   std::vector<std::string> variants;  // "knob=value" configs AVR is read under
-  void (*print)(Results&, const Workloads&);
+  void (*print)(ExperimentRunner&, const Workloads&);
 };
 
 std::vector<Report> reports() {
@@ -397,11 +386,13 @@ std::vector<Report> reports() {
   };
 }
 
-/// Reads every point `r` prints, simulating (and caching) missing ones.
-void warm(Results& res, const Report& r) {
-  if (!r.designs.empty()) res.runner().run_all(r.workloads, r.designs);
+/// Reads every point `r` prints in one sweep — its designs under the default
+/// config, then AVR under each variant — simulating (and caching) missing ones.
+void warm(ExperimentRunner& res, const Report& r) {
+  auto grid = sweep::config_grid({}, r.workloads, r.designs);
   for (const std::string& set : r.variants)
-    res.runner(set).run_all(r.workloads, {Design::kAvr});
+    for (const auto& w : r.workloads) grid.push_back({config_of(set), {w, Design::kAvr}});
+  (void)sweep::run_grid(grid, res, "", {});
 }
 
 void print_usage(std::FILE* out, const std::vector<Report>& table) {
@@ -435,7 +426,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  Results res;
+  ExperimentRunner res;
   try {
     for (const Report* r : selected) {
       warm(res, *r);

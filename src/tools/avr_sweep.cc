@@ -21,8 +21,6 @@
 #include <ctime>
 #include <exception>
 #include <limits>
-#include <map>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -226,32 +224,25 @@ bool same_metrics(avr::ExperimentResult a, avr::ExperimentResult b) {
   return avr::encode_result_line(a) == avr::encode_result_line(b);
 }
 
-/// One config of the grid and its points. Coverage and identity checks must
-/// see only records simulated under the config being checked: the shared
-/// cache file may hold records for the same (workload, design) keys under
-/// other fingerprints (ablation or --set variants), which would otherwise
-/// shadow the grid's records in the loaded map.
-struct Variant {
-  avr::SimConfig config;
-  std::string name;  // config_diff(config); "" is the default config
-  std::vector<avr::sweep::Point> points;
-};
+using Grid = std::vector<avr::sweep::VariantPoint>;
 
-/// The grid grouped by config, in order of first appearance, preserving
-/// point order within a group.
-std::vector<Variant> by_variant(const std::vector<avr::sweep::VariantPoint>& grid) {
-  std::vector<Variant> groups;
+/// The grid's config fingerprints, each once, in order of first appearance.
+/// Coverage and identity checks must see only records simulated under the
+/// config being checked: the shared cache file may hold records for the
+/// same (workload, design) keys under other fingerprints (ablation or --set
+/// variants), which would otherwise shadow the grid's records in the loaded
+/// map.
+std::vector<uint64_t> distinct_fingerprints(const Grid& grid) {
+  std::vector<uint64_t> out;
   for (const auto& vp : grid) {
-    const std::string name = avr::config_diff(vp.config);
-    auto it = std::find_if(groups.begin(), groups.end(),
-                           [&](const Variant& v) { return v.name == name; });
-    if (it == groups.end()) it = groups.insert(groups.end(), {vp.config, name, {}});
-    it->points.push_back(vp.point);
+    const uint64_t fp = avr::config_fingerprint(vp.config);
+    if (std::find(out.begin(), out.end(), fp) == out.end()) out.push_back(fp);
   }
-  return groups;
+  return out;
 }
 
-int check_coverage(const Options& o, const std::vector<Variant>& groups, size_t total) {
+int check_coverage(const Options& o, const Grid& grid) {
+  const size_t total = grid.size();
   size_t missing = 0;
   // Claim audit alongside coverage: a claim is *moot* once its point has a
   // result, *dangling* otherwise (its point is also missing, so dangling
@@ -259,8 +250,7 @@ int check_coverage(const Options& o, const std::vector<Variant>& groups, size_t 
   // this check passing).
   size_t claims = 0, dangling = 0;
   const uint64_t now = static_cast<uint64_t>(std::time(nullptr));
-  for (const Variant& v : groups) {
-    const uint64_t fp = avr::config_fingerprint(v.config);
+  for (const uint64_t fp : distinct_fingerprints(grid)) {
     const auto cache = avr::load_result_cache(o.cache_path, fp);
     for (const auto& [key, c] : avr::load_claims(o.cache_path, fp)) {
       ++claims;
@@ -270,13 +260,13 @@ int check_coverage(const Options& o, const std::vector<Variant>& groups, size_t 
                    key.first.c_str(), avr::to_string(key.second),
                    c.owner.c_str(), c.expired(now) ? "expired" : "live");
     }
-    const std::string suffix = v.name.empty() ? "" : " (" + v.name + ")";
-    for (const auto& p : v.points) {
-      if (!cache.count(p)) {
-        std::fprintf(stderr, "missing: %s x %s%s\n", p.first.c_str(),
-                     avr::to_string(p.second), suffix.c_str());
-        ++missing;
-      }
+    for (const auto& [config, p] : grid) {
+      if (avr::config_fingerprint(config) != fp || cache.count(p)) continue;
+      const std::string name = avr::config_diff(config);
+      const std::string suffix = name.empty() ? "" : " (" + name + ")";
+      std::fprintf(stderr, "missing: %s x %s%s\n", p.first.c_str(),
+                   avr::to_string(p.second), suffix.c_str());
+      ++missing;
     }
   }
   if (missing || dangling) {
@@ -291,10 +281,9 @@ int check_coverage(const Options& o, const std::vector<Variant>& groups, size_t 
   return 0;
 }
 
-int check_same(const Options& o, const std::vector<Variant>& groups) {
+int check_same(const Options& o, const Grid& grid) {
   size_t differences = 0, compared = 0;
-  for (const Variant& v : groups) {
-    const uint64_t fp = avr::config_fingerprint(v.config);
+  for (const uint64_t fp : distinct_fingerprints(grid)) {
     const auto a = avr::load_result_cache(o.cache_path, fp);
     const auto b = avr::load_result_cache(o.assert_same_path, fp);
     // A missing or record-free file would make the comparison vacuously
@@ -352,7 +341,6 @@ int main(int argc, char** argv) {
   // default-config (workload x design) grid. In claim mode every process
   // works the full grid — the claims do the splitting.
   const auto grid = sweep::config_grid(o.axes, o.workloads, o.designs);
-  const auto groups = by_variant(grid);
 
   if (o.list) {
     for (const auto& [config, p] : grid) {
@@ -361,23 +349,18 @@ int main(int argc, char** argv) {
     }
     return 0;
   }
-  if (o.check) return check_coverage(o, groups, grid.size());
-  if (o.assert_same) return check_same(o, groups);
+  if (o.check) return check_coverage(o, grid);
+  if (o.assert_same) return check_same(o, grid);
   if (o.fsck) return run_fsck(o);
 
-  // One runner per config in the grid: each loads and appends only records
-  // carrying its own config fingerprint, so all variants share the one
-  // cache file.
+  // One runner for every config in the grid: it loads each config's records
+  // the first time it sees the config (here, counting the warm points) and
+  // stamps each record with its config's fingerprint, so all variants share
+  // the one cache file.
+  ExperimentRunner runner({}, !o.quiet, o.cache_path);
   size_t warm = 0;
-  std::vector<std::unique_ptr<ExperimentRunner>> runners;
-  std::map<std::string, ExperimentRunner*> runner_by_name;
-  for (const Variant& v : groups) {
-    auto runner = std::make_unique<ExperimentRunner>(v.config, !o.quiet, o.cache_path);
-    for (const auto& [w, d] : v.points)
-      if (runner->cached(w, d)) ++warm;
-    runner_by_name[v.name] = runner.get();
-    runners.push_back(std::move(runner));
-  }
+  for (const auto& vp : grid)
+    if (runner.cached(vp)) ++warm;
 
   // Never more threads than points (the scheduler clamps the same way).
   const unsigned wanted = o.jobs ? o.jobs : std::thread::hardware_concurrency();
@@ -387,7 +370,7 @@ int main(int argc, char** argv) {
   std::fprintf(stderr,
                "[sweep] %s: %zu grid points (%zu cached, %zu variant(s)), %u "
                "jobs, cache=%s\n",
-               mode.c_str(), grid.size(), warm, groups.size(), jobs,
+               mode.c_str(), grid.size(), warm, distinct_fingerprints(grid).size(), jobs,
                o.cache_path.empty() ? "<disabled>" : o.cache_path.c_str());
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -397,13 +380,8 @@ int main(int argc, char** argv) {
     sweep::StealOptions so;
     so.owner = o.owner;
     so.lease_seconds = o.claim_lease;
-    steal = sweep::run_grid(
-        grid,
-        [&](const sweep::VariantPoint& vp) -> ExperimentRunner& {
-          return *runner_by_name.at(config_diff(vp.config));
-        },
-        o.claim ? o.cache_path : "", so, jobs);
-    for (const auto& runner : runners) write_failures += runner->disk_write_failures();
+    steal = sweep::run_grid(grid, runner, o.claim ? o.cache_path : "", so, jobs);
+    write_failures = runner.disk_write_failures();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "avr_sweep: point failed: %s\n", e.what());
     return 1;
@@ -419,7 +397,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Per-phase profile: aggregate of every runner and the scheduler (its
+  // Per-phase profile: aggregate of the runner and the scheduler (its
   // cost-estimate prelude and, in claim mode, its claim I/O), one slice per
   // simulated point. The sidecar is written unconditionally — it documents
   // what this process did even when nobody asked for the table.
@@ -430,13 +408,8 @@ int main(int argc, char** argv) {
   report.wall_seconds = secs;
   report.jobs = jobs;
   report.aggregate = steal.sched;
-  for (const auto& runner : runners) {
-    report.aggregate.merge(runner->profile_totals());
-    auto pts = runner->profile_points();
-    report.points.insert(report.points.end(),
-                         std::make_move_iterator(pts.begin()),
-                         std::make_move_iterator(pts.end()));
-  }
+  report.aggregate.merge(runner.profile_totals());
+  report.points = runner.profile_points();
   std::string profile_path = o.profile_out;
   if (!o.profile_out_set && !o.cache_path.empty())
     profile_path = o.cache_path + "." + o.owner + ".profile.json";

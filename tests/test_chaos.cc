@@ -61,9 +61,6 @@ pid_t spawn_sweep(const std::vector<std::string>& args,
 TEST(Chaos, CrashedWorkersFsckRepairThenFinishBitIdentical) {
   const std::string bin = sweep_binary();
   if (bin.empty()) GTEST_SKIP() << "AVR_SWEEP_BIN not set";
-#if !AVR_FAULT_INJECT
-  GTEST_SKIP() << "built with AVR_FAULT_INJECT=OFF";
-#endif
 
   const std::string cache = temp_path("e2e");
   const std::string ref = temp_path("ref");
@@ -186,9 +183,6 @@ TEST(Chaos, SweepSurvivesTransientFaultStormWithCorrectResults) {
   // faults are transient, so no retry budget is ever exhausted.
   const std::string bin = sweep_binary();
   if (bin.empty()) GTEST_SKIP() << "AVR_SWEEP_BIN not set";
-#if !AVR_FAULT_INJECT
-  GTEST_SKIP() << "built with AVR_FAULT_INJECT=OFF";
-#endif
 
   const std::string cache = temp_path("storm");
   const std::string ref = temp_path("stormref");

@@ -162,10 +162,9 @@ std::vector<sweep::VariantPoint> default_grid(const Points& points) {
   return grid;
 }
 
-/// run_grid over `points` without claims, every point on runner `r`.
+/// run_grid over `points` without claims, on runner `r`.
 sweep::StealOutcome run_local(ExperimentRunner& r, const Points& points, unsigned jobs) {
-  const auto runner_for = [&](const sweep::VariantPoint&) -> auto& { return r; };
-  return sweep::run_grid(default_grid(points), runner_for, "", {}, jobs);
+  return sweep::run_grid(default_grid(points), r, "", {}, jobs);
 }
 
 TEST(ExperimentRunner, RunGridHandlesArbitrarySlicesAndDuplicates) {
@@ -201,9 +200,7 @@ TEST(ExperimentRunner, ProfileCountsOneCacheHitPerWarmPoint) {
     ExperimentRunner r({}, false, path);
     ASSERT_EQ(run_local(r, points, 2).simulated, points.size());
     const prof::Totals t = r.profile_totals();
-    // (Compiled-out profiling counts no simulated points.)
-    EXPECT_EQ(t.count(prof::Counter::kPointsSimulated),
-              AVR_PROFILE ? points.size() : 0u);
+    EXPECT_EQ(t.count(prof::Counter::kPointsSimulated), points.size());
     EXPECT_EQ(t.count(prof::Counter::kCacheHits), 0u);
   }
   {
@@ -229,11 +226,9 @@ TEST(ExperimentRunner, SchedulerPreludeIsTimedAsSetup) {
     // which sees no point's sink.
     ExperimentRunner r({}, false, path);
     const auto grid = sweep::config_grid({}, {"bscholes"}, {Design::kBaseline});
-    const sweep::StealOutcome out = sweep::run_grid(
-        grid, [&](const sweep::VariantPoint&) -> ExperimentRunner& { return r; },
-        path, {}, 1);
+    const sweep::StealOutcome out = sweep::run_grid(grid, r, path, {}, 1);
     EXPECT_EQ(out.simulated, 1u);
-    EXPECT_EQ(out.sched.phase_calls(prof::Phase::kSetup), AVR_PROFILE ? 1u : 0u);
+    EXPECT_EQ(out.sched.phase_calls(prof::Phase::kSetup), 1u);
   }
   {
     // run_all: one setup call more than the points' own.
@@ -242,8 +237,7 @@ TEST(ExperimentRunner, SchedulerPreludeIsTimedAsSetup) {
     uint64_t point_calls = 0;
     for (const prof::PointProfile& p : r.profile_points())
       point_calls += p.totals.phase_calls(prof::Phase::kSetup);
-    EXPECT_EQ(r.profile_totals().phase_calls(prof::Phase::kSetup),
-              point_calls + (AVR_PROFILE ? 1u : 0u));
+    EXPECT_EQ(r.profile_totals().phase_calls(prof::Phase::kSetup), point_calls + 1);
   }
   std::remove(path.c_str());
 }
@@ -282,19 +276,13 @@ TEST(ExperimentRunner, RunGridRecordsMatchWithAndWithoutClaims) {
   // with wall_seconds zeroed.
   const auto sweep_into = [&](const std::string& cache, bool claim) {
     std::remove(cache.c_str());
-    ExperimentRunner base({}, false, cache);
-    ExperimentRunner t1(variant, false, cache);
-    const auto runner_for = [&](const sweep::VariantPoint& vp) -> ExperimentRunner& {
-      return config_fingerprint(vp.config) == t1.config_hash() ? t1 : base;
-    };
-    (void)sweep::run_grid(grid, runner_for, claim ? cache : "", {}, 2);
-    EXPECT_EQ(base.profile_totals().count(prof::Counter::kPointsSimulated) +
-                  t1.profile_totals().count(prof::Counter::kPointsSimulated),
-              AVR_PROFILE ? distinct : 0u)
+    ExperimentRunner r({}, false, cache);
+    (void)sweep::run_grid(grid, r, claim ? cache : "", {}, 2);
+    EXPECT_EQ(r.profile_totals().count(prof::Counter::kPointsSimulated), distinct)
         << (claim ? "claim" : "local");
     std::vector<std::string> lines;
-    for (const ExperimentRunner* r : {&base, &t1})
-      for (auto [key, res] : load_result_cache(cache, r->config_hash())) {
+    for (const SimConfig& cfg : {SimConfig{}, variant})
+      for (auto [key, res] : load_result_cache(cache, config_fingerprint(cfg))) {
         res.wall_seconds = 0;
         lines.push_back(encode_result_line(res));
       }
@@ -306,6 +294,46 @@ TEST(ExperimentRunner, RunGridRecordsMatchWithAndWithoutClaims) {
   EXPECT_EQ(local.size(), distinct);
   EXPECT_EQ(local, claimed);
   std::remove(tiny.c_str());
+}
+
+TEST(ExperimentRunner, OneRunnerServesEveryConfigOfAGrid) {
+  // A default + avr.t1_override=6 grid through one runner into a cache file;
+  // a second runner over the file then reads the whole grid from it.
+  const std::string cache =
+      std::filesystem::temp_directory_path() / "avr_test_one_runner.csv";
+  std::remove(cache.c_str());
+  std::vector<sweep::SetAxis> axes;
+  sweep::add_set_axis(axes, "avr.t1_override=-1,6");  // -1: the default config
+  const auto grid = sweep::config_grid(axes, {"bscholes"}, {Design::kAvr});
+  ASSERT_EQ(config_fingerprint(grid.front().config), config_fingerprint(SimConfig{}));
+  {
+    ExperimentRunner r({}, false, cache);
+    EXPECT_EQ(sweep::run_grid(grid, r, "", {}, 2).simulated, grid.size());
+  }
+
+  ExperimentRunner warm({}, false, cache);
+  (void)sweep::run_grid(grid, warm, "", {}, 2);
+  const prof::Totals t = warm.profile_totals();
+  EXPECT_EQ(t.count(prof::Counter::kPointsSimulated), 0u);
+  EXPECT_EQ(t.count(prof::Counter::kCacheHits), grid.size());
+
+  const auto encoded = [](ExperimentResult r, bool zero_wall) {
+    if (zero_wall) r.wall_seconds = 0;
+    return encode_result_line(r);
+  };
+  for (const auto& vp : grid) {
+    const auto& [w, d] = vp.point;
+    SCOPED_TRACE(config_diff(vp.config) + " " + w + " x " + to_string(d));
+    // From the file, measured wall time included.
+    const auto file = load_result_cache(cache, config_fingerprint(vp.config));
+    ASSERT_TRUE(file.count(vp.point));
+    EXPECT_EQ(encoded(warm.run(vp), false), encoded(file.at(vp.point), false));
+    // What a runner built for that config alone simulates, output_error
+    // against the config's own golden included.
+    ExperimentRunner fresh(vp.config, false, "");
+    EXPECT_EQ(encoded(warm.run(vp), true), encoded(fresh.run(w, d), true));
+  }
+  std::remove(cache.c_str());
 }
 
 TEST(ExperimentRunner, IdleClaimWorkerStopsWaitingWhenTheSweepEnds) {
@@ -328,8 +356,7 @@ TEST(ExperimentRunner, IdleClaimWorkerStopsWaitingWhenTheSweepEnds) {
   opts.poll_seconds = 120;
   const auto t0 = std::chrono::steady_clock::now();
   const sweep::StealOutcome out = sweep::run_grid(
-      sweep::config_grid({}, {"bscholes", "trace:" + tiny}, {Design::kAvr}),
-      [&](const sweep::VariantPoint&) -> ExperimentRunner& { return r; }, path,
+      sweep::config_grid({}, {"bscholes", "trace:" + tiny}, {Design::kAvr}), r, path,
       opts, 2);
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();

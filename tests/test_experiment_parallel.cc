@@ -1,13 +1,17 @@
 // Parallel sweep tests: run_all must produce bit-identical results to serial
 // run() calls, stay deterministic across repeated sweeps, and keep the
-// result/golden caches race-free under concurrent points.
+// result/golden caches and each config's first disk load race-free under
+// concurrent points.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <filesystem>
 #include <thread>
 #include <vector>
 
 #include "harness/experiment.hh"
+#include "harness/result_cache.hh"
 #include "workloads/workload_registry.hh"
 
 namespace avr {
@@ -108,6 +112,47 @@ TEST(ExperimentRunnerParallel, ConcurrentOverlappingRunsAreRaceFree) {
     ASSERT_EQ(seen[t].size(), seen[0].size());
     for (size_t i = 0; i < seen[0].size(); ++i) expect_same(seen[t][i], seen[0][i]);
   }
+}
+
+TEST(ExperimentRunnerParallel, RacingFirstReadsLoadEachConfigOnce) {
+  // Threads reach two configs' points for the first time together: each
+  // config's records are read from the file exactly once, and every thread
+  // sees them.
+  const std::string cache = std::filesystem::temp_directory_path() /
+                            "avr_test_racing_first_reads.csv";
+  std::remove(cache.c_str());
+  SimConfig t1;
+  t1.avr.t1_override = 6;
+  for (const SimConfig& cfg : {SimConfig{}, t1}) {
+    ExperimentResult res;
+    res.workload = "kmeans";
+    res.design = Design::kAvr;
+    res.config_hash = config_fingerprint(cfg);
+    res.wall_seconds = 1.0 + cfg.avr.t1_override;  // tells the records apart
+    ASSERT_TRUE(append_result_line(cache, res));
+  }
+  ExperimentRunner r({}, false, cache);
+  constexpr int kThreads = 8;
+  std::atomic<int> ready{0};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> ts;
+  for (int t = 0; t < kThreads; ++t) {
+    ts.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int i = 0; i < 2; ++i) {
+        const SimConfig& cfg = (t + i) % 2 ? t1 : SimConfig{};
+        const sweep::VariantPoint vp{cfg, {"kmeans", Design::kAvr}};
+        if (!r.cached(vp) || r.run(vp).wall_seconds != 1.0 + cfg.avr.t1_override)
+          wrong.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : ts) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(r.profile_totals().phase_calls(prof::Phase::kCacheIo), 2u);
+  EXPECT_EQ(r.profile_totals().count(prof::Counter::kPointsSimulated), 0u);
+  std::remove(cache.c_str());
 }
 
 TEST(ExperimentRunnerParallel, UnknownWorkloadPropagatesException) {

@@ -98,8 +98,6 @@ TEST(FaultSchedule, LaterRuleForSameSiteWins) {
   EXPECT_EQ(s.rules[size_t(Site::kCacheLoad)].nth, 3u);
 }
 
-#if AVR_FAULT_INJECT
-
 // Arm/disarm around every runtime test: leaked arming would inject faults
 // into other tests' cache I/O.
 class FaultRuntime : public ::testing::Test {
@@ -206,21 +204,6 @@ TEST_F(FaultRuntime, MalformedEnvDisarmsLoudly) {
   EXPECT_NE(err.find("malformed AVR_FAULTS"), std::string::npos) << err;
   EXPECT_EQ(fire(Site::kCacheAppend), Kind::kNone);
 }
-
-#else  // !AVR_FAULT_INJECT
-
-TEST(FaultRuntime, CompiledOutLayerFoldsToNone) {
-  // The grammar still parses (tooling validates specs), but fire() is a
-  // constant and arming is a no-op.
-  Schedule s;
-  std::string err;
-  ASSERT_TRUE(parse_schedule("1:cache.append=kill@n1", &s, &err)) << err;
-  arm(s);
-  EXPECT_EQ(fire(Site::kCacheAppend), Kind::kNone);
-  EXPECT_EQ(hits(Site::kCacheAppend), 0u);
-}
-
-#endif  // AVR_FAULT_INJECT
 
 }  // namespace
 }  // namespace avr::fault

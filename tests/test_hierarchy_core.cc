@@ -14,7 +14,10 @@ SimConfig cfg() {
 }
 
 struct Rig {
-  Rig() : llc(c, regions), hier(c, llc, 1), core(c.core, hier, 0) {
+  Rig()
+      : llc(c, regions),
+        hier(c, llc, 1, &llc_request_thunk<BaselineSystem>),
+        core(c.core, hier, 0) {
     base = regions.allocate("buf", 1 << 22, false);
   }
   SimConfig c = cfg();

@@ -126,6 +126,10 @@ TEST(Sweep, BadSetArgumentsAreNamed) {
     expect_bad(std::string("avr.enable_pfe=") + v);
   for (const char* v : {"nan", "inf", "-1", "1e400"})
     expect_bad(std::string("core.freq_ghz=") + v);
+  // Each value once: a repeat would run its points twice.
+  for (const char* arg : {"avr.enable_pfe=0,0", "avr.t1_override=4,6,4",
+                          "core.freq_ghz=2.5,2.50"})
+    expect_bad(arg);
   // One axis per knob.
   std::vector<sweep::SetAxis> axes;
   sweep::add_set_axis(axes, "avr.enable_pfe=0");
@@ -148,6 +152,23 @@ TEST(Sweep, DesignAndWorkloadListParsing) {
   EXPECT_EQ(sweep::parse_workload_list("kmeans,heat"),
             (std::vector<std::string>{"kmeans", "heat"}));
   EXPECT_THROW(sweep::parse_workload_list("kmeans,nosuch"), std::invalid_argument);
+
+  // A name given twice is refused, naming it: it would count its points twice.
+  const auto refusal = [](auto parse, const char* csv) -> std::string {
+    try {
+      (void)parse(csv);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  EXPECT_EQ(refusal(sweep::parse_design_list, "AVR,avr"), "repeated design: avr");
+  EXPECT_EQ(refusal(sweep::parse_design_list, "baseline,AVR,baseline"),
+            "repeated design: baseline");
+  EXPECT_EQ(refusal(sweep::parse_workload_list, "kmeans,kmeans"),
+            "repeated workload: kmeans");
+  EXPECT_EQ(refusal(sweep::parse_workload_list, "kmeans,heat,kmeans"),
+            "repeated workload: kmeans");
 }
 
 // ---- end-to-end: N processes, one cache ------------------------------------
