@@ -116,11 +116,6 @@ long double value(const Knob& k, uint64_t w) {
   return w;
 }
 
-bool in_range(const Knob& k, uint64_t w) {
-  const long double v = value(k, w);
-  return v >= k.lo && v <= k.hi;  // false for NaN
-}
-
 /// Integers in decimal, anything else (only doubles) in shortest round-trip form.
 std::string text(long double v) {
   if (v == std::floor(v) && v >= -0x1p63L && v < 0x1p64L)
@@ -131,9 +126,14 @@ std::string text(long double v) {
   return std::string(buf, res.ptr);
 }
 
-std::string range_text(const Knob& k) { return text(k.lo) + ".." + text(k.hi); }
-
 }  // namespace
+
+bool knob_in_range(const Knob& k, uint64_t word) {
+  const long double v = value(k, word);
+  return v >= k.lo && v <= k.hi;  // false for NaN
+}
+
+std::string knob_range_text(const Knob& k) { return text(k.lo) + ".." + text(k.hi); }
 
 std::span<const Knob> config_table() { return kTable; }
 
@@ -180,8 +180,8 @@ uint64_t parse_knob_value(const Knob& k, std::string_view s) {
   if (s.empty() || r.ec != std::errc() || r.ptr != end)
     throw std::invalid_argument(std::string(k.name) + " wants " +
                                 (k.type == KnobType::kF64 ? "a number" : "an integer"));
-  if (!in_range(k, w))
-    throw std::invalid_argument(std::string(k.name) + " must be in " + range_text(k));
+  if (!knob_in_range(k, w))
+    throw std::invalid_argument(std::string(k.name) + " must be in " + knob_range_text(k));
   return w;
 }
 
@@ -198,9 +198,9 @@ std::string config_diff(const SimConfig& c) {
 void validate_config(const SimConfig& c) {
   for (const Knob& k : kTable) {
     const uint64_t w = knob_word(c, k);
-    if (!in_range(k, w))
+    if (!knob_in_range(k, w))
       throw std::invalid_argument("SimConfig: " + std::string(k.name) + " = " +
-                                  knob_text(k, w) + " is outside " + range_text(k));
+                                  knob_text(k, w) + " is outside " + knob_range_text(k));
   }
 }
 

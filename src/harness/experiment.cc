@@ -7,6 +7,7 @@
 #include <exception>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/config_table.hh"
 #include "common/fault_inject.hh"
@@ -36,11 +37,34 @@ double design_cost_factor(Design d) {
   return 1.0;
 }
 
+/// Rethrows the exception in flight with `label` in front of its message;
+/// a std::invalid_argument (a bad config or workload name) stays one.
+[[noreturn]] void rethrow_with(const std::string& label) {
+  try {
+    throw;
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(label + e.what());
+  } catch (const std::exception& e) {
+    throw std::runtime_error(label + e.what());
+  }
+}
+
 /// `base` scaled for one workload (cache hierarchy per
 /// Workload::cache_scale, the workload's LLC size and T1 threshold).
 SimConfig workload_config(const SimConfig& base, const Workload& wl) {
   SimConfig cfg = base;
   cfg.scale_caches(wl.cache_scale());
+  // A private cache size passes its range check as set, before the
+  // scaling: if only the scaled size is out of range, say how it got there.
+  for (const char* path : {"l1.size_bytes", "l2.size_bytes"}) {
+    const Knob& k = *find_knob(path);
+    const uint64_t set = knob_word(base, k), scaled = knob_word(cfg, k);
+    if (knob_in_range(k, scaled) || !knob_in_range(k, set)) continue;
+    throw std::invalid_argument(
+        "workload " + wl.name() + " divides " + path + "=" + knob_text(k, set) +
+        " by its cache_scale " + std::to_string(wl.cache_scale()) + " to " +
+        knob_text(k, scaled) + ", outside " + knob_range_text(k));
+  }
   cfg.llc.size_bytes = wl.llc_bytes();
   // avr.t1_override forces one threshold across all workloads; the default
   // (-1) keeps the paper's per-application thresholds.
@@ -162,6 +186,8 @@ const std::vector<double>& ExperimentRunner::golden(Config& c,
     flag = &c.golden_once[name];
   }
   std::call_once(*flag, [&] {
+    // The workload and its System are destroyed before this returns: their
+    // memory is free before the caller builds its timed System.
     auto wl = make_workload(name);
     System sys(Design::kBaseline, workload_config(c.base, *wl), 1,
                /*timing=*/false);
@@ -233,7 +259,7 @@ const ExperimentResult& ExperimentRunner::run(const sweep::VariantPoint& vp) {
     }
     flag = &c.run_once[vp.point];
   }
-  std::call_once(*flag, [&] {
+  auto simulate = [&] {
     if (verbose_)
       std::fprintf(stderr, "[run] %-8s x %-8s ...\n", name.c_str(), to_string(d));
     const auto t0 = std::chrono::steady_clock::now();
@@ -246,6 +272,13 @@ const ExperimentResult& ExperimentRunner::run(const sweep::VariantPoint& vp) {
     {
       prof::ScopedSink sink(&pt);
 
+      // The golden first, freed before the timed System is built, so the
+      // point holds one workload image at a time.
+      const std::vector<double>* gold;
+      {
+        AVR_PROF_SCOPE(prof::Phase::kFunctional);
+        gold = &golden(c, name);
+      }
       auto wl = [&] {
         AVR_PROF_SCOPE(prof::Phase::kSetup);
         return make_workload(name);
@@ -270,7 +303,7 @@ const ExperimentResult& ExperimentRunner::run(const sweep::VariantPoint& vp) {
       res.m = sys.metrics();
       {
         AVR_PROF_SCOPE(prof::Phase::kFunctional);
-        res.m.output_error = mean_relative_error(out, golden(c, name));
+        res.m.output_error = mean_relative_error(out, *gold);
       }
       res.wall_seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -299,7 +332,13 @@ const ExperimentResult& ExperimentRunner::run(const sweep::VariantPoint& vp) {
     prof_totals_.merge(pt);
     prof_points_.push_back({name, to_string(d), c.name, res.wall_seconds, pt});
     c.results.emplace(vp.point, std::move(res));
-  });
+  };
+  try {
+    std::call_once(*flag, simulate);
+  } catch (...) {
+    rethrow_with("point " + name + " x " + to_string(d) +
+                 (c.name.empty() ? "" : " [" + c.name + "]") + " failed: ");
+  }
   std::lock_guard<std::mutex> lk(mu_);
   return c.results.at(vp.point);
 }

@@ -58,10 +58,13 @@ class ExperimentRunner {
 
   /// Run one point under vp.config. Golden outputs are computed once per
   /// (config, workload) and cached; results are cached too, so table
-  /// printers can share runs. Thread-safe: concurrent calls on distinct
-  /// points proceed in parallel, each with its own System; the caches are
-  /// mutex-guarded and returned references stay valid for the runner's
-  /// lifetime.
+  /// printers can share runs. The golden runs before the timed System is
+  /// built and is freed first, so a point holds one workload image at a
+  /// time. Thread-safe: concurrent calls on distinct points proceed in
+  /// parallel, each with its own System; the caches are mutex-guarded and
+  /// returned references stay valid for the runner's lifetime. A failure
+  /// is rethrown naming the point ("point W x D [config] failed: ..."),
+  /// std::invalid_argument kept as such.
   const ExperimentResult& run(const sweep::VariantPoint& vp);
   const ExperimentResult& run(const std::string& wl, Design d) {
     return run({base_, {wl, d}});

@@ -383,7 +383,7 @@ int main(int argc, char** argv) {
     steal = sweep::run_grid(grid, runner, o.claim ? o.cache_path : "", so, jobs);
     write_failures = runner.disk_write_failures();
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "avr_sweep: point failed: %s\n", e.what());
+    std::fprintf(stderr, "avr_sweep: %s\n", e.what());
     return 1;
   }
   const double secs =

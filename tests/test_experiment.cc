@@ -1,15 +1,20 @@
 // Harness tests: the result cache round-trips, config_for applies the
-// per-workload knobs, and the self-profile counts and shares are right.
+// per-workload knobs, a point holds one workload image at a time, failures
+// name their point, and the self-profile counts and shares are right.
 #include "harness/experiment.hh"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <optional>
+#include <stdexcept>
+#include <thread>
 
 #include "harness/result_cache.hh"
 #include "harness/sweep.hh"
@@ -39,6 +44,154 @@ class ScopedSeedCosts {
  private:
   std::optional<std::string> previous_;
 };
+
+/// A workload that watches the harness: its instances count how many are
+/// alive, and run() records the peak of that count and the design it ran
+/// under. The golden is the run under Design::kBaseline, so probe points run
+/// under other designs. Optionally its golden throws.
+struct ProbeLog {
+  std::mutex mu;
+  int alive = 0;
+  int peak = 0;
+  std::vector<Design> runs;  // designs run() was called under, in order
+  int golden_throws = 0;     // goldens still to throw
+
+  void reset() {
+    std::lock_guard<std::mutex> lk(mu);
+    peak = 0;
+    runs.clear();
+    golden_throws = 0;
+  }
+  int goldens() {
+    std::lock_guard<std::mutex> lk(mu);
+    return static_cast<int>(std::count(runs.begin(), runs.end(), Design::kBaseline));
+  }
+};
+ProbeLog probe_log;
+
+class ProbeWorkload : public Workload {
+ public:
+  ProbeWorkload() {
+    std::lock_guard<std::mutex> lk(probe_log.mu);
+    ++probe_log.alive;
+  }
+  ~ProbeWorkload() override {
+    std::lock_guard<std::mutex> lk(probe_log.mu);
+    --probe_log.alive;
+  }
+  std::string name() const override { return "probe"; }
+  double paper_compression_ratio() const override { return 1.0; }
+
+  void run(System& sys) override {
+    {
+      std::lock_guard<std::mutex> lk(probe_log.mu);
+      probe_log.peak = std::max(probe_log.peak, probe_log.alive);
+      probe_log.runs.push_back(sys.design());
+      if (sys.design() == Design::kBaseline && probe_log.golden_throws > 0) {
+        --probe_log.golden_throws;
+        throw std::runtime_error("probe golden failed");
+      }
+    }
+    data_ = sys.alloc_region("data", kCount * sizeof(float), /*approx=*/true);
+    for (uint64_t i = 0; i < kCount; ++i)
+      sys.store_f32(data_, i * sizeof(float), static_cast<float>(i) * 0.5f);
+    for (uint64_t i = 1; i < kCount; ++i)
+      sys.store_f32(data_, i * sizeof(float),
+                    sys.load_f32(data_, i * sizeof(float)) +
+                        sys.load_f32(data_, (i - 1) * sizeof(float)));
+  }
+  std::vector<double> output(const System& sys) const override {
+    std::vector<double> out;
+    for (uint64_t i = 0; i < kCount; i += 64)
+      out.push_back(sys.peek_f32(data_, i * sizeof(float)));
+    return out;
+  }
+
+ private:
+  static constexpr uint64_t kCount = 4096;
+  RegionHandle data_;
+};
+
+const bool probe_registered =
+    register_workload("probe", [] { return std::make_unique<ProbeWorkload>(); });
+
+TEST(ExperimentRunner, GoldenIsFreedBeforeTheTimedRun) {
+  ASSERT_TRUE(probe_registered);
+  probe_log.reset();
+  ExperimentRunner r({}, false, "");
+  (void)r.run("probe", Design::kAvr);
+  EXPECT_EQ(probe_log.runs, (std::vector<Design>{Design::kBaseline, Design::kAvr}));
+  // The golden's instance was destroyed before the timed one ran.
+  EXPECT_EQ(probe_log.peak, 1);
+  EXPECT_EQ(probe_log.alive, 0);
+}
+
+TEST(ExperimentRunner, ThrowingGoldenIsRetriedByTheNextRun) {
+  probe_log.reset();
+  probe_log.golden_throws = 1;
+  ExperimentRunner r({}, false, "");
+  try {
+    (void)r.run("probe", Design::kAvr);
+    ADD_FAILURE() << "the throwing golden did not propagate";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "point probe x AVR failed: probe golden failed");
+  }
+  // Only the golden ran: the timed System is built after it.
+  EXPECT_EQ(probe_log.runs, std::vector<Design>{Design::kBaseline});
+  const ExperimentResult& res = r.run("probe", Design::kAvr);
+  EXPECT_EQ(probe_log.goldens(), 2);
+  EXPECT_GT(res.m.instructions, 0u);
+  EXPECT_EQ(r.profile_totals().count(prof::Counter::kPointsSimulated), 1u);
+}
+
+TEST(ExperimentRunner, ConcurrentPointsShareOneGolden) {
+  // Two designs of one workload on two threads: both complete, match a
+  // serial run, and the golden runs once, before either timed run.
+  probe_log.reset();
+  const std::vector<Design> designs = {Design::kAvr, Design::kTruncate};
+  const auto encoded = [](ExperimentResult res) {
+    res.wall_seconds = 0;
+    return encode_result_line(res);
+  };
+  std::vector<std::string> serial;
+  {
+    ExperimentRunner r({}, false, "");
+    for (Design d : designs) serial.push_back(encoded(r.run("probe", d)));
+  }
+  probe_log.reset();
+  ExperimentRunner r({}, false, "");
+  std::vector<std::thread> ts;
+  for (Design d : designs) ts.emplace_back([&r, d] { (void)r.run("probe", d); });
+  for (auto& t : ts) t.join();
+  EXPECT_EQ(probe_log.goldens(), 1);
+  EXPECT_EQ(probe_log.runs.front(), Design::kBaseline);
+  for (size_t i = 0; i < designs.size(); ++i)
+    EXPECT_EQ(encoded(r.run("probe", designs[i])), serial[i]) << to_string(designs[i]);
+}
+
+TEST(ExperimentRunner, FailuresNameTheirPointAndConfig) {
+  const auto failure = [](const SimConfig& cfg) -> std::string {
+    ExperimentRunner r(cfg, false, "");
+    try {
+      (void)r.run("bscholes", Design::kBaseline);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "ran";
+  };
+  SimConfig ways;
+  ways.l2.ways = 3;
+  EXPECT_EQ(failure(ways).rfind("point bscholes x baseline [l2.ways=3] failed: ", 0), 0u)
+      << failure(ways);
+  // A size inside the knob's range as set, but not once divided by the
+  // workload's cache_scale: the message shows the set and scaled values.
+  SimConfig l1;
+  l1.l1.size_bytes = 64;
+  EXPECT_EQ(failure(l1),
+            "point bscholes x baseline [l1.size_bytes=64] failed: workload bscholes "
+            "divides l1.size_bytes=64 by its cache_scale 16 to 4, outside "
+            "64..274877906944");
+}
 
 TEST(ExperimentRunner, ConfigForAppliesWorkloadKnobs) {
   ExperimentRunner r({}, false, "");
