@@ -3,7 +3,6 @@
 #include <bit>
 #include <cassert>
 #include <cstring>
-#include <stdexcept>
 
 namespace avr {
 
@@ -23,17 +22,12 @@ uint64_t AvrLlc::bpa_match(const BpaEntry& e) {
 }
 
 AvrLlc::AvrLlc(const CacheConfig& cfg) : ways_(cfg.ways) {
+  // validate_config's llc bounds (common/config_table.cc says why).
   const uint64_t entries = cfg.size_bytes / kCachelineBytes;
-  if (cfg.ways == 0 || entries % cfg.ways != 0)
-    throw std::invalid_argument("LLC size/ways mismatch");
-  // TagEntry::cms_way holds a way in one byte.
-  if (cfg.ways > 256) throw std::invalid_argument("LLC ways > 256");
-  // A smaller cache could evict a compressed image's own entries while
-  // cms_insert is still placing it, and the recorded ways would go stale.
-  if (entries < kMaxCompressedLines)
-    throw std::invalid_argument("LLC smaller than one compressed image");
+  assert(cfg.ways > 0 && cfg.ways <= 256 && entries >= kMaxCompressedLines &&
+         entries % cfg.ways == 0 && std::has_single_bit(entries / cfg.ways) &&
+         "bad AVR LLC geometry");
   const uint64_t sets = entries / cfg.ways;
-  if (!std::has_single_bit(sets)) throw std::invalid_argument("sets not power of two");
   sets_ = static_cast<uint32_t>(sets);
   set_bits_ = static_cast<uint32_t>(std::countr_zero(sets));
   tags_.resize(uint64_t{sets_} * ways_);

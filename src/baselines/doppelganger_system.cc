@@ -15,7 +15,8 @@ DoppelgangerSystem::DoppelgangerSystem(const SimConfig& cfg, RegionRegistry& reg
   const uint64_t tag_entries = data_entries * cfg.dg_tag_factor;
   tag_ways_ = cfg.llc.ways;
   const uint64_t sets = tag_entries / tag_ways_;
-  if (!std::has_single_bit(sets)) throw std::invalid_argument("dg tag sets not pow2");
+  // Power-of-two LLC sets and dg_tag_factor (validate_config) make it one.
+  assert(std::has_single_bit(sets));
   tag_sets_ = static_cast<uint32_t>(sets);
   tags_.resize(tag_entries);
   data_.resize(data_entries);

@@ -2,20 +2,17 @@
 
 #include <bit>
 #include <cassert>
-#include <stdexcept>
 
 namespace avr {
 
 SetAssocCache::SetAssocCache(std::string name, uint64_t size_bytes, uint32_t ways,
                              uint64_t line_bytes)
     : ways_(ways), name_(std::move(name)) {
-  if (!std::has_single_bit(line_bytes))
-    throw std::invalid_argument("line size must be a power of two");
-  if (ways == 0 || size_bytes % (ways * line_bytes) != 0)
-    throw std::invalid_argument("cache size must be a multiple of ways*line");
+  // validate_config (common/config_table.hh) judges configured geometries.
+  assert(std::has_single_bit(line_bytes) && ways > 0 &&
+         size_bytes % (ways * line_bytes) == 0 &&
+         std::has_single_bit(size_bytes / (ways * line_bytes)) && "bad cache geometry");
   const uint64_t sets = size_bytes / (ways * line_bytes);
-  if (!std::has_single_bit(sets))
-    throw std::invalid_argument("number of sets must be a power of two");
   sets_ = static_cast<uint32_t>(sets);
   line_shift_ = static_cast<uint32_t>(std::countr_zero(line_bytes));
   tag_shift_ = line_shift_ + static_cast<uint32_t>(std::countr_zero(sets));

@@ -35,13 +35,17 @@ constexpr double kCacheMax = static_cast<double>(kCachelineBytes << 32);
 constexpr double kT1Max = kMantissaBits - 1;
 constexpr const char* kPerWorkload =
     "ExperimentRunner::config_for sets it per workload, so a set value would be ignored";
+constexpr const char* kUnread =
+    "no model code reads it (the hierarchy charges core.l1_latency and core.l2_latency), "
+    "so every value would re-simulate the same point";
 constexpr SimConfig kDefaults{};
 
 // clang-format off
 // One row: the path is the name, and the field's declared type picks the
 // KnobType, so neither can drift from the struct.
-#define AVR_KNOB(path, lo, hi, ...)                                    \
-  Knob{#path, type_of(&kDefaults.path), offsetof(SimConfig, path), lo, hi \
+#define AVR_KNOB(path, lo_, hi_, ...)                                        \
+  Knob{.name = #path, .type = type_of(&kDefaults.path),                      \
+       .offset = offsetof(SimConfig, path), .lo = lo_, .hi = hi_             \
        __VA_OPT__(,) __VA_ARGS__}
 
 // Fold order: this is the order config_fingerprint has always folded the
@@ -51,35 +55,36 @@ constexpr Knob kTable[] = {
     // IntervalCore divides by the dispatch width.
     AVR_KNOB(core.dispatch_width, 1, kU32),
     AVR_KNOB(core.rob_size, 0, kU32),
-    // Read by nothing in the model: any finite, non-negative clock.
-    AVR_KNOB(core.freq_ghz, 0, kF64),
+    AVR_KNOB(core.freq_ghz, 0, kF64, .unsettable = kUnread),
     AVR_KNOB(core.l1_latency, 0, kU32),
     AVR_KNOB(core.l2_latency, 0, kU32),
-    // Ways: Doppelganger divides its tag entries by llc.ways; SetAssocCache
-    // and AvrLlc check the rest of the geometry themselves.
+    // Sizes and ways also meet validate_config's geometry rule.
     AVR_KNOB(l1.size_bytes, kCacheMin, kCacheMax),
     AVR_KNOB(l1.ways, 1, kU32),
-    AVR_KNOB(l1.latency, 0, kU32),
+    AVR_KNOB(l1.latency, 0, kU32, .unsettable = kUnread),
     AVR_KNOB(l2.size_bytes, kCacheMin, kCacheMax),
     AVR_KNOB(l2.ways, 1, kU32),
-    AVR_KNOB(l2.latency, 0, kU32),
-    AVR_KNOB(llc.size_bytes, kCacheMin, kCacheMax, 0, kPerWorkload),
-    AVR_KNOB(llc.ways, 1, kU32),
+    AVR_KNOB(l2.latency, 0, kU32, .unsettable = kUnread),
+    // AvrLlc: a smaller LLC could evict a compressed image's own entries
+    // while cms_insert places it, and TagEntry::cms_way holds a way in a byte.
+    AVR_KNOB(llc.size_bytes, kMaxCompressedLines * kCachelineBytes, kCacheMax,
+             .unsettable = kPerWorkload),
+    AVR_KNOB(llc.ways, 1, 256),
     AVR_KNOB(llc.latency, 0, kU32),
-    // Dram takes log2 of channels, banks and row size (checking each is a
-    // power of two) and maps rows at memory-block granularity.
-    AVR_KNOB(dram.channels, 1, 0x1p31),
-    AVR_KNOB(dram.banks_per_channel, 1, 0x1p31),
-    AVR_KNOB(dram.row_bytes, kBlockBytes, 0x1p63),
+    // Dram shifts by log2 of channels, banks and row size, and maps rows at
+    // memory-block granularity.
+    AVR_KNOB(dram.channels, 1, 0x1p31, .pow2 = true),
+    AVR_KNOB(dram.banks_per_channel, 1, 0x1p31, .pow2 = true),
+    AVR_KNOB(dram.row_bytes, kBlockBytes, 0x1p63, .pow2 = true),
     AVR_KNOB(dram.t_cl, 0, kU32),
     AVR_KNOB(dram.t_rcd, 0, kU32),
     AVR_KNOB(dram.t_rp, 0, kU32),
     AVR_KNOB(dram.t_burst, 0, kU32),
     AVR_KNOB(dram.cpu_per_dram_cycle, 1, kU32),
     AVR_KNOB(dram.controller_latency, 0, kU32),
-    AVR_KNOB(avr.t1_mantissa_msbit, 0, kT1Max, 0, kPerWorkload),
+    AVR_KNOB(avr.t1_mantissa_msbit, 0, kT1Max, .unsettable = kPerWorkload),
     // -1 keeps the per-workload thresholds (ExperimentRunner::config_for).
-    AVR_KNOB(avr.t1_override, -1, kT1Max, 0x7431),  // 't1' marker
+    AVR_KNOB(avr.t1_override, -1, kT1Max, .marker = 0x7431),  // 't1' marker
     AVR_KNOB(avr.enable_1d, 0, 1),
     AVR_KNOB(avr.enable_2d, 0, 1),
     AVR_KNOB(avr.enable_lazy_eviction, 0, 1),
@@ -96,9 +101,8 @@ constexpr Knob kTable[] = {
     AVR_KNOB(avr.max_failures, 0, kU32),
     // The truncate kernels build their mask as 1u << bits.
     AVR_KNOB(truncate_bits, 0, 31),
-    // Doppelganger's tag sets (data entries x factor / ways) must be a
-    // nonzero power of two.
-    AVR_KNOB(dg_tag_factor, 1, kU32),
+    // Doppelganger's tag sets (LLC sets x factor) must be a power of two.
+    AVR_KNOB(dg_tag_factor, 1, kU32, .pow2 = true),
     // Doppelganger's map key packs (q_avg << 8 | q_range) into its top 32
     // bits, each quantized bucket below its count (0 buckets would wrap
     // clampq's buckets - 1).
@@ -126,14 +130,15 @@ std::string text(long double v) {
   return std::string(buf, res.ptr);
 }
 
-}  // namespace
-
+/// Whether `word` lies in k's inclusive range, and that range as "lo..hi".
 bool knob_in_range(const Knob& k, uint64_t word) {
   const long double v = value(k, word);
   return v >= k.lo && v <= k.hi;  // false for NaN
 }
 
 std::string knob_range_text(const Knob& k) { return text(k.lo) + ".." + text(k.hi); }
+
+}  // namespace
 
 std::span<const Knob> config_table() { return kTable; }
 
@@ -196,11 +201,26 @@ std::string config_diff(const SimConfig& c) {
 }
 
 void validate_config(const SimConfig& c) {
+  const auto named = [&c](const Knob& k) {
+    return std::string(k.name) + " = " + knob_text(k, knob_word(c, k));
+  };
   for (const Knob& k : kTable) {
     const uint64_t w = knob_word(c, k);
     if (!knob_in_range(k, w))
-      throw std::invalid_argument("SimConfig: " + std::string(k.name) + " = " +
-                                  knob_text(k, w) + " is outside " + knob_range_text(k));
+      throw std::invalid_argument("SimConfig: " + named(k) + " is outside " +
+                                  knob_range_text(k));
+    if (k.pow2 && !std::has_single_bit(w))
+      throw std::invalid_argument("SimConfig: " + named(k) + " is not a power of two");
+  }
+  // SetAssocCache, AvrLlc and Doppelganger index their sets by address bits.
+  for (const std::string cache : {"l1", "l2", "llc"}) {
+    const Knob& size = *find_knob(cache + ".size_bytes");
+    const Knob& ways = *find_knob(cache + ".ways");
+    const uint64_t bytes = knob_word(c, size);
+    const uint64_t way_bytes = knob_word(c, ways) * kCachelineBytes;
+    if (bytes % way_bytes != 0 || !std::has_single_bit(bytes / way_bytes))
+      throw std::invalid_argument("SimConfig: " + named(size) + " in " + named(ways) +
+                                  " is not a power-of-two number of sets of 64 B lines");
   }
 }
 

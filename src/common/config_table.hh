@@ -1,7 +1,7 @@
 // The config table: every SimConfig knob once, by path ("avr.enable_pfe"),
 // with its type, byte offset and the range the model code consuming it can
-// handle. config_fingerprint (common/config.hh), config names, System's
-// range check and avr_sweep --set all derive from it, so a new SimConfig
+// handle. config_fingerprint (common/config.hh), config names,
+// validate_config and avr_sweep --set all derive from it, so a new SimConfig
 // field needs one row in config_table.cc (tests/test_config_table.cc fails
 // until it has one).
 #pragma once
@@ -27,6 +27,7 @@ struct Knob {
   // not the default, so adding such a knob keeps existing cache keys.
   uint64_t marker = 0;
   const char* unsettable = nullptr;  // non-null: why --set refuses the knob
+  bool pow2 = false;                 // the value must also be a power of two
 };
 
 std::span<const Knob> config_table();          // in fingerprint fold order
@@ -38,9 +39,6 @@ size_t knob_size(KnobType type);
 uint64_t knob_word(const SimConfig& c, const Knob& k);
 void set_knob_word(SimConfig& c, const Knob& k, uint64_t word);
 std::string knob_text(const Knob& k, uint64_t word);
-/// Whether `word` lies in k's inclusive range, and that range as "lo..hi".
-bool knob_in_range(const Knob& k, uint64_t word);
-std::string knob_range_text(const Knob& k);
 
 /// Parses `text` strictly (the whole string; no sign on an unsigned knob)
 /// and range-checks it. Throws std::invalid_argument giving the reason.
@@ -50,7 +48,9 @@ uint64_t parse_knob_value(const Knob& k, std::string_view text);
 /// "" for the default config.
 std::string config_diff(const SimConfig& c);
 
-/// Throws std::invalid_argument naming the first knob outside its range.
+/// The one judge of whether a config can be simulated: each knob in its range
+/// (and a power of two where its row says so), and each cache a power-of-two
+/// number of sets. Throws std::invalid_argument naming the knob and value.
 void validate_config(const SimConfig& c);
 
 }  // namespace avr

@@ -3,37 +3,20 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <stdexcept>
 
 #include "common/types.hh"
 
 namespace avr {
-namespace {
-
-uint32_t checked_log2(uint64_t v, const char* what) {
-  if (v == 0 || !std::has_single_bit(v))
-    throw std::invalid_argument(std::string("DramConfig: ") + what +
-                                " must be a nonzero power of two");
-  return static_cast<uint32_t>(std::countr_zero(v));
-}
-
-}  // namespace
 
 Dram::Dram(const DramConfig& cfg) : cfg_(cfg) {
-  // Validate the geometry up front: a bad config must fail construction with
-  // a clear message, not divide by zero in the per-access address mapping
-  // (row_bytes < kBlockBytes made the old bank_of/row_of divide by 0).
-  channel_shift_ = checked_log2(cfg.channels, "channels");
-  bank_shift_ = checked_log2(cfg.banks_per_channel, "banks_per_channel");
-  const uint32_t row_shift = checked_log2(cfg.row_bytes, "row_bytes");
+  assert(std::has_single_bit(cfg.channels) && std::has_single_bit(cfg.banks_per_channel));
+  assert(std::has_single_bit(cfg.row_bytes) && cfg.row_bytes >= kBlockBytes);
+  assert(cfg.cpu_per_dram_cycle > 0);
+  channel_shift_ = static_cast<uint32_t>(std::countr_zero(cfg.channels));
+  bank_shift_ = static_cast<uint32_t>(std::countr_zero(cfg.banks_per_channel));
   block_shift_ = static_cast<uint32_t>(std::countr_zero(kBlockBytes));
-  if (cfg.row_bytes < kBlockBytes)
-    throw std::invalid_argument(
-        "DramConfig: row_bytes must be >= the 1 KB memory block (the "
-        "bank/row interleaving is block-granular)");
-  blocks_per_row_shift_ = row_shift - block_shift_;
-  if (cfg.cpu_per_dram_cycle == 0)
-    throw std::invalid_argument("DramConfig: cpu_per_dram_cycle must be nonzero");
+  blocks_per_row_shift_ =
+      static_cast<uint32_t>(std::countr_zero(cfg.row_bytes)) - block_shift_;
   channel_mask_ = cfg.channels - 1;
   bank_mask_ = cfg.banks_per_channel - 1;
 

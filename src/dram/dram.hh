@@ -34,10 +34,7 @@ struct DramCounters {
 
 class Dram {
  public:
-  /// Validates the geometry: channels, banks_per_channel and row_bytes must
-  /// be nonzero powers of two, row_bytes >= kBlockBytes (the bank/row mapping
-  /// divides by row_bytes / kBlockBytes), and the clock ratio nonzero.
-  /// Throws std::invalid_argument otherwise.
+  /// `cfg` must pass validate_config (common/config_table.hh).
   explicit Dram(const DramConfig& cfg);
 
   /// Issue a read of `bytes` starting at `addr` at CPU time `now`.

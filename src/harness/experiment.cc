@@ -49,31 +49,6 @@ double design_cost_factor(Design d) {
   }
 }
 
-/// `base` scaled for one workload (cache hierarchy per
-/// Workload::cache_scale, the workload's LLC size and T1 threshold).
-SimConfig workload_config(const SimConfig& base, const Workload& wl) {
-  SimConfig cfg = base;
-  cfg.scale_caches(wl.cache_scale());
-  // A private cache size passes its range check as set, before the
-  // scaling: if only the scaled size is out of range, say how it got there.
-  for (const char* path : {"l1.size_bytes", "l2.size_bytes"}) {
-    const Knob& k = *find_knob(path);
-    const uint64_t set = knob_word(base, k), scaled = knob_word(cfg, k);
-    if (knob_in_range(k, scaled) || !knob_in_range(k, set)) continue;
-    throw std::invalid_argument(
-        "workload " + wl.name() + " divides " + path + "=" + knob_text(k, set) +
-        " by its cache_scale " + std::to_string(wl.cache_scale()) + " to " +
-        knob_text(k, scaled) + ", outside " + knob_range_text(k));
-  }
-  cfg.llc.size_bytes = wl.llc_bytes();
-  // avr.t1_override forces one threshold across all workloads; the default
-  // (-1) keeps the paper's per-application thresholds.
-  cfg.avr.t1_mantissa_msbit = base.avr.t1_override >= 0
-                                  ? static_cast<uint32_t>(base.avr.t1_override)
-                                  : wl.t1_msbit();
-  return cfg;
-}
-
 }  // namespace
 
 std::string ExperimentRunner::default_cache_path() {
@@ -169,6 +144,25 @@ void ExperimentRunner::load_seed_costs() {
   if (verbose_ && !seed_costs_.empty())
     std::fprintf(stderr, "[cost] loaded %zu seed cost estimates from %s\n",
                  seed_costs_.size(), default_seed_cost_path().c_str());
+}
+
+SimConfig workload_config(const SimConfig& base, const Workload& wl) {
+  SimConfig cfg = base;
+  cfg.scale_caches(wl.cache_scale());
+  cfg.llc.size_bytes = wl.llc_bytes();
+  // avr.t1_override forces one threshold across all workloads; the default
+  // (-1) keeps the paper's per-application thresholds.
+  cfg.avr.t1_mantissa_msbit = base.avr.t1_override >= 0
+                                  ? static_cast<uint32_t>(base.avr.t1_override)
+                                  : wl.t1_msbit();
+  try {
+    validate_config(cfg);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument("workload " + wl.name() + ", whose cache_scale " +
+                                std::to_string(wl.cache_scale()) +
+                                " divides l1 and l2: " + e.what());
+  }
+  return cfg;
 }
 
 SimConfig ExperimentRunner::config_for(const Workload& wl) const {

@@ -33,6 +33,11 @@ struct ExperimentResult {
   double wall_seconds = 0;
 };
 
+/// `base` with l1 and l2 divided by Workload::cache_scale and the workload's
+/// LLC size and T1 threshold. Throws std::invalid_argument naming the
+/// workload and its cache_scale if that fails validate_config.
+SimConfig workload_config(const SimConfig& base, const Workload& wl);
+
 class ExperimentRunner {
  public:
   /// One runner serves every config: results, goldens and run-once flags
@@ -101,8 +106,7 @@ class ExperimentRunner {
             Design::kZeroAvr, Design::kAvr};
   }
 
-  /// Per-workload config under the base config (cache hierarchy scaled per
-  /// Workload::cache_scale).
+  /// workload_config under the base config.
   SimConfig config_for(const Workload& wl) const;
 
   /// Number of results that could not be appended to the disk cache (disk

@@ -65,6 +65,18 @@ std::vector<VariantPoint> config_grid(const std::vector<SetAxis>& axes,
       }
     configs = std::move(next);
   }
+  // Each (config, workload) pair is judged once, here, before any point runs.
+  for (const std::string& w : workloads) {
+    const auto wl = make_workload(w);  // a trace hits the memo parse_workload_list filled
+    for (const SimConfig& c : configs) {
+      try {
+        (void)workload_config(c, *wl);
+      } catch (const std::invalid_argument& e) {
+        throw std::invalid_argument("bad --set value: " + config_diff(c) + " (" +
+                                    e.what() + ")");
+      }
+    }
+  }
   const auto points = full_grid(workloads, designs);
   std::vector<VariantPoint> grid;
   grid.reserve(configs.size() * points.size());

@@ -49,7 +49,9 @@ std::vector<Point> full_grid(const std::vector<std::string>& workloads,
 /// The (axis x ... x workload x design) grid: every combination of the
 /// axes' values applied to the default config, first axis outermost, then
 /// the canonical workload-major order within each config. With no axes it
-/// is full_grid under the default config.
+/// is full_grid under the default config. Throws std::invalid_argument
+/// ("bad --set value: <config> (<reason>)") if workload_config refuses any
+/// (config, workload) pair, so a bad grid fails before any point runs.
 std::vector<VariantPoint> config_grid(const std::vector<SetAxis>& axes,
                                       const std::vector<std::string>& workloads,
                                       const std::vector<Design>& designs);

@@ -13,8 +13,8 @@ namespace avr {
 
 System::System(Design design, SimConfig cfg, uint32_t num_cores, bool timing)
     : design_(design), cfg_(cfg), timing_(timing) {
-  // Out-of-range knobs fail here, naming the knob, instead of dividing by
-  // zero or shifting out of range somewhere in the model.
+  // A bad config fails here, naming the knob, instead of dividing by zero
+  // or shifting out of range somewhere in the model.
   validate_config(cfg_);
   if (!timing_) return;  // golden/functional run: no machinery at all
   MemoryHierarchy::LlcRequestFn request_fn = nullptr;

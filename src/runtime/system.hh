@@ -50,8 +50,8 @@ struct RunMetrics {
 
 class System {
  public:
-  /// Throws std::invalid_argument naming the knob if `cfg` holds a value
-  /// outside its config-table range (common/config_table.hh).
+  /// Throws std::invalid_argument naming the knob or cache if `cfg` fails
+  /// validate_config (common/config_table.hh).
   System(Design design, SimConfig cfg, uint32_t num_cores = 1,
          bool timing = true);
   ~System();

@@ -61,7 +61,11 @@ shared CSV cache. Exits nonzero if any point fails.
                      grid is the cross product of every --set, the first
                      outermost. Records carry each config's fingerprint, so
                      variants coexist in one cache file. Default: the
-                     default config only.
+                     default config only. Refused: llc.size_bytes and
+                     avr.t1_mantissa_msbit (set per workload), core.freq_ghz,
+                     l1.latency, l2.latency (read by nothing). A grid with a
+                     config invalid for a workload (its cache_scale divides
+                     l1 and l2) exits 2 before running or writing anything.
   --cache path       result cache file (default: avr_results_cache.csv or
                      $AVR_RESULT_CACHE); "" disables persistence
   --profile          print the per-phase profile summary table on exit
@@ -329,18 +333,19 @@ int check_same(const Options& o, const Grid& grid) {
 
 int main(int argc, char** argv) {
   using namespace avr;
+  // The (config x workload x design) grid; without --set it is exactly the
+  // default-config (workload x design) grid. In claim mode every process
+  // works the full grid — the claims do the splitting. Building it judges
+  // every (config, workload) pair, so a bad grid exits here, in every mode.
   Options o;
+  Grid grid;
   try {
     o = parse_args(argc, argv);
+    grid = sweep::config_grid(o.axes, o.workloads, o.designs);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "avr_sweep: %s\n%s", e.what(), kUsage);
     return 2;
   }
-
-  // The (config x workload x design) grid; without --set it is exactly the
-  // default-config (workload x design) grid. In claim mode every process
-  // works the full grid — the claims do the splitting.
-  const auto grid = sweep::config_grid(o.axes, o.workloads, o.designs);
 
   if (o.list) {
     for (const auto& [config, p] : grid) {

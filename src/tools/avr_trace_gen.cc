@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/experiment.hh"
 #include "runtime/system.hh"
 #include "trace/trace_format.hh"
 #include "trace/trace_gen.hh"
@@ -147,9 +148,7 @@ avr::trace::Trace capture_workload(const std::string& name, uint64_t limit,
                                    uint64_t* dropped) {
   using namespace avr;
   auto wl = make_workload(name);  // throws a diagnosable error on bad names
-  SimConfig cfg;
-  cfg.scale_caches(wl->cache_scale());
-  cfg.llc.size_bytes = wl->llc_bytes();
+  const SimConfig cfg = workload_config({}, *wl);
 
   struct Captured {
     uint64_t addr;

@@ -203,19 +203,6 @@ TEST(AvrLlc, AllResidentEnumerates) {
   EXPECT_EQ(ucl, 2);
 }
 
-TEST(AvrLlc, RejectsBadGeometry) {
-  EXPECT_THROW(AvrLlc(CacheConfig{1000, 3, 1}), std::invalid_argument);
-  EXPECT_THROW(AvrLlc(CacheConfig{64 * 1024, 0, 1}), std::invalid_argument);
-  // A CMS way is recorded in one byte: 512 ways (one set) is refused, 256
-  // is the largest accepted associativity.
-  EXPECT_THROW(AvrLlc(CacheConfig{512 * kCachelineBytes, 512, 1}),
-               std::invalid_argument);
-  EXPECT_NO_THROW(AvrLlc(CacheConfig{256 * kCachelineBytes, 256, 1}));
-  // Fewer entries than one compressed image (8 lines) is refused.
-  EXPECT_THROW(AvrLlc(CacheConfig{4 * kCachelineBytes, 4, 1}), std::invalid_argument);
-  EXPECT_NO_THROW(AvrLlc(CacheConfig{8 * kCachelineBytes, 1, 1}));
-}
-
 TEST(AvrLlc, CmsChurnKeepsImagesWhole) {
   // Seeded cms_insert / ucl_insert / eviction churn on a small cache: CMS
   // entries are addressed through the ways recorded at insert, and Debug

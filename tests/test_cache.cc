@@ -18,14 +18,17 @@ TEST(SetAssocCache, MissThenHit) {
   EXPECT_EQ(c.counters().misses, 1u);
 }
 
-TEST(SetAssocCache, RejectsBadGeometry) {
-  EXPECT_THROW(SetAssocCache("t", 1000, 3), std::invalid_argument);
-  EXPECT_THROW(SetAssocCache("t", 4096, 0), std::invalid_argument);
-  // 4096/4/64 = 16 sets: fine. 4096+64 not a multiple.
-  EXPECT_THROW(SetAssocCache("t", 4096 + 64, 4), std::invalid_argument);
+// validate_config judges configured sizes and ways (test_config_table's
+// GeometryRulesNameTheCacheAndItsNumbers). The line size is no knob: the
+// constructor asserts it, as every caller passes a constant.
+TEST(SetAssocCacheDeathTest, AssertsAPowerOfTwoLineSize) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "asserts are compiled out";
+#else
   // 768/4/96 = 2 sets, but the line size is not a power of two.
-  EXPECT_THROW(SetAssocCache("t", 768, 4, 96), std::invalid_argument);
-  EXPECT_THROW(SetAssocCache("t", 4096, 4, 0), std::invalid_argument);
+  EXPECT_DEATH(SetAssocCache("t", 768, 4, 96), "bad cache geometry");
+  EXPECT_DEATH(SetAssocCache("t", 4096, 4, 0), "bad cache geometry");
+#endif
 }
 
 TEST(SetAssocCache, LruEviction) {

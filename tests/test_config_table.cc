@@ -1,7 +1,7 @@
 // The config table (common/config_table.hh): the fingerprint every result
 // cache is keyed by, the canonical diff-from-default names, the layout
-// guard that catches a SimConfig field missing from the table, and the
-// range check System construction runs.
+// guard that catches a SimConfig field missing from the table, and
+// validate_config's range and geometry rules.
 #include "common/config_table.hh"
 
 #include <gtest/gtest.h>
@@ -209,6 +209,121 @@ TEST(ConfigTable, SystemRejectsEachKnobJustOutsideItsRange) {
   }
   // dispatch_width 0 (the divide-by-zero this check exists for) is among them.
   EXPECT_GE(tried, 20u);
+}
+
+/// validate_config's message for `c`, or "valid".
+std::string refusal(const SimConfig& c) {
+  try {
+    validate_config(c);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "valid";
+}
+
+// The geometries the SetAssocCache, AvrLlc and Dram constructors used to
+// refuse, each now refused by the table with its knob (or cache) and values.
+TEST(ConfigTable, GeometryRulesNameTheCacheAndItsNumbers) {
+  SimConfig c;
+  EXPECT_EQ(refusal(c), "valid");
+  // Size not a multiple of ways x 64 B, and a non-power-of-two set count.
+  c.l1 = {1000, 3, 1};
+  EXPECT_EQ(refusal(c),
+            "SimConfig: l1.size_bytes = 1000 in l1.ways = 3 is not a power-of-two "
+            "number of sets of 64 B lines");
+  c = {};
+  c.l2 = {4096 + 64, 4, 8};
+  EXPECT_EQ(refusal(c),
+            "SimConfig: l2.size_bytes = 4160 in l2.ways = 4 is not a power-of-two "
+            "number of sets of 64 B lines");
+  c = {};
+  c.llc = {3 * 4 * 64, 4, 15};
+  EXPECT_EQ(refusal(c),
+            "SimConfig: llc.size_bytes = 768 in llc.ways = 4 is not a power-of-two "
+            "number of sets of 64 B lines");
+  c = {};
+  c.llc = {1000, 3, 15};
+  EXPECT_EQ(refusal(c),
+            "SimConfig: llc.size_bytes = 1000 in llc.ways = 3 is not a power-of-two "
+            "number of sets of 64 B lines");
+  c = {};
+  c.l2.ways = 0;
+  EXPECT_EQ(refusal(c), "SimConfig: l2.ways = 0 is outside 1..4294967295");
+  c = {};
+  c.llc.ways = 0;
+  EXPECT_EQ(refusal(c), "SimConfig: llc.ways = 0 is outside 1..256");
+  // AvrLlc records a CMS way in one byte, and holds at least one 8-line
+  // compressed image.
+  c = {};
+  c.llc = {512 * kCachelineBytes, 512, 15};
+  EXPECT_EQ(refusal(c), "SimConfig: llc.ways = 512 is outside 1..256");
+  c.llc = {256 * kCachelineBytes, 256, 15};
+  EXPECT_EQ(refusal(c), "valid");
+  c.llc = {4 * kCachelineBytes, 4, 15};
+  EXPECT_EQ(refusal(c), "SimConfig: llc.size_bytes = 256 is outside 512..274877906944");
+  c.llc = {8 * kCachelineBytes, 1, 15};
+  EXPECT_EQ(refusal(c), "valid");
+  // Dram: rows at least one 1 KB block, and power-of-two channels, banks
+  // and rows; zero in any of them, or in the clock ratio, is out of range.
+  const auto dram = [](DramConfig d) {
+    SimConfig with;
+    with.dram = d;
+    return refusal(with);
+  };
+  DramConfig d;
+  d.row_bytes = 512;
+  EXPECT_EQ(dram(d),
+            "SimConfig: dram.row_bytes = 512 is outside 1024..9223372036854775808");
+  d.row_bytes = 3000;
+  EXPECT_EQ(dram(d), "SimConfig: dram.row_bytes = 3000 is not a power of two");
+  d.row_bytes = 0;
+  EXPECT_EQ(dram(d),
+            "SimConfig: dram.row_bytes = 0 is outside 1024..9223372036854775808");
+  d = {};
+  d.channels = 3;
+  EXPECT_EQ(dram(d), "SimConfig: dram.channels = 3 is not a power of two");
+  d.channels = 0;
+  EXPECT_EQ(dram(d), "SimConfig: dram.channels = 0 is outside 1..2147483648");
+  d = {};
+  d.banks_per_channel = 12;
+  EXPECT_EQ(dram(d), "SimConfig: dram.banks_per_channel = 12 is not a power of two");
+  d.banks_per_channel = 0;
+  EXPECT_EQ(dram(d), "SimConfig: dram.banks_per_channel = 0 is outside 1..2147483648");
+  d = {};
+  d.cpu_per_dram_cycle = 0;
+  EXPECT_EQ(dram(d), "SimConfig: dram.cpu_per_dram_cycle = 0 is outside 1..4294967295");
+  d = {};
+  d.channels = 4;
+  d.banks_per_channel = 8;
+  d.row_bytes = 4096;
+  EXPECT_EQ(dram(d), "valid");
+  // With power-of-two LLC sets, Doppelganger's tag sets are LLC sets x factor.
+  c = {};
+  c.dg_tag_factor = 3;
+  EXPECT_EQ(refusal(c), "SimConfig: dg_tag_factor = 3 is not a power of two");
+  c.dg_tag_factor = 8;
+  EXPECT_EQ(refusal(c), "valid");
+}
+
+// A knob no model code reads would make every --set value re-simulate the
+// same point under a new cache key.
+TEST(ConfigTable, UnreadKnobsAreUnsettable) {
+  size_t settable = 0;
+  for (const Knob& k : config_table()) settable += k.unsettable == nullptr;
+  EXPECT_EQ(settable, 37u);
+  for (const char* name : {"core.freq_ghz", "l1.latency", "l2.latency"})
+    EXPECT_NE(find_knob(name)->unsettable, nullptr) << name;
+}
+
+// The one double knob's value parsing (core.freq_ghz): strict, finite and
+// in range, with equal values equal as words, as add_set_axis's repeat
+// check compares them.
+TEST(ConfigTable, ParseKnobValueDouble) {
+  const Knob& k = *find_knob("core.freq_ghz");
+  EXPECT_EQ(std::bit_cast<double>(parse_knob_value(k, "2.5")), 2.5);
+  EXPECT_EQ(parse_knob_value(k, "2.5"), parse_knob_value(k, "2.50"));
+  for (const char* v : {"nan", "inf", "-1", "1e400", "", "2.5x", " 2.5"})
+    EXPECT_THROW(parse_knob_value(k, v), std::invalid_argument) << v;
 }
 
 }  // namespace

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
-
 #include "common/types.hh"
 
 namespace avr {
@@ -95,42 +93,6 @@ TEST(Dram, StatsSnapshotMatchesCounters) {
   // string key was absent from the old map-backed StatGroup too).
   Dram fresh(cfg());
   EXPECT_EQ(fresh.stats().counters().size(), 0u);
-}
-
-TEST(DramConfigValidation, RowSmallerThanBlockIsRejected) {
-  // row_bytes < 1 KB made bank_of/row_of divide by zero in the seed model.
-  DramConfig c;
-  c.row_bytes = 512;
-  EXPECT_THROW(Dram{c}, std::invalid_argument);
-}
-
-TEST(DramConfigValidation, NonPowerOfTwoGeometryIsRejected) {
-  {
-    DramConfig c;
-    c.channels = 3;
-    EXPECT_THROW(Dram{c}, std::invalid_argument);
-  }
-  {
-    DramConfig c;
-    c.banks_per_channel = 12;
-    EXPECT_THROW(Dram{c}, std::invalid_argument);
-  }
-  {
-    DramConfig c;
-    c.row_bytes = 3000;
-    EXPECT_THROW(Dram{c}, std::invalid_argument);
-  }
-}
-
-TEST(DramConfigValidation, ZeroFieldsAreRejected) {
-  for (auto mutate : {+[](DramConfig& c) { c.channels = 0; },
-                      +[](DramConfig& c) { c.banks_per_channel = 0; },
-                      +[](DramConfig& c) { c.row_bytes = 0; },
-                      +[](DramConfig& c) { c.cpu_per_dram_cycle = 0; }}) {
-    DramConfig c;
-    mutate(c);
-    EXPECT_THROW(Dram{c}, std::invalid_argument);
-  }
 }
 
 TEST(DramConfigValidation, ValidConfigsConstructAndMapBanks) {

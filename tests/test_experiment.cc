@@ -184,13 +184,13 @@ TEST(ExperimentRunner, FailuresNameTheirPointAndConfig) {
   EXPECT_EQ(failure(ways).rfind("point bscholes x baseline [l2.ways=3] failed: ", 0), 0u)
       << failure(ways);
   // A size inside the knob's range as set, but not once divided by the
-  // workload's cache_scale: the message shows the set and scaled values.
+  // workload's cache_scale: the message names the scale and the scaled value.
   SimConfig l1;
   l1.l1.size_bytes = 64;
   EXPECT_EQ(failure(l1),
-            "point bscholes x baseline [l1.size_bytes=64] failed: workload bscholes "
-            "divides l1.size_bytes=64 by its cache_scale 16 to 4, outside "
-            "64..274877906944");
+            "point bscholes x baseline [l1.size_bytes=64] failed: workload bscholes, "
+            "whose cache_scale 16 divides l1 and l2: SimConfig: l1.size_bytes = 4 is "
+            "outside 64..274877906944");
 }
 
 TEST(ExperimentRunner, ConfigForAppliesWorkloadKnobs) {
