@@ -268,6 +268,95 @@ TEST(AvrLlc, CmsChurnKeepsImagesWhole) {
   }
 }
 
+struct Fnv1a {
+  uint64_t h = 1469598103934665603ull;
+  void u64(uint64_t v) {
+    for (int i = 0; i < 8; ++i) h = (h ^ ((v >> (8 * i)) & 0xFF)) * 1099511628211ull;
+  }
+};
+
+// A seeded mix of every mutating UCL and CMS operation over as many blocks
+// as the LLC has tag entries, with a hot subset, on LLCs of 64, 16 and 4
+// sets. With 16 and 4 sets a block's UCLs share sets with each other and
+// with its own CMSs (CMS #i and #i+4 share a set at 4 sets). Every victim,
+// both ucls_of_block masks and cms_count after each operation, the final
+// counters and the final contents fold into one FNV-1a digest, captured
+// before the UCL lookups were rewritten: any change in which entry an
+// insert evicts or which lines a block reports moves it.
+TEST(AvrLlcChurn, DigestPinned) {
+  struct Geometry {
+    uint32_t sets, ways;
+  };
+  constexpr Geometry kGeometries[] = {{64, 16}, {16, 8}, {4, 4}};
+  Fnv1a d;
+  const auto fold = [&d](const std::vector<LlcVictim>& v) {
+    d.u64(v.size());
+    for (const LlcVictim& x : v) {
+      d.u64(x.kind);
+      d.u64(x.addr);
+      d.u64(x.dirty);
+    }
+  };
+  for (const Geometry g : kGeometries) {
+    const uint64_t entries = uint64_t{g.sets} * g.ways;
+    AvrLlc llc(CacheConfig{entries * kCachelineBytes, g.ways, 15});
+    Xoshiro256 rng(0xA7911C + g.sets * 131 + g.ways);
+    // Blocks four apart use a quarter of the tag sets, so their tags
+    // contend for ways while the data array still has room; the hot blocks'
+    // lines fill half the data array.
+    const uint64_t blocks = entries;
+    const uint64_t hot = std::max<uint64_t>(2, entries / kBlockLines / 2);
+    std::vector<LlcVictim> v;
+    for (int op = 0; op < 20000; ++op) {
+      const uint64_t idx = rng.below(2) ? rng.below(hot) : rng.below(blocks);
+      const uint64_t block = 0x4000'0000 + idx * 4 * kBlockBytes;
+      const uint64_t line = block + rng.below(kBlockLines) * kCachelineBytes;
+      v.clear();
+      switch (rng.below(10)) {
+        case 0:
+        case 1:
+        case 2:
+          d.u64(llc.ucl_access(line, rng.below(2)));
+          break;
+        case 3:
+        case 4:
+          if (!llc.ucl_present(line)) llc.ucl_insert(line, rng.below(2), v);
+          break;
+        case 5: {
+          const std::optional<bool> dirty = llc.ucl_invalidate(line);
+          d.u64(dirty.has_value() ? 1 + *dirty : 0);
+          break;
+        }
+        case 6:
+          llc.ucl_mark_clean(line);
+          break;
+        case 7:
+          if (!llc.cms_present(block))
+            llc.cms_insert(block, 1 + rng.below(kMaxCompressedLines), rng.below(2), v);
+          break;
+        case 8:
+          llc.cms_remove(block);
+          break;
+        case 9:
+          llc.cms_touch(block);
+          break;
+      }
+      fold(v);
+      d.u64(llc.ucls_of_block(block, /*dirty_only=*/false));
+      d.u64(llc.ucls_of_block(block, /*dirty_only=*/true));
+      d.u64(llc.cms_count(block));
+    }
+    const AvrLlcCounters& k = llc.counters();
+    EXPECT_GT(k.ucl_hits, 0u);
+    EXPECT_GT(k.tag_evictions, 0u);
+    EXPECT_GT(k.cms_collateral_evictions, 0u);
+    for (uint64_t x : {k.ucl_accesses, k.ucl_hits, k.ucl_fills}) d.u64(x);
+    for (uint64_t x : {k.cms_fills, k.tag_evictions, k.cms_collateral_evictions}) d.u64(x);
+    fold(llc.all_resident());
+  }
+  EXPECT_EQ(d.h, 0x8fb4f6b080dfd5e1ull) << std::hex << "digest 0x" << d.h;
+}
+
 class AvrLlcStress : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(AvrLlcStress, RandomOperationsKeepInvariants) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "common/prng.hh"
@@ -272,6 +273,100 @@ TEST_F(AvrSystemTest, MetadataTrafficAccrues) {
   for (uint64_t p = 0; p < 8; ++p)
     sys_.request(0, approx_base_ + p * kBlockBytes, false);
   EXPECT_GT(sys_.cmt().metadata_traffic_bytes(), 0u);
+}
+
+struct Fnv1a {
+  uint64_t h = 1469598103934665603ull;
+  void u64(uint64_t v) {
+    for (int i = 0; i < 8; ++i) h = (h ^ ((v >> (8 * i)) & 0xFF)) * 1099511628211ull;
+  }
+};
+
+/// Refills a block with one of three kinds of contents: a smooth field
+/// (compresses lossily), a constant (compresses and reconstructs to the
+/// same bits) or noise (never compresses).
+void fill_kind(RegionRegistry& r, uint64_t block, uint64_t kind, Xoshiro256& rng) {
+  const float base = static_cast<float>(rng.uniform(-100, 100));
+  if (kind == 0) {
+    fill_smooth(r, block, base);
+  } else if (kind == 1) {
+    for (float& v : r.block_values(block)) v = base;
+  } else {
+    fill_noise(r, block, rng.next());
+  }
+}
+
+// A seeded mix of reads, writes, L2 write-backs, single-value stores and
+// whole-block refills over approximate blocks of all three kinds plus an
+// exact region, on a 32-set LLC and on a 4-set LLC with the BDI-hybrid tier
+// on, then a drain. Every request latency and miss bit, the final counters,
+// the DRAM counters, the compression ratio and the approximate region's
+// backing store fold into one FNV-1a digest, captured before compressions
+// were remembered: any change in what an eviction compresses, or in the
+// values a compression leaves behind, moves it.
+TEST(AvrSystemChurn, DigestPinned) {
+  struct Case {
+    uint64_t llc_bytes;
+    uint32_t ways;
+    bool bdi;
+  };
+  constexpr Case kCases[] = {{16 * 1024, 8, false}, {2 * 1024, 8, true}};
+  constexpr uint64_t kApproxBlocks = 48, kExactBlocks = 32;
+  Fnv1a d;
+  for (const Case c : kCases) {
+    SimConfig cfg;
+    cfg.llc = {c.llc_bytes, c.ways, 15};
+    cfg.avr.enable_bdi_hybrid = c.bdi;
+    RegionRegistry regions;
+    AvrSystem sys(cfg, regions);
+    const uint64_t approx = regions.allocate("approx", kApproxBlocks * kBlockBytes, true);
+    const uint64_t exact = regions.allocate("exact", kExactBlocks * kBlockBytes, false);
+    Xoshiro256 rng(0xC0FFEE + c.llc_bytes);
+    for (uint64_t b = 0; b < kApproxBlocks; ++b)
+      fill_kind(regions, approx + b * kBlockBytes, b % 3, rng);
+    uint64_t now = 0;
+    for (int op = 0; op < 30000; ++op) {
+      now += 1 + rng.below(20);
+      const uint64_t line =
+          rng.below(4) != 0
+              ? approx + rng.below(kApproxBlocks * kBlockLines) * kCachelineBytes
+              : exact + rng.below(kExactBlocks * kBlockLines) * kCachelineBytes;
+      switch (rng.below(10)) {
+        case 0:
+        case 1:
+        case 2:
+        case 3:
+        case 4:
+          d.u64(sys.request(now, line, rng.below(3) == 0));
+          d.u64(sys.last_was_miss());
+          break;
+        case 5:
+        case 6:
+          sys.writeback(now, line);
+          break;
+        case 7:
+        case 8:
+          regions.store<float>(line + 4 * rng.below(kValuesPerLine),
+                               static_cast<float>(rng.uniform(-100, 100)));
+          break;
+        case 9:
+          if (regions.is_approx(line)) fill_kind(regions, block_addr(line), rng.below(3), rng);
+          break;
+      }
+    }
+    sys.drain(now);
+    const AvrSystemCounters& k = sys.counters();
+    EXPECT_GT(k.evict_recompress, 0u);
+    EXPECT_GT(k.compress_successes, 0u);
+    EXPECT_GT(k.compress_failures, 0u);
+    for (const StatGroup& g : {sys.stats(), sys.dram().stats()})
+      for (const auto& [name, v] : g.counters()) d.u64(v);
+    d.u64(std::bit_cast<uint64_t>(sys.mean_compression_ratio()));
+    for (uint64_t b = 0; b < kApproxBlocks; ++b)
+      for (float v : regions.block_values(approx + b * kBlockBytes))
+        d.u64(std::bit_cast<uint32_t>(v));
+  }
+  EXPECT_EQ(d.h, 0x85027c622fc2cdf5ull) << std::hex << "digest 0x" << d.h;
 }
 
 TEST(AvrSystemTraffic, SmoothStreamBeatsUncompressed) {
