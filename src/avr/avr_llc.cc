@@ -6,21 +6,6 @@
 
 namespace avr {
 
-uint64_t AvrLlc::bpa_match(const BpaEntry& e) {
-  static_assert(offsetof(BpaEntry, tag_idx) == 0 && offsetof(BpaEntry, cl_id) == 4 &&
-                offsetof(BpaEntry, is_cms) == 5 && offsetof(BpaEntry, valid) == 6 &&
-                offsetof(BpaEntry, dirty) == 7 && sizeof(BpaEntry) == 16);
-  if constexpr (std::endian::native == std::endian::little) {
-    // One 8-byte load; mask off byte 7 (the dirty flag).
-    uint64_t k;
-    std::memcpy(&k, &e, sizeof(k));
-    return k & 0x00FF'FFFF'FFFF'FFFFULL;
-  } else {
-    return uint64_t{e.tag_idx} | (uint64_t{e.cl_id} << 32) |
-           (uint64_t{e.is_cms} << 40) | (uint64_t{e.valid} << 48);
-  }
-}
-
 AvrLlc::AvrLlc(const CacheConfig& cfg) : ways_(cfg.ways) {
   // validate_config's llc bounds (common/config_table.cc says why).
   const uint64_t entries = cfg.size_bytes / kCachelineBytes;
@@ -49,32 +34,38 @@ const AvrLlc::TagEntry* AvrLlc::find_tag(uint64_t block) const {
   return const_cast<AvrLlc*>(this)->find_tag(block);
 }
 
+// The victim of a set with a free way is its first free way, and of a full
+// set its first way of least stamp. Keying a free way as 0 and a used one
+// as its stamp (every used entry was stamped by ++lru_clock_, so >= 1)
+// makes both the first strict minimum of one branch-free pass.
+template <typename Entry>
+uint32_t AvrLlc::victim_way(const Entry* base) const {
+  uint32_t victim = 0;
+  uint64_t key = in_use(base[0]) ? base[0].lru : 0;
+  for (uint32_t w = 1; w < ways_; ++w) {
+    const uint64_t k = in_use(base[w]) ? base[w].lru : 0;
+    victim = k < key ? w : victim;
+    key = k < key ? k : key;
+  }
+  return victim;
+}
+
 uint32_t AvrLlc::ensure_tag(uint64_t block, std::vector<LlcVictim>& out) {
-  const uint64_t set = tag_index(block);
-  const uint64_t tag = block_tag(block);
-  TagEntry* base = &tags_[set * ways_];
-  for (uint32_t w = 0; w < ways_; ++w)
-    if (base[w].block_tag == tag) return static_cast<uint32_t>(set * ways_ + w);
+  if (const TagEntry* t = find_tag(block)) return static_cast<uint32_t>(t - tags_.data());
 
   // Allocate: free way if possible, else evict the LRU tag with all its
   // resident UCLs and CMSs (Sec. 3.4, "Allocation for a tag entry").
-  uint32_t victim = ways_;
-  for (uint32_t w = 0; w < ways_; ++w)
-    if (!base[w].valid()) {
-      victim = w;
-      break;
-    }
-  if (victim == ways_) {
-    victim = 0;
-    for (uint32_t w = 1; w < ways_; ++w)
-      if (base[w].lru < base[victim].lru) victim = w;
-    evict_tag(static_cast<uint32_t>(set), victim, out);
+  const uint32_t set = static_cast<uint32_t>(tag_index(block));
+  TagEntry* base = &tags_[uint64_t{set} * ways_];
+  const uint32_t victim = victim_way(base);
+  if (base[victim].valid()) {
+    evict_tag(set, victim, out);
     ++counters_.tag_evictions;
   }
   base[victim] = TagEntry{};
-  base[victim].block_tag = tag;
+  base[victim].block_tag = block_tag(block);
   base[victim].lru = ++lru_clock_;
-  return static_cast<uint32_t>(set * ways_ + victim);
+  return set * ways_ + victim;
 }
 
 AvrLlc::TagEntry& AvrLlc::revive_tag(uint32_t tag_idx, uint64_t block) {
@@ -90,7 +81,7 @@ AvrLlc::TagEntry& AvrLlc::revive_tag(uint32_t tag_idx, uint64_t block) {
 
 void AvrLlc::maybe_free_tag(uint32_t tag_idx) {
   TagEntry& t = tags_[tag_idx];
-  if (t.valid() && t.cms == 0 && t.ucl == 0) t.invalidate();
+  if (t.valid() && t.cms == 0 && t.ucl_mask == 0) t.invalidate();
 }
 
 void AvrLlc::evict_tag(uint32_t set, uint32_t way, std::vector<LlcVictim>& out) {
@@ -98,46 +89,37 @@ void AvrLlc::evict_tag(uint32_t set, uint32_t way, std::vector<LlcVictim>& out) 
   TagEntry& t = tags_[tidx];
   assert(t.valid());
   const uint64_t block = block_addr_of_tag(set, t);
-  // UCLs of this block live in 16 known BPA sets.
-  for (uint32_t cl = 0; cl < kBlockLines; ++cl) {
-    const uint64_t line = block + cl * kCachelineBytes;
-    const uint64_t s = ucl_index(line);
-    const uint64_t want = bpa_key(tidx, static_cast<uint8_t>(cl), false);
-    BpaEntry* base = &bpa_[s * ways_];
-    for (uint32_t w = 0; w < ways_; ++w) {
-      BpaEntry& e = base[w];
-      if (bpa_match(e) == want) {
-        out.push_back({LlcVictim::kUcl, line, e.dirty});
-        e.valid = false;
-        t.ucl--;
-      }
-    }
+  for (uint32_t m = t.ucl_mask; m != 0; m &= m - 1) {
+    const uint32_t cl = static_cast<uint32_t>(std::countr_zero(m));
+    BpaEntry& e = ucl_entry(tidx, cl);
+    out.push_back({LlcVictim::kUcl, block + cl * kCachelineBytes, e.dirty});
+    e.valid = false;
   }
+  t.ucl_mask = 0;
   if (t.cms > 0) {
     out.push_back({LlcVictim::kCmsBlock, block, t.block_dirty});
     remove_cms_entries(tidx);
     t.cms = 0;
   }
-  assert(t.ucl == 0);
   t.invalidate();
 }
 
 // ---- BPA / data array -----------------------------------------------------
 
+AvrLlc::BpaEntry& AvrLlc::ucl_entry(uint32_t tag_idx, uint32_t cl) {
+  BpaEntry& e = bpa_[ucl_set(tag_idx, cl) * ways_ + tags_[tag_idx].ucl_way[cl]];
+  assert(owned_by(e, tag_idx, cl, /*is_cms=*/false));
+  return e;
+}
+
 AvrLlc::BpaEntry* AvrLlc::find_ucl(uint64_t line) {
-  const uint64_t block = block_addr(line);
-  const TagEntry* t = find_tag(block);
-  if (!t || t->ucl == 0) return nullptr;
-  const uint32_t tidx = static_cast<uint32_t>(t - tags_.data());
-  const uint64_t s = ucl_index(line);
-  // Hit requires: matching CL tag suffix AND the back pointer naming the
-  // way of the matching tag (Sec. 3.4, "LLC Lookup").
-  const uint64_t want =
-      bpa_key(tidx, static_cast<uint8_t>(line_in_block(line)), false);
-  BpaEntry* base = &bpa_[s * ways_];
-  for (uint32_t w = 0; w < ways_; ++w)
-    if (bpa_match(base[w]) == want) return &base[w];
-  return nullptr;
+  // A hit needs the block's tag and the line's bit in its UCL mask; the
+  // recorded way then names the BPA entry whose back pointer is this tag
+  // (Sec. 3.4, "LLC Lookup").
+  const TagEntry* t = find_tag(block_addr(line));
+  const uint32_t cl = static_cast<uint32_t>(line_in_block(line));
+  if (!t || !((t->ucl_mask >> cl) & 1)) return nullptr;
+  return &ucl_entry(static_cast<uint32_t>(t - tags_.data()), cl);
 }
 
 const AvrLlc::BpaEntry* AvrLlc::find_ucl(uint64_t line) const {
@@ -145,13 +127,8 @@ const AvrLlc::BpaEntry* AvrLlc::find_ucl(uint64_t line) const {
 }
 
 uint32_t AvrLlc::make_room(uint64_t set, std::vector<LlcVictim>& out) {
-  BpaEntry* base = &bpa_[set * ways_];
-  for (uint32_t w = 0; w < ways_; ++w)
-    if (!base[w].valid) return w;
-  uint32_t victim = 0;
-  for (uint32_t w = 1; w < ways_; ++w)
-    if (base[w].lru < base[victim].lru) victim = w;
-  release_entry(set, victim, out);
+  const uint32_t victim = victim_way(&bpa_[set * ways_]);
+  if (bpa_[set * ways_ + victim].valid) release_entry(set, victim, out);
   return victim;
 }
 
@@ -164,8 +141,8 @@ void AvrLlc::release_entry(uint64_t set, uint32_t way, std::vector<LlcVictim>& o
   if (!e.is_cms) {
     out.push_back({LlcVictim::kUcl, block + uint64_t{e.cl_id} * kCachelineBytes, e.dirty});
     e.valid = false;
-    assert(t.ucl > 0);
-    t.ucl--;
+    assert((t.ucl_mask >> e.cl_id) & 1);
+    t.ucl_mask = static_cast<uint16_t>(t.ucl_mask & ~(1u << e.cl_id));
     maybe_free_tag(e.tag_idx);
     return;
   }
@@ -181,7 +158,7 @@ void AvrLlc::release_entry(uint64_t set, uint32_t way, std::vector<LlcVictim>& o
 AvrLlc::BpaEntry& AvrLlc::cms_entry(uint32_t tag_idx, uint32_t i) {
   const uint64_t s = (tag_idx / ways_ + i) & (sets_ - 1);
   BpaEntry& e = bpa_[s * ways_ + tags_[tag_idx].cms_way[i]];
-  assert(bpa_match(e) == bpa_key(tag_idx, static_cast<uint8_t>(i), true));
+  assert(owned_by(e, tag_idx, i, /*is_cms=*/true));
   return e;
 }
 
@@ -214,20 +191,22 @@ void AvrLlc::ucl_insert(uint64_t line, bool dirty, std::vector<LlcVictim>& out) 
   assert(!ucl_present(line));
   const uint64_t block = block_addr(line);
   const uint32_t tidx = ensure_tag(block, out);
-  const uint64_t s = ucl_index(line);
+  const uint32_t cl = static_cast<uint32_t>(line_in_block(line));
+  const uint64_t s = ucl_set(tidx, cl);
   const uint32_t w = make_room(s, out);
   BpaEntry& e = bpa_[s * ways_ + w];
   e.valid = true;
   e.dirty = dirty;
   e.is_cms = false;
-  e.cl_id = static_cast<uint8_t>(line_in_block(line));
+  e.cl_id = static_cast<uint8_t>(cl);
   e.tag_idx = tidx;
   e.lru = ++lru_clock_;
   // make_room may have collaterally freed this tag: the block's own CMS
-  // image can live in this UCL set, and its eviction leaves the tag with
-  // cms == 0 && ucl == 0.
+  // image or its other UCLs can live in this UCL set, and their eviction
+  // leaves the tag with cms == 0 && ucl_mask == 0.
   TagEntry& t = revive_tag(tidx, block);
-  t.ucl++;
+  t.ucl_mask = static_cast<uint16_t>(t.ucl_mask | (1u << cl));
+  t.ucl_way[cl] = static_cast<uint8_t>(w);
   t.lru = lru_clock_;
   ++counters_.ucl_fills;
 }
@@ -238,8 +217,7 @@ std::optional<bool> AvrLlc::ucl_invalidate(uint64_t line) {
   const bool dirty = e->dirty;
   TagEntry& t = tags_[e->tag_idx];
   e->valid = false;
-  assert(t.ucl > 0);
-  t.ucl--;
+  t.ucl_mask = static_cast<uint16_t>(t.ucl_mask & ~(1u << e->cl_id));
   maybe_free_tag(e->tag_idx);
   return dirty;
 }
@@ -326,21 +304,14 @@ void AvrLlc::cms_remove(uint64_t block) {
 // ---- block-level queries -----------------------------------------------------
 
 uint16_t AvrLlc::ucls_of_block(uint64_t block, bool dirty_only) const {
-  block = block_addr(block);
-  uint16_t out = 0;
-  const TagEntry* t = find_tag(block);
-  if (!t || t->ucl == 0) return out;
+  const TagEntry* t = find_tag(block_addr(block));
+  if (!t || !dirty_only) return t ? t->ucl_mask : 0;
   const uint32_t tidx = static_cast<uint32_t>(t - tags_.data());
-  for (uint32_t cl = 0; cl < kBlockLines; ++cl) {
-    const uint64_t line = block + cl * kCachelineBytes;
-    const uint64_t s = ucl_index(line);
-    const uint64_t want = bpa_key(tidx, static_cast<uint8_t>(cl), false);
-    const BpaEntry* base = &bpa_[s * ways_];
-    for (uint32_t w = 0; w < ways_; ++w) {
-      const BpaEntry& e = base[w];
-      if (bpa_match(e) == want && (!dirty_only || e.dirty))
-        out = static_cast<uint16_t>(out | (1u << cl));
-    }
+  uint16_t out = 0;
+  for (uint32_t m = t->ucl_mask; m != 0; m &= m - 1) {
+    const uint32_t cl = static_cast<uint32_t>(std::countr_zero(m));
+    if (const_cast<AvrLlc*>(this)->ucl_entry(tidx, cl).dirty)
+      out = static_cast<uint16_t>(out | (1u << cl));
   }
   return out;
 }

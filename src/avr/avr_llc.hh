@@ -99,27 +99,30 @@ class AvrLlc {
   StatGroup stats() const;
 
  private:
-  // Both arrays are scanned way-by-way on every lookup, so the entries are
-  // packed tight (32 B tags, 16 B BPA entries: a 16-way scan stays inside a
-  // few cachelines) and keyed for single-compare scans: an invalid tag
-  // stores a sentinel block_tag (no real block tag reaches 2^54), and the
-  // BPA match fields are laid out so one masked 8-byte load compares
-  // (tag_idx, cl_id, is_cms, valid) at once. cms <= 8 and ucl <= 16 fit a
-  // byte; the owning tag is a single flat index (set * ways + way).
+  // Tag sets are scanned way-by-way on every lookup, so a tag is keyed for
+  // single-compare scans: an invalid tag stores a sentinel block_tag (no
+  // real block tag reaches 2^54). cms <= 8 fits a byte, a way (< 256,
+  // validate_config) fits a byte, and a BPA entry's owning tag is a single
+  // flat index (set * ways + way).
   //
-  // CMS entries are not scanned for at all: CMS #i of a block sits in the
-  // fixed set (tag index + i), and cms_way[i] records its way at
-  // cms_insert. That is exact because a resident CMS entry never moves
-  // while cms > 0 — make_room only frees a CMS way by releasing the whole
-  // image — so the way stays valid until the image is dropped.
+  // BPA entries are not scanned for at all: the tag records where each of
+  // its block's entries sits. CMS #i of a block sits in the fixed set
+  // (tag index + i) mod sets and cms_way[i] records its way at cms_insert;
+  // the UCL at CL offset cl sits in the fixed set (tag index * 16 + cl) mod
+  // sets, its bit in ucl_mask says it is resident and ucl_way[cl] records
+  // its way at ucl_insert. That is exact because a resident entry never moves: it
+  // leaves its way only when it is released (a UCL alone, a CMS with its
+  // whole image) or its tag is evicted, and each of those clears the bit or
+  // the count first, so a recorded way stays valid while it is in use.
   static constexpr uint64_t kNoTag = ~uint64_t{0};
   struct TagEntry {
     uint64_t block_tag = kNoTag;
     uint64_t lru = 0;
-    uint8_t cms = 0;  // CMS count, 0 = compressed image absent
-    uint8_t ucl = 0;  // number of UCLs of this block in the LLC
+    uint16_t ucl_mask = 0;  // bit cl set = the UCL at CL offset cl is resident
+    uint8_t cms = 0;        // CMS count, 0 = compressed image absent
     bool block_dirty = false;  // the compressed image is dirty
     uint8_t cms_way[kMaxCompressedLines] = {};  // BPA way of CMS #i, i < cms
+    uint8_t ucl_way[kBlockLines] = {};  // BPA way of the UCL at CL offset cl
 
     bool valid() const { return block_tag != kNoTag; }
     void invalidate() { block_tag = kNoTag; }
@@ -129,20 +132,17 @@ class AvrLlc {
     uint8_t cl_id = 0;     // UCL: CL offset in block; CMS: sub-block index
     bool is_cms = false;
     bool valid = false;
-    bool dirty = false;  // byte 7: the only field a lookup does not match on
+    bool dirty = false;
     uint64_t lru = 0;
   };
 
-  /// The match word a resident entry must equal: bytes 0..6 of a BpaEntry,
-  /// i.e. everything but the dirty flag.
-  static uint64_t bpa_key(uint32_t tag_idx, uint8_t cl_id, bool is_cms) {
-    return uint64_t{tag_idx} | (uint64_t{cl_id} << 32) |
-           (uint64_t{is_cms} << 40) | (uint64_t{1} << 48);
+  /// Whether `e` is resident entry `id` (CL offset or CMS index) of tag
+  /// `tag_idx`: the back pointer a recorded way must still lead to.
+  static bool owned_by(const BpaEntry& e, uint32_t tag_idx, uint32_t id, bool is_cms) {
+    return e.valid && e.is_cms == is_cms && e.tag_idx == tag_idx && e.cl_id == id;
   }
-  static uint64_t bpa_match(const BpaEntry& e);
 
   uint64_t tag_index(uint64_t block) const { return (block >> 10) & (sets_ - 1); }
-  uint64_t ucl_index(uint64_t line) const { return (line >> 6) & (sets_ - 1); }
   uint64_t block_tag(uint64_t block) const { return block >> 10 >> set_bits_; }
   uint64_t block_addr_of_tag(uint32_t set, const TagEntry& t) const {
     return ((t.block_tag << set_bits_) | set) << 10;
@@ -166,11 +166,25 @@ class AvrLlc {
   /// The BPA entry of CMS #i of tag `tag_idx`'s image, addressed through
   /// its recorded way.
   BpaEntry& cms_entry(uint32_t tag_idx, uint32_t i);
+  /// The BPA set of the UCL at CL offset `cl` of tag `tag_idx`'s block: the
+  /// line's (addr >> 6) mod sets, whose low bits are the tag index and cl.
+  uint64_t ucl_set(uint32_t tag_idx, uint32_t cl) const {
+    return ((uint64_t{tag_idx / ways_} << 4) | cl) & (sets_ - 1);
+  }
+  /// The BPA entry of the resident UCL at CL offset `cl` of tag `tag_idx`'s
+  /// block, addressed through its recorded way.
+  BpaEntry& ucl_entry(uint32_t tag_idx, uint32_t cl);
 
   BpaEntry* find_ucl(uint64_t line);
   const BpaEntry* find_ucl(uint64_t line) const;
-  /// Pick the LRU victim way in BPA set `set` and release it, appending any
-  /// eviction to `out`. Returns the freed way.
+  static bool in_use(const TagEntry& t) { return t.valid(); }
+  static bool in_use(const BpaEntry& e) { return e.valid; }
+  /// The victim way of the set whose ways start at `base`: its first free
+  /// way, else its first least recently used way.
+  template <typename Entry>
+  uint32_t victim_way(const Entry* base) const;
+  /// Release the victim way of BPA set `set`, appending any eviction to
+  /// `out`. Returns the freed way.
   uint32_t make_room(uint64_t set, std::vector<LlcVictim>& out);
   /// Release the BPA entry at (set, way): for a UCL report it; for a CMS
   /// evict the whole owning block's compressed image.

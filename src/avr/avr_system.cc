@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cstring>
 
 namespace avr {
 
@@ -38,29 +39,45 @@ void AvrSystem::dram_write(uint64_t now, uint64_t addr, uint32_t bytes,
 }
 
 AvrSystem::CompressOutcome AvrSystem::compress_block_values(uint64_t block) {
-  ++counters_.compress_attempts;
-  auto vals = regions_.block_values(block);
-  auto att = compressor_.compress(vals, dtype_of(block), scratch_);
-  if (!att) {
-    ++counters_.compress_failures;
-    return {};
+  const std::span<float, kValuesPerBlock> vals = regions_.block_values(block);
+  const DType dtype = dtype_of(block);
+  RememberedCompression& r = remembered_[(block / kBlockBytes) % kCompressMemoEntries];
+  CompressOutcome out;
+  if (r.valid && r.dtype == dtype &&
+      std::memcmp(r.values.data(), vals.data(), vals.size_bytes()) == 0) {
+    out = r.outcome;
+  } else {
+    std::memcpy(r.values.data(), vals.data(), vals.size_bytes());
+    r.dtype = dtype;
+    if (auto att = compressor_.compress(vals, dtype, scratch_)) {
+      // The block now lives in summarized form: every subsequent read
+      // observes the reconstruction, written back from the image compress()
+      // already built. Outliers are stored exactly, so they stay
+      // bit-identical. Exact-tier encodings (BDI-hybrid) write nothing —
+      // their reconstruction is the identity, so the backing store stays
+      // untouched.
+      compressor_.write_reconstruction(att->block, scratch_, vals);
+      out = {att->block.lines(), att->block.method, att->block.bias};
+    }
+    r.outcome = out;
+    r.valid = out.lines == 0 ||
+              std::memcmp(r.values.data(), vals.data(), vals.size_bytes()) == 0;
   }
-  // The block now lives in summarized form: every subsequent read observes
-  // the reconstruction, written back from the image compress() already
-  // built. Outliers are stored exactly, so they stay bit-identical.
-  // Exact-tier encodings (BDI-hybrid) write nothing — their reconstruction
-  // is the identity, so the backing store stays untouched.
-  compressor_.write_reconstruction(att->block, scratch_, vals);
+  ++counters_.compress_attempts;
+  if (out.lines == 0) {
+    ++counters_.compress_failures;
+    return out;
+  }
   ++counters_.compress_successes;
-  switch (att->block.method) {
+  switch (out.method) {
     case Method::kDownsample1D: ++counters_.blocks_1d; break;
     case Method::kDownsample2D: ++counters_.blocks_2d; break;
     case Method::kBdiHybrid: ++counters_.blocks_bdi; break;
     default: break;
   }
-  compressed_lines_sum_ += att->block.lines();
+  compressed_lines_sum_ += out.lines;
   compressed_blocks_ += 1;
-  return {att->block.lines(), att->block.method, att->block.bias};
+  return out;
 }
 
 double AvrSystem::mean_compression_ratio() const {

@@ -106,7 +106,8 @@ class AvrSystem final : public LlcSystem {
   /// this subsystem's scratch_. On success applies the reconstruction to
   /// the backing store (the functional effect of the block now living in
   /// compressed form) and returns the compressed size/method/bias;
-  /// lines == 0 on failure. Counts compressor events.
+  /// lines == 0 on failure. Counts compressor events. An attempt on the
+  /// bits of a remembered one returns its outcome without compressing.
   CompressOutcome compress_block_values(uint64_t block);
 
   /// Fig. 8, dirty-UCL branch.
@@ -129,6 +130,22 @@ class AvrSystem final : public LlcSystem {
 
   static constexpr int kMaxDepth = 4;
 
+  /// A compression attempt that left the block's values as they were: a
+  /// failure, or a success whose reconstruction equals its input bit for
+  /// bit. Since Compressor::compress is a pure function of the bits, the
+  /// dtype and the config, any later attempt on equal bits and dtype has
+  /// this outcome and leaves the values as they are too.
+  struct RememberedCompression {
+    bool valid = false;
+    DType dtype = DType::kFloat32;
+    CompressOutcome outcome;
+    std::array<float, kValuesPerBlock> values;  // the attempt's input
+  };
+  /// Direct-mapped by block number. On the paper's kernels 64 entries
+  /// (66 KB) catch nearly all the repeats that 1024 would, and 8 fall short
+  /// on lbm (docs/ARCHITECTURE.md, "Remembered compressions").
+  static constexpr uint32_t kCompressMemoEntries = 64;
+
   SimConfig cfg_;
   RegionRegistry& regions_;
   Dram dram_;
@@ -145,6 +162,7 @@ class AvrSystem final : public LlcSystem {
   // is walked). Lists are cleared, never freed, so the victim path stops
   // allocating once they have grown.
   std::array<std::vector<LlcVictim>, kMaxDepth + 1> victims_;
+  std::array<RememberedCompression, kCompressMemoEntries> remembered_;
   Dbuf dbuf_;
   AvrSystemCounters counters_;
   bool last_was_miss_ = false;

@@ -5,7 +5,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
-#include <stdexcept>
 
 namespace avr {
 
@@ -15,8 +14,9 @@ DoppelgangerSystem::DoppelgangerSystem(const SimConfig& cfg, RegionRegistry& reg
   const uint64_t tag_entries = data_entries * cfg.dg_tag_factor;
   tag_ways_ = cfg.llc.ways;
   const uint64_t sets = tag_entries / tag_ways_;
-  // Power-of-two LLC sets and dg_tag_factor (validate_config) make it one.
-  assert(std::has_single_bit(sets));
+  // validate_config: power-of-two LLC sets and dg_tag_factor make it a
+  // power of two, and it is at most 2^31.
+  assert(std::has_single_bit(sets) && sets <= uint64_t{1} << 31);
   tag_sets_ = static_cast<uint32_t>(sets);
   tags_.resize(tag_entries);
   data_.resize(data_entries);

@@ -72,10 +72,12 @@ constexpr Knob kTable[] = {
     AVR_KNOB(llc.ways, 1, 256),
     AVR_KNOB(llc.latency, 0, kU32),
     // Dram shifts by log2 of channels, banks and row size, and maps rows at
-    // memory-block granularity.
-    AVR_KNOB(dram.channels, 1, 0x1p31, .pow2 = true),
-    AVR_KNOB(dram.banks_per_channel, 1, 0x1p31, .pow2 = true),
-    AVR_KNOB(dram.row_bytes, kBlockBytes, 0x1p63, .pow2 = true),
+    // memory-block granularity. It allocates a 24 B bank per (channel, bank):
+    // 256 x 256 banks are 1.5 MiB. A row is an address range, not memory,
+    // but the row shift log2(row x channels x banks) must stay below 64.
+    AVR_KNOB(dram.channels, 1, 256, .pow2 = true),
+    AVR_KNOB(dram.banks_per_channel, 1, 256, .pow2 = true),
+    AVR_KNOB(dram.row_bytes, kBlockBytes, 0x1p47, .pow2 = true),
     AVR_KNOB(dram.t_cl, 0, kU32),
     AVR_KNOB(dram.t_rcd, 0, kU32),
     AVR_KNOB(dram.t_rp, 0, kU32),
@@ -101,8 +103,10 @@ constexpr Knob kTable[] = {
     AVR_KNOB(avr.max_failures, 0, kU32),
     // The truncate kernels build their mask as 1u << bits.
     AVR_KNOB(truncate_bits, 0, 31),
-    // Doppelganger's tag sets (LLC sets x factor) must be a power of two.
-    AVR_KNOB(dg_tag_factor, 1, kU32, .pow2 = true),
+    // Doppelganger's tag sets (LLC sets x factor) must be a power of two,
+    // and its tag array (32 B entries) is factor x LLC lines: at 16 that is
+    // 8x the LLC's data array. validate_config bounds the set count too.
+    AVR_KNOB(dg_tag_factor, 1, 16, .pow2 = true),
     // Doppelganger's map key packs (q_avg << 8 | q_range) into its top 32
     // bits, each quantized bucket below its count (0 buckets would wrap
     // clampq's buckets - 1).
@@ -222,6 +226,14 @@ void validate_config(const SimConfig& c) {
       throw std::invalid_argument("SimConfig: " + named(size) + " in " + named(ways) +
                                   " is not a power-of-two number of sets of 64 B lines");
   }
+  // Doppelganger indexes its tag sets (LLC sets x dg_tag_factor) in 32 bits.
+  const uint64_t tag_sets = c.llc.size_bytes / kCachelineBytes / c.llc.ways * c.dg_tag_factor;
+  if (tag_sets > uint64_t{1} << 31)
+    throw std::invalid_argument("SimConfig: " + named(*find_knob("dg_tag_factor")) +
+                                " with " + named(*find_knob("llc.size_bytes")) + " in " +
+                                named(*find_knob("llc.ways")) + " makes " +
+                                std::to_string(tag_sets) +
+                                " Doppelganger tag sets, above its 2^31");
 }
 
 uint64_t config_fingerprint(const SimConfig& c) {

@@ -21,7 +21,7 @@ Dram::Dram(const DramConfig& cfg) : cfg_(cfg) {
   bank_mask_ = cfg.banks_per_channel - 1;
 
   banks_.resize(uint64_t{cfg.channels} * cfg.banks_per_channel);
-  buses_.resize(cfg.channels);
+  bus_free_at_.resize(cfg.channels);
   t_cl_ = uint64_t{cfg.t_cl} * cfg.cpu_per_dram_cycle;
   t_rcd_ = uint64_t{cfg.t_rcd} * cfg.cpu_per_dram_cycle;
   t_rp_ = uint64_t{cfg.t_rp} * cfg.cpu_per_dram_cycle;
@@ -34,7 +34,7 @@ Dram::Dram(const DramConfig& cfg) : cfg_(cfg) {
 uint64_t Dram::access(uint64_t now, uint64_t addr, uint32_t bytes, bool is_write,
                       uint64_t* stream_done) {
   const uint32_t channel = channel_of(addr);
-  ChannelBus& ch = buses_[channel];
+  uint64_t& bus_free_at = bus_free_at_[channel];
   Bank& bank = banks_[uint64_t{channel} * cfg_.banks_per_channel + bank_of(addr)];
   const uint64_t row = row_of(addr);
 
@@ -59,12 +59,11 @@ uint64_t Dram::access(uint64_t now, uint64_t addr, uint32_t bytes, bool is_write
   const uint64_t first_len = std::min<uint64_t>(chops, 2) * half_burst_;
 
   // Column access; data beats occupy the channel bus back to back.
-  uint64_t bus_start = std::max(t + t_cl_, ch.bus_free_at);
+  uint64_t bus_start = std::max(t + t_cl_, bus_free_at);
   const uint64_t first_done = bus_start + first_len;
   const uint64_t all_done = bus_start + uint64_t{chops} * half_burst_;
 
-  ch.bus_free_at = all_done;
-  ch.busy_cycles += uint64_t{chops} * half_burst_;
+  bus_free_at = all_done;
   bank.ready_at = all_done;
   if (stream_done) *stream_done = all_done;
 
@@ -107,12 +106,6 @@ StatGroup Dram::stats() const {
   g.add_nonzero("read_latency_total", counters_.read_latency_total);
   g.add_nonzero("write_latency_total", counters_.write_latency_total);
   return g;
-}
-
-uint64_t Dram::max_channel_busy() const {
-  uint64_t m = 0;
-  for (const auto& ch : buses_) m = std::max(m, ch.busy_cycles);
-  return m;
 }
 
 }  // namespace avr

@@ -57,21 +57,11 @@ class Dram {
   uint64_t total_bytes() const { return bytes_read() + bytes_written(); }
   uint64_t activations() const { return counters_.activations; }
 
-  /// Busy time of the most loaded channel, for bandwidth-utilization stats.
-  uint64_t max_channel_busy() const;
-
  private:
   struct Bank {
     bool row_open = false;
     uint64_t open_row = 0;
     uint64_t ready_at = 0;  // CPU cycle when the bank can accept a command
-  };
-  // Channel bus state, kept separate from the flat bank array: banks are
-  // indexed [channel * banks_per_channel + bank] so the per-access lookup is
-  // one indexed load instead of a vector-of-vectors pointer chase.
-  struct ChannelBus {
-    uint64_t bus_free_at = 0;
-    uint64_t busy_cycles = 0;
   };
 
   /// One transaction (<= row) on a single bank; returns completion time of
@@ -95,8 +85,11 @@ class Dram {
   }
 
   DramConfig cfg_;
-  std::vector<Bank> banks_;        // channels * banks_per_channel, flat
-  std::vector<ChannelBus> buses_;  // one per channel
+  // Banks are indexed [channel * banks_per_channel + bank] so the
+  // per-access lookup is one indexed load instead of a vector-of-vectors
+  // pointer chase; the channel buses sit beside them.
+  std::vector<Bank> banks_;             // channels * banks_per_channel, flat
+  std::vector<uint64_t> bus_free_at_;  // per channel: CPU cycle its bus frees
   DramCounters counters_;
   // Timings pre-converted to CPU cycles.
   uint64_t t_cl_, t_rcd_, t_rp_, t_burst_, half_burst_;

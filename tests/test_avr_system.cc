@@ -8,6 +8,7 @@
 #include <cmath>
 
 #include "common/prng.hh"
+#include "common/profile.hh"
 
 namespace avr {
 namespace {
@@ -254,6 +255,56 @@ TEST_F(AvrSystemTest, CompressionRatioReported) {
       sys_.request(0, approx_base_ + b * kBlockBytes + i * kCachelineBytes, true);
   sys_.drain(0);
   EXPECT_GT(sys_.mean_compression_ratio(), 8.0);  // smooth data ~16:1
+}
+
+// Writes back line `cl` of `block` dirty, then evicts it by filling its
+// UCL set with exact lines. The block's one-line image lives in another set,
+// so the eviction takes case 1 (recompress on chip). Returns the compressor
+// calls the eviction made.
+uint64_t evict_dirty_ucl(AvrSystem& sys, uint64_t block, uint32_t cl, uint64_t exact) {
+  const uint64_t line = block + cl * kCachelineBytes;
+  sys.writeback(0, line);
+  const uint64_t sets = sys.llc().num_sets();
+  const uint64_t set = (line / kCachelineBytes) % sets;
+  prof::Totals t;
+  prof::ScopedSink sink(&t);
+  for (uint64_t k = 0; k < sys.llc().ways(); ++k)
+    sys.request(0, exact + (k * sets + set) * kCachelineBytes, false);
+  EXPECT_FALSE(sys.llc().ucl_present(line));
+  return t.phase_calls(prof::Phase::kCompress);
+}
+
+// A compression that left a block's values as they were is not run again on
+// the same values: the second of two dirty-UCL evictions reuses the first
+// one's outcome, and counts it the same.
+TEST_F(AvrSystemTest, RecompressingUnchangedValuesRunsTheCompressorOnce) {
+  for (const bool store_between : {false, true}) {
+    SCOPED_TRACE(store_between ? "store between" : "no store");
+    RegionRegistry regions;
+    AvrSystem sys(tiny_cfg(), regions);
+    const uint64_t block = regions.allocate("approx", 4 * kBlockBytes, true);
+    const uint64_t exact = regions.allocate("exact", 64 * kBlockBytes, false);
+    // A constant block compresses to one line and reconstructs to itself.
+    for (float& v : regions.block_values(block)) v = 42.0f;
+    BlockMeta& m = sys.cmt().lookup(block);
+    m.method = Method::kDownsample2D;
+    m.size_lines = 1;
+    sys.request(0, block, false);  // fetch: the image is now in the LLC
+    ASSERT_TRUE(sys.llc().cms_present(block));
+
+    EXPECT_GT(evict_dirty_ucl(sys, block, 1, exact), 0u);
+    EXPECT_EQ(regions.load<float>(block + 4), 42.0f);
+    if (store_between) regions.store<float>(block + 8, 43.0f);
+    const uint64_t second = evict_dirty_ucl(sys, block, 2, exact);
+    if (store_between)
+      EXPECT_GT(second, 0u);
+    else
+      EXPECT_EQ(second, 0u);
+    EXPECT_EQ(sys.counters().evict_recompress, 2u);
+    EXPECT_EQ(sys.counters().compress_attempts, 2u);
+    EXPECT_EQ(sys.counters().compress_successes, 2u);
+    EXPECT_TRUE(sys.llc().cms_present(block));
+  }
 }
 
 TEST_F(AvrSystemTest, OutliersSurviveRoundTrip) {

@@ -5,11 +5,12 @@
 // with the model's asserts live and UB fatal, so a config the table accepts
 // but the model cannot handle fails here.
 //
-// The geometry knobs (cache sizes and ways, DRAM channels, banks and row
-// size, dg_tag_factor) are drawn from bounded windows, so no draw allocates
-// more than a few MB: cache sizes are powers of two from 256 B to 64 KB, and
-// the others mix powers of two with other values. Every other knob is drawn
-// from its whole range.
+// The cache geometry knobs (sizes and ways) and the DRAM row size are drawn
+// from bounded windows, so no draw allocates more than a few MB: cache sizes
+// are powers of two from 256 B to 64 KB, and the others mix powers of two
+// with other values. DRAM channels and banks and dg_tag_factor, whose ranges
+// are sized to memory, mix the same way over their whole range. Every other
+// knob is drawn from its whole range.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -48,11 +49,11 @@ uint64_t geometry(Xoshiro256& rng, int lo_log2, int hi_log2) {
 uint64_t draw(Xoshiro256& rng, const Knob& k) {
   const std::string name = k.name;
   if (name.ends_with(".size_bytes")) return uint64_t{1} << uniform(rng, 8, 16);
-  if (name.ends_with(".ways") || name == "dram.channels" ||
-      name == "dram.banks_per_channel")
-    return geometry(rng, 0, 4);
+  if (name.ends_with(".ways")) return geometry(rng, 0, 4);
   if (name == "dram.row_bytes") return geometry(rng, 9, 13);
-  if (name == "dg_tag_factor") return geometry(rng, 0, 3);
+  if (name == "dram.channels" || name == "dram.banks_per_channel" ||
+      name == "dg_tag_factor")
+    return geometry(rng, 0, std::bit_width(static_cast<uint64_t>(k.hi)) - 1);
   if (k.type == KnobType::kBool) return rng.next() & 1;
   if (k.type == KnobType::kF64) {
     const double pick[] = {k.lo, 1.0, 3.2, 1e300};

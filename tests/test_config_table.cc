@@ -265,6 +265,8 @@ TEST(ConfigTable, GeometryRulesNameTheCacheAndItsNumbers) {
   EXPECT_EQ(refusal(c), "valid");
   // Dram: rows at least one 1 KB block, and power-of-two channels, banks
   // and rows; zero in any of them, or in the clock ratio, is out of range.
+  // The bank array bounds channels and banks by 256 each, and the row shift
+  // (below 64 bits) bounds rows by 2^47.
   const auto dram = [](DramConfig d) {
     SimConfig with;
     with.dram = d;
@@ -273,22 +275,36 @@ TEST(ConfigTable, GeometryRulesNameTheCacheAndItsNumbers) {
   DramConfig d;
   d.row_bytes = 512;
   EXPECT_EQ(dram(d),
-            "SimConfig: dram.row_bytes = 512 is outside 1024..9223372036854775808");
+            "SimConfig: dram.row_bytes = 512 is outside 1024..140737488355328");
   d.row_bytes = 3000;
   EXPECT_EQ(dram(d), "SimConfig: dram.row_bytes = 3000 is not a power of two");
   d.row_bytes = 0;
   EXPECT_EQ(dram(d),
-            "SimConfig: dram.row_bytes = 0 is outside 1024..9223372036854775808");
+            "SimConfig: dram.row_bytes = 0 is outside 1024..140737488355328");
   d = {};
   d.channels = 3;
   EXPECT_EQ(dram(d), "SimConfig: dram.channels = 3 is not a power of two");
   d.channels = 0;
-  EXPECT_EQ(dram(d), "SimConfig: dram.channels = 0 is outside 1..2147483648");
+  EXPECT_EQ(dram(d), "SimConfig: dram.channels = 0 is outside 1..256");
+  d.channels = 512;
+  EXPECT_EQ(dram(d), "SimConfig: dram.channels = 512 is outside 1..256");
   d = {};
   d.banks_per_channel = 12;
   EXPECT_EQ(dram(d), "SimConfig: dram.banks_per_channel = 12 is not a power of two");
   d.banks_per_channel = 0;
-  EXPECT_EQ(dram(d), "SimConfig: dram.banks_per_channel = 0 is outside 1..2147483648");
+  EXPECT_EQ(dram(d), "SimConfig: dram.banks_per_channel = 0 is outside 1..256");
+  d.banks_per_channel = 1u << 31;
+  EXPECT_EQ(dram(d),
+            "SimConfig: dram.banks_per_channel = 2147483648 is outside 1..256");
+  d = {};
+  d.row_bytes = uint64_t{1} << 48;
+  EXPECT_EQ(dram(d),
+            "SimConfig: dram.row_bytes = 281474976710656 is outside 1024..140737488355328");
+  d = {};
+  d.channels = 256;
+  d.banks_per_channel = 256;
+  d.row_bytes = uint64_t{1} << 47;
+  EXPECT_EQ(dram(d), "valid");
   d = {};
   d.cpu_per_dram_cycle = 0;
   EXPECT_EQ(dram(d), "SimConfig: dram.cpu_per_dram_cycle = 0 is outside 1..4294967295");
@@ -297,10 +313,21 @@ TEST(ConfigTable, GeometryRulesNameTheCacheAndItsNumbers) {
   d.banks_per_channel = 8;
   d.row_bytes = 4096;
   EXPECT_EQ(dram(d), "valid");
-  // With power-of-two LLC sets, Doppelganger's tag sets are LLC sets x factor.
+  // With power-of-two LLC sets, Doppelganger's tag sets are LLC sets x factor,
+  // a power of two it indexes in 32 bits, and its tag array is factor x the
+  // LLC's lines.
   c = {};
   c.dg_tag_factor = 3;
   EXPECT_EQ(refusal(c), "SimConfig: dg_tag_factor = 3 is not a power of two");
+  c.dg_tag_factor = 8;
+  EXPECT_EQ(refusal(c), "valid");
+  c.dg_tag_factor = 1u << 31;
+  EXPECT_EQ(refusal(c), "SimConfig: dg_tag_factor = 2147483648 is outside 1..16");
+  c.dg_tag_factor = 16;
+  c.llc = {uint64_t{1} << 34, 1, 15};  // 2^28 sets
+  EXPECT_EQ(refusal(c),
+            "SimConfig: dg_tag_factor = 16 with llc.size_bytes = 17179869184 in "
+            "llc.ways = 1 makes 4294967296 Doppelganger tag sets, above its 2^31");
   c.dg_tag_factor = 8;
   EXPECT_EQ(refusal(c), "valid");
 }
