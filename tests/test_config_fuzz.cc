@@ -100,7 +100,10 @@ TEST(ConfigFuzz, EveryDrawIsRefusedByNameOrSimulates) {
       auto wl = make_trace_workload("trace:fuzz", t);
       wl->run(sys);
       sys.finish();
-      EXPECT_GT(sys.metrics().instructions, 0u);
+      const RunMetrics m = sys.metrics();
+      EXPECT_GT(m.instructions, 0u);
+      // Fig. 11's split conserves bytes: every DRAM byte is approximate or other.
+      EXPECT_EQ(m.dram_bytes_approx + m.dram_bytes_other, m.dram_bytes);
     }
     ++simulated;
   }
