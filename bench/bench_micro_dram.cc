@@ -15,7 +15,7 @@ void BM_LineReadLatency(benchmark::State& state) {
   uint64_t total = 0, n = 0;
   for (auto _ : state) {
     Dram d((DramConfig()));
-    const uint64_t lat = d.read(0, 0x1000, 64);
+    const uint64_t lat = d.read(0, 0x1000, 64, false);
     benchmark::DoNotOptimize(lat);
     total += lat;
     ++n;
@@ -31,7 +31,7 @@ void BM_BlockReadLatency(benchmark::State& state) {
   uint64_t total = 0, n = 0;
   for (auto _ : state) {
     Dram d((DramConfig()));
-    const uint64_t lat = d.read(0, 0x1000, lines * 64);
+    const uint64_t lat = d.read(0, 0x1000, lines * 64, false);
     benchmark::DoNotOptimize(lat);
     total += lat;
     ++n;
@@ -47,7 +47,7 @@ void BM_RandomStreamThroughput(benchmark::State& state) {
   Xoshiro256 rng(3);
   uint64_t now = 0;
   for (auto _ : state) {
-    now += d.read(now, rng.below(1 << 24) * 64, 64);
+    now += d.read(now, rng.below(1 << 24) * 64, 64, false);
     benchmark::DoNotOptimize(now);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 64);

@@ -13,15 +13,16 @@ namespace {
 using namespace avr;
 
 void BM_ConventionalLookup(benchmark::State& state) {
-  SetAssocCache c("bench", 1 << 20, 16);
+  SetAssocCache c(1 << 20, 16);
   Xoshiro256 rng(1);
   for (int i = 0; i < 8192; ++i) {
     const uint64_t line = rng.below(1 << 14) * 64;
-    if (!c.probe(line)) c.fill(line, false);
+    const SetAssocCache::Slot slot = c.lookup(line, false);
+    if (!slot.hit) c.fill(slot, line, false);
   }
   Xoshiro256 addr(2);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(c.access(addr.below(1 << 14) * 64, false));
+    benchmark::DoNotOptimize(c.lookup(addr.below(1 << 14) * 64, false).hit);
   }
 }
 BENCHMARK(BM_ConventionalLookup);
@@ -32,7 +33,7 @@ BENCHMARK(BM_ConventionalLookup);
 // the fill into that way.
 void BM_SetAssocMissFill(benchmark::State& state) {
   constexpr uint64_t kBytes = 1 << 20;
-  SetAssocCache c("bench", kBytes, 16);
+  SetAssocCache c(kBytes, 16);
   const uint64_t lines = 2 * kBytes / kCachelineBytes;
   uint64_t i = 0;
   for (auto _ : state) {

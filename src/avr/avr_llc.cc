@@ -316,17 +316,6 @@ uint16_t AvrLlc::ucls_of_block(uint64_t block, bool dirty_only) const {
   return out;
 }
 
-StatGroup AvrLlc::stats() const {
-  StatGroup g("avr_llc");
-  g.add_nonzero("ucl_accesses", counters_.ucl_accesses);
-  g.add_nonzero("ucl_hits", counters_.ucl_hits);
-  g.add_nonzero("ucl_fills", counters_.ucl_fills);
-  g.add_nonzero("cms_fills", counters_.cms_fills);
-  g.add_nonzero("tag_evictions", counters_.tag_evictions);
-  g.add_nonzero("cms_collateral_evictions", counters_.cms_collateral_evictions);
-  return g;
-}
-
 std::vector<LlcVictim> AvrLlc::all_resident() const {
   std::vector<LlcVictim> out;
   for (uint32_t set = 0; set < sets_; ++set)

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "common/config.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace avr {
@@ -94,9 +93,6 @@ class AvrLlc {
   static constexpr uint32_t kBpaExtraBitsPerEntry = 18;
 
   const AvrLlcCounters& counters() const { return counters_; }
-  /// Snapshot of the counters as a StatGroup (cold path, for reporting);
-  /// zero-valued counters are omitted, as a never-touched map key used to be.
-  StatGroup stats() const;
 
  private:
   // Tag sets are scanned way-by-way on every lookup, so a tag is keyed for

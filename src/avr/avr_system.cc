@@ -20,24 +20,6 @@ DType AvrSystem::dtype_of(uint64_t addr) const {
   return r ? r->dtype : DType::kFloat32;
 }
 
-uint64_t AvrSystem::dram_read(uint64_t now, uint64_t addr, uint32_t bytes,
-                              bool is_approx) {
-  if (is_approx)
-    counters_.traffic_approx_bytes += bytes;
-  else
-    counters_.traffic_other_bytes += bytes;
-  return dram_.read(now, addr, bytes);
-}
-
-void AvrSystem::dram_write(uint64_t now, uint64_t addr, uint32_t bytes,
-                           bool is_approx) {
-  if (is_approx)
-    counters_.traffic_approx_bytes += bytes;
-  else
-    counters_.traffic_other_bytes += bytes;
-  dram_.write(now, addr, bytes);
-}
-
 AvrSystem::CompressOutcome AvrSystem::compress_block_values(uint64_t block) {
   const std::span<float, kValuesPerBlock> vals = regions_.block_values(block);
   const DType dtype = dtype_of(block);
@@ -173,7 +155,7 @@ uint64_t AvrSystem::request(uint64_t now, uint64_t line, bool write) {
     ++counters_.req_miss_other;
 
   if (!ap) {
-    const uint64_t lat = dram_read(now, line, kCachelineBytes, false);
+    const uint64_t lat = dram_.read(now, line, kCachelineBytes, false);
     llc_.ucl_insert(line, write, victims);
     process_victims(now, 0);
     return lat + cfg_.llc.latency;
@@ -184,7 +166,7 @@ uint64_t AvrSystem::request(uint64_t now, uint64_t line, bool write) {
     // Fetch the compressed image together with any lazily evicted lines.
     const uint32_t lines = meta.size_lines + meta.lazy_count;
     const uint64_t lat_dram =
-        dram_read(now, block, lines * kCachelineBytes, true);
+        dram_.read(now, block, lines * kCachelineBytes, true);
     ++counters_.decompressions;
     ++counters_.block_fetches;
     counters_.block_fetch_lines += lines;
@@ -200,7 +182,7 @@ uint64_t AvrSystem::request(uint64_t now, uint64_t line, bool write) {
       } else {
         // Merged block no longer compresses: it becomes uncompressed in
         // memory right away.
-        dram_write(now, block, kBlockBytes, true);
+        dram_.write(now, block, kBlockBytes, true);
         meta.method = Method::kUncompressed;
         meta.size_lines = 0;
         meta.failed = std::min<uint32_t>(meta.failed + 1, 15);
@@ -234,7 +216,7 @@ uint64_t AvrSystem::request(uint64_t now, uint64_t line, bool write) {
   }
 
   // Uncompressed (or never-compressed) block: per-line access like baseline.
-  const uint64_t lat = dram_read(now, line, kCachelineBytes, true);
+  const uint64_t lat = dram_.read(now, line, kCachelineBytes, true);
   llc_.ucl_insert(line, write, victims);
   process_victims(now, 0);
   return lat + cfg_.llc.latency;
@@ -276,7 +258,7 @@ void AvrSystem::process_victims(uint64_t now, int depth) {
 void AvrSystem::handle_dirty_ucl(uint64_t now, uint64_t line, int depth) {
   const uint64_t block = block_addr(line);
   if (!approx(line)) {
-    dram_write(now, line, kCachelineBytes, false);
+    dram_.write(now, line, kCachelineBytes, false);
     ++counters_.evict_other_wb;
     return;
   }
@@ -294,7 +276,7 @@ void AvrSystem::handle_dirty_ucl(uint64_t now, uint64_t line, int depth) {
     } else {
       // Compression failed: the block leaves the LLC uncompressed.
       BlockMeta& meta = cmt_.lookup(block);
-      dram_write(now, block, kBlockBytes, true);
+      dram_.write(now, block, kBlockBytes, true);
       meta.method = Method::kUncompressed;
       meta.size_lines = 0;
       meta.failed = std::min<uint32_t>(meta.failed + 1, 15);
@@ -311,7 +293,7 @@ void AvrSystem::handle_dirty_ucl(uint64_t now, uint64_t line, int depth) {
   // lazily write the line back uncompressed (Sec. 3.1).
   if (meta.compressed() && cfg_.avr.enable_lazy_eviction && meta.lazy_space() > 0) {
     ++counters_.evict_lazy_wb;
-    dram_write(now, line, kCachelineBytes, true);
+    dram_.write(now, line, kCachelineBytes, true);
     cmt_.add_lazy_line(block, line_in_block(line));
     meta.lazy_count = static_cast<uint8_t>(meta.lazy_count + 1);
     return;
@@ -322,18 +304,18 @@ void AvrSystem::handle_dirty_ucl(uint64_t now, uint64_t line, int depth) {
   if (meta.compressed()) {
     ++counters_.evict_fetch_recompress;
     const uint32_t lines = meta.size_lines + meta.lazy_count;
-    dram_read(now, block, lines * kCachelineBytes, true);
+    dram_.read(now, block, lines * kCachelineBytes, true);
     ++counters_.decompressions;
     const CompressOutcome out = compress_block_values(block);
     if (out.lines > 0) {
-      dram_write(now, block, out.lines * kCachelineBytes, true);
+      dram_.write(now, block, out.lines * kCachelineBytes, true);
       meta.size_lines = static_cast<uint8_t>(out.lines);
       meta.method = out.method;
       meta.bias = out.bias;
       meta.failed = 0;
       meta.skipped = 0;
     } else {
-      dram_write(now, block, kBlockBytes, true);
+      dram_.write(now, block, kBlockBytes, true);
       meta.method = Method::kUncompressed;
       meta.size_lines = 0;
       meta.failed = std::min<uint32_t>(meta.failed + 1, 15);
@@ -348,7 +330,7 @@ void AvrSystem::handle_dirty_ucl(uint64_t now, uint64_t line, int depth) {
   // touches memory (no LLC re-insertion), so it is safe at any depth.
   if (should_skip_attempt(meta)) {
     ++counters_.evict_uncompressed_wb;
-    dram_write(now, line, kCachelineBytes, true);
+    dram_.write(now, line, kCachelineBytes, true);
     return;
   }
 
@@ -356,11 +338,11 @@ void AvrSystem::handle_dirty_ucl(uint64_t now, uint64_t line, int depth) {
   const uint32_t resident = static_cast<uint32_t>(
       std::popcount(llc_.ucls_of_block(block, /*dirty_only=*/false)));
   const uint32_t missing = kBlockLines - std::min<uint32_t>(resident + 1, kBlockLines);
-  if (missing > 0) dram_read(now, block, missing * kCachelineBytes, true);
+  if (missing > 0) dram_.read(now, block, missing * kCachelineBytes, true);
   const CompressOutcome out = compress_block_values(block);
   if (out.lines > 0) {
     ++counters_.evict_fetch_recompress;
-    dram_write(now, block, out.lines * kCachelineBytes, true);
+    dram_.write(now, block, out.lines * kCachelineBytes, true);
     meta.method = out.method;
     meta.bias = out.bias;
     meta.size_lines = static_cast<uint8_t>(out.lines);
@@ -372,7 +354,7 @@ void AvrSystem::handle_dirty_ucl(uint64_t now, uint64_t line, int depth) {
     mark_block_ucls_clean(block);
   } else {
     ++counters_.evict_uncompressed_wb;
-    dram_write(now, line, kCachelineBytes, true);
+    dram_.write(now, line, kCachelineBytes, true);
     meta.failed = std::min<uint32_t>(meta.failed + 1, 15);
     meta.skipped = 0;
   }
@@ -389,14 +371,14 @@ void AvrSystem::handle_cms_block_evict(uint64_t now, uint64_t block, bool dirty,
   BlockMeta& meta = cmt_.lookup(block);
   const CompressOutcome out = compress_block_values(block);
   if (out.lines > 0) {
-    dram_write(now, block, out.lines * kCachelineBytes, true);
+    dram_.write(now, block, out.lines * kCachelineBytes, true);
     meta.method = out.method;
     meta.bias = out.bias;
     meta.size_lines = static_cast<uint8_t>(out.lines);
     meta.failed = 0;
     meta.skipped = 0;
   } else {
-    dram_write(now, block, kBlockBytes, true);
+    dram_.write(now, block, kBlockBytes, true);
     meta.method = Method::kUncompressed;
     meta.size_lines = 0;
     meta.failed = std::min<uint32_t>(meta.failed + 1, 15);
@@ -410,7 +392,7 @@ void AvrSystem::handle_cms_block_evict(uint64_t now, uint64_t block, bool dirty,
 // ---------------------------------------------------------------------------
 
 StatGroup AvrSystem::stats() const {
-  StatGroup g("avr_system");
+  StatGroup g;
   g.add_nonzero("requests", counters_.requests);
   g.add_nonzero("approx_requests", counters_.approx_requests);
   g.add_nonzero("req_hit_dbuf", counters_.req_hit_dbuf);
@@ -423,8 +405,7 @@ StatGroup AvrSystem::stats() const {
   g.add_nonzero("decompressions", counters_.decompressions);
   g.add_nonzero("block_fetches", counters_.block_fetches);
   g.add_nonzero("block_fetch_lines", counters_.block_fetch_lines);
-  g.add_nonzero("traffic_approx_bytes", counters_.traffic_approx_bytes);
-  g.add_nonzero("traffic_other_bytes", counters_.traffic_other_bytes);
+  dram_.add_traffic_split(g);
   g.add_nonzero("compress_attempts", counters_.compress_attempts);
   g.add_nonzero("compress_successes", counters_.compress_successes);
   g.add_nonzero("compress_failures", counters_.compress_failures);

@@ -42,8 +42,6 @@ struct AvrSystemCounters {
   uint64_t decompressions = 0;
   uint64_t block_fetches = 0;
   uint64_t block_fetch_lines = 0;
-  uint64_t traffic_approx_bytes = 0;
-  uint64_t traffic_other_bytes = 0;
   uint64_t compress_attempts = 0;
   uint64_t compress_successes = 0;
   uint64_t compress_failures = 0;
@@ -93,9 +91,6 @@ class AvrSystem final : public LlcSystem {
  private:
   bool approx(uint64_t addr) const { return regions_.is_approx(addr); }
   DType dtype_of(uint64_t addr) const;
-
-  uint64_t dram_read(uint64_t now, uint64_t addr, uint32_t bytes, bool is_approx);
-  void dram_write(uint64_t now, uint64_t addr, uint32_t bytes, bool is_approx);
 
   struct CompressOutcome {
     uint32_t lines = 0;  // 0 = compression failed

@@ -25,7 +25,7 @@ BlockMeta BlockMeta::unpack(uint32_t bits) {
 }
 
 Cmt::Cmt(uint32_t cached_pages)
-    : cache_("cmt_cache", uint64_t{cached_pages} * kPageBytes, 4, kPageBytes) {}
+    : cache_(uint64_t{cached_pages} * kPageBytes, 4, kPageBytes) {}
 
 BlockMeta& Cmt::lookup(uint64_t addr) {
   const uint64_t page = page_addr(addr);
@@ -59,13 +59,5 @@ const std::vector<uint8_t>& Cmt::lazy_lines(uint64_t block) {
 }
 
 void Cmt::clear_lazy_lines(uint64_t block) { lazy_[block_addr(block)].clear(); }
-
-StatGroup Cmt::stats() const {
-  StatGroup g("cmt");
-  g.add_nonzero("lookups", counters_.lookups);
-  g.add_nonzero("misses", counters_.misses);
-  g.add_nonzero("metadata_bytes", counters_.metadata_bytes);
-  return g;
-}
 
 }  // namespace avr

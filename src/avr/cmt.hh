@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "cache/set_assoc_cache.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace avr {
@@ -68,8 +67,6 @@ class Cmt {
   /// Metadata DRAM traffic in bytes (reads + writes), charged per CMT miss.
   uint64_t metadata_traffic_bytes() const { return counters_.metadata_bytes; }
   const CmtCounters& counters() const { return counters_; }
-  /// Snapshot of the counters as a StatGroup (cold path, for reporting).
-  StatGroup stats() const;
 
  private:
   std::unordered_map<uint64_t, BlockMeta> table_;           // by block address

@@ -133,10 +133,7 @@ void DoppelgangerSystem::evict_data_entry(uint64_t now, uint32_t idx) {
   for (uint64_t line : d.sharers) {
     TagEntry* t = find_tag(line);
     if (!t) continue;
-    if (t->dirty) {
-      dram_.write(now, line, kCachelineBytes);
-      count_traffic(line, kCachelineBytes);
-    }
+    if (t->dirty) dram_.write(now, line, kCachelineBytes, regions_.is_approx(line));
     t->valid = false;
   }
   by_key_.erase(d.key);
@@ -151,10 +148,8 @@ void DoppelgangerSystem::detach_tag(uint64_t now, TagEntry& t, bool write_back) 
   DataEntry& d = data_[t.data_idx];
   auto it = std::find(d.sharers.begin(), d.sharers.end(), t.line);
   if (it != d.sharers.end()) d.sharers.erase(it);
-  if (t.dirty && write_back) {
-    dram_.write(now, t.line, kCachelineBytes);
-    count_traffic(t.line, kCachelineBytes);
-  }
+  if (t.dirty && write_back)
+    dram_.write(now, t.line, kCachelineBytes, regions_.is_approx(t.line));
   if (d.sharers.empty() && d.valid) {
     by_key_.erase(d.key);
     d.valid = false;
@@ -251,8 +246,7 @@ uint64_t DoppelgangerSystem::request(uint64_t now, uint64_t line, bool write) {
     return cfg_.llc.latency;
   }
   last_was_miss_ = true;
-  const uint64_t lat = dram_.read(now, line, kCachelineBytes);
-  count_traffic(line, kCachelineBytes);
+  const uint64_t lat = dram_.read(now, line, kCachelineBytes, regions_.is_approx(line));
   install(now, line, write);
   return lat + cfg_.llc.latency;
 }
@@ -271,21 +265,19 @@ void DoppelgangerSystem::writeback(uint64_t now, uint64_t line) {
 void DoppelgangerSystem::drain(uint64_t now) {
   for (TagEntry& t : tags_) {
     if (!t.valid || !t.dirty) continue;
-    dram_.write(now, t.line, kCachelineBytes);
-    count_traffic(t.line, kCachelineBytes);
+    dram_.write(now, t.line, kCachelineBytes, regions_.is_approx(t.line));
     t.dirty = false;
   }
 }
 
 StatGroup DoppelgangerSystem::stats() const {
-  StatGroup g("dganger_system");
+  StatGroup g;
   g.add_nonzero("requests", counters_.requests);
   g.add_nonzero("hits", counters_.hits);
   g.add_nonzero("dedup_hits", counters_.dedup_hits);
   g.add_nonzero("unshares", counters_.unshares);
   g.add_nonzero("data_evictions", counters_.data_evictions);
-  g.add_nonzero("traffic_approx_bytes", counters_.traffic_approx_bytes);
-  g.add_nonzero("traffic_other_bytes", counters_.traffic_other_bytes);
+  dram_.add_traffic_split(g);
   return g;
 }
 

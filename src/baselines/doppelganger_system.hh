@@ -33,8 +33,6 @@ struct DoppelgangerCounters {
   uint64_t dedup_hits = 0;
   uint64_t unshares = 0;
   uint64_t data_evictions = 0;
-  uint64_t traffic_approx_bytes = 0;
-  uint64_t traffic_other_bytes = 0;
   /// Valid tags displaced by the tag array's own per-set LRU. Kept out of
   /// the stats() snapshot so persisted result records stay byte-stable.
   uint64_t tag_evictions = 0;
@@ -93,12 +91,6 @@ class DoppelgangerSystem final : public LlcSystem {
   void lru_touch(uint32_t idx);
   void lru_unlink(uint32_t idx);
   void detach_tag(uint64_t now, TagEntry& t, bool write_back);
-  void count_traffic(uint64_t line, uint32_t bytes) {
-    if (regions_.is_approx(line))
-      counters_.traffic_approx_bytes += bytes;
-    else
-      counters_.traffic_other_bytes += bytes;
-  }
   void unshare_for_write(uint64_t now, TagEntry& t);
 
   SimConfig cfg_;

@@ -5,28 +5,16 @@
 #pragma once
 
 #include "baselines/baseline_system.hh"
-#include "common/fp_bits.hh"
 
 namespace avr {
 
+/// The baseline LLC whose approximate lines are 32 B wide on the link.
+/// Lines become half precision whenever they are written back to memory;
+/// data still in caches stays exact, exactly like the hardware.
 class TruncateSystem final : public BaselineSystem {
  public:
-  // Approximate lines become half precision whenever they are written back
-  // to memory; data still in caches stays exact, exactly like the hardware.
   TruncateSystem(const SimConfig& cfg, RegionRegistry& regions)
-      : BaselineSystem(cfg, regions) {}
-
-  uint64_t request(uint64_t now, uint64_t line, bool write) override;
-  void writeback(uint64_t now, uint64_t line) override;
-  void drain(uint64_t now) override;
-
- private:
-  uint32_t line_bytes(uint64_t line) const {
-    return regions_.is_approx(line) ? kCachelineBytes / 2
-                                    : static_cast<uint32_t>(kCachelineBytes);
-  }
-  /// Drop the low `truncate_bits` of every fp32 in the backing line.
-  void truncate_line(uint64_t line);
+      : BaselineSystem(cfg, regions, kCachelineBytes / 2) {}
 };
 
 }  // namespace avr

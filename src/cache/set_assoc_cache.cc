@@ -5,9 +5,8 @@
 
 namespace avr {
 
-SetAssocCache::SetAssocCache(std::string name, uint64_t size_bytes, uint32_t ways,
-                             uint64_t line_bytes)
-    : ways_(ways), name_(std::move(name)) {
+SetAssocCache::SetAssocCache(uint64_t size_bytes, uint32_t ways, uint64_t line_bytes)
+    : ways_(ways) {
   // validate_config (common/config_table.hh) judges configured geometries.
   assert(std::has_single_bit(line_bytes) && ways > 0 &&
          size_bytes % (ways * line_bytes) == 0 &&
@@ -63,17 +62,6 @@ std::vector<std::pair<uint64_t, bool>> SetAssocCache::valid_lines() const {
         out.emplace_back((l.tag << tag_shift_) | (set << line_shift_), l.dirty);
     }
   return out;
-}
-
-StatGroup SetAssocCache::stats() const {
-  StatGroup g(name_);
-  g.set("accesses", counters_.accesses);
-  g.set("hits", counters_.hits);
-  g.set("misses", counters_.misses);
-  g.set("fills", counters_.fills);
-  g.set("evictions", counters_.evictions);
-  g.set("dirty_evictions", counters_.dirty_evictions);
-  return g;
 }
 
 }  // namespace avr

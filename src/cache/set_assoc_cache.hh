@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace avr {
@@ -33,7 +32,7 @@ struct CacheCounters {
 
 class SetAssocCache {
  public:
-  SetAssocCache(std::string name, uint64_t size_bytes, uint32_t ways,
+  SetAssocCache(uint64_t size_bytes, uint32_t ways,
                 uint64_t line_bytes = kCachelineBytes);
 
   /// Result of one scan of `addr`'s set: the way holding the line (hit) or,
@@ -60,13 +59,6 @@ class SetAssocCache {
   /// if present, else allocate it dirty. Returns the allocation's eviction.
   Eviction write_back(uint64_t addr);
 
-  /// Hit-or-miss form of lookup (tests and benches).
-  bool access(uint64_t addr, bool write) { return lookup(addr, write).hit; }
-
-  /// Allocate `addr` (must not be present) with its own scan (tests and
-  /// benches).
-  Eviction fill(uint64_t addr, bool dirty) { return fill(locate(addr), addr, dirty); }
-
   /// Mark an existing line dirty (refreshing LRU). Returns false if absent.
   bool mark_dirty(uint64_t addr);
 
@@ -82,11 +74,8 @@ class SetAssocCache {
 
   uint32_t num_sets() const { return sets_; }
   uint32_t ways() const { return ways_; }
-  const std::string& name() const { return name_; }
 
   const CacheCounters& counters() const { return counters_; }
-  /// Snapshot of the counters as a StatGroup (cold path, for reporting).
-  StatGroup stats() const;
 
  private:
   // An invalid line stores the sentinel tag, so the scan — executed for
@@ -122,7 +111,6 @@ class SetAssocCache {
   uint32_t tag_shift_;   // log2(line bytes * sets_)
   uint64_t set_mask_;    // sets_ - 1
   uint64_t lru_clock_ = 0;
-  std::string name_;
   CacheCounters counters_;
 };
 

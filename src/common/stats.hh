@@ -1,21 +1,18 @@
-// Lightweight named-counter statistics registry.
+// The record snapshot of a design's counters.
 //
-// Every simulator component owns a StatGroup; the harness walks groups to
-// print per-experiment metrics and to compute the paper's derived numbers
-// (MPKI, AMAT, normalized traffic, ...).
+// Components count in plain fields on their hot paths; a StatGroup is built
+// from them on demand, never per access. LlcSystem::stats() builds the one
+// that becomes the `detail` map of a run's record.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace avr {
 
 class StatGroup {
  public:
-  explicit StatGroup(std::string name) : name_(std::move(name)) {}
-
   void add(const std::string& key, uint64_t delta = 1) { counters_[key] += delta; }
   /// Snapshot-builder helper: record `value` only when nonzero, so a flat
   /// counter that was never bumped stays absent — exactly as a never-added
@@ -24,54 +21,16 @@ class StatGroup {
   void add_nonzero(const std::string& key, uint64_t value) {
     if (value) counters_[key] += value;
   }
-  void add_f(const std::string& key, double delta) { fcounters_[key] += delta; }
-  void set(const std::string& key, uint64_t value) { counters_[key] = value; }
-  void set_f(const std::string& key, double value) { fcounters_[key] = value; }
 
   uint64_t get(const std::string& key) const {
     auto it = counters_.find(key);
     return it == counters_.end() ? 0 : it->second;
   }
-  double get_f(const std::string& key) const {
-    auto it = fcounters_.find(key);
-    return it == fcounters_.end() ? 0.0 : it->second;
-  }
 
-  const std::string& name() const { return name_; }
   const std::map<std::string, uint64_t>& counters() const { return counters_; }
-  const std::map<std::string, double>& fcounters() const { return fcounters_; }
-
-  void reset() {
-    counters_.clear();
-    fcounters_.clear();
-  }
-
-  std::string to_string() const;
 
  private:
-  std::string name_;
   std::map<std::string, uint64_t> counters_;
-  std::map<std::string, double> fcounters_;
-};
-
-/// Simple streaming mean/min/max accumulator.
-class Accumulator {
- public:
-  void add(double v) {
-    sum_ += v;
-    if (n_ == 0 || v < min_) min_ = v;
-    if (n_ == 0 || v > max_) max_ = v;
-    ++n_;
-  }
-  uint64_t count() const { return n_; }
-  double sum() const { return sum_; }
-  double mean() const { return n_ ? sum_ / static_cast<double>(n_) : 0.0; }
-  double min() const { return min_; }
-  double max() const { return max_; }
-
- private:
-  double sum_ = 0, min_ = 0, max_ = 0;
-  uint64_t n_ = 0;
 };
 
 }  // namespace avr

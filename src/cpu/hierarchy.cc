@@ -1,7 +1,6 @@
 #include "cpu/hierarchy.hh"
 
 #include <algorithm>
-#include <string>
 
 namespace avr {
 
@@ -13,10 +12,8 @@ MemoryHierarchy::MemoryHierarchy(const SimConfig& cfg, LlcSystem& llc,
       lat_l1_(cfg.core.l1_latency),
       lat_l1l2_(uint64_t{cfg.core.l1_latency} + cfg.core.l2_latency) {
   for (uint32_t c = 0; c < num_cores; ++c) {
-    l1_.push_back(std::make_unique<SetAssocCache>("l1." + std::to_string(c),
-                                                  cfg.l1.size_bytes, cfg.l1.ways));
-    l2_.push_back(std::make_unique<SetAssocCache>("l2." + std::to_string(c),
-                                                  cfg.l2.size_bytes, cfg.l2.ways));
+    l1_.push_back(std::make_unique<SetAssocCache>(cfg.l1.size_bytes, cfg.l1.ways));
+    l2_.push_back(std::make_unique<SetAssocCache>(cfg.l2.size_bytes, cfg.l2.ways));
     L1Filter f;
     f.lines.assign(l1_.back()->num_sets(), kNoLine);
     f.dirty.assign(l1_.back()->num_sets(), 0);

@@ -32,7 +32,8 @@ Dram::Dram(const DramConfig& cfg) : cfg_(cfg) {
 }
 
 uint64_t Dram::access(uint64_t now, uint64_t addr, uint32_t bytes, bool is_write,
-                      uint64_t* stream_done) {
+                      bool approx) {
+  assert(bytes > 0);
   const uint32_t channel = channel_of(addr);
   uint64_t& bus_free_at = bus_free_at_[channel];
   Bank& bank = banks_[uint64_t{channel} * cfg_.banks_per_channel + bank_of(addr)];
@@ -65,37 +66,24 @@ uint64_t Dram::access(uint64_t now, uint64_t addr, uint32_t bytes, bool is_write
 
   bus_free_at = all_done;
   bank.ready_at = all_done;
-  if (stream_done) *stream_done = all_done;
 
   const uint64_t chop_bytes = uint64_t{chops} * 32;
+  const uint64_t lat = first_done - now;
   if (is_write) {
     ++counters_.writes;
     counters_.bytes_written += chop_bytes;
+    counters_.write_latency_total += lat;
   } else {
     ++counters_.reads;
     counters_.bytes_read += chop_bytes;
+    counters_.read_latency_total += lat;
   }
-  return first_done - now;
-}
-
-uint64_t Dram::read(uint64_t now, uint64_t addr, uint32_t bytes) {
-  assert(bytes > 0);
-  uint64_t stream_done = 0;
-  const uint64_t lat = access(now, addr, bytes, /*is_write=*/false, &stream_done);
-  counters_.read_latency_total += lat;
-  return lat;
-}
-
-uint64_t Dram::write(uint64_t now, uint64_t addr, uint32_t bytes) {
-  assert(bytes > 0);
-  uint64_t stream_done = 0;
-  const uint64_t lat = access(now, addr, bytes, /*is_write=*/true, &stream_done);
-  counters_.write_latency_total += lat;
+  if (approx) counters_.approx_bytes += chop_bytes;
   return lat;
 }
 
 StatGroup Dram::stats() const {
-  StatGroup g("dram");
+  StatGroup g;
   g.add_nonzero("reads", counters_.reads);
   g.add_nonzero("writes", counters_.writes);
   g.add_nonzero("bytes_read", counters_.bytes_read);
@@ -106,6 +94,11 @@ StatGroup Dram::stats() const {
   g.add_nonzero("read_latency_total", counters_.read_latency_total);
   g.add_nonzero("write_latency_total", counters_.write_latency_total);
   return g;
+}
+
+void Dram::add_traffic_split(StatGroup& g) const {
+  g.add_nonzero("traffic_approx_bytes", approx_bytes());
+  g.add_nonzero("traffic_other_bytes", other_bytes());
 }
 
 }  // namespace avr

@@ -30,6 +30,9 @@ struct DramCounters {
   uint64_t row_conflicts = 0;
   uint64_t read_latency_total = 0;
   uint64_t write_latency_total = 0;
+  /// The share of bytes_read + bytes_written that moved approximate data:
+  /// Fig. 11's traffic split, counted in the same 32 B chops.
+  uint64_t approx_bytes = 0;
 };
 
 class Dram {
@@ -37,24 +40,35 @@ class Dram {
   /// `cfg` must pass validate_config (common/config_table.hh).
   explicit Dram(const DramConfig& cfg);
 
-  /// Issue a read of `bytes` starting at `addr` at CPU time `now`.
+  /// Issue a read of `bytes` starting at `addr` at CPU time `now`; `approx`
+  /// says whether they are approximate data (the caller's design decides).
   /// Returns the latency in CPU cycles until the *first* critical line is
   /// on chip (subsequent lines of a block stream behind it).
-  uint64_t read(uint64_t now, uint64_t addr, uint32_t bytes);
+  uint64_t read(uint64_t now, uint64_t addr, uint32_t bytes, bool approx) {
+    return access(now, addr, bytes, /*is_write=*/false, approx);
+  }
 
   /// Issue a (posted) write; returns the occupancy latency, which the core
   /// never waits on but which keeps banks/bus busy.
-  uint64_t write(uint64_t now, uint64_t addr, uint32_t bytes);
+  uint64_t write(uint64_t now, uint64_t addr, uint32_t bytes, bool approx) {
+    return access(now, addr, bytes, /*is_write=*/true, approx);
+  }
 
   const DramCounters& counters() const { return counters_; }
   /// Snapshot of the counters as a StatGroup (cold path, for reporting).
   /// Keys match the historical string-keyed counters; zero-valued counters
-  /// are omitted, exactly as a never-touched map key used to be.
+  /// are omitted, exactly as a never-touched map key used to be. The traffic
+  /// split is not among them: add_traffic_split puts it in a design's record.
   StatGroup stats() const;
+  /// Adds the design-record keys `traffic_approx_bytes` and
+  /// `traffic_other_bytes` to `g`, zeros omitted.
+  void add_traffic_split(StatGroup& g) const;
 
   uint64_t bytes_read() const { return counters_.bytes_read; }
   uint64_t bytes_written() const { return counters_.bytes_written; }
   uint64_t total_bytes() const { return bytes_read() + bytes_written(); }
+  uint64_t approx_bytes() const { return counters_.approx_bytes; }
+  uint64_t other_bytes() const { return total_bytes() - approx_bytes(); }
   uint64_t activations() const { return counters_.activations; }
 
  private:
@@ -64,10 +78,10 @@ class Dram {
     uint64_t ready_at = 0;  // CPU cycle when the bank can accept a command
   };
 
-  /// One transaction (<= row) on a single bank; returns completion time of
-  /// the first 64 B beat.
+  /// One transaction (<= row) on a single bank; returns the latency until
+  /// the first 64 B beat is done.
   uint64_t access(uint64_t now, uint64_t addr, uint32_t bytes, bool is_write,
-                  uint64_t* stream_done);
+                  bool approx);
 
   // Address mapping, all shift/mask: the constructor validated that every
   // divisor is a power of two.

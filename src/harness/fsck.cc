@@ -22,18 +22,9 @@ PointId id_of(const std::string& wl, Design d, uint64_t cfg) {
   return {wl, static_cast<int>(d), cfg};
 }
 
-// Metric-value identity, wall-clock excluded — the same definition
-// avr_sweep --assert-same uses: encoded-line comparison keeps it in
-// lockstep with the cache schema.
-std::string value_identity(ExperimentResult r) {
-  r.wall_seconds = 0;
-  return encode_result_line(r);
-}
-
 struct ScanState {
   FsckReport report;
   std::map<PointId, ExperimentResult> last_result;  // load semantics: last wins
-  std::map<PointId, std::string> last_identity;
   std::map<PointId, ClaimRecord> governing;
 };
 
@@ -65,16 +56,14 @@ bool scan(const std::string& path, ScanState* st) {
       case CacheLineKind::kResult: {
         ++st->report.results;
         const PointId id = id_of(r.workload, r.design, r.config_hash);
-        std::string ident = value_identity(r);
-        auto it = st->last_identity.find(id);
-        if (it != st->last_identity.end()) {
-          if (it->second == ident)
+        const auto [it, first] = st->last_result.try_emplace(id, r);
+        if (!first) {
+          if (same_metrics(it->second, r))
             ++st->report.duplicate_results;
           else
             ++st->report.conflicting_results;
+          it->second = std::move(r);
         }
-        st->last_identity[id] = std::move(ident);
-        st->last_result[id] = std::move(r);
         break;
       }
       case CacheLineKind::kClaim: {

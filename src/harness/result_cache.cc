@@ -389,6 +389,12 @@ std::string encode_result_line(const ExperimentResult& r) {
   return frame_v5(s);
 }
 
+bool same_metrics(ExperimentResult a, ExperimentResult b) {
+  a.wall_seconds = 0;
+  b.wall_seconds = 0;
+  return encode_result_line(a) == encode_result_line(b);
+}
+
 bool decode_result_line(const std::string& line, ExperimentResult* out) {
   ExperimentResult r;
   ClaimRecord c;

@@ -136,6 +136,12 @@ CacheLineKind classify_cache_line(const std::string& line,
 /// bit-exactly — re-encoding a decoded record is value-identical.
 std::string encode_result_line(const ExperimentResult& r);
 
+/// Equal in every simulated field: wall_seconds, machine-dependent by
+/// design, is left out. Encoded-line comparison keeps this in lockstep with
+/// the cache schema. `avr_sweep --assert-same` and `avr_sweep --fsck` both
+/// judge records by it.
+bool same_metrics(ExperimentResult a, ExperimentResult b);
+
 /// Parses one result record. Returns false (leaving `*out` unspecified)
 /// for blank, malformed, truncated, checksum-failing, wrong-version — or
 /// claim — lines.

@@ -80,19 +80,20 @@ RunMetrics System::metrics() const {
 
   const Dram& dram = llc_->dram();
   m.dram_bytes = dram.total_bytes();
-  const StatGroup s = llc_->stats();  // cold-path snapshot of the flat counters
-  m.dram_bytes_approx = s.get("traffic_approx_bytes");
-  m.dram_bytes_other = s.get("traffic_other_bytes");
-  for (const auto& [k, v] : s.counters()) m.detail[k] = v;
+  m.dram_bytes_approx = dram.approx_bytes();
+  m.dram_bytes_other = dram.other_bytes();
+  m.detail = llc_->stats().counters();
 
+  EnergyEvents e;
   const bool is_avr = design_ == Design::kAvr || design_ == Design::kZeroAvr;
   if (is_avr) {
     const auto& avr = static_cast<const AvrSystem&>(*llc_);
     m.metadata_bytes = avr.cmt().metadata_traffic_bytes();
     m.compression_ratio = avr.mean_compression_ratio();
+    e.compressions = avr.counters().compress_attempts;
+    e.decompressions = avr.counters().decompressions;
   }
 
-  EnergyEvents e;
   e.instructions = m.instructions;
   e.cycles = m.cycles;
   e.l1_accesses = hier_->l1_accesses();
@@ -100,8 +101,6 @@ RunMetrics System::metrics() const {
   e.llc_accesses = m.llc_requests;
   e.dram_bytes = m.dram_bytes + m.metadata_bytes;
   e.dram_activations = dram.activations();
-  e.compressions = s.get("compress_attempts");
-  e.decompressions = s.get("decompressions");
   e.has_compressor = is_avr;
   m.energy = compute_energy(e);
   return m;

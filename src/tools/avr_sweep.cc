@@ -219,15 +219,6 @@ int run_fsck(const Options& o) {
   return report.has_issues() ? 1 : 0;
 }
 
-/// Metric-value identity between two results: every simulated field, but not
-/// wall_seconds (machine-dependent by design). Encoded-line comparison keeps
-/// this in lockstep with the cache schema.
-bool same_metrics(avr::ExperimentResult a, avr::ExperimentResult b) {
-  a.wall_seconds = 0;
-  b.wall_seconds = 0;
-  return avr::encode_result_line(a) == avr::encode_result_line(b);
-}
-
 using Grid = std::vector<avr::sweep::VariantPoint>;
 
 /// The grid's config fingerprints, each once, in order of first appearance.
@@ -304,7 +295,7 @@ int check_same(const Options& o, const Grid& grid) {
         std::fprintf(stderr, "only in %s: %s x %s\n", o.cache_path.c_str(),
                      key.first.c_str(), avr::to_string(key.second));
         ++differences;
-      } else if (!same_metrics(ra, it->second)) {
+      } else if (!avr::same_metrics(ra, it->second)) {
         std::fprintf(stderr, "values differ: %s x %s\n", key.first.c_str(),
                      avr::to_string(key.second));
         ++differences;

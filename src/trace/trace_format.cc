@@ -154,10 +154,12 @@ bool validate_record(const TraceRecord& rec, uint64_t index,
   return fault == RecordFault::kNone || explain_fault(fault, rec, index, regions, error);
 }
 
-/// Header + region table from the front of the file. On success, `cur` is
-/// left positioned at the first record and *record_count is filled.
-bool parse_prefix(Cursor& cur, size_t file_size, std::vector<TraceRegion>* regions,
-                  uint64_t* record_count, std::string* error) {
+/// Header + region table from the front of the file, which `cur` spans
+/// whole. On success, `cur` is left positioned at the first record and
+/// *record_count is filled.
+bool parse_prefix(Cursor& cur, std::vector<TraceRegion>* regions, uint64_t* record_count,
+                  std::string* error) {
+  const size_t file_size = cur.size;
   if (file_size < kHeaderBytes)
     return fail(error, "truncated header: " + std::to_string(file_size) +
                            " bytes, need " + std::to_string(kHeaderBytes));
@@ -219,17 +221,15 @@ bool parse_prefix(Cursor& cur, size_t file_size, std::vector<TraceRegion>* regio
   return validate_regions(*regions, error);
 }
 
-bool read_file_bytes(const std::string& path, std::string* bytes,
-                     std::string* error, size_t limit) {
+bool read_file_bytes(const std::string& path, std::string* bytes, std::string* error) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return fail(error, "cannot open " + path);
   in.seekg(0, std::ios::end);
   const std::streamoff size = in.tellg();
   if (size < 0) return fail(error, "cannot stat " + path);
   in.seekg(0);
-  const size_t want = std::min<size_t>(static_cast<size_t>(size), limit);
-  bytes->resize(want);
-  if (want > 0 && !in.read(bytes->data(), static_cast<std::streamsize>(want)))
+  bytes->resize(static_cast<size_t>(size));
+  if (size > 0 && !in.read(bytes->data(), size))
     return fail(error, "cannot read " + path);
   return true;
 }
@@ -291,14 +291,13 @@ bool write_trace_file(const std::string& path, const Trace& t, std::string* erro
 
 bool read_trace_file(const std::string& path, Trace* out, std::string* error) {
   std::string bytes;
-  // No limit beyond the format's own: the exact-length check below bounds
-  // record parsing to what was actually read.
-  if (!read_file_bytes(path, &bytes, error, ~size_t{0})) return false;
+  // The exact-length check below bounds record parsing to what was read.
+  if (!read_file_bytes(path, &bytes, error)) return false;
   Cursor cur{reinterpret_cast<const unsigned char*>(bytes.data()), bytes.size()};
 
   Trace t;
   uint64_t record_count = 0;
-  if (!parse_prefix(cur, bytes.size(), &t.regions, &record_count, error))
+  if (!parse_prefix(cur, &t.regions, &record_count, error))
     return false;
   // parse_prefix proved the file is exactly header + regions + count
   // records long, so each record decodes from its fixed 16-byte slot with
@@ -320,30 +319,6 @@ bool read_trace_file(const std::string& path, Trace* out, std::string* error) {
     t.records.push_back(rec);
   }
   *out = std::move(t);
-  return true;
-}
-
-bool probe_trace_file(const std::string& path, TraceInfo* out, std::string* error) {
-  // True file length first (for the exact-size check), then only the prefix
-  // is loaded: probing a multi-GB trace costs its region table, not its
-  // record stream.
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return fail(error, "cannot open " + path);
-  in.seekg(0, std::ios::end);
-  const std::streamoff file_size = in.tellg();
-  in.close();
-  if (file_size < 0) return fail(error, "cannot stat " + path);
-
-  std::string bytes;
-  const size_t prefix = kHeaderBytes + size_t{kMaxRegions} * kRegionEntryBytes;
-  if (!read_file_bytes(path, &bytes, error, prefix)) return false;
-  Cursor cur{reinterpret_cast<const unsigned char*>(bytes.data()), bytes.size()};
-
-  TraceInfo info;
-  if (!parse_prefix(cur, static_cast<size_t>(file_size), &info.regions,
-                    &info.record_count, error))
-    return false;
-  *out = std::move(info);
   return true;
 }
 

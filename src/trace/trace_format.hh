@@ -77,14 +77,6 @@ struct Trace {
   }
 };
 
-/// Region table + record count without the record stream: everything needed
-/// to validate a trace and estimate its cost at startup (`avr_sweep --list`)
-/// without loading the records.
-struct TraceInfo {
-  std::vector<TraceRegion> regions;
-  uint64_t record_count = 0;
-};
-
 /// Structural validity of an in-memory trace (the writer refuses to produce
 /// a file the reader would reject). True, or false with a reason in *error.
 bool validate_trace(const Trace& t, std::string* error);
@@ -96,10 +88,6 @@ bool write_trace_file(const std::string& path, const Trace& t, std::string* erro
 /// Parses `path` under the tolerant-reader contract above. On failure *out
 /// is untouched.
 bool read_trace_file(const std::string& path, Trace* out, std::string* error);
-
-/// Validates header + region table + exact file length (so truncation and
-/// torn records are caught here too) but does not load the records.
-bool probe_trace_file(const std::string& path, TraceInfo* out, std::string* error);
 
 }  // namespace trace
 }  // namespace avr

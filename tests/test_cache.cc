@@ -9,11 +9,19 @@
 namespace avr {
 namespace {
 
+/// Allocates absent `addr` through the slot of a counted miss lookup.
+Eviction fill(SetAssocCache& c, uint64_t addr, bool dirty) {
+  const SetAssocCache::Slot s = c.lookup(addr, false);
+  EXPECT_FALSE(s.hit);
+  return c.fill(s, addr, dirty);
+}
+
 TEST(SetAssocCache, MissThenHit) {
-  SetAssocCache c("t", 4096, 4);
-  EXPECT_FALSE(c.access(0x1000, false));
-  c.fill(0x1000, false);
-  EXPECT_TRUE(c.access(0x1000, false));
+  SetAssocCache c(4096, 4);
+  const SetAssocCache::Slot s = c.lookup(0x1000, false);
+  EXPECT_FALSE(s.hit);
+  c.fill(s, 0x1000, false);
+  EXPECT_TRUE(c.lookup(0x1000, false).hit);
   EXPECT_EQ(c.counters().hits, 1u);
   EXPECT_EQ(c.counters().misses, 1u);
 }
@@ -26,38 +34,38 @@ TEST(SetAssocCacheDeathTest, AssertsAPowerOfTwoLineSize) {
   GTEST_SKIP() << "asserts are compiled out";
 #else
   // 768/4/96 = 2 sets, but the line size is not a power of two.
-  EXPECT_DEATH(SetAssocCache("t", 768, 4, 96), "bad cache geometry");
-  EXPECT_DEATH(SetAssocCache("t", 4096, 4, 0), "bad cache geometry");
+  EXPECT_DEATH(SetAssocCache(768, 4, 96), "bad cache geometry");
+  EXPECT_DEATH(SetAssocCache(4096, 4, 0), "bad cache geometry");
 #endif
 }
 
 TEST(SetAssocCache, LruEviction) {
   // 1 set x 2 ways of 64 B lines.
-  SetAssocCache c("t", 128, 2);
-  c.fill(0x0, false);
-  c.fill(0x40 * 16, false);  // any addr maps to set 0 with 1 set... sets=1
+  SetAssocCache c(128, 2);
+  fill(c, 0x0, false);
+  fill(c, 0x40 * 16, false);  // any addr maps to set 0 with 1 set... sets=1
   // Touch the first line so the second becomes LRU.
-  c.access(0x0, false);
-  const Eviction ev = c.fill(0x40 * 32, false);
+  c.lookup(0x0, false);
+  const Eviction ev = fill(c, 0x40 * 32, false);
   ASSERT_TRUE(ev.valid);
   EXPECT_EQ(ev.addr, 0x40u * 16);
 }
 
 TEST(SetAssocCache, DirtyBitOnWriteAndWritebackReporting) {
-  SetAssocCache c("t", 128, 2);
-  c.fill(0x0, false);
-  c.access(0x0, /*write=*/true);
-  c.fill(0x40 * 16, false);
-  c.access(0x40 * 16, false);  // make line 0 LRU
-  const Eviction ev = c.fill(0x40 * 32, false);
+  SetAssocCache c(128, 2);
+  fill(c, 0x0, false);
+  c.lookup(0x0, /*write=*/true);
+  fill(c, 0x40 * 16, false);
+  c.lookup(0x40 * 16, false);  // make line 0 LRU
+  const Eviction ev = fill(c, 0x40 * 32, false);
   ASSERT_TRUE(ev.valid);
   EXPECT_EQ(ev.addr, 0x0u);
   EXPECT_TRUE(ev.dirty);
 }
 
 TEST(SetAssocCache, FillWithDirtyFlag) {
-  SetAssocCache c("t", 128, 2);
-  c.fill(0x0, /*dirty=*/true);
+  SetAssocCache c(128, 2);
+  fill(c, 0x0, /*dirty=*/true);
   const auto lines = c.valid_lines();
   ASSERT_EQ(lines.size(), 1u);
   EXPECT_EQ(lines[0].first, 0x0u);
@@ -65,16 +73,16 @@ TEST(SetAssocCache, FillWithDirtyFlag) {
 }
 
 TEST(SetAssocCache, MarkDirty) {
-  SetAssocCache c("t", 128, 2);
+  SetAssocCache c(128, 2);
   EXPECT_FALSE(c.mark_dirty(0x0));
-  c.fill(0x0, false);
-  c.fill(0x40 * 16, false);
+  fill(c, 0x0, false);
+  fill(c, 0x40 * 16, false);
   EXPECT_TRUE(c.mark_dirty(0x0));  // dirties 0x0 and makes it MRU
-  Eviction ev = c.fill(0x40 * 32, false);
+  Eviction ev = fill(c, 0x40 * 32, false);
   ASSERT_TRUE(ev.valid);
   EXPECT_EQ(ev.addr, 0x40u * 16);
   EXPECT_FALSE(ev.dirty);
-  ev = c.fill(0x40 * 48, false);
+  ev = fill(c, 0x40 * 48, false);
   ASSERT_TRUE(ev.valid);
   EXPECT_EQ(ev.addr, 0x0u);
   EXPECT_TRUE(ev.dirty);
@@ -82,8 +90,10 @@ TEST(SetAssocCache, MarkDirty) {
 
 TEST(SetAssocCache, LookupSlotNamesTheVictimWay) {
   // 1 set x 4 ways: a miss slot is the first invalid way, then the LRU way.
-  SetAssocCache c("t", 256, 4);
-  for (uint64_t i = 0; i < 3; ++i) c.fill(0x40 * 8 * i, false);
+  // The first three lines arrive as writebacks, which are not lookups, so
+  // the counters below count this test's lookups alone.
+  SetAssocCache c(256, 4);
+  for (uint64_t i = 0; i < 3; ++i) c.write_back(0x40 * 8 * i);
   SetAssocCache::Slot s = c.lookup(0x40 * 24, /*write=*/true);
   EXPECT_FALSE(s.hit);
   EXPECT_EQ(s.idx, 3u);
@@ -101,11 +111,14 @@ TEST(SetAssocCache, LookupSlotNamesTheVictimWay) {
 }
 
 TEST(SetAssocCache, WriteBackDirtiesOrAllocatesDirty) {
-  SetAssocCache c("t", 128, 2);
+  // 1 set x 2 ways. The clean fills go through hand-made miss slots (way 1
+  // is the set's one invalid way, then way 0 holds its LRU line), not
+  // counted lookups, so the access count below is the writebacks' alone.
+  SetAssocCache c(128, 2);
   EXPECT_FALSE(c.write_back(0x0).valid);  // absent: allocated dirty
-  c.fill(0x40 * 16, false);
+  c.fill({1, false}, 0x40 * 16, false);
   EXPECT_FALSE(c.write_back(0x40 * 16).valid);  // present: dirtied, made MRU
-  Eviction ev = c.fill(0x40 * 32, false);
+  Eviction ev = c.fill({0, false}, 0x40 * 32, false);
   ASSERT_TRUE(ev.valid);
   EXPECT_EQ(ev.addr, 0x0u);
   EXPECT_TRUE(ev.dirty);
@@ -119,9 +132,9 @@ TEST(SetAssocCache, WriteBackDirtiesOrAllocatesDirty) {
 }
 
 TEST(SetAssocCache, ValidLinesEnumeratesAddressesCorrectly) {
-  SetAssocCache c("t", 64 * 1024, 16);
+  SetAssocCache c(64 * 1024, 16);
   const uint64_t addrs[] = {0x10000, 0x2F040, 0xABCDE000};
-  for (uint64_t a : addrs) c.fill(a, true);
+  for (uint64_t a : addrs) fill(c, a, true);
   auto lines = c.valid_lines();
   EXPECT_EQ(lines.size(), 3u);
   for (uint64_t a : addrs) {
@@ -136,21 +149,21 @@ TEST(SetAssocCache, ValidLinesEnumeratesAddressesCorrectly) {
 }
 
 TEST(SetAssocCache, ProbeHasNoSideEffects) {
-  SetAssocCache c("t", 128, 2);
-  c.fill(0x0, false);
-  c.fill(0x40 * 16, false);
+  SetAssocCache c(128, 2);
+  fill(c, 0x0, false);
+  fill(c, 0x40 * 16, false);
   c.probe(0x0);  // must NOT refresh LRU
-  const Eviction ev = c.fill(0x40 * 32, false);
+  const Eviction ev = fill(c, 0x40 * 32, false);
   ASSERT_TRUE(ev.valid);
   EXPECT_EQ(ev.addr, 0x0u);  // 0x0 was still LRU despite the probe
 }
 
 TEST(SetAssocCache, DistinctSetsDoNotInterfere) {
-  SetAssocCache c("t", 8192, 2);  // 64 sets
-  c.fill(0x0, false);
-  c.fill(0x40, false);  // next line, different set
-  EXPECT_TRUE(c.access(0x0, false));
-  EXPECT_TRUE(c.access(0x40, false));
+  SetAssocCache c(8192, 2);  // 64 sets
+  fill(c, 0x0, false);
+  fill(c, 0x40, false);  // next line, different set
+  EXPECT_TRUE(c.lookup(0x0, false).hit);
+  EXPECT_TRUE(c.lookup(0x40, false).hit);
 }
 
 struct Fnv1a {
@@ -160,8 +173,8 @@ struct Fnv1a {
   }
 };
 
-// A seeded mix of reads, writes (access, then fill on a miss) and
-// writebacks (mark_dirty, then a dirty fill on a miss) over a footprint of
+// A seeded mix of reads, writes (lookup, then fill on a miss) and
+// writebacks (write_back: dirty if present, else a dirty fill) over a footprint of
 // about three times the capacity, with a hot subset, on the tiny geometries
 // the scaled L1/L2 use and on an LLC-like one. Every hit bit, every
 // eviction, the final counters and the final contents fold into one FNV-1a
@@ -174,7 +187,7 @@ TEST(SetAssocCacheChurn, DigestPinned) {
   constexpr Geometry kGeometries[] = {{1, 2}, {2, 4}, {4, 8}, {64, 16}};
   Fnv1a d;
   for (const Geometry g : kGeometries) {
-    SetAssocCache c("churn", uint64_t{g.sets} * g.ways * kCachelineBytes, g.ways);
+    SetAssocCache c(uint64_t{g.sets} * g.ways * kCachelineBytes, g.ways);
     Xoshiro256 rng(0xCAC4E + g.sets * 131 + g.ways);
     const uint64_t lines = uint64_t{g.sets} * g.ways * 3;
     const uint64_t hot = std::max<uint64_t>(1, lines / 8);
@@ -190,13 +203,15 @@ TEST(SetAssocCacheChurn, DigestPinned) {
       const uint64_t kind = rng.below(10);
       if (kind < 7) {
         const bool write = kind >= 5;
-        const bool hit = c.access(addr, write);
-        d.u64(hit);
-        if (!hit) fold(c.fill(addr, write));
+        const SetAssocCache::Slot s = c.lookup(addr, write);
+        d.u64(s.hit);
+        if (!s.hit) fold(c.fill(s, addr, write));
       } else {
-        const bool present = c.mark_dirty(addr);
+        // A writeback: dirty the line if present, else allocate it dirty.
+        const bool present = c.probe(addr);
         d.u64(present);
-        if (!present) fold(c.fill(addr, /*dirty=*/true));
+        const Eviction ev = c.write_back(addr);
+        if (!present) fold(ev);
       }
     }
     const CacheCounters& k = c.counters();
@@ -216,12 +231,12 @@ TEST(SetAssocCacheChurn, DigestPinned) {
 class CacheProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(CacheProperty, OccupancyNeverExceedsCapacity) {
-  SetAssocCache c("t", 16 * 1024, 8);  // 256 lines
+  SetAssocCache c(16 * 1024, 8);  // 256 lines
   Xoshiro256 rng(GetParam());
   for (int i = 0; i < 5000; ++i) {
     const uint64_t addr = rng.below(1 << 20) * kCachelineBytes;
-    if (!c.access(addr, rng.below(2)))
-      c.fill(addr, false);
+    const SetAssocCache::Slot s = c.lookup(addr, rng.below(2));
+    if (!s.hit) c.fill(s, addr, false);
   }
   EXPECT_LE(c.valid_lines().size(), 256u);
   EXPECT_EQ(c.counters().accesses, 5000u);
@@ -229,15 +244,17 @@ TEST_P(CacheProperty, OccupancyNeverExceedsCapacity) {
 }
 
 TEST_P(CacheProperty, SmallWorkingSetAlwaysHitsAfterWarmup) {
-  SetAssocCache c("t", 16 * 1024, 8);
+  SetAssocCache c(16 * 1024, 8);
   Xoshiro256 rng(GetParam() * 7);
   // 64 lines working set in a 256-line cache.
   std::vector<uint64_t> ws;
   for (int i = 0; i < 64; ++i) ws.push_back(rng.below(1 << 16) * kCachelineBytes);
-  for (uint64_t a : ws)
-    if (!c.access(a, false)) c.fill(a, false);
+  for (uint64_t a : ws) {
+    const SetAssocCache::Slot s = c.lookup(a, false);
+    if (!s.hit) c.fill(s, a, false);
+  }
   for (int round = 0; round < 3; ++round)
-    for (uint64_t a : ws) EXPECT_TRUE(c.access(a, false));
+    for (uint64_t a : ws) EXPECT_TRUE(c.lookup(a, false).hit);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CacheProperty, ::testing::Values(1, 2, 3, 4, 5, 6));

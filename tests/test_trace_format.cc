@@ -57,27 +57,13 @@ std::string valid_bytes() {
 }
 
 /// The reader must reject `bytes` by clean error return.
-void expect_reader_rejects(const std::string& bytes, const std::string& why) {
+void expect_rejected(const std::string& bytes, const std::string& why) {
   const std::string path = temp_path("bad.trace");
   spit(path, bytes);
   Trace t;
   std::string read_err;
   EXPECT_FALSE(read_trace_file(path, &t, &read_err)) << why;
   EXPECT_FALSE(read_err.empty()) << why;
-}
-
-/// Both entry points must reject `bytes`: corruption in the header/region
-/// prefix or the byte-length contract, which probe validates too. (Record
-/// *payload* corruption is reader-only — probe never parses records — so
-/// those cases use expect_reader_rejects.)
-void expect_rejected(const std::string& bytes, const std::string& why) {
-  expect_reader_rejects(bytes, why);
-  const std::string path = temp_path("bad.trace");
-  spit(path, bytes);
-  TraceInfo info;
-  std::string probe_err;
-  EXPECT_FALSE(probe_trace_file(path, &info, &probe_err)) << why;
-  EXPECT_FALSE(probe_err.empty()) << why;
 }
 
 // ---- round trip ------------------------------------------------------------
@@ -208,18 +194,6 @@ TEST(TraceFormat, WriterProducesCanonicalLength) {
                               t.records.size() * kRecordBytes);
 }
 
-TEST(TraceFormat, ProbeReportsRegionsAndCount) {
-  const Trace t = small_trace();
-  const std::string path = temp_path("probe.trace");
-  std::string err;
-  ASSERT_TRUE(write_trace_file(path, t, &err)) << err;
-  TraceInfo info;
-  ASSERT_TRUE(probe_trace_file(path, &info, &err)) << err;
-  EXPECT_EQ(info.record_count, t.records.size());
-  ASSERT_EQ(info.regions.size(), t.regions.size());
-  EXPECT_EQ(info.regions[0].name, t.regions[0].name);
-}
-
 // ---- adversarial corpus ----------------------------------------------------
 
 TEST(TraceFormat, RejectsMissingAndEmptyFiles) {
@@ -348,24 +322,24 @@ TEST(TraceFormat, RejectsBadOpSizeAlignmentAndReservedBytes) {
   {
     std::string bytes = base;
     bytes[kRec0] = 7;  // op
-    expect_reader_rejects(bytes, "unknown op");
+    expect_rejected(bytes, "unknown op");
   }
   {
     std::string bytes = base;
     bytes[kRec0 + 1] = 1;  // reserved byte
-    expect_reader_rejects(bytes, "nonzero record reserved byte");
+    expect_rejected(bytes, "nonzero record reserved byte");
   }
   for (uint32_t bad_size : {0u, 2u, 6u, kMaxRecordSize + 4}) {
     std::string bytes = base;
     for (size_t b = 0; b < 4; ++b)
       bytes[kRec0 + 4 + b] = static_cast<char>((bad_size >> (8 * b)) & 0xFF);
-    expect_reader_rejects(bytes, "bad size " + std::to_string(bad_size));
+    expect_rejected(bytes, "bad size " + std::to_string(bad_size));
   }
   {
     std::string bytes = base;
     bytes[kRec0 + 8] = 2;  // offset = 2: unaligned
     for (size_t b = 1; b < 8; ++b) bytes[kRec0 + 8 + b] = 0;
-    expect_reader_rejects(bytes, "unaligned offset");
+    expect_rejected(bytes, "unaligned offset");
   }
 }
 
