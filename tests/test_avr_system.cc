@@ -307,6 +307,96 @@ TEST_F(AvrSystemTest, RecompressingUnchangedValuesRunsTheCompressorOnce) {
   }
 }
 
+// Whether the LLC holds a dirty compressed image of `block`.
+bool cms_dirty_in_llc(const AvrSystem& sys, uint64_t block) {
+  for (const LlcVictim& v : sys.llc().all_resident())
+    if (v.kind == LlcVictim::kCmsBlock && v.addr == block) return v.dirty;
+  return false;
+}
+
+// Marks `block` compressed in memory: a one-line image plus `lazy` lines
+// lazily written back beside it.
+void mark_compressed(AvrSystem& sys, uint64_t block, uint8_t lazy) {
+  BlockMeta& m = sys.cmt().lookup(block);
+  m.method = Method::kDownsample2D;
+  m.size_lines = 1;
+  m.lazy_count = lazy;
+}
+
+// Fig. 7: a fetch of a compressed block with lazy lines reads the image and
+// the lazy lines, merges and recompresses them; the merged image stays in
+// the LLC dirty and nothing is written to memory yet.
+TEST_F(AvrSystemTest, LazyMergeThatRecompressesStaysDirtyInLlc) {
+  const uint64_t block = approx_base_;
+  fill_smooth(regions_, block, 50.0f);
+  mark_compressed(sys_, block, 2);
+  const uint64_t r0 = sys_.dram().bytes_read(), w0 = sys_.dram().bytes_written();
+  const uint64_t l0 = sys_.cmt().counters().lookups;
+  sys_.request(0, block + 3 * kCachelineBytes, false);
+  EXPECT_EQ(sys_.dram().bytes_read() - r0, 3 * kCachelineBytes);
+  EXPECT_EQ(sys_.dram().bytes_written() - w0, 0u);
+  EXPECT_EQ(sys_.cmt().counters().lookups - l0, 1u);
+  EXPECT_TRUE(cms_dirty_in_llc(sys_, block));
+  const BlockMeta* pm = sys_.cmt().peek(block);
+  ASSERT_NE(pm, nullptr);
+  EXPECT_EQ(pm->lazy_count, 0u);
+  EXPECT_EQ(pm->method, Method::kDownsample2D);
+  EXPECT_EQ(pm->size_lines, 1u);
+  EXPECT_EQ(pm->failed, 0u);
+}
+
+// Fig. 7: the same fetch, but the merged values no longer compress: the
+// block is written back as 1 KB raw and its entry turns uncompressed with
+// one failure on record.
+TEST_F(AvrSystemTest, LazyMergeThatFailsWritesTheRawBlock) {
+  const uint64_t block = approx_base_;
+  fill_noise(regions_, block, 7);
+  mark_compressed(sys_, block, 2);
+  const uint64_t r0 = sys_.dram().bytes_read(), w0 = sys_.dram().bytes_written();
+  const uint64_t l0 = sys_.cmt().counters().lookups;
+  sys_.request(0, block + 3 * kCachelineBytes, false);
+  EXPECT_EQ(sys_.dram().bytes_read() - r0, 3 * kCachelineBytes);
+  EXPECT_EQ(sys_.dram().bytes_written() - w0, kBlockBytes);
+  EXPECT_EQ(sys_.cmt().counters().lookups - l0, 1u);
+  EXPECT_FALSE(sys_.llc().cms_present(block));
+  const BlockMeta* pm = sys_.cmt().peek(block);
+  ASSERT_NE(pm, nullptr);
+  EXPECT_EQ(pm->method, Method::kUncompressed);
+  EXPECT_EQ(pm->size_lines, 0u);
+  EXPECT_EQ(pm->lazy_count, 0u);
+  EXPECT_EQ(pm->failed, 1u);
+  EXPECT_EQ(pm->skipped, 0u);
+}
+
+// Fig. 8 case 1: a dirty UCL leaves while the block's image is in the LLC,
+// but the block's values stopped compressing. The image is dropped, the
+// block is written back as 1 KB raw, and the entry is looked up once, only
+// because the compression failed.
+TEST_F(AvrSystemTest, OnChipRecompressionThatFailsWritesTheRawBlock) {
+  const uint64_t block = approx_base_;
+  fill_smooth(regions_, block, 50.0f);
+  mark_compressed(sys_, block, 0);
+  sys_.request(0, block, false);  // fetch: the image is now in the LLC
+  ASSERT_TRUE(sys_.llc().cms_present(block));
+  fill_noise(regions_, block, 11);
+  const uint64_t r0 = sys_.dram().bytes_read(), w0 = sys_.dram().bytes_written();
+  const uint64_t l0 = sys_.cmt().counters().lookups;
+  evict_dirty_ucl(sys_, block, 1, exact_base_);
+  // The eviction's exact requests each miss and read one line.
+  EXPECT_EQ(sys_.dram().bytes_read() - r0, sys_.llc().ways() * kCachelineBytes);
+  EXPECT_EQ(sys_.dram().bytes_written() - w0, kBlockBytes);
+  EXPECT_EQ(sys_.cmt().counters().lookups - l0, 1u);
+  EXPECT_EQ(sys_.counters().evict_recompress, 1u);
+  EXPECT_FALSE(sys_.llc().cms_present(block));
+  const BlockMeta* pm = sys_.cmt().peek(block);
+  ASSERT_NE(pm, nullptr);
+  EXPECT_EQ(pm->method, Method::kUncompressed);
+  EXPECT_EQ(pm->size_lines, 0u);
+  EXPECT_EQ(pm->lazy_count, 0u);
+  EXPECT_EQ(pm->failed, 1u);
+  EXPECT_EQ(pm->skipped, 0u);
+}
+
 TEST_F(AvrSystemTest, OutliersSurviveRoundTrip) {
   const uint64_t block = approx_base_;
   fill_smooth(regions_, block, 50.0f);
