@@ -1,5 +1,6 @@
 // BDI lossless kernel microbenchmarks plus the stacked-ratio analysis
-// table (DESIGN.md §8: lossless BDI on top of / beside AVR).
+// table (lossless BDI on top of / beside AVR; docs/ARCHITECTURE.md,
+// "Two-tier method layer").
 //
 // Default mode runs the Google Benchmark kernels — the per-line encoder on
 // each encoding class, the whole-block size model, and the compressor's

@@ -238,15 +238,6 @@ uint32_t AvrLlc::cms_count(uint64_t block) const {
   return t ? t->cms : 0;
 }
 
-bool AvrLlc::cms_dirty(uint64_t block) const {
-  const TagEntry* t = find_tag(block_addr(block));
-  return t && t->block_dirty;
-}
-
-void AvrLlc::cms_mark_dirty(uint64_t block) {
-  if (TagEntry* t = find_tag(block_addr(block))) t->block_dirty = true;
-}
-
 void AvrLlc::cms_touch(uint64_t block) {
   block = block_addr(block);
   TagEntry* t = find_tag(block);

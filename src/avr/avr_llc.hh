@@ -66,8 +66,6 @@ class AvrLlc {
   /// Is the compressed image of `block` resident (all CMSs)?
   bool cms_present(uint64_t block) const;
   uint32_t cms_count(uint64_t block) const;
-  bool cms_dirty(uint64_t block) const;
-  void cms_mark_dirty(uint64_t block);
   void cms_touch(uint64_t block);  // LRU refresh on block access
   /// Insert the `count` CMSs of a compressed block (old copy, if any, must
   /// have been removed). Victims are appended to `out`.

@@ -103,18 +103,11 @@ uint64_t AvrSystem::request(uint64_t now, uint64_t line, bool write) {
 
   std::vector<LlcVictim>& victims = victim_list(0);
 
-  // 1. DBUF lookup, in parallel with the tag array.
+  // 1. DBUF lookup, in parallel with the tag array. The UCL is also written
+  // from the DBUF into the LLC (Sec. 3.5).
   if (ap && dbuf_.holds(line)) {
     ++counters_.req_hit_dbuf;
-    dbuf_.mark_requested(line);
-    // The UCL is also written from the DBUF into the LLC (Sec. 3.5).
-    if (!llc_.ucl_present(line)) {
-      llc_.ucl_insert(line, write, victims);
-      dbuf_.mark_in_llc(line);
-      process_victims(now, 0);
-    } else {
-      llc_.ucl_access(line, write);
-    }
+    deliver_from_dbuf(now, line, write);
     return cfg_.llc.latency;
   }
 
@@ -133,16 +126,9 @@ uint64_t AvrSystem::request(uint64_t now, uint64_t line, bool write) {
     const uint32_t k = llc_.cms_count(block);
     llc_.cms_touch(block);
     ++counters_.decompressions;
-    // Displace the DBUF: consult the PFE about the outgoing block first.
-    run_pfe(now, 0);
-    dbuf_.refill(block);
-    dbuf_.mark_requested(line);
-    llc_.ucl_insert(line, write, victims);
-    dbuf_.mark_in_llc(line);
-    process_victims(now, 0);
-    const uint64_t lat = cfg_.llc.latency +
-                         uint64_t{cfg_.avr.cms_stream_cycles} * (k - 1) +
-                         cfg_.avr.decompress_latency;
+    refill_dbuf(now, block);
+    deliver_from_dbuf(now, line, write);
+    const uint64_t lat = cfg_.llc.latency + decompress_cycles(k);
     counters_.hit_compressed_latency_total += lat;
     return lat;
   }
@@ -171,48 +157,25 @@ uint64_t AvrSystem::request(uint64_t now, uint64_t line, bool write) {
     ++counters_.block_fetches;
     counters_.block_fetch_lines += lines;
 
-    bool inserted_cms = false;
-    if (meta.lazy_count > 0) {
-      // Incorporate lazy lines and recompress immediately; the merged block
-      // is marked dirty in the LLC (Sec. 3.5).
+    if (meta.lazy_count == 0) {
+      llc_.cms_insert(block, meta.size_lines, /*dirty=*/false, victims);
+    } else {
+      // Incorporate lazy lines and recompress immediately (Sec. 3.5). The
+      // merged image is marked dirty in the LLC and supersedes the memory
+      // image; the CMT size is refreshed when it is written back. A merged
+      // block that no longer compresses goes to memory uncompressed now.
       const CompressOutcome out = compress_block_values(block);
       if (out.lines > 0) {
         llc_.cms_insert(block, out.lines, /*dirty=*/true, victims);
-        inserted_cms = true;
+        meta.lazy_count = 0;
       } else {
-        // Merged block no longer compresses: it becomes uncompressed in
-        // memory right away.
-        dram_.write(now, block, kBlockBytes, true);
-        meta.method = Method::kUncompressed;
-        meta.size_lines = 0;
-        meta.failed = std::min<uint32_t>(meta.failed + 1, 15);
-        meta.lazy_count = 0;
-        cmt_.clear_lazy_lines(block);
+        write_block(now, block, meta, out);
       }
-      if (inserted_cms) {
-        meta.lazy_count = 0;
-        cmt_.clear_lazy_lines(block);
-        // The dirty LLC image supersedes the memory image; CMT size is
-        // refreshed when it is written back.
-      }
-    } else {
-      llc_.cms_insert(block, meta.size_lines, /*dirty=*/false, victims);
-      inserted_cms = true;
     }
-
-    run_pfe(now, 0);
-    dbuf_.refill(block);
-    dbuf_.mark_requested(line);
-    if (!llc_.ucl_present(line)) {
-      llc_.ucl_insert(line, write, victims);
-      dbuf_.mark_in_llc(line);
-    } else {
-      llc_.ucl_access(line, write);
-    }
-    process_victims(now, 0);
-    const uint32_t k = inserted_cms ? llc_.cms_count(block) : meta.size_lines;
-    return lat_dram + uint64_t{cfg_.avr.cms_stream_cycles} * (k > 0 ? k - 1 : 0) +
-           cfg_.avr.decompress_latency + cfg_.llc.latency;
+    refill_dbuf(now, block);
+    deliver_from_dbuf(now, line, write);
+    // No image is resident after a failed merge: it streams nothing.
+    return lat_dram + decompress_cycles(llc_.cms_count(block)) + cfg_.llc.latency;
   }
 
   // Uncompressed (or never-compressed) block: per-line access like baseline.
@@ -220,6 +183,41 @@ uint64_t AvrSystem::request(uint64_t now, uint64_t line, bool write) {
   llc_.ucl_insert(line, write, victims);
   process_victims(now, 0);
   return lat + cfg_.llc.latency;
+}
+
+uint64_t AvrSystem::decompress_cycles(uint32_t k) const {
+  return uint64_t{cfg_.avr.cms_stream_cycles} * (k > 0 ? k - 1 : 0) +
+         cfg_.avr.decompress_latency;
+}
+
+void AvrSystem::refill_dbuf(uint64_t now, uint64_t block) {
+  // PFE (Sec. 3.3): promote the outgoing block's remaining lines when at
+  // least pfe_threshold of them were requested while it was buffered.
+  if (dbuf_.valid() && cfg_.avr.enable_pfe &&
+      dbuf_.requested_count() >= cfg_.avr.pfe_threshold) {
+    ++counters_.pfe_promotions;
+    const uint64_t old = dbuf_.block();
+    std::vector<LlcVictim>& victims = victim_list(1);
+    for (uint32_t cl = 0; cl < kBlockLines; ++cl) {
+      const uint64_t line = old + cl * kCachelineBytes;
+      if (dbuf_.line_in_llc(line) || llc_.ucl_present(line)) continue;
+      llc_.ucl_insert(line, /*dirty=*/false, victims);
+      ++counters_.pfe_lines;
+    }
+    process_victims(now, 1);
+  }
+  dbuf_.refill(block);
+}
+
+void AvrSystem::deliver_from_dbuf(uint64_t now, uint64_t line, bool write) {
+  dbuf_.mark_requested(line);
+  if (llc_.ucl_present(line)) {
+    llc_.ucl_access(line, write);
+  } else {
+    llc_.ucl_insert(line, write, victims_[0]);
+    dbuf_.mark_in_llc(line);
+  }
+  process_victims(now, 0);
 }
 
 void AvrSystem::writeback(uint64_t now, uint64_t line) {
@@ -249,10 +247,26 @@ void AvrSystem::process_victims(uint64_t now, int depth) {
       if (!v.dirty) continue;  // clean lines vanish silently
       handle_dirty_ucl(now, v.addr, depth);
     } else {
-      handle_cms_block_evict(now, v.addr, v.dirty, depth);
+      handle_cms_block_evict(now, v.addr, v.dirty);
     }
   }
   victims.clear();
+}
+
+void AvrSystem::write_block(uint64_t now, uint64_t block, BlockMeta& meta,
+                            const CompressOutcome& out) {
+  const uint64_t bytes = out.lines > 0 ? out.lines * kCachelineBytes : kBlockBytes;
+  dram_.write(now, block, bytes, true);
+  meta.method = out.method;
+  meta.bias = out.bias;
+  meta.size_lines = static_cast<uint8_t>(out.lines);
+  meta.lazy_count = 0;
+  if (out.lines > 0) {
+    meta.failed = 0;
+    meta.skipped = 0;
+  } else {
+    meta.note_failure();
+  }
 }
 
 void AvrSystem::handle_dirty_ucl(uint64_t now, uint64_t line, int depth) {
@@ -265,24 +279,17 @@ void AvrSystem::handle_dirty_ucl(uint64_t now, uint64_t line, int depth) {
   ++counters_.approx_evictions;
 
   // Case 1: the compressed image is in the LLC -> update and recompress it
-  // on chip (no memory traffic).
+  // on chip (no memory traffic). If that fails, the block leaves the LLC
+  // uncompressed; only then is its CMT entry looked up.
   if (llc_.cms_present(block) && depth < kMaxDepth) {
     ++counters_.evict_recompress;
     ++counters_.decompressions;
     const CompressOutcome out = compress_block_values(block);
     llc_.cms_remove(block);
-    if (out.lines > 0) {
+    if (out.lines > 0)
       llc_.cms_insert(block, out.lines, /*dirty=*/true, victim_list(depth + 1));
-    } else {
-      // Compression failed: the block leaves the LLC uncompressed.
-      BlockMeta& meta = cmt_.lookup(block);
-      dram_.write(now, block, kBlockBytes, true);
-      meta.method = Method::kUncompressed;
-      meta.size_lines = 0;
-      meta.failed = std::min<uint32_t>(meta.failed + 1, 15);
-      meta.lazy_count = 0;
-      cmt_.clear_lazy_lines(block);
-    }
+    else
+      write_block(now, block, cmt_.lookup(block), out);
     process_victims(now, depth + 1);
     return;
   }
@@ -294,7 +301,6 @@ void AvrSystem::handle_dirty_ucl(uint64_t now, uint64_t line, int depth) {
   if (meta.compressed() && cfg_.avr.enable_lazy_eviction && meta.lazy_space() > 0) {
     ++counters_.evict_lazy_wb;
     dram_.write(now, line, kCachelineBytes, true);
-    cmt_.add_lazy_line(block, line_in_block(line));
     meta.lazy_count = static_cast<uint8_t>(meta.lazy_count + 1);
     return;
   }
@@ -303,25 +309,9 @@ void AvrSystem::handle_dirty_ucl(uint64_t now, uint64_t line, int depth) {
   // recompress, write back.
   if (meta.compressed()) {
     ++counters_.evict_fetch_recompress;
-    const uint32_t lines = meta.size_lines + meta.lazy_count;
-    dram_.read(now, block, lines * kCachelineBytes, true);
+    dram_.read(now, block, (meta.size_lines + meta.lazy_count) * kCachelineBytes, true);
     ++counters_.decompressions;
-    const CompressOutcome out = compress_block_values(block);
-    if (out.lines > 0) {
-      dram_.write(now, block, out.lines * kCachelineBytes, true);
-      meta.size_lines = static_cast<uint8_t>(out.lines);
-      meta.method = out.method;
-      meta.bias = out.bias;
-      meta.failed = 0;
-      meta.skipped = 0;
-    } else {
-      dram_.write(now, block, kBlockBytes, true);
-      meta.method = Method::kUncompressed;
-      meta.size_lines = 0;
-      meta.failed = std::min<uint32_t>(meta.failed + 1, 15);
-    }
-    meta.lazy_count = 0;
-    cmt_.clear_lazy_lines(block);
+    write_block(now, block, meta, compress_block_values(block));
     return;
   }
 
@@ -342,26 +332,19 @@ void AvrSystem::handle_dirty_ucl(uint64_t now, uint64_t line, int depth) {
   const CompressOutcome out = compress_block_values(block);
   if (out.lines > 0) {
     ++counters_.evict_fetch_recompress;
-    dram_.write(now, block, out.lines * kCachelineBytes, true);
-    meta.method = out.method;
-    meta.bias = out.bias;
-    meta.size_lines = static_cast<uint8_t>(out.lines);
-    meta.failed = 0;
-    meta.skipped = 0;
-    meta.lazy_count = 0;
-    cmt_.clear_lazy_lines(block);
+    write_block(now, block, meta, out);
     // Other dirty UCLs of the block were folded into the written image.
     mark_block_ucls_clean(block);
   } else {
+    // Only the evicted line goes to memory; the block stays uncompressed.
     ++counters_.evict_uncompressed_wb;
     dram_.write(now, line, kCachelineBytes, true);
-    meta.failed = std::min<uint32_t>(meta.failed + 1, 15);
+    meta.note_failure();
     meta.skipped = 0;
   }
 }
 
-void AvrSystem::handle_cms_block_evict(uint64_t now, uint64_t block, bool dirty,
-                                       int depth) {
+void AvrSystem::handle_cms_block_evict(uint64_t now, uint64_t block, bool dirty) {
   ++counters_.cms_block_evictions;
   if (!dirty) return;  // memory still holds a valid compressed image
 
@@ -369,24 +352,8 @@ void AvrSystem::handle_cms_block_evict(uint64_t now, uint64_t block, bool dirty,
   // back to memory (Sec. 3.5). Backing values are already current.
   ++counters_.decompressions;
   BlockMeta& meta = cmt_.lookup(block);
-  const CompressOutcome out = compress_block_values(block);
-  if (out.lines > 0) {
-    dram_.write(now, block, out.lines * kCachelineBytes, true);
-    meta.method = out.method;
-    meta.bias = out.bias;
-    meta.size_lines = static_cast<uint8_t>(out.lines);
-    meta.failed = 0;
-    meta.skipped = 0;
-  } else {
-    dram_.write(now, block, kBlockBytes, true);
-    meta.method = Method::kUncompressed;
-    meta.size_lines = 0;
-    meta.failed = std::min<uint32_t>(meta.failed + 1, 15);
-  }
-  meta.lazy_count = 0;
-  cmt_.clear_lazy_lines(block);
+  write_block(now, block, meta, compress_block_values(block));
   mark_block_ucls_clean(block);
-  (void)depth;
 }
 
 // ---------------------------------------------------------------------------
@@ -431,22 +398,6 @@ StatGroup AvrSystem::stats() const {
   return g;
 }
 
-void AvrSystem::run_pfe(uint64_t now, int depth) {
-  if (!dbuf_.valid()) return;
-  if (!cfg_.avr.enable_pfe) return;
-  if (dbuf_.requested_count() < cfg_.avr.pfe_threshold) return;
-  ++counters_.pfe_promotions;
-  const uint64_t block = dbuf_.block();
-  std::vector<LlcVictim>& victims = victim_list(depth + 1);
-  for (uint32_t cl = 0; cl < kBlockLines; ++cl) {
-    const uint64_t line = block + cl * kCachelineBytes;
-    if (dbuf_.line_in_llc(line) || llc_.ucl_present(line)) continue;
-    llc_.ucl_insert(line, /*dirty=*/false, victims);
-    ++counters_.pfe_lines;
-  }
-  process_victims(now, depth + 1);
-}
-
 void AvrSystem::mark_block_ucls_clean(uint64_t block) {
   const uint16_t dirty = llc_.ucls_of_block(block, /*dirty_only=*/true);
   for (uint32_t cl = 0; cl < kBlockLines; ++cl)
@@ -459,7 +410,7 @@ void AvrSystem::drain(uint64_t now) {
   // their dirty UCLs), then the remaining dirty UCLs.
   for (const LlcVictim& v : llc_.all_resident())
     if (v.kind == LlcVictim::kCmsBlock && v.dirty) {
-      handle_cms_block_evict(now, v.addr, true, 0);
+      handle_cms_block_evict(now, v.addr, true);
       llc_.cms_remove(v.addr);
     }
   for (const LlcVictim& v : llc_.all_resident())

@@ -8,8 +8,8 @@
 // paper's methodology. One modeling simplification: a recompression reads
 // the *current* backing values for all lines of the block, which folds in
 // stores that architecturally still sit dirty in L1/L2; this slightly lowers
-// the number of approximation round-trips a value experiences and is
-// documented in DESIGN.md.
+// the number of approximation round-trips a value experiences
+// (docs/ARCHITECTURE.md, "AVR request and eviction flows").
 #pragma once
 
 #include <array>
@@ -105,10 +105,25 @@ class AvrSystem final : public LlcSystem {
   /// bits of a remembered one returns its outcome without compressing.
   CompressOutcome compress_block_values(uint64_t block);
 
+  /// Stores a compression outcome to memory: the `out.lines`-line image,
+  /// or the 1 KB raw block when compression failed. Sets the CMT entry to
+  /// match, clears its lazy lines, and resets or bumps its failure history.
+  void write_block(uint64_t now, uint64_t block, BlockMeta& meta,
+                   const CompressOutcome& out);
+
+  /// Serves `line` from the DBUF (which holds its block): marks it requested
+  /// and writes it into the LLC as a UCL, or touches the UCL already there.
+  void deliver_from_dbuf(uint64_t now, uint64_t line, bool write);
+  /// Displaces the DBUF with freshly decompressed `block`, after the PFE
+  /// decision on the outgoing block (Sec. 3.3).
+  void refill_dbuf(uint64_t now, uint64_t block);
+  /// Cycles to stream a k-line image out of the LLC and decompress it.
+  uint64_t decompress_cycles(uint32_t k) const;
+
   /// Fig. 8, dirty-UCL branch.
   void handle_dirty_ucl(uint64_t now, uint64_t line, int depth);
   /// Fig. 8, dirty-CMS branch: the whole compressed block leaves the LLC.
-  void handle_cms_block_evict(uint64_t now, uint64_t block, bool dirty, int depth);
+  void handle_cms_block_evict(uint64_t now, uint64_t block, bool dirty);
   /// Handles (and clears) the victims collected at cascade depth `depth`.
   void process_victims(uint64_t now, int depth);
   /// The victim list of cascade depth `depth`, empty, for an LLC insert to
@@ -116,9 +131,6 @@ class AvrSystem final : public LlcSystem {
   std::vector<LlcVictim>& victim_list(int depth);
   /// Marks the block's dirty UCLs clean (they were folded into its image).
   void mark_block_ucls_clean(uint64_t block);
-
-  /// PFE decision when the DBUF is about to be displaced (Sec. 3.3).
-  void run_pfe(uint64_t now, int depth);
 
   /// Failure-history gate (Sec. 3.5): true if this attempt must be skipped.
   bool should_skip_attempt(BlockMeta& meta);

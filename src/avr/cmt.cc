@@ -1,7 +1,5 @@
 #include "avr/cmt.hh"
 
-#include <cassert>
-
 namespace avr {
 
 uint32_t BlockMeta::pack() const {
@@ -9,7 +7,7 @@ uint32_t BlockMeta::pack() const {
   return (static_cast<uint32_t>(method) & 0x3) | (size_field << 2) |
          ((lazy_count & 0xF) << 5) |
          ((static_cast<uint32_t>(static_cast<uint8_t>(bias))) << 9) |
-         ((failed & 0xF) << 17) | ((skipped & 0x3) << 21);
+         ((failed & kMaxFailedCount) << 17) | ((skipped & kMaxSkippedCount) << 21);
 }
 
 BlockMeta BlockMeta::unpack(uint32_t bits) {
@@ -19,8 +17,8 @@ BlockMeta BlockMeta::unpack(uint32_t bits) {
   m.size_lines = m.method == Method::kUncompressed ? 0 : size_field + 1;
   m.lazy_count = (bits >> 5) & 0xF;
   m.bias = static_cast<int8_t>((bits >> 9) & 0xFF);
-  m.failed = (bits >> 17) & 0xF;
-  m.skipped = (bits >> 21) & 0x3;
+  m.failed = (bits >> 17) & kMaxFailedCount;
+  m.skipped = (bits >> 21) & kMaxSkippedCount;
   return m;
 }
 
@@ -48,16 +46,5 @@ const BlockMeta* Cmt::peek(uint64_t addr) const {
   auto it = table_.find(block_addr(addr));
   return it == table_.end() ? nullptr : &it->second;
 }
-
-void Cmt::add_lazy_line(uint64_t block, uint32_t line_idx) {
-  assert(line_idx < kBlockLines);
-  lazy_[block_addr(block)].push_back(static_cast<uint8_t>(line_idx));
-}
-
-const std::vector<uint8_t>& Cmt::lazy_lines(uint64_t block) {
-  return lazy_[block_addr(block)];
-}
-
-void Cmt::clear_lazy_lines(uint64_t block) { lazy_[block_addr(block)].clear(); }
 
 }  // namespace avr

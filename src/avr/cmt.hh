@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "cache/set_assoc_cache.hh"
 #include "common/types.hh"
@@ -29,6 +28,10 @@ struct BlockMeta {
   /// Free cachelines available for lazy evictions (Sec. 3.1).
   uint32_t lazy_space() const {
     return compressed() ? kBlockLines - size_lines - lazy_count : 0;
+  }
+  /// One more failed compression attempt, saturating at the 4-bit field.
+  void note_failure() {
+    if (failed < kMaxFailedCount) ++failed;
   }
 
   /// Pack into the 23-bit hardware encoding (size stored as lines-1).
@@ -57,20 +60,12 @@ class Cmt {
   /// Side-effect-free lookup: nullptr when the block was never touched.
   const BlockMeta* peek(uint64_t addr) const;
 
-  /// Record which cacheline indices of a block currently sit in its lazy
-  /// region in memory (the block image stores them; we track identity so a
-  /// fetch knows how many lines to read).
-  void add_lazy_line(uint64_t block, uint32_t line_idx);
-  const std::vector<uint8_t>& lazy_lines(uint64_t block);
-  void clear_lazy_lines(uint64_t block);
-
   /// Metadata DRAM traffic in bytes (reads + writes), charged per CMT miss.
   uint64_t metadata_traffic_bytes() const { return counters_.metadata_bytes; }
   const CmtCounters& counters() const { return counters_; }
 
  private:
-  std::unordered_map<uint64_t, BlockMeta> table_;           // by block address
-  std::unordered_map<uint64_t, std::vector<uint8_t>> lazy_;  // by block address
+  std::unordered_map<uint64_t, BlockMeta> table_;  // by block address
   SetAssocCache cache_;
   CmtCounters counters_;
 };

@@ -33,8 +33,6 @@ class Dbuf {
   /// How many distinct lines were explicitly requested since the refill
   /// (the PFE's promotion criterion input).
   uint32_t requested_count() const { return std::popcount(requested_); }
-  /// Lines the PFE would promote: buffered, not yet in the LLC.
-  uint16_t promotable_mask() const { return static_cast<uint16_t>(~in_llc_); }
   bool line_in_llc(uint64_t line) const { return in_llc_ & mask_of(line); }
 
   /// Load a freshly decompressed block, displacing the previous one.

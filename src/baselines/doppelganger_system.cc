@@ -159,20 +159,26 @@ void DoppelgangerSystem::detach_tag(uint64_t now, TagEntry& t, bool write_back) 
   t.valid = false;
 }
 
-void DoppelgangerSystem::unshare_for_write(uint64_t now, TagEntry& t) {
-  DataEntry& d = data_[t.data_idx];
-  if (d.sharers.size() <= 1) return;  // private already
-  // A written line diverges from its doppelganger: give it a private entry.
-  auto it = std::find(d.sharers.begin(), d.sharers.end(), t.line);
-  if (it != d.sharers.end()) d.sharers.erase(it);
+void DoppelgangerSystem::hit_tag(uint64_t now, TagEntry& t, bool write) {
+  t.lru = ++lru_clock_;
+  if (!write) return;
   const uint64_t line = t.line;
-  const uint32_t idx = alloc_data_entry(now, 0);
-  std::memcpy(data_[idx].repr.data(), regions_.host_ptr(line), kCachelineBytes);
-  data_[idx].sharers.push_back(line);
+  uint32_t idx = t.data_idx;
+  DataEntry& d = data_[idx];
+  if (d.sharers.size() > 1) {
+    // A written line diverges from its doppelganger: give it a private entry.
+    auto it = std::find(d.sharers.begin(), d.sharers.end(), line);
+    if (it != d.sharers.end()) d.sharers.erase(it);
+    idx = alloc_data_entry(now, 0);
+    std::memcpy(data_[idx].repr.data(), regions_.host_ptr(line), kCachelineBytes);
+    data_[idx].sharers.push_back(line);
+    ++counters_.unshares;
+  }
   // alloc_data_entry may have evicted tags; re-find ours.
-  TagEntry* t2 = find_tag(line);
-  if (t2) t2->data_idx = idx;
-  ++counters_.unshares;
+  if (TagEntry* mine = find_tag(line)) {
+    mine->data_idx = idx;
+    mine->dirty = true;
+  }
 }
 
 DoppelgangerSystem::TagEntry& DoppelgangerSystem::take_tag_way(uint64_t now,
@@ -236,12 +242,8 @@ uint64_t DoppelgangerSystem::request(uint64_t now, uint64_t line, bool write) {
   ++counters_.requests;
   last_was_miss_ = false;
   if (TagEntry* t = find_tag(line)) {
-    t->lru = ++lru_clock_;
     lru_touch(t->data_idx);
-    if (write) {
-      unshare_for_write(now, *t);
-      if (TagEntry* t2 = find_tag(line)) t2->dirty = true;
-    }
+    hit_tag(now, *t, write);
     ++counters_.hits;
     return cfg_.llc.latency;
   }
@@ -254,9 +256,7 @@ uint64_t DoppelgangerSystem::request(uint64_t now, uint64_t line, bool write) {
 void DoppelgangerSystem::writeback(uint64_t now, uint64_t line) {
   line = line_addr(line);
   if (TagEntry* t = find_tag(line)) {
-    t->lru = ++lru_clock_;
-    unshare_for_write(now, *t);
-    if (TagEntry* t2 = find_tag(line)) t2->dirty = true;
+    hit_tag(now, *t, /*write=*/true);
     return;
   }
   install(now, line, /*dirty=*/true);

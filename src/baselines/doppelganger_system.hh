@@ -91,7 +91,9 @@ class DoppelgangerSystem final : public LlcSystem {
   void lru_touch(uint32_t idx);
   void lru_unlink(uint32_t idx);
   void detach_tag(uint64_t now, TagEntry& t, bool write_back);
-  void unshare_for_write(uint64_t now, TagEntry& t);
+  /// A hit on `t`: refreshes its LRU stamp. A write dirties the line, first
+  /// moving it to a private data entry if it shares one.
+  void hit_tag(uint64_t now, TagEntry& t, bool write);
 
   SimConfig cfg_;
   RegionRegistry& regions_;

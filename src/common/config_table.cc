@@ -98,9 +98,10 @@ constexpr Knob kTable[] = {
     AVR_KNOB(avr.compress_latency, 0, kU32),
     AVR_KNOB(avr.decompress_latency, 0, kU32),
     AVR_KNOB(avr.cms_stream_cycles, 0, kU32),
-    // Compared with the 4-bit saturating failure counter.
-    AVR_KNOB(avr.max_skips, 0, kU32),
-    AVR_KNOB(avr.max_failures, 0, kU32),
+    // Compared with the CMT entry's 2-bit skipped and 4-bit failed counts
+    // (Fig. 3), which saturate there: a larger bound would never be reached.
+    AVR_KNOB(avr.max_skips, 0, kMaxSkippedCount),
+    AVR_KNOB(avr.max_failures, 0, kMaxFailedCount),
     // The truncate kernels build their mask as 1u << bits.
     AVR_KNOB(truncate_bits, 0, 31),
     // Doppelganger's tag sets (LLC sets x factor) must be a power of two,

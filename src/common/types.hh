@@ -25,6 +25,11 @@ inline constexpr uint64_t kValuesPerBlock = kBlockBytes / sizeof(float);      //
 // the block is stored uncompressed (2:1 worst-case ratio, Sec. 3.1).
 inline constexpr uint32_t kMaxCompressedLines = 8;
 
+// Saturation limits of the CMT entry's failure-history counters (Fig. 3):
+// the 4-bit failed count and the 2-bit skipped count.
+inline constexpr uint32_t kMaxFailedCount = 15;
+inline constexpr uint32_t kMaxSkippedCount = 3;
+
 /// Address helpers. Simulated physical addresses are plain 64-bit integers.
 constexpr uint64_t line_addr(uint64_t addr) { return addr & ~(kCachelineBytes - 1); }
 constexpr uint64_t block_addr(uint64_t addr) { return addr & ~(kBlockBytes - 1); }

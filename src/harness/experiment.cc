@@ -286,7 +286,8 @@ const ExperimentResult& ExperimentRunner::run(const sweep::VariantPoint& vp) {
         AVR_PROF_SCOPE(prof::Phase::kTiming);
         wl->run(sys);
         // Output is collected before the drain: it reflects the values the
-        // application observes at the end of execution (see DESIGN.md).
+        // application observes at the end of execution (docs/ARCHITECTURE.md,
+        // "AVR request and eviction flows").
         out = wl->output(sys);
         sys.finish();
       }

@@ -6,8 +6,8 @@
 // and exposes its output values for the error metric ("mean of the relative
 // errors for each output value", Sec. 4.1).
 //
-// Inputs are synthesized deterministically (see DESIGN.md for the
-// substitutions of the paper's proprietary inputs); sizes are scaled down
+// Inputs are synthesized deterministically (the comment atop each workload's
+// .cc names its substitute for the paper's input); sizes are scaled down
 // together with the cache hierarchy so the footprint-to-LLC ratios of
 // Table 2 are preserved.
 #pragma once

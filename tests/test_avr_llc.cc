@@ -77,9 +77,13 @@ TEST(AvrLlc, CmsInsertPresentCount) {
   EXPECT_TRUE(llc.cms_present(0x30000000));
   EXPECT_TRUE(llc.cms_present(0x30000200));  // any addr inside the block
   EXPECT_EQ(llc.cms_count(0x30000000), 3u);
-  EXPECT_FALSE(llc.cms_dirty(0x30000000));
-  llc.cms_mark_dirty(0x30000000);
-  EXPECT_TRUE(llc.cms_dirty(0x30000000));
+  llc.cms_insert(0x30000400, 2, true, v);
+  // all_resident reports each image once, with the dirty bit it was inserted with.
+  std::vector<LlcVictim> images;
+  for (const LlcVictim& e : llc.all_resident())
+    if (e.kind == LlcVictim::kCmsBlock) images.push_back(e);
+  ASSERT_EQ(images.size(), 2u);
+  for (const LlcVictim& e : images) EXPECT_EQ(e.dirty, e.addr == 0x30000400) << e.addr;
 }
 
 TEST(AvrLlc, CmsRemoveLeavesUcls) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 
 namespace avr {
@@ -103,20 +104,13 @@ TEST(Cmt, CapacityEvictionsCauseRepeatMisses) {
   EXPECT_GT(cmt.metadata_traffic_bytes(), t1);
 }
 
-TEST(Cmt, LazyLineTracking) {
-  Cmt cmt(16);
-  const uint64_t block = 0x10000400;
-  EXPECT_TRUE(cmt.lazy_lines(block).empty());
-  cmt.add_lazy_line(block, 3);
-  cmt.add_lazy_line(block, 11);
-  ASSERT_EQ(cmt.lazy_lines(block).size(), 2u);
-  EXPECT_EQ(cmt.lazy_lines(block)[0], 3);
-  EXPECT_EQ(cmt.lazy_lines(block)[1], 11);
-  // Keyed by block: a line address inside the block maps to it.
-  cmt.add_lazy_line(block + 0x80, 5);
-  EXPECT_EQ(cmt.lazy_lines(block).size(), 3u);
-  cmt.clear_lazy_lines(block);
-  EXPECT_TRUE(cmt.lazy_lines(block).empty());
+TEST(BlockMeta, NoteFailureSaturatesAtTheFieldWidth) {
+  BlockMeta m;
+  for (uint32_t i = 1; i <= kMaxFailedCount + 3; ++i) {
+    m.note_failure();
+    EXPECT_EQ(m.failed, std::min(i, kMaxFailedCount));
+    EXPECT_EQ(BlockMeta::unpack(m.pack()), m);
+  }
 }
 
 }  // namespace

