@@ -214,6 +214,7 @@ void AvrSystem::deliver_from_dbuf(uint64_t now, uint64_t line, bool write) {
   if (llc_.ucl_present(line)) {
     llc_.ucl_access(line, write);
   } else {
+    // Not victim_list(0): a compressed miss has queued its image's victims.
     llc_.ucl_insert(line, write, victims_[0]);
     dbuf_.mark_in_llc(line);
   }
