@@ -269,6 +269,49 @@ TEST(CacheV5, QuarantineWarningsNameLineAndReason) {
   std::remove(path.c_str());
 }
 
+TEST(CacheV5, QuarantineWarningsAreCappedAtEight) {
+  // Ten corrupt lines between two good records, then a torn tail with no
+  // newline: eleven quarantined lines, of which the load names the first
+  // eight and summarises the rest.
+  const std::string path = temp_path("cap");
+  std::remove(path.c_str());
+  {
+    std::ofstream out(path);
+    out << encode_result_line(sample_result("wrf", Design::kAvr, 1)) << '\n';
+    for (int i = 0; i < 10; ++i) {
+      std::string bad = encode_result_line(sample_result("heat", Design::kAvr, 20 + i));
+      if (i % 3 == 0) bad[bad.find(",C") + 2] ^= 1;         // crc digit
+      if (i % 3 == 1) bad = bad.substr(0, bad.size() - 9);  // short write
+      if (i % 3 == 2) bad = "not,a,record";                 // no version
+      out << bad << '\n';
+    }
+    out << encode_result_line(sample_result("heat", Design::kTruncate, 2)) << '\n';
+    const std::string torn = encode_result_line(sample_result("kmeans", Design::kAvr, 3));
+    out << torn.substr(0, torn.size() / 2);  // line 13, unterminated
+  }
+  testing::internal::CaptureStderr();
+  const auto cache = load_result_cache(path);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(cache.size(), 2u);
+
+  std::vector<std::string> lines;
+  for (size_t at = 0; at < err.size();) {
+    const size_t nl = err.find('\n', at);
+    ASSERT_NE(nl, std::string::npos) << err;
+    lines.push_back(err.substr(at, nl - at));
+    at = nl + 1;
+  }
+  ASSERT_EQ(lines.size(), 9u) << err;
+  for (size_t i = 0; i < 8; ++i) {
+    const std::string want =
+        "[cache] quarantined " + path + ":" + std::to_string(i + 2) + ": ";
+    EXPECT_EQ(lines[i].substr(0, want.size()), want) << lines[i];
+  }
+  const std::string more = "[cache] ... and 3 more quarantined lines in " + path;
+  EXPECT_EQ(lines[8].substr(0, more.size()), more) << lines[8];
+  std::remove(path.c_str());
+}
+
 // ---- fsck / repair ---------------------------------------------------------
 
 /// A cache bearing one of every wound fsck must account for.
