@@ -5,96 +5,32 @@
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
-#include <map>
-#include <tuple>
 
 #include "common/file_lock.hh"
 
 namespace avr {
-namespace {
-
-// Full point identity: fsck audits whole files, never config-filtered, so
-// the key must carry the fingerprint the loaders filter on.
-using PointId = std::tuple<std::string, int, uint64_t>;
-
-PointId id_of(const std::string& wl, Design d, uint64_t cfg) {
-  return {wl, static_cast<int>(d), cfg};
-}
-
-struct ScanState {
-  FsckReport report;
-  std::map<PointId, ExperimentResult> last_result;  // load semantics: last wins
-  std::map<PointId, ClaimRecord> governing;
-};
-
-bool scan(const std::string& path, ScanState* st) {
-  errno = 0;
-  std::ifstream in(path);
-  if (!in) {
-    st->report.io_error = std::strerror(errno ? errno : EIO);
-    return false;
-  }
-  std::string line;
-  size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    ++st->report.total_lines;
-    ExperimentResult r;
-    ClaimRecord c;
-    std::string reason;
-    switch (classify_cache_line(line, &r, &c, &reason)) {
-      case CacheLineKind::kBlank:
-        ++st->report.blank_lines;
-        break;
-      case CacheLineKind::kForeign:
-        ++st->report.foreign_lines;
-        break;
-      case CacheLineKind::kCorrupt:
-        st->report.corrupt.push_back({line_no, std::move(reason)});
-        break;
-      case CacheLineKind::kResult: {
-        ++st->report.results;
-        const PointId id = id_of(r.workload, r.design, r.config_hash);
-        const auto [it, first] = st->last_result.try_emplace(id, r);
-        if (!first) {
-          if (same_metrics(it->second, r))
-            ++st->report.duplicate_results;
-          else
-            ++st->report.conflicting_results;
-          it->second = std::move(r);
-        }
-        break;
-      }
-      case CacheLineKind::kClaim: {
-        ++st->report.claims;
-        const PointId id = id_of(c.workload, c.design, c.config_hash);
-        if (st->governing.count(id)) ++st->report.superseded_claims;
-        st->governing[id] = std::move(c);
-        break;
-      }
-    }
-  }
-  return true;
-}
-
-void finalize(ScanState* st, uint64_t now) {
-  for (const auto& [id, c] : st->governing) {
-    if (st->last_result.count(id))
-      ++st->report.moot_claims;
-    else if (c.expired(now))
-      ++st->report.dangling_expired;
-    else
-      ++st->report.dangling_live;
-  }
-}
-
-}  // namespace
 
 FsckReport fsck_cache(const std::string& path, uint64_t now) {
-  ScanState st;
-  if (scan(path, &st)) finalize(&st, now);
-  return std::move(st.report);
+  FsckReport r;
+  CacheScan scan;
+  if (!scan.scan(path)) {
+    r.io_error = std::strerror(errno ? errno : EIO);
+    return r;
+  }
+  static_cast<CacheScan::FileStats&>(r) = scan.file();
+  for (const auto& [key, p] : scan.points()) {
+    r.duplicate_results += p.duplicate_results;
+    r.conflicting_results += p.conflicting_results;
+    r.superseded_claims += p.superseded_claims;
+    if (!p.governing) continue;
+    if (p.done)
+      ++r.moot_claims;
+    else if (p.governing->expired(now))
+      ++r.dangling_expired;
+    else
+      ++r.dangling_live;
+  }
+  return r;
 }
 
 void print_fsck_report(std::FILE* out, const std::string& path,
@@ -139,22 +75,22 @@ bool repair_cache(const std::string& path, uint64_t now, std::string* error) {
     *error = "cannot lock " + path + ": " + lock.error_detail();
     return false;
   }
-  ScanState st;
-  if (!scan(path, &st)) {
-    *error = "cannot read " + path + ": " + st.report.io_error;
+  CacheScan scan;
+  if (!scan.scan(lock.fd())) {
+    *error = "cannot read " + path + ": " + std::strerror(errno ? errno : EIO);
     return false;
   }
-  finalize(&st, now);
 
   std::string out;
-  for (const auto& [id, r] : st.last_result) {
-    out += encode_result_line(r);
+  for (const auto& [key, p] : scan.points()) {
+    if (!p.result) continue;
+    out += encode_result_line(*p.result);
     out += '\n';
   }
-  for (const auto& [id, c] : st.governing) {
+  for (const auto& [key, p] : scan.points()) {
     // Keep only live dangling claims: their owner may be mid-simulation.
-    if (st.last_result.count(id) || c.expired(now)) continue;
-    out += encode_claim_line(c);
+    if (!p.governing || p.done || p.governing->expired(now)) continue;
+    out += encode_claim_line(*p.governing);
     out += '\n';
   }
 

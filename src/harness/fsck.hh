@@ -1,8 +1,8 @@
 // Offline audit and repair for result-cache files (`avr_sweep --fsck
 // [--repair]`, incident-response runbook in docs/OPERATIONS.md).
 //
-// The loaders quarantine bad lines one at a time as they stream past; fsck
-// is the full accounting pass: it classifies every line of a cache —
+// The loaders warn about a capped number of quarantined lines; fsck is the
+// full accounting, a view of the same CacheScan: every line of a cache —
 // checksum failures, torn tails, unparseable payloads, duplicate and
 // *conflicting* duplicate results, superseded/moot/dangling claims,
 // foreign (pre-v5 or future) versions — and repair_cache() rewrites the
@@ -22,32 +22,20 @@
 
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "harness/result_cache.hh"
 
 namespace avr {
 
-/// One quarantined line: where and why.
-struct FsckIssue {
-  size_t line_no = 0;  // 1-based
-  std::string reason;
-};
-
-struct FsckReport {
-  std::string io_error;       // non-empty: the file could not be read at all
-  size_t total_lines = 0;
-  size_t blank_lines = 0;
-  size_t foreign_lines = 0;   // pre-v5 and future versions
-  size_t results = 0;         // valid result records
-  size_t claims = 0;              // valid claim records
+/// The file accounting of one CacheScan, plus what its points add up to.
+struct FsckReport : CacheScan::FileStats {
+  std::string io_error;           // non-empty: the file could not be read at all
   size_t superseded_claims = 0;   // replaced by a later claim on the same key
   size_t moot_claims = 0;         // governing claim, but the point has a result
   size_t dangling_live = 0;       // governing claim, no result, lease live
   size_t dangling_expired = 0;    // same, lease run out: a crashed worker
   size_t duplicate_results = 0;   // re-records with identical metric values
   size_t conflicting_results = 0; // duplicates whose metric values DIFFER
-  std::vector<FsckIssue> corrupt; // quarantined lines, file order
 
   /// The cache needs attention: unreadable, corrupt or value-conflicting
   /// lines, or expired dangling claims (a crashed worker's leftovers).

@@ -1,5 +1,6 @@
 #include "harness/result_cache.hh"
 
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -8,9 +9,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -83,17 +82,21 @@ double to_dbl(const std::string& f) {
   return v;
 }
 
+// Splits on ','. A trailing ',' closes the last field rather than opening an
+// empty one, so "5,L3," has two fields: classification depends on it.
 std::vector<std::string> split_fields(const std::string& line) {
-  std::istringstream ls(line);
-  std::string field;
   std::vector<std::string> f;
-  while (std::getline(ls, field, ',')) f.push_back(field);
+  for (size_t at = 0; at < line.size();) {
+    const size_t comma = std::min(line.find(',', at), line.size());
+    f.emplace_back(line, at, comma - at);
+    at = comma + 1;
+  }
   return f;
 }
 
 // Shared record-closing check: the sentinel must be the final field and the
-// line must not end in ',' (getline would silently drop an empty last
-// field, letting "…,end#," pass as closed).
+// line must not end in ',' (the split drops an empty last field, which
+// would let "…,end#," pass as closed).
 bool record_closed(const std::vector<std::string>& f, const std::string& line) {
   return !f.empty() && f.back() == kRecordEnd && line.back() != ',';
 }
@@ -458,10 +461,125 @@ bool append_result_line(const std::string& path, const ExperimentResult& r) {
   return false;
 }
 
-std::map<ResultKey, ExperimentResult> load_result_cache(
-    const std::string& path, std::optional<uint64_t> config_filter) {
+namespace {
+
+// Bytes read per pread while scanning a cache file.
+constexpr size_t kScanChunkBytes = 64 * 1024;
+
+// One kind of record projected onto (workload, design) keys and moved out
+// of `points`: only `filter`'s config when set; unfiltered, a key recorded
+// under several configs keeps the record on the later line. A key's configs
+// are adjacent in `points`, so `kept_line` always belongs to the last key.
+template <class T>
+std::map<ResultKey, T> project(std::map<CacheScan::Key, CacheScan::PointState>& points,
+                               std::optional<uint64_t> filter,
+                               std::optional<T> CacheScan::PointState::*record,
+                               size_t CacheScan::PointState::*line) {
+  std::map<ResultKey, T> out;
+  size_t kept_line = 0;
+  for (auto& [key, p] : points) {
+    const auto& [workload, design, config_hash] = key;
+    if (!(p.*record) || (filter && config_hash != *filter)) continue;
+    const auto [it, fresh] = out.try_emplace(ResultKey{workload, design});
+    if (!fresh && p.*line < kept_line) continue;
+    it->second = std::move(*(p.*record));
+    kept_line = p.*line;
+  }
+  return out;
+}
+
+}  // namespace
+
+void CacheScan::fold(const std::string& line) {
+  const size_t line_no = ++file_.total_lines;
+  ExperimentResult r;
+  ClaimRecord c;
+  std::string reason;
+  switch (classify_cache_line(line, &r, &c, &reason)) {
+    case CacheLineKind::kBlank:
+      ++file_.blank_lines;
+      break;
+    case CacheLineKind::kForeign:
+      ++file_.foreign_lines;
+      break;
+    case CacheLineKind::kCorrupt:
+      file_.corrupt.push_back({line_no, std::move(reason)});
+      break;
+    case CacheLineKind::kResult: {
+      ++file_.results;
+      PointState& p = points_[{r.workload, r.design, r.config_hash}];
+      if (p.result)
+        ++(same_metrics(*p.result, r) ? p.duplicate_results : p.conflicting_results);
+      p.done = true;
+      p.result = std::move(r);
+      p.result_line = line_no;
+      break;
+    }
+    case CacheLineKind::kClaim: {
+      ++file_.claims;
+      PointState& p = points_[{c.workload, c.design, c.config_hash}];
+      if (p.governing) ++p.superseded_claims;
+      p.governing = std::move(c);
+      p.claim_line = line_no;
+      break;
+    }
+  }
+}
+
+bool CacheScan::scan(int fd) {
+  struct stat st;
+  if (::fstat(fd, &st) != 0) return false;
+  const uint64_t size = static_cast<uint64_t>(st.st_size);
+  // A tail folded last time may since have been completed into a longer
+  // line, so it is never kept across scans: start over instead.
+  if (st.st_dev != dev_ || st.st_ino != ino_ || size < offset_ || torn_) {
+    dev_ = st.st_dev;
+    ino_ = st.st_ino;
+    offset_ = 0;
+    torn_ = false;
+    points_.clear();
+    file_ = {};
+  }
+  std::string chunk(kScanChunkBytes, '\0');
+  std::string line;  // bytes since the last '\n' read
+  for (uint64_t pos = offset_; pos < size;) {
+    const ssize_t n = ::pread(fd, chunk.data(),
+                              std::min<uint64_t>(chunk.size(), size - pos),
+                              static_cast<off_t>(pos));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) return false;
+    if (n == 0) break;
+    pos += static_cast<uint64_t>(n);
+    const char* p = chunk.data();
+    const char* const end = p + n;
+    while (const char* nl = static_cast<const char*>(std::memchr(p, '\n', end - p))) {
+      line.append(p, nl);
+      fold(line);
+      offset_ += line.size() + 1;
+      line.clear();
+      p = nl + 1;
+    }
+    line.append(p, end);
+  }
+  if (!line.empty()) {
+    fold(line);
+    torn_ = true;
+  }
+  return true;
+}
+
+bool CacheScan::scan(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
+  const bool ok = scan(fd);
+  const int err = errno;
+  ::close(fd);
+  errno = err;
+  return ok;
+}
+
+bool CacheScan::load(const std::string& path) {
   AVR_PROF_SCOPE(prof::Phase::kCacheIo);
-  std::map<ResultKey, ExperimentResult> out;
   for (int attempt = 0; attempt < kIoRetryAttempts; ++attempt) {
     if (attempt > 0)
       backoff_sleep(attempt - 1, static_cast<uint64_t>(::getpid()) ^
@@ -477,162 +595,63 @@ std::map<ResultKey, ExperimentResult> load_result_cache(
                    kIoRetryAttempts);
       continue;
     }
-    errno = 0;
-    std::ifstream in(path);
-    if (!in) {
-      if (errno == ENOENT) return out;  // no cache yet: a cold start
+    if (!scan(path)) {
+      if (errno == ENOENT) return true;  // no cache yet: a cold start
       std::fprintf(stderr,
-                   "[cache] transient open failure on %s (%s), attempt "
+                   "[cache] transient read failure on %s (%s), attempt "
                    "%d/%d\n",
                    path.c_str(), std::strerror(errno), attempt + 1,
                    kIoRetryAttempts);
       continue;
     }
-    std::string line;
-    size_t line_no = 0;
-    size_t quarantined = 0;
-    while (std::getline(in, line)) {
-      ++line_no;
-      ExperimentResult r;
-      ClaimRecord c;
-      std::string reason;
-      switch (classify_cache_line(line, &r, &c, &reason)) {
-        case CacheLineKind::kResult:
-          if (config_filter && r.config_hash != *config_filter) break;
-          out[ResultKey{r.workload, r.design}] = std::move(r);
-          break;
-        case CacheLineKind::kCorrupt:
-          if (++quarantined <= kMaxQuarantineWarnings)
-            std::fprintf(stderr, "[cache] quarantined %s:%zu: %s\n",
-                         path.c_str(), line_no, reason.c_str());
-          break;
-        default:  // blank / claim / foreign: not result material
-          break;
-      }
-    }
-    if (quarantined > kMaxQuarantineWarnings)
+    const std::vector<CorruptLine>& corrupt = file_.corrupt;
+    for (size_t i = 0; i < corrupt.size() && i < kMaxQuarantineWarnings; ++i)
+      std::fprintf(stderr, "[cache] quarantined %s:%zu: %s\n", path.c_str(),
+                   corrupt[i].line_no, corrupt[i].reason.c_str());
+    if (corrupt.size() > kMaxQuarantineWarnings)
       std::fprintf(stderr,
                    "[cache] ... and %zu more quarantined lines in %s (run "
                    "avr_sweep --fsck for the full audit)\n",
-                   quarantined - kMaxQuarantineWarnings, path.c_str());
-    return out;
+                   corrupt.size() - kMaxQuarantineWarnings, path.c_str());
+    return true;
   }
   std::fprintf(stderr,
                "[cache] WARNING: could not read %s after %d attempts; "
                "degrading to an empty in-memory cache\n",
                path.c_str(), kIoRetryAttempts);
-  return out;
+  return false;
+}
+
+const CacheScan::PointState& CacheScan::state(const std::string& workload,
+                                              Design design,
+                                              uint64_t config_hash) const {
+  static const PointState kUnseen;
+  const auto it = points_.find(Key{workload, design, config_hash});
+  return it == points_.end() ? kUnseen : it->second;
+}
+
+std::map<ResultKey, ExperimentResult> load_result_cache(
+    const std::string& path, std::optional<uint64_t> config_filter) {
+  CacheScan scan;
+  if (!scan.load(path)) return {};
+  return project(scan.points(), config_filter, &CacheScan::PointState::result,
+                 &CacheScan::PointState::result_line);
 }
 
 std::map<ResultKey, ClaimRecord> load_claims(
     const std::string& path, std::optional<uint64_t> config_filter) {
   AVR_PROF_SCOPE(prof::Phase::kCacheIo);
-  std::map<ResultKey, ClaimRecord> out;
-  std::ifstream in(path);
-  if (!in) return out;
-  std::string line;
-  while (std::getline(in, line)) {
-    ClaimRecord c;
-    if (!decode_claim_line(line, &c)) continue;
-    if (config_filter && c.config_hash != *config_filter) continue;
-    ResultKey key{c.workload, c.design};
-    out[key] = std::move(c);  // later records supersede earlier ones
-  }
-  return out;
-}
-
-namespace {
-
-// Bytes read per pread while scanning a cache file for claims.
-constexpr size_t kScanChunkBytes = 64 * 1024;
-
-// What one line contributes to its point's claim state; false for lines
-// that are neither a result nor a claim.
-bool line_delta(const std::string& line,
-                std::tuple<std::string, Design, uint64_t>* key,
-                ClaimScanCursor::PointState* delta) {
-  ExperimentResult r;
-  ClaimRecord c;
-  switch (classify_cache_line(line, &r, &c)) {
-    case CacheLineKind::kResult:
-      *key = {std::move(r.workload), r.design, r.config_hash};
-      delta->done = true;
-      return true;
-    case CacheLineKind::kClaim:
-      *key = {c.workload, c.design, c.config_hash};
-      delta->governing = std::move(c);
-      return true;
-    default:
-      return false;
-  }
-}
-
-// Later lines add to earlier ones: any result marks the point done, and
-// the later claim governs.
-void merge(ClaimScanCursor::PointState& into, const ClaimScanCursor::PointState& later) {
-  into.done = into.done || later.done;
-  if (later.governing) into.governing = later.governing;
-}
-
-}  // namespace
-
-bool ClaimScanCursor::scan(int fd) {
-  struct stat st;
-  if (::fstat(fd, &st) != 0) return false;
-  const uint64_t size = static_cast<uint64_t>(st.st_size);
-  if (st.st_dev != dev_ || st.st_ino != ino_ || size < offset_) {
-    dev_ = st.st_dev;
-    ino_ = st.st_ino;
-    offset_ = 0;
-    points_.clear();
-  }
-  tail_.reset();
-  std::string chunk(kScanChunkBytes, '\0');
-  std::string line;  // bytes since the last '\n' read
-  for (uint64_t pos = offset_; pos < size;) {
-    const ssize_t n = ::pread(fd, chunk.data(),
-                              std::min<uint64_t>(chunk.size(), size - pos),
-                              static_cast<off_t>(pos));
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0) return false;
-    if (n == 0) break;
-    pos += static_cast<uint64_t>(n);
-    const char* p = chunk.data();
-    const char* const end = p + n;
-    while (const char* nl = static_cast<const char*>(std::memchr(p, '\n', end - p))) {
-      line.append(p, nl);
-      Key key;
-      PointState delta;
-      if (line_delta(line, &key, &delta)) merge(points_[key], delta);
-      offset_ += line.size() + 1;
-      line.clear();
-      p = nl + 1;
-    }
-    line.append(p, end);
-  }
-  if (!line.empty()) {
-    Key key;
-    PointState delta;
-    if (line_delta(line, &key, &delta)) tail_.emplace(std::move(key), std::move(delta));
-  }
-  return true;
-}
-
-ClaimScanCursor::PointState ClaimScanCursor::state(const std::string& workload,
-                                                   Design design,
-                                                   uint64_t config_hash) const {
-  const Key key{workload, design, config_hash};
-  PointState st;
-  if (auto it = points_.find(key); it != points_.end()) st = it->second;
-  if (tail_ && tail_->first == key) merge(st, tail_->second);
-  return st;
+  CacheScan scan;
+  if (!scan.scan(path)) return {};
+  return project(scan.points(), config_filter, &CacheScan::PointState::governing,
+                 &CacheScan::PointState::claim_line);
 }
 
 ClaimOutcome try_claim_point(const std::string& path, const ClaimRecord& want,
-                             uint64_t now, ClaimScanCursor* cursor) {
+                             uint64_t now, CacheScan* cursor) {
   AVR_PROF_SCOPE(prof::Phase::kCacheIo);
-  ClaimScanCursor whole_file;
-  ClaimScanCursor& cur = cursor ? *cursor : whole_file;
+  CacheScan whole_file;
+  CacheScan& cur = cursor ? *cursor : whole_file;
   // Read-modify-append under the same exclusive flock the writers use: no
   // other process can append a result or claim between our scan and our
   // claim line, so exactly one owner wins a fresh claim on a point. The
@@ -647,7 +666,7 @@ ClaimOutcome try_claim_point(const std::string& path, const ClaimRecord& want,
     return ClaimOutcome::kError;
   }
   if (!cur.scan(lock.fd())) return ClaimOutcome::kError;
-  const ClaimScanCursor::PointState st =
+  const CacheScan::PointState& st =
       cur.state(want.workload, want.design, want.config_hash);
   if (st.done) return ClaimOutcome::kDone;
   if (st.governing && !st.governing->expired(now)) {

@@ -50,13 +50,15 @@
 //     backoff.hh) before the writer degrades to in-memory-only results;
 //   - claim staking (try_claim_point) is read-modify-append under the same
 //     flock, so two workers can never both win a fresh claim on one point.
-//     A ClaimScanCursor lets the read part classify only the lines appended
-//     since the process's previous claim;
-//   - readers take no lock: load_result_cache() *quarantines* corrupt,
-//     truncated or checksum-failing lines — each skipped with a one-line
-//     stderr reason (capped per load) — skips claims and foreign versions,
-//     and tolerates duplicate records (points are deterministic, so
-//     duplicates carry identical values; the last one wins). Merging
+//     A CacheScan lets the read part classify only the lines appended since
+//     the process's previous claim;
+//   - CacheScan is the one reader of cache files: every load, claim check,
+//     coverage check and audit is a view of its per-point state and file
+//     accounting. Readers take no lock. load_result_cache() *quarantines*
+//     corrupt, truncated or checksum-failing lines — each skipped with a
+//     one-line stderr reason (capped per load) — skips claims and foreign
+//     versions, and tolerates duplicate records (points are deterministic,
+//     so duplicates carry identical values; the last one wins). Merging
 //     caches is therefore plain concatenation. avr_sweep --fsck audits a
 //     cache offline; --fsck --repair rewrites it clean (harness/fsck.hh).
 //
@@ -74,6 +76,7 @@
 #include <string>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "harness/experiment.hh"
 
@@ -159,68 +162,109 @@ bool decode_claim_line(const std::string& line, ClaimRecord* out);
 /// within a process, and the caller warns loudly).
 bool append_result_line(const std::string& path, const ExperimentResult& r);
 
-/// Loads every valid result record; missing file yields an empty map.
-/// Corrupt lines are quarantined with a one-line stderr reason each
-/// (capped); transient read errors are retried with backoff, after which
-/// the load degrades to an empty (in-memory-only) cache with a loud
-/// warning rather than failing the sweep. When `config_filter` is set,
-/// records whose config_hash differs are skipped — a runner only warms
-/// from points simulated under its own configuration.
-std::map<ResultKey, ExperimentResult> load_result_cache(
-    const std::string& path,
-    std::optional<uint64_t> config_filter = std::nullopt);
+/// One quarantined line: where and why.
+struct CorruptLine {
+  size_t line_no = 0;  // 1-based
+  std::string reason;
+};
 
-/// Loads the *governing* claim per point: the last claim record in file
-/// order for each (workload, design) key, config-filtered like
-/// load_result_cache (but silent — the result loader owns the quarantine
-/// warnings). Points that already have a result are still listed if
-/// claimed — callers decide whether a claim is moot (result exists), live,
-/// or expired.
-std::map<ResultKey, ClaimRecord> load_claims(
-    const std::string& path,
-    std::optional<uint64_t> config_filter = std::nullopt);
-
-/// What try_claim_point has learned from one cache file so far: the byte
-/// offset just past the last complete line it classified, and per point the
-/// `done` flag and governing claim those lines add up to. Each scan then
-/// classifies only the bytes appended since, so a sweep reads its cache
-/// once instead of once per claim. One cursor per process and cache file;
-/// try_claim_point holds mutex() for as long as it holds the flock.
-class ClaimScanCursor {
+/// The one reader of cache files. Each line is classified once and folded
+/// into per-point state, keyed by (workload, design, config hash), and into
+/// file accounting; loads, claims, `--check` and `--fsck` are views of the
+/// result. scan(fd) is incremental: it remembers the file's device and inode
+/// and the byte offset just past the last complete line, so a later scan
+/// classifies only the bytes appended since. try_claim_point keeps one per
+/// process and cache file, and holds mutex() for as long as it holds the
+/// flock.
+class CacheScan {
  public:
-  /// A point as a full scan of the file sees it.
+  using Key = std::tuple<std::string, Design, uint64_t>;
+
+  /// A point as its lines add up, in file order.
   struct PointState {
-    bool done = false;                     // some result exists
-    std::optional<ClaimRecord> governing;  // the last claim in file order
+    bool done = false;                        // some result exists
+    std::optional<ClaimRecord> governing;     // the last claim
+    std::optional<ExperimentResult> result;   // the last result
+    size_t result_line = 0;                   // their 1-based line numbers
+    size_t claim_line = 0;
+    size_t duplicate_results = 0;    // earlier results with identical metrics
+    size_t conflicting_results = 0;  // earlier results whose metrics differ
+    size_t superseded_claims = 0;    // earlier claims
   };
 
-  /// Brings the cursor up to date with the cache file open on `fd`, whose
-  /// flock the caller holds. A different file (device or inode changed —
-  /// `--fsck --repair` renames a rewrite into place) or one shorter than
-  /// the offset is rescanned from byte 0; otherwise only the bytes after
-  /// the offset are read. Complete lines are committed; an unterminated
-  /// tail is classified on every scan but never committed, so a torn line
-  /// later completed by an append counts as the full line it becomes.
-  /// False on a read error (the committed state stays consistent).
+  /// The file as a whole.
+  struct FileStats {
+    size_t total_lines = 0;
+    size_t blank_lines = 0;
+    size_t foreign_lines = 0;         // pre-v5 and future versions
+    size_t results = 0;               // valid result records
+    size_t claims = 0;                // valid claim records
+    std::vector<CorruptLine> corrupt; // quarantined lines, file order
+  };
+
+  /// Brings the scan up to date with the cache file open on `fd`. A
+  /// different file (device or inode changed — `--fsck --repair` renames a
+  /// rewrite into place), one shorter than the offset, or one whose last
+  /// scan ended in an unterminated tail is rescanned from byte 0; otherwise
+  /// only the bytes after the offset are read. The unterminated tail (a torn
+  /// append, or a whole record whose newline was lost) is folded in like
+  /// any line, so the state is exactly what a line-by-line pass over the
+  /// whole file concludes. False on a read error (the complete lines folded
+  /// so far stay consistent).
   bool scan(int fd);
 
-  /// The point's state as of the last scan: exactly what a getline pass
-  /// over the whole file would conclude, the unterminated tail included.
-  PointState state(const std::string& workload, Design design,
-                   uint64_t config_hash) const;
+  /// One silent scan of the whole file at `path`; false with errno set when
+  /// it cannot be opened or read.
+  bool scan(const std::string& path);
+
+  /// Scans `path` as the loaders read it: transient failures — the
+  /// "cache.load" fault site included — are retried with backoff, a missing
+  /// file is an empty cache, and corrupt lines are quarantined with a
+  /// one-line stderr reason each (capped). False, with a loud warning, once
+  /// the retries are exhausted.
+  bool load(const std::string& path);
+
+  /// The point's state as of the last scan.
+  const PointState& state(const std::string& workload, Design design,
+                          uint64_t config_hash) const;
+
+  /// Every point as of the last scan; one-shot readers may move records out.
+  const std::map<Key, PointState>& points() const { return points_; }
+  std::map<Key, PointState>& points() { return points_; }
+  const FileStats& file() const { return file_; }
 
   std::mutex& mutex() { return mu_; }
 
  private:
-  using Key = std::tuple<std::string, Design, uint64_t>;
+  void fold(const std::string& line);
 
   std::mutex mu_;
   dev_t dev_ = 0;
-  ino_t ino_ = 0;  // 0 until the first scan: no file has inode 0
-  uint64_t offset_ = 0;  // just past the last committed '\n'
+  ino_t ino_ = 0;        // 0 until the first scan: no file has inode 0
+  uint64_t offset_ = 0;  // just past the last '\n' folded
+  bool torn_ = false;    // the last scan folded an unterminated tail
   std::map<Key, PointState> points_;
-  std::optional<std::pair<Key, PointState>> tail_;  // unterminated last line
+  FileStats file_;
 };
+
+/// Every valid result record, read through CacheScan::load (so a missing or
+/// unreadable file yields an empty map). When `config_filter` is set,
+/// records whose config_hash differs are skipped — a runner only warms from
+/// points simulated under its own configuration. Unfiltered, a (workload,
+/// design) recorded under several configs keeps the record on the later
+/// line.
+std::map<ResultKey, ExperimentResult> load_result_cache(
+    const std::string& path,
+    std::optional<uint64_t> config_filter = std::nullopt);
+
+/// The *governing* claim per point — the last claim record in file order
+/// for each (workload, design) key — config-filtered like load_result_cache
+/// but silent (the result loader owns the quarantine warnings). Points that
+/// already have a result are still listed if claimed — callers decide
+/// whether a claim is moot (result exists), live, or expired.
+std::map<ResultKey, ClaimRecord> load_claims(
+    const std::string& path,
+    std::optional<uint64_t> config_filter = std::nullopt);
 
 /// Atomically stakes a claim for (want.workload, want.design) under
 /// want.config_hash: holding the cache flock, brings `cursor` up to date
@@ -235,6 +279,6 @@ class ClaimScanCursor {
 /// the bounded lock-acquire retries; callers back off and retry, then
 /// degrade to uncoordinated simulation (sweep.cc) rather than abort.
 ClaimOutcome try_claim_point(const std::string& path, const ClaimRecord& want,
-                             uint64_t now, ClaimScanCursor* cursor = nullptr);
+                             uint64_t now, CacheScan* cursor = nullptr);
 
 }  // namespace avr

@@ -208,7 +208,7 @@ StealOutcome run_grid(const std::vector<VariantPoint>& grid, ExperimentRunner& r
     if (open_count.fetch_sub(1) == 1) idle_cv.notify_all();
   };
 
-  ClaimScanCursor cursor;  // shared by the workers: the cache is read once
+  CacheScan cursor;  // shared by the workers: the cache is read once
   std::mutex stats_mu;
   std::atomic<bool> warned_degraded{false};
   std::exception_ptr first_error;

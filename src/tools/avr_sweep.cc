@@ -222,11 +222,10 @@ int run_fsck(const Options& o) {
 using Grid = std::vector<avr::sweep::VariantPoint>;
 
 /// The grid's config fingerprints, each once, in order of first appearance.
-/// Coverage and identity checks must see only records simulated under the
-/// config being checked: the shared cache file may hold records for the
-/// same (workload, design) keys under other fingerprints (ablation or --set
-/// variants), which would otherwise shadow the grid's records in the loaded
-/// map.
+/// Identity checks must see only records simulated under the config being
+/// checked: the shared cache file may hold records for the same (workload,
+/// design) keys under other fingerprints (ablation or --set variants), which
+/// would otherwise shadow the grid's records in the loaded map.
 std::vector<uint64_t> distinct_fingerprints(const Grid& grid) {
   std::vector<uint64_t> out;
   for (const auto& vp : grid) {
@@ -236,43 +235,43 @@ std::vector<uint64_t> distinct_fingerprints(const Grid& grid) {
   return out;
 }
 
+/// --check: "is the sweep done?" for the selected points only. A selected
+/// point without a result is missing; if a claim governs it, the claim is
+/// dangling (live: a sweep is still running; expired: a worker died). Claims
+/// on points outside the selection are --fsck's business.
 int check_coverage(const Options& o, const Grid& grid) {
-  const size_t total = grid.size();
-  size_t missing = 0;
-  // Claim audit alongside coverage: a claim is *moot* once its point has a
-  // result, *dangling* otherwise (its point is also missing, so dangling
-  // claims imply a nonzero exit — "zero unclaimed points" in CI is exactly
-  // this check passing).
-  size_t claims = 0, dangling = 0;
+  avr::CacheScan scan;
+  scan.load(o.cache_path);
   const uint64_t now = static_cast<uint64_t>(std::time(nullptr));
-  for (const uint64_t fp : distinct_fingerprints(grid)) {
-    const auto cache = avr::load_result_cache(o.cache_path, fp);
-    for (const auto& [key, c] : avr::load_claims(o.cache_path, fp)) {
-      ++claims;
-      if (cache.count(key)) continue;
+  size_t missing = 0, dangling = 0, claimed = 0;
+  for (const auto& [config, p] : grid) {
+    const auto& st =
+        scan.state(p.first, p.second, avr::config_fingerprint(config));
+    if (st.governing) ++claimed;
+    if (st.done) continue;
+    ++missing;
+    const std::string name = avr::config_diff(config);
+    const std::string suffix = name.empty() ? "" : " (" + name + ")";
+    if (st.governing) {
       ++dangling;
-      std::fprintf(stderr, "dangling claim: %s x %s by %s (%s)\n",
-                   key.first.c_str(), avr::to_string(key.second),
-                   c.owner.c_str(), c.expired(now) ? "expired" : "live");
+      std::fprintf(stderr, "dangling claim: %s x %s%s by %s (%s)\n",
+                   p.first.c_str(), avr::to_string(p.second), suffix.c_str(),
+                   st.governing->owner.c_str(),
+                   st.governing->expired(now) ? "expired" : "live");
     }
-    for (const auto& [config, p] : grid) {
-      if (avr::config_fingerprint(config) != fp || cache.count(p)) continue;
-      const std::string name = avr::config_diff(config);
-      const std::string suffix = name.empty() ? "" : " (" + name + ")";
-      std::fprintf(stderr, "missing: %s x %s%s\n", p.first.c_str(),
-                   avr::to_string(p.second), suffix.c_str());
-      ++missing;
-    }
+    std::fprintf(stderr, "missing: %s x %s%s\n", p.first.c_str(),
+                 avr::to_string(p.second), suffix.c_str());
   }
-  if (missing || dangling) {
+  const size_t total = grid.size();
+  if (missing) {
     std::fprintf(stderr,
                  "%s covers %zu/%zu points (%zu missing, %zu dangling "
                  "claim(s))\n",
                  o.cache_path.c_str(), total - missing, total, missing, dangling);
     return 1;
   }
-  std::printf("%s covers all %zu points (%zu claim record(s), all moot)\n",
-              o.cache_path.c_str(), total, claims);
+  std::printf("%s covers all %zu points (%zu claimed point(s), all moot)\n",
+              o.cache_path.c_str(), total, claimed);
   return 0;
 }
 

@@ -247,8 +247,8 @@ using PointKey = std::tuple<std::string, Design, uint64_t>;
 
 /// The reference verdict: a getline pass over the whole file, as
 /// try_claim_point did before it kept a cursor.
-std::map<PointKey, ClaimScanCursor::PointState> full_scan(const std::string& path) {
-  std::map<PointKey, ClaimScanCursor::PointState> out;
+std::map<PointKey, CacheScan::PointState> full_scan(const std::string& path) {
+  std::map<PointKey, CacheScan::PointState> out;
   std::ifstream in(path);
   std::string line;
   while (std::getline(in, line)) {
@@ -298,12 +298,12 @@ void append_raw(const std::string& path, std::string bytes, bool fresh_line) {
     _exit(5);
 }
 
-std::string describe(const ClaimScanCursor::PointState& st) {
+std::string describe(const CacheScan::PointState& st) {
   return std::string(st.done ? "done" : "open") + " / " +
          (st.governing ? encode_claim_line(*st.governing) : "no claim");
 }
 
-TEST(ClaimScanCursor, MatchesAFullScanAfterEveryAppend) {
+TEST(CacheScan, MatchesAFullScanAfterEveryAppend) {
   const std::string path = temp_path("cursor");
   std::remove(path.c_str());
   std::mt19937_64 rng(20261017);
@@ -339,7 +339,7 @@ TEST(ClaimScanCursor, MatchesAFullScanAfterEveryAppend) {
                    : encode_claim_line(random_claim());
   };
 
-  ClaimScanCursor cursor;
+  CacheScan cursor;
   std::string torn_rest;  // the rest of a torn tail, if the file ends in one
   std::vector<size_t> counts(11, 0);
   for (int step = 0; step < 400; ++step) {
@@ -428,7 +428,7 @@ TEST(ClaimScanCursor, MatchesAFullScanAfterEveryAppend) {
     const int fd = ::open(path.c_str(), O_RDONLY | O_CREAT, 0644);
     ASSERT_GE(fd, 0);
     ASSERT_TRUE(cursor.scan(fd));
-    ClaimScanCursor fresh;
+    CacheScan fresh;
     ASSERT_TRUE(fresh.scan(fd));
     ::close(fd);
     auto ref = full_scan(path);

@@ -404,6 +404,75 @@ TEST(Sweep, BadNumericFlagValueIsNamed) {
   std::remove(err_path.c_str());
 }
 
+TEST(Sweep, CheckJudgesOnlyTheSelectedPointsClaims) {
+  const std::string bin = sweep_binary();
+  if (bin.empty()) GTEST_SKIP() << "AVR_SWEEP_BIN not set";
+
+  const auto dir = std::filesystem::temp_directory_path();
+  const std::string tag = std::to_string(::getpid());
+  const std::string cache = (dir / ("avr_check_" + tag + ".csv")).string();
+  const std::string out_path = (dir / ("avr_check_" + tag + ".out")).string();
+  const std::string err_path = (dir / ("avr_check_" + tag + ".err")).string();
+
+  // heat x baseline has a result and two claims on it (moot); kmeans x
+  // baseline only a claim whose lease ran out long ago (a dead worker's).
+  const uint64_t fp = config_fingerprint(SimConfig{});
+  ExperimentResult heat;
+  heat.workload = "heat";
+  heat.design = Design::kBaseline;
+  heat.config_hash = fp;
+  auto claim = [fp](const std::string& wl, const std::string& owner) {
+    ClaimRecord c;
+    c.workload = wl;
+    c.design = Design::kBaseline;
+    c.config_hash = fp;
+    c.owner = owner;
+    c.claimed_at = 1;
+    c.lease_seconds = 1;
+    return encode_claim_line(c) + '\n';
+  };
+  {
+    std::ofstream out(cache);
+    out << claim("heat", "w0") << claim("heat", "w1");
+    out << encode_result_line(heat) << '\n';
+    out << claim("kmeans", "w-dead");
+  }
+
+  struct Run {
+    int status = -1;
+    std::string out, err;
+  };
+  auto check = [&](const std::string& workload) {
+    const pid_t pid = spawn_tool({bin, "--check", "--cache", cache, "--workloads",
+                                  workload, "--designs", "baseline"},
+                                 err_path, out_path);
+    Run run;
+    int status = 0;
+    if (waitpid(pid, &status, 0) == pid && WIFEXITED(status))
+      run.status = WEXITSTATUS(status);
+    std::ifstream out_in(out_path), err_in(err_path);
+    run.out.assign(std::istreambuf_iterator<char>(out_in), {});
+    run.err.assign(std::istreambuf_iterator<char>(err_in), {});
+    return run;
+  };
+
+  // Selected: the finished point. The other point's dead claim is not its
+  // business, and two claim records on one point count as one claimed point.
+  const Run done = check("heat");
+  EXPECT_EQ(done.status, 0) << done.err;
+  EXPECT_EQ(done.out, cache + " covers all 1 points (1 claimed point(s), all moot)\n");
+  EXPECT_EQ(done.err, "");
+
+  // Selected: the point the dead worker left behind.
+  const Run open = check("kmeans");
+  EXPECT_EQ(open.status, 1);
+  EXPECT_EQ(open.out, "");
+  EXPECT_EQ(open.err, "dangling claim: kmeans x baseline by w-dead (expired)\n"
+                      "missing: kmeans x baseline\n" +
+                          cache + " covers 0/1 points (1 missing, 1 dangling claim(s))\n");
+  for (const std::string& f : {cache, out_path, err_path}) std::remove(f.c_str());
+}
+
 // ---- end-to-end: avr_report ----------------------------------------------
 
 std::string slurp(const std::string& path) {
