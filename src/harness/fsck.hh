@@ -29,13 +29,13 @@ namespace avr {
 
 /// The file accounting of one CacheScan, plus what its points add up to.
 struct FsckReport : CacheScan::FileStats {
-  std::string io_error;           // non-empty: the file could not be read at all
-  size_t superseded_claims = 0;   // replaced by a later claim on the same key
-  size_t moot_claims = 0;         // governing claim, but the point has a result
-  size_t dangling_live = 0;       // governing claim, no result, lease live
-  size_t dangling_expired = 0;    // same, lease run out: a crashed worker
-  size_t duplicate_results = 0;   // re-records with identical metric values
-  size_t conflicting_results = 0; // duplicates whose metric values DIFFER
+  std::string io_error;            // non-empty: the file could not be read at all
+  size_t superseded_claims = 0;    // replaced by a later claim on the same key
+  size_t moot_claims = 0;          // governing claim, but the point has a result
+  size_t dangling_live = 0;        // governing claim, no result, lease live
+  size_t dangling_expired = 0;     // same, lease run out: a crashed worker
+  size_t duplicate_results = 0;    // re-records with identical metric values
+  size_t conflicting_results = 0;  // duplicates whose metric values DIFFER
 
   /// The cache needs attention: unreadable, corrupt or value-conflicting
   /// lines, or expired dangling claims (a crashed worker's leftovers).

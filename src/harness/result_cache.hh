@@ -173,19 +173,19 @@ struct CorruptLine {
 /// file accounting; loads, claims, `--check` and `--fsck` are views of the
 /// result. scan(fd) is incremental: it remembers the file's device and inode
 /// and the byte offset just past the last complete line, so a later scan
-/// classifies only the bytes appended since. try_claim_point keeps one per
-/// process and cache file, and holds mutex() for as long as it holds the
-/// flock.
+/// classifies only the bytes appended since. sweep::run_grid keeps one per
+/// process and cache file for try_claim_point, which holds mutex() for as
+/// long as it holds the flock.
 class CacheScan {
  public:
   using Key = std::tuple<std::string, Design, uint64_t>;
 
   /// A point as its lines add up, in file order.
   struct PointState {
-    bool done = false;                        // some result exists
-    std::optional<ClaimRecord> governing;     // the last claim
-    std::optional<ExperimentResult> result;   // the last result
-    size_t result_line = 0;                   // their 1-based line numbers
+    bool done = false;                       // some result exists
+    std::optional<ClaimRecord> governing;    // the last claim
+    std::optional<ExperimentResult> result;  // the last result
+    size_t result_line = 0;                  // their 1-based line numbers
     size_t claim_line = 0;
     size_t duplicate_results = 0;    // earlier results with identical metrics
     size_t conflicting_results = 0;  // earlier results whose metrics differ
@@ -196,10 +196,10 @@ class CacheScan {
   struct FileStats {
     size_t total_lines = 0;
     size_t blank_lines = 0;
-    size_t foreign_lines = 0;         // pre-v5 and future versions
-    size_t results = 0;               // valid result records
-    size_t claims = 0;                // valid claim records
-    std::vector<CorruptLine> corrupt; // quarantined lines, file order
+    size_t foreign_lines = 0;          // pre-v5 and future versions
+    size_t results = 0;                // valid result records
+    size_t claims = 0;                 // valid claim records
+    std::vector<CorruptLine> corrupt;  // quarantined lines, file order
   };
 
   /// Brings the scan up to date with the cache file open on `fd`. A

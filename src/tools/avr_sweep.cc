@@ -21,6 +21,7 @@
 #include <ctime>
 #include <exception>
 #include <limits>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -275,11 +276,26 @@ int check_coverage(const Options& o, const Grid& grid) {
   return 0;
 }
 
+/// The results `scan` holds under config `fp`, by (workload, design).
+std::map<avr::ResultKey, const avr::ExperimentResult*> results_under(
+    const avr::CacheScan& scan, uint64_t fp) {
+  std::map<avr::ResultKey, const avr::ExperimentResult*> out;
+  for (const auto& [key, p] : scan.points()) {
+    const auto& [workload, design, config_hash] = key;
+    if (config_hash == fp && p.result)
+      out.emplace(avr::ResultKey{workload, design}, &*p.result);
+  }
+  return out;
+}
+
 int check_same(const Options& o, const Grid& grid) {
+  avr::CacheScan scan_a, scan_b;
+  scan_a.load(o.cache_path);
+  scan_b.load(o.assert_same_path);
   size_t differences = 0, compared = 0;
   for (const uint64_t fp : distinct_fingerprints(grid)) {
-    const auto a = avr::load_result_cache(o.cache_path, fp);
-    const auto b = avr::load_result_cache(o.assert_same_path, fp);
+    const auto a = results_under(scan_a, fp);
+    const auto b = results_under(scan_b, fp);
     // A missing or record-free file would make the comparison vacuously
     // true — exactly what a path typo in a verification command must not do.
     if (a.empty() || b.empty()) {
@@ -294,7 +310,7 @@ int check_same(const Options& o, const Grid& grid) {
         std::fprintf(stderr, "only in %s: %s x %s\n", o.cache_path.c_str(),
                      key.first.c_str(), avr::to_string(key.second));
         ++differences;
-      } else if (!avr::same_metrics(ra, it->second)) {
+      } else if (!avr::same_metrics(*ra, *it->second)) {
         std::fprintf(stderr, "values differ: %s x %s\n", key.first.c_str(),
                      avr::to_string(key.second));
         ++differences;

@@ -467,9 +467,10 @@ TEST(Sweep, CheckJudgesOnlyTheSelectedPointsClaims) {
   const Run open = check("kmeans");
   EXPECT_EQ(open.status, 1);
   EXPECT_EQ(open.out, "");
-  EXPECT_EQ(open.err, "dangling claim: kmeans x baseline by w-dead (expired)\n"
-                      "missing: kmeans x baseline\n" +
-                          cache + " covers 0/1 points (1 missing, 1 dangling claim(s))\n");
+  EXPECT_EQ(open.err,
+            "dangling claim: kmeans x baseline by w-dead (expired)\n"
+            "missing: kmeans x baseline\n" +
+                cache + " covers 0/1 points (1 missing, 1 dangling claim(s))\n");
   for (const std::string& f : {cache, out_path, err_path}) std::remove(f.c_str());
 }
 
