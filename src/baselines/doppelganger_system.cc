@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
 
 namespace avr {
 
@@ -17,40 +18,112 @@ DoppelgangerSystem::DoppelgangerSystem(const SimConfig& cfg, RegionRegistry& reg
   // validate_config: power-of-two LLC sets and dg_tag_factor make it a
   // power of two, and it is at most 2^31.
   assert(std::has_single_bit(sets) && sets <= uint64_t{1} << 31);
+  assert(tag_entries < kNil);
   tag_sets_ = static_cast<uint32_t>(sets);
+  tag_line_.assign(tag_entries, kNoLine);
+  tag_lru_.resize(tag_entries);
   tags_.resize(tag_entries);
   data_.resize(data_entries);
+  repr_.resize(data_entries);
+  // At most one key per data entry, so the table stays at most a quarter
+  // full: it never grows and its probe runs stay short.
+  keys_.resize(std::bit_ceil(4 * data_entries));
+  assert(keys_.size() <= uint64_t{1} << 32);
+  key_shift_ = 32 - static_cast<uint32_t>(std::countr_zero(keys_.size()));
   free_data_.reserve(data_entries);
   for (uint32_t i = 0; i < data_entries; ++i)
     free_data_.push_back(static_cast<uint32_t>(data_entries - 1 - i));
 }
 
-DoppelgangerSystem::TagEntry* DoppelgangerSystem::find_tag(uint64_t line) {
-  TagEntry* base = &tags_[tag_set_of(line) * tag_ways_];
-  for (uint32_t w = 0; w < tag_ways_; ++w)
-    if (base[w].valid && base[w].line == line) return &base[w];
-  return nullptr;
+uint32_t DoppelgangerSystem::find_tag(uint64_t line) const {
+  const uint32_t base = static_cast<uint32_t>(tag_set_of(line)) * tag_ways_;
+  for (uint32_t ti = base; ti < base + tag_ways_; ++ti)
+    if (tag_line_[ti] == line) return ti;
+  return kNil;
 }
 
-uint64_t DoppelgangerSystem::map_key(const MemoryRegion& r, const std::byte* host) {
-  assert(r.approx);
-  const auto value = [host](uint32_t i) {
-    float v;
-    std::memcpy(&v, host + i * sizeof(float), sizeof(float));
-    return v;
-  };
-  float lo = 0, hi = 0, sum = 0;
-  for (uint32_t i = 0; i < kValuesPerLine; ++i) {
-    const float v = value(i);
-    const float f = std::isfinite(v) ? v : 0.0f;
-    if (i == 0) lo = hi = f;
-    lo = std::min(lo, f);
-    hi = std::max(hi, f);
-    sum += f;
+// ---- key table ------------------------------------------------------------
+
+uint32_t DoppelgangerSystem::key_find(uint64_t key) const {
+  const uint32_t hash = key_hash(key);
+  const size_t mask = keys_.size() - 1;
+  for (size_t i = key_home(hash);; i = (i + 1) & mask) {
+    const KeySlot& slot = keys_[i];
+    if (slot.idx == kNil) return kNil;
+    if (slot.hash == hash && data_[slot.idx].key == key) return slot.idx;
   }
+}
+
+void DoppelgangerSystem::key_insert(uint32_t idx) {
+  assert(key_find(data_[idx].key) == kNil);
+  const uint32_t hash = key_hash(data_[idx].key);
+  const size_t mask = keys_.size() - 1;
+  size_t i = key_home(hash);
+  while (keys_[i].idx != kNil) i = (i + 1) & mask;
+  keys_[i] = {hash, idx};
+}
+
+void DoppelgangerSystem::key_erase(uint32_t idx) {
+  const size_t mask = keys_.size() - 1;
+  size_t hole = key_home(key_hash(data_[idx].key));
+  while (keys_[hole].idx != idx) {
+    assert(keys_[hole].idx != kNil && "erasing an absent key");
+    hole = (hole + 1) & mask;
+  }
+  // Backward-shift deletion: pull each later slot of the probe run into the
+  // hole unless the hole lies before its home, so no tombstones build up.
+  for (size_t j = (hole + 1) & mask; keys_[j].idx != kNil; j = (j + 1) & mask) {
+    const size_t home = key_home(keys_[j].hash);
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      keys_[hole] = keys_[j];
+      hole = j;
+    }
+  }
+  keys_[hole].idx = kNil;
+}
+
+// ---- map key ----------------------------------------------------------------
+
+DoppelgangerSystem::Span& DoppelgangerSystem::span_of(const MemoryRegion& r) {
+  const size_t i = regions_.ordinal(r);
+  if (i >= spans_.size()) spans_.resize(i + 1);
+  return spans_[i];
+}
+
+namespace {
+
+/// floor(x) clamped to bucket [0, n - 1], branch-free and without a libm
+/// call: once clamped to [0, n - 1], truncation is floor. A NaN, which only
+/// a region span wider than FLT_MAX produces, lands in bucket 0.
+uint64_t bucket(double x, uint32_t n) {
+  const double clamped = std::min(x > 0.0 ? x : 0.0, static_cast<double>(n - 1));
+  return static_cast<uint64_t>(static_cast<int64_t>(clamped));
+}
+
+}  // namespace
+
+uint64_t DoppelgangerSystem::map_key(Span& span, uint64_t base,
+                                     const std::byte* host) const {
+  // One read of the line; non-finite values count as 0 throughout.
+  float v[kValuesPerLine];
+  std::memcpy(v, host, sizeof(v));
+  for (float& f : v) f = std::isfinite(f) ? f : 0.0f;
+  // lo and hi over four interleaved lanes, which vectorize: min and max are
+  // exact, and which of two equal zeros survives moves no bucket below.
+  float lo4[4], hi4[4];
+  for (uint32_t j = 0; j < 4; ++j) lo4[j] = hi4[j] = v[j];
+  for (uint32_t i = 4; i < kValuesPerLine; i += 4)
+    for (uint32_t j = 0; j < 4; ++j) {
+      lo4[j] = std::min(lo4[j], v[i + j]);
+      hi4[j] = std::max(hi4[j], v[i + j]);
+    }
+  const float lo = std::min(std::min(lo4[0], lo4[1]), std::min(lo4[2], lo4[3]));
+  const float hi = std::max(std::max(hi4[0], hi4[1]), std::max(hi4[2], hi4[3]));
+  // The sum keeps the line's order: float addition does not reassociate.
+  float sum = 0;
+  for (const float f : v) sum += f;
   const float avg = sum / kValuesPerLine;
 
-  Span& span = spans_[r.base];
   if (!span.init) {
     span = {lo, hi, true};
   } else {
@@ -58,30 +131,26 @@ uint64_t DoppelgangerSystem::map_key(const MemoryRegion& r, const std::byte* hos
     span.hi = std::max(span.hi, hi);
   }
   const double width = std::max<double>(span.hi - span.lo, 1e-12);
-  const auto clampq = [](double q, uint32_t buckets) {
-    return static_cast<uint64_t>(
-        std::clamp<double>(q, 0.0, static_cast<double>(buckets - 1)));
-  };
   const uint64_t q_avg =
-      clampq(std::floor((avg - span.lo) / width * cfg_.dg_avg_buckets),
-             cfg_.dg_avg_buckets);
+      bucket((avg - span.lo) / width * cfg_.dg_avg_buckets, cfg_.dg_avg_buckets);
   const uint64_t q_rng =
-      clampq(std::floor((hi - lo) / width * cfg_.dg_range_buckets),
-             cfg_.dg_range_buckets);
+      bucket((hi - lo) / width * cfg_.dg_range_buckets, cfg_.dg_range_buckets);
   // Per-value 2-bit shape signature (each value quantized within the line's
   // own [lo, hi] span): two lines dedup only when their internal shapes
   // agree, not merely their average. Lines at the extremes of the region
   // span still alias (q_avg saturates at the edge buckets), which is the
   // edge-case artefact the paper observes.
-  uint64_t shape = 0;
   const float lw = std::max(hi - lo, 1e-12f);
+  int32_t q[kValuesPerLine];
   for (uint32_t i = 0; i < kValuesPerLine; ++i) {
-    const float v = value(i);
-    const float f = std::isfinite(v) ? v : 0.0f;
-    const uint32_t q = static_cast<uint32_t>(
-        std::clamp((f - lo) / lw * 4.0f, 0.0f, 3.0f));
-    shape = (shape << 2) | q;
+    // Clamped to [0, 3]; a NaN, which only a line span wider than FLT_MAX
+    // produces, quantizes to 0.
+    const float s = (v[i] - lo) / lw * 4.0f;
+    q[i] = static_cast<int32_t>(std::min(s > 0.0f ? s : 0.0f, 3.0f));
   }
+  uint64_t shape = 0;
+  for (uint32_t i = 0; i < kValuesPerLine; ++i)
+    shape = (shape << 2) | static_cast<uint64_t>(q[i]);
   // Edge-case artefact (called out in Sec. 4.3): lines sitting at the
   // extreme edges of the region's expected value span saturate the average
   // quantizer, so their shape no longer disambiguates them — lines with very
@@ -90,8 +159,10 @@ uint64_t DoppelgangerSystem::map_key(const MemoryRegion& r, const std::byte* hos
   if (q_avg == 0 || q_avg == cfg_.dg_avg_buckets - 1) shape = 0;
   // Keys are namespaced by region so unrelated structures never collide.
   const uint64_t quant = (q_avg << 8) | q_rng;
-  return (r.base << 20) ^ (quant << 32) ^ shape;
+  return (base << 20) ^ (quant << 32) ^ shape;
 }
+
+// ---- data array ---------------------------------------------------------------
 
 void DoppelgangerSystem::lru_unlink(uint32_t idx) {
   DataEntry& d = data_[idx];
@@ -109,6 +180,22 @@ void DoppelgangerSystem::lru_touch(uint32_t idx) {
   lru_tail_ = idx;
 }
 
+void DoppelgangerSystem::share(uint32_t idx, uint32_t ti) {
+  DataEntry& d = data_[idx];
+  TagEntry& t = tags_[ti];
+  t.prev = d.last;
+  t.next = kNil;
+  (d.last == kNil ? d.first : tags_[d.last].next) = ti;
+  d.last = ti;
+}
+
+void DoppelgangerSystem::unshare(uint32_t ti) {
+  const TagEntry& t = tags_[ti];
+  DataEntry& d = data_[t.data_idx];
+  (t.prev == kNil ? d.first : tags_[t.prev].next) = t.next;
+  (t.next == kNil ? d.last : tags_[t.next].prev) = t.prev;
+}
+
 uint32_t DoppelgangerSystem::alloc_data_entry(uint64_t now, uint64_t key) {
   // Evict the LRU data entry (and every tag that shares it).
   if (free_data_.empty()) {
@@ -120,120 +207,124 @@ uint32_t DoppelgangerSystem::alloc_data_entry(uint64_t now, uint64_t key) {
   DataEntry& d = data_[idx];
   d.valid = true;
   d.key = key;
-  d.sharers.clear();
+  d.first = d.last = kNil;
   lru_touch(idx);
-  if (key) by_key_[key] = idx;
+  if (key) key_insert(idx);
   return idx;
 }
 
-void DoppelgangerSystem::evict_data_entry(uint64_t now, uint32_t idx) {
+void DoppelgangerSystem::free_data_entry(uint32_t idx) {
   DataEntry& d = data_[idx];
-  // Invalidate all sharers; dirty ones write back their (representative)
-  // contents.
-  for (uint64_t line : d.sharers) {
-    TagEntry* t = find_tag(line);
-    if (!t) continue;
-    if (t->dirty) dram_.write(now, line, kCachelineBytes, regions_.is_approx(line));
-    t->valid = false;
-  }
-  by_key_.erase(d.key);
+  if (d.key) key_erase(idx);
   d.valid = false;
-  d.sharers.clear();
   lru_unlink(idx);
   free_data_.push_back(idx);
+}
+
+void DoppelgangerSystem::evict_data_entry(uint64_t now, uint32_t idx) {
+  // Invalidate all sharers, in the order they joined; dirty ones write back
+  // their (representative) contents.
+  for (uint32_t ti = data_[idx].first; ti != kNil; ti = tags_[ti].next) {
+    drop_tag(now, ti);
+    // A way of the set an install is placing into just came free: the line
+    // takes the set's first free way (docs/ARCHITECTURE.md says why).
+    if (ti >= place_set_ && ti < place_) place_ = ti;
+  }
+  free_data_entry(idx);
   ++counters_.data_evictions;
 }
 
-void DoppelgangerSystem::detach_tag(uint64_t now, TagEntry& t, bool write_back) {
-  DataEntry& d = data_[t.data_idx];
-  auto it = std::find(d.sharers.begin(), d.sharers.end(), t.line);
-  if (it != d.sharers.end()) d.sharers.erase(it);
-  if (t.dirty && write_back)
-    dram_.write(now, t.line, kCachelineBytes, regions_.is_approx(t.line));
-  if (d.sharers.empty() && d.valid) {
-    by_key_.erase(d.key);
-    d.valid = false;
-    lru_unlink(t.data_idx);
-    free_data_.push_back(t.data_idx);
-  }
-  t.valid = false;
+// ---- tag array ------------------------------------------------------------------
+
+void DoppelgangerSystem::drop_tag(uint64_t now, uint32_t ti) {
+  const TagEntry& t = tags_[ti];
+  if (t.dirty) dram_.write(now, tag_line_[ti], kCachelineBytes, t.approx);
+  tag_line_[ti] = kNoLine;
 }
 
-void DoppelgangerSystem::hit_tag(uint64_t now, TagEntry& t, bool write) {
-  t.lru = ++lru_clock_;
+void DoppelgangerSystem::detach_tag(uint64_t now, uint32_t ti) {
+  const uint32_t idx = tags_[ti].data_idx;
+  assert(data_[idx].valid);
+  unshare(ti);
+  drop_tag(now, ti);
+  if (data_[idx].first == kNil) free_data_entry(idx);
+}
+
+void DoppelgangerSystem::hit_tag(uint64_t now, uint32_t ti, bool write) {
+  tag_lru_[ti] = ++lru_clock_;
   if (!write) return;
-  const uint64_t line = t.line;
-  uint32_t idx = t.data_idx;
-  DataEntry& d = data_[idx];
-  if (d.sharers.size() > 1) {
-    // A written line diverges from its doppelganger: give it a private entry.
-    auto it = std::find(d.sharers.begin(), d.sharers.end(), line);
-    if (it != d.sharers.end()) d.sharers.erase(it);
-    idx = alloc_data_entry(now, 0);
-    std::memcpy(data_[idx].repr.data(), regions_.host_ptr(line), kCachelineBytes);
-    data_[idx].sharers.push_back(line);
+  TagEntry& t = tags_[ti];
+  const DataEntry& d = data_[t.data_idx];
+  if (d.first != d.last) {
+    // A written line diverges from its doppelganger: give it a private
+    // entry. Off the shared entry's list first, the tag survives the
+    // eviction alloc_data_entry may make (even of that very entry).
+    unshare(ti);
+    const uint32_t idx = alloc_data_entry(now, 0);
+    std::memcpy(repr_[idx].data(), regions_.host_ptr(tag_line_[ti]), kCachelineBytes);
+    share(idx, ti);
+    t.data_idx = idx;
     ++counters_.unshares;
   }
-  // alloc_data_entry may have evicted tags; re-find ours.
-  if (TagEntry* mine = find_tag(line)) {
-    mine->data_idx = idx;
-    mine->dirty = true;
-  }
+  t.dirty = true;
 }
 
-DoppelgangerSystem::TagEntry& DoppelgangerSystem::take_tag_way(uint64_t now,
-                                                               uint64_t line) {
-  TagEntry* base = &tags_[tag_set_of(line) * tag_ways_];
-  TagEntry* victim = nullptr;
-  for (uint32_t w = 0; w < tag_ways_; ++w) {
-    if (!base[w].valid) return base[w];
-    if (!victim || base[w].lru < victim->lru) victim = &base[w];
-  }
-  detach_tag(now, *victim, /*write_back=*/true);
+uint32_t DoppelgangerSystem::take_tag_way(uint64_t now, uint64_t line) {
+  const uint32_t base = static_cast<uint32_t>(tag_set_of(line)) * tag_ways_;
+  for (uint32_t ti = base; ti < base + tag_ways_; ++ti)
+    if (tag_line_[ti] == kNoLine) return ti;
+  uint32_t victim = base;
+  for (uint32_t ti = base + 1; ti < base + tag_ways_; ++ti)
+    if (tag_lru_[ti] < tag_lru_[victim]) victim = ti;
+  detach_tag(now, victim);
   ++counters_.tag_evictions;
-  return *victim;
+  return victim;
 }
 
-bool DoppelgangerSystem::install(uint64_t now, uint64_t line, bool dirty) {
-  // Tag allocation first (LRU within the 4x tag array set).
-  take_tag_way(now, line);
-
-  // One registry lookup per install: the key, the dedup copy and the fill
-  // copy all go through the line's resolved host bytes.
-  const MemoryRegion* r = regions_.find(line);
+bool DoppelgangerSystem::install(uint64_t now, uint64_t line, const MemoryRegion* r,
+                                 bool dirty) {
+  // Tag allocation first (LRU within the 4x tag array set). The data-entry
+  // allocation below can only free more ways; evict_data_entry moves the
+  // pick to the set's first free one.
+  place_ = take_tag_way(now, line);
+  place_set_ = static_cast<uint32_t>(tag_set_of(line)) * tag_ways_;
   if (!r) throw std::out_of_range("unmapped simulated address");
+
+  // The key, the dedup copy and the fill copy all go through the line's
+  // resolved host bytes.
   std::byte* host = r->host.get() + (line - r->base);
   bool deduped = false;
   uint32_t idx;
   if (r->approx) {
-    const uint64_t key = map_key(*r, host);
-    auto it = by_key_.find(key);
-    if (it != by_key_.end() && data_[it->second].valid) {
-      idx = it->second;
+    const uint64_t key = map_key(span_of(*r), r->base, host);
+    idx = key_find(key);
+    if (idx != kNil) {
+      assert(data_[idx].valid);
       // The line adopts the representative's values: this is the
       // approximation. Copy them into the backing store so the application
       // observes them on every future read.
-      std::memcpy(host, data_[idx].repr.data(), kCachelineBytes);
+      std::memcpy(host, repr_[idx].data(), kCachelineBytes);
       deduped = true;
       ++counters_.dedup_hits;
     } else {
       idx = alloc_data_entry(now, key);
-      std::memcpy(data_[idx].repr.data(), host, kCachelineBytes);
+      std::memcpy(repr_[idx].data(), host, kCachelineBytes);
     }
   } else {
     idx = alloc_data_entry(now, 0);
-    std::memcpy(data_[idx].repr.data(), host, kCachelineBytes);
+    std::memcpy(repr_[idx].data(), host, kCachelineBytes);
   }
-  data_[idx].sharers.push_back(line);
+  const uint32_t ti = place_;
+  place_ = place_set_ = kNil;
+  share(idx, ti);
   lru_touch(idx);
 
-  // alloc/evict may have recycled our victim slot; find a free way again.
-  TagEntry& t = take_tag_way(now, line);
-  t.valid = true;
+  tag_line_[ti] = line;
+  tag_lru_[ti] = ++lru_clock_;
+  TagEntry& t = tags_[ti];
   t.dirty = dirty;
-  t.line = line;
+  t.approx = r->approx;
   t.data_idx = idx;
-  t.lru = ++lru_clock_;
   return deduped;
 }
 
@@ -241,31 +332,36 @@ uint64_t DoppelgangerSystem::request(uint64_t now, uint64_t line, bool write) {
   line = line_addr(line);
   ++counters_.requests;
   last_was_miss_ = false;
-  if (TagEntry* t = find_tag(line)) {
-    lru_touch(t->data_idx);
-    hit_tag(now, *t, write);
+  if (const uint32_t ti = find_tag(line); ti != kNil) {
+    lru_touch(tags_[ti].data_idx);
+    hit_tag(now, ti, write);
     ++counters_.hits;
     return cfg_.llc.latency;
   }
   last_was_miss_ = true;
-  const uint64_t lat = dram_.read(now, line, kCachelineBytes, regions_.is_approx(line));
-  install(now, line, write);
+  const MemoryRegion* r = regions_.find(line);
+  // install reads the line's bytes after the DRAM model and the tag victim:
+  // start fetching them now.
+  if (r) __builtin_prefetch(r->host.get() + (line - r->base));
+  const uint64_t lat = dram_.read(now, line, kCachelineBytes, r && r->approx);
+  install(now, line, r, write);
   return lat + cfg_.llc.latency;
 }
 
 void DoppelgangerSystem::writeback(uint64_t now, uint64_t line) {
   line = line_addr(line);
-  if (TagEntry* t = find_tag(line)) {
-    hit_tag(now, *t, /*write=*/true);
+  if (const uint32_t ti = find_tag(line); ti != kNil) {
+    hit_tag(now, ti, /*write=*/true);
     return;
   }
-  install(now, line, /*dirty=*/true);
+  install(now, line, regions_.find(line), /*dirty=*/true);
 }
 
 void DoppelgangerSystem::drain(uint64_t now) {
-  for (TagEntry& t : tags_) {
-    if (!t.valid || !t.dirty) continue;
-    dram_.write(now, t.line, kCachelineBytes, regions_.is_approx(t.line));
+  for (uint32_t ti = 0; ti < tags_.size(); ++ti) {
+    TagEntry& t = tags_[ti];
+    if (tag_line_[ti] == kNoLine || !t.dirty) continue;
+    dram_.write(now, tag_line_[ti], kCachelineBytes, t.approx);
     t.dirty = false;
   }
 }
@@ -283,7 +379,7 @@ StatGroup DoppelgangerSystem::stats() const {
 
 double DoppelgangerSystem::dedup_factor() const {
   uint64_t tags = 0, entries = 0;
-  for (const TagEntry& t : tags_) tags += t.valid;
+  for (const uint64_t line : tag_line_) tags += line != kNoLine;
   for (const DataEntry& d : data_) entries += d.valid;
   return entries ? static_cast<double>(tags) / static_cast<double>(entries) : 1.0;
 }

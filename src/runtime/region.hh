@@ -83,6 +83,12 @@ class RegionRegistry {
   std::span<const float, kValuesPerBlock> block_values(uint64_t addr) const;
 
   const std::vector<MemoryRegion>& regions() const { return regions_; }
+  /// Position of `r`, one of this registry's regions, in regions(). Stable:
+  /// regions are only ever appended.
+  size_t ordinal(const MemoryRegion& r) const {
+    assert(&r >= regions_.data() && &r < regions_.data() + regions_.size());
+    return static_cast<size_t>(&r - regions_.data());
+  }
 
   /// Total footprint of all regions / of approximable regions, in bytes.
   uint64_t total_bytes() const;
