@@ -1,5 +1,6 @@
 #include "avr/avr_llc.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cstring>
@@ -17,6 +18,8 @@ AvrLlc::AvrLlc(const CacheConfig& cfg) : ways_(cfg.ways) {
   set_bits_ = static_cast<uint32_t>(std::countr_zero(sets));
   tags_.resize(uint64_t{sets_} * ways_);
   bpa_.resize(uint64_t{sets_} * ways_);
+  tags_used_.resize(sets_);
+  bpa_used_.resize(sets_);
 }
 
 // ---- tag array ------------------------------------------------------------
@@ -35,15 +38,23 @@ const AvrLlc::TagEntry* AvrLlc::find_tag(uint64_t block) const {
 }
 
 // The victim of a set with a free way is its first free way, and of a full
-// set its first way of least stamp. Keying a free way as 0 and a used one
-// as its stamp (every used entry was stamped by ++lru_clock_, so >= 1)
-// makes both the first strict minimum of one branch-free pass.
+// set its first way of least stamp. The set's use count says which case
+// holds, a branch that stays predicted while the cache is full. A full
+// set's victim is the first strict minimum of one branch-free pass over
+// the stamps.
 template <typename Entry>
-uint32_t AvrLlc::victim_way(const Entry* base) const {
+uint32_t AvrLlc::victim_way(const Entry* base, uint32_t used) const {
+  assert(used == std::count_if(base, base + ways_,
+                               [](const Entry& e) { return in_use(e); }));
+  if (used < ways_) {
+    uint32_t w = 0;
+    while (in_use(base[w])) ++w;
+    return w;
+  }
   uint32_t victim = 0;
-  uint64_t key = in_use(base[0]) ? base[0].lru : 0;
+  uint64_t key = base[0].lru;
   for (uint32_t w = 1; w < ways_; ++w) {
-    const uint64_t k = in_use(base[w]) ? base[w].lru : 0;
+    const uint64_t k = base[w].lru;
     victim = k < key ? w : victim;
     key = k < key ? k : key;
   }
@@ -57,10 +68,12 @@ uint32_t AvrLlc::ensure_tag(uint64_t block, std::vector<LlcVictim>& out) {
   // resident UCLs and CMSs (Sec. 3.4, "Allocation for a tag entry").
   const uint32_t set = static_cast<uint32_t>(tag_index(block));
   TagEntry* base = &tags_[uint64_t{set} * ways_];
-  const uint32_t victim = victim_way(base);
+  const uint32_t victim = victim_way(base, tags_used_[set]);
   if (base[victim].valid()) {
     evict_tag(set, victim, out);
     ++counters_.tag_evictions;
+  } else {
+    ++tags_used_[set];
   }
   base[victim] = TagEntry{};
   base[victim].block_tag = block_tag(block);
@@ -75,13 +88,17 @@ AvrLlc::TagEntry& AvrLlc::revive_tag(uint32_t tag_idx, uint64_t block) {
     // and the caller, maybe_free_tag only clears the tag.
     t = TagEntry{};
     t.block_tag = block_tag(block);
+    ++tags_used_[tag_idx / ways_];
   }
   return t;
 }
 
 void AvrLlc::maybe_free_tag(uint32_t tag_idx) {
   TagEntry& t = tags_[tag_idx];
-  if (t.valid() && t.cms == 0 && t.ucl_mask == 0) t.invalidate();
+  if (t.valid() && t.cms == 0 && t.ucl_mask == 0) {
+    t.invalidate();
+    --tags_used_[tag_idx / ways_];
+  }
 }
 
 void AvrLlc::evict_tag(uint32_t set, uint32_t way, std::vector<LlcVictim>& out) {
@@ -94,6 +111,7 @@ void AvrLlc::evict_tag(uint32_t set, uint32_t way, std::vector<LlcVictim>& out) 
     BpaEntry& e = ucl_entry(tidx, cl);
     out.push_back({LlcVictim::kUcl, block + cl * kCachelineBytes, e.dirty});
     e.valid = false;
+    --bpa_used_[ucl_set(tidx, cl)];
   }
   t.ucl_mask = 0;
   if (t.cms > 0) {
@@ -101,7 +119,7 @@ void AvrLlc::evict_tag(uint32_t set, uint32_t way, std::vector<LlcVictim>& out) 
     remove_cms_entries(tidx);
     t.cms = 0;
   }
-  t.invalidate();
+  t.invalidate();  // ensure_tag reuses the way at once: tags_used_ stays
 }
 
 // ---- BPA / data array -----------------------------------------------------
@@ -127,7 +145,7 @@ const AvrLlc::BpaEntry* AvrLlc::find_ucl(uint64_t line) const {
 }
 
 uint32_t AvrLlc::make_room(uint64_t set, std::vector<LlcVictim>& out) {
-  const uint32_t victim = victim_way(&bpa_[set * ways_]);
+  const uint32_t victim = victim_way(&bpa_[set * ways_], bpa_used_[set]);
   if (bpa_[set * ways_ + victim].valid) release_entry(set, victim, out);
   return victim;
 }
@@ -141,6 +159,7 @@ void AvrLlc::release_entry(uint64_t set, uint32_t way, std::vector<LlcVictim>& o
   if (!e.is_cms) {
     out.push_back({LlcVictim::kUcl, block + uint64_t{e.cl_id} * kCachelineBytes, e.dirty});
     e.valid = false;
+    --bpa_used_[set];
     assert((t.ucl_mask >> e.cl_id) & 1);
     t.ucl_mask = static_cast<uint16_t>(t.ucl_mask & ~(1u << e.cl_id));
     maybe_free_tag(e.tag_idx);
@@ -163,7 +182,10 @@ AvrLlc::BpaEntry& AvrLlc::cms_entry(uint32_t tag_idx, uint32_t i) {
 }
 
 void AvrLlc::remove_cms_entries(uint32_t tag_idx) {
-  for (uint32_t i = 0; i < tags_[tag_idx].cms; ++i) cms_entry(tag_idx, i).valid = false;
+  for (uint32_t i = 0; i < tags_[tag_idx].cms; ++i) {
+    cms_entry(tag_idx, i).valid = false;
+    --bpa_used_[(tag_idx / ways_ + i) & (sets_ - 1)];
+  }
 }
 
 // ---- UCL public operations --------------------------------------------------
@@ -196,6 +218,7 @@ void AvrLlc::ucl_insert(uint64_t line, bool dirty, std::vector<LlcVictim>& out) 
   const uint32_t w = make_room(s, out);
   BpaEntry& e = bpa_[s * ways_ + w];
   e.valid = true;
+  ++bpa_used_[s];
   e.dirty = dirty;
   e.is_cms = false;
   e.cl_id = static_cast<uint8_t>(cl);
@@ -217,6 +240,7 @@ std::optional<bool> AvrLlc::ucl_invalidate(uint64_t line) {
   const bool dirty = e->dirty;
   TagEntry& t = tags_[e->tag_idx];
   e->valid = false;
+  --bpa_used_[ucl_set(e->tag_idx, e->cl_id)];
   t.ucl_mask = static_cast<uint16_t>(t.ucl_mask & ~(1u << e->cl_id));
   maybe_free_tag(e->tag_idx);
   return dirty;
@@ -265,6 +289,7 @@ void AvrLlc::cms_insert(uint64_t block, uint32_t count, bool dirty,
     way[i] = static_cast<uint8_t>(w);
     BpaEntry& e = bpa_[s * ways_ + w];
     e.valid = true;
+    ++bpa_used_[s];
     e.dirty = dirty;
     e.is_cms = true;
     e.cl_id = static_cast<uint8_t>(i);
