@@ -24,6 +24,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/config_table.hh"
@@ -76,9 +77,12 @@ shared CSV cache. Exits nonzero if any point fails.
   --check            verify the cache already covers the selected points and
                      audit its claim records; exit 1 listing any missing
                      point (runs nothing)
-  --assert-same p    verify the cache and cache file `p` contain the same
-                     point set with identical metric values (wall-clock
-                     timing excluded); exit 1 on any difference (runs nothing)
+  --assert-same p    verify the cache and cache file `p` hold identical
+                     metric values (wall-clock timing excluded) for the
+                     selected points: a selected point in only one file is
+                     a difference, one in neither is skipped, and points
+                     outside the selection are not compared; exit 1 on any
+                     difference (runs nothing)
   --fsck             audit every line of the cache file — checksum failures,
                      torn appends, duplicate/conflicting results, stale and
                      dangling claims, foreign record versions — and print the
@@ -288,41 +292,50 @@ std::map<avr::ResultKey, const avr::ExperimentResult*> results_under(
   return out;
 }
 
+/// --assert-same: do the two caches hold the same results for the selected
+/// points? A selected point in only one file is a difference; a selected
+/// point in neither is skipped, as a --set selection need not cover every
+/// workload. Points outside the selection are not compared. A file with no
+/// record under a selected config, or a selection with no point in either
+/// file, fails: a path typo must not pass vacuously.
 int check_same(const Options& o, const Grid& grid) {
+  using Results = std::map<avr::ResultKey, const avr::ExperimentResult*>;
   avr::CacheScan scan_a, scan_b;
   scan_a.load(o.cache_path);
   scan_b.load(o.assert_same_path);
-  size_t differences = 0, compared = 0;
+  std::map<uint64_t, std::pair<Results, Results>> by_config;
   for (const uint64_t fp : distinct_fingerprints(grid)) {
-    const auto a = results_under(scan_a, fp);
-    const auto b = results_under(scan_b, fp);
-    // A missing or record-free file would make the comparison vacuously
-    // true — exactly what a path typo in a verification command must not do.
+    Results a = results_under(scan_a, fp), b = results_under(scan_b, fp);
     if (a.empty() || b.empty()) {
       std::fprintf(stderr, "avr_sweep: no valid records in %s\n",
                    a.empty() ? o.cache_path.c_str() : o.assert_same_path.c_str());
       return 1;
     }
-    compared += a.size();
-    for (const auto& [key, ra] : a) {
-      auto it = b.find(key);
-      if (it == b.end()) {
-        std::fprintf(stderr, "only in %s: %s x %s\n", o.cache_path.c_str(),
-                     key.first.c_str(), avr::to_string(key.second));
-        ++differences;
-      } else if (!avr::same_metrics(*ra, *it->second)) {
-        std::fprintf(stderr, "values differ: %s x %s\n", key.first.c_str(),
-                     avr::to_string(key.second));
-        ++differences;
-      }
+    by_config.emplace(fp, std::make_pair(std::move(a), std::move(b)));
+  }
+  size_t differences = 0, compared = 0, in_neither = 0;
+  for (const auto& [config, p] : grid) {
+    const auto& [a, b] = by_config.at(avr::config_fingerprint(config));
+    const auto ra = a.find(p), rb = b.find(p);
+    const bool in_a = ra != a.end(), in_b = rb != b.end();
+    if (!in_a && !in_b) {
+      ++in_neither;
+      continue;
     }
-    for (const auto& [key, rb] : b) {
-      if (!a.count(key)) {
-        std::fprintf(stderr, "only in %s: %s x %s\n",
-                     o.assert_same_path.c_str(), key.first.c_str(),
-                     avr::to_string(key.second));
-        ++differences;
-      }
+    const std::string name = avr::config_diff(config);
+    const std::string suffix = name.empty() ? "" : " (" + name + ")";
+    if (in_a != in_b) {
+      std::fprintf(stderr, "only in %s: %s x %s%s\n",
+                   in_a ? o.cache_path.c_str() : o.assert_same_path.c_str(),
+                   p.first.c_str(), avr::to_string(p.second), suffix.c_str());
+      ++differences;
+      continue;
+    }
+    ++compared;
+    if (!avr::same_metrics(*ra->second, *rb->second)) {
+      std::fprintf(stderr, "values differ: %s x %s%s\n", p.first.c_str(),
+                   avr::to_string(p.second), suffix.c_str());
+      ++differences;
     }
   }
   if (differences) {
@@ -330,8 +343,15 @@ int check_same(const Options& o, const Grid& grid) {
                  o.cache_path.c_str(), o.assert_same_path.c_str(), differences);
     return 1;
   }
-  std::printf("%s and %s agree on all %zu points\n", o.cache_path.c_str(),
+  if (compared == 0) {
+    std::fprintf(stderr, "avr_sweep: no selected point is in %s or %s\n",
+                 o.cache_path.c_str(), o.assert_same_path.c_str());
+    return 1;
+  }
+  std::printf("%s and %s agree on all %zu compared points", o.cache_path.c_str(),
               o.assert_same_path.c_str(), compared);
+  if (in_neither) std::printf(" (%zu selected point(s) in neither)", in_neither);
+  std::printf("\n");
   return 0;
 }
 

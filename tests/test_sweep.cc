@@ -474,6 +474,91 @@ TEST(Sweep, CheckJudgesOnlyTheSelectedPointsClaims) {
   for (const std::string& f : {cache, out_path, err_path}) std::remove(f.c_str());
 }
 
+TEST(Sweep, AssertSameJudgesOnlyTheSelectedPoints) {
+  const std::string bin = sweep_binary();
+  if (bin.empty()) GTEST_SKIP() << "AVR_SWEEP_BIN not set";
+
+  const auto dir = std::filesystem::temp_directory_path();
+  const std::string tag = std::to_string(::getpid());
+  const std::string a = (dir / ("avr_same_a_" + tag + ".csv")).string();
+  const std::string b = (dir / ("avr_same_b_" + tag + ".csv")).string();
+  const std::string out_path = (dir / ("avr_same_" + tag + ".out")).string();
+  const std::string err_path = (dir / ("avr_same_" + tag + ".err")).string();
+
+  // Both files hold heat x baseline alike and kmeans x baseline with
+  // different cycles; each also holds a point the other lacks.
+  auto record = [](const std::string& wl, Design d, uint64_t cycles) {
+    ExperimentResult r;
+    r.workload = wl;
+    r.design = d;
+    r.config_hash = config_fingerprint(SimConfig{});
+    r.m.cycles = cycles;
+    return encode_result_line(r) + '\n';
+  };
+  {
+    std::ofstream out(a);
+    out << record("heat", Design::kBaseline, 7) << record("kmeans", Design::kBaseline, 8)
+        << record("lbm", Design::kDoppelganger, 9);
+  }
+  {
+    std::ofstream out(b);
+    out << record("heat", Design::kBaseline, 7) << record("kmeans", Design::kBaseline, 80)
+        << record("orbit", Design::kAvr, 9);
+  }
+
+  struct Run {
+    int status = -1;
+    std::string out, err;
+  };
+  auto same = [&](const std::string& workloads, const std::string& designs) {
+    const pid_t pid = spawn_tool({bin, "--assert-same", b, "--cache", a, "--workloads",
+                                  workloads, "--designs", designs},
+                                 err_path, out_path);
+    Run run;
+    int status = 0;
+    if (waitpid(pid, &status, 0) == pid && WIFEXITED(status))
+      run.status = WEXITSTATUS(status);
+    std::ifstream out_in(out_path), err_in(err_path);
+    run.out.assign(std::istreambuf_iterator<char>(out_in), {});
+    run.err.assign(std::istreambuf_iterator<char>(err_in), {});
+    return run;
+  };
+
+  const std::string both = a + " and " + b;
+  const std::string disagree = both + " disagree on 1 point(s)\n";
+
+  // The differing and one-sided points lie outside the selection.
+  const Run agree = same("heat", "baseline");
+  EXPECT_EQ(agree.status, 0) << agree.err;
+  EXPECT_EQ(agree.out, both + " agree on all 1 compared points\n");
+  EXPECT_EQ(agree.err, "");
+
+  // A selected point in neither file is skipped, and counted.
+  const Run skipped = same("heat,wrf", "baseline");
+  EXPECT_EQ(skipped.status, 0) << skipped.err;
+  EXPECT_EQ(skipped.out, both + " agree on all 1 compared points" +
+                             " (1 selected point(s) in neither)\n");
+
+  // Selected: the point whose values differ.
+  const Run differ = same("heat,kmeans", "baseline");
+  EXPECT_EQ(differ.status, 1);
+  EXPECT_EQ(differ.out, "");
+  EXPECT_EQ(differ.err, "values differ: kmeans x baseline\n" + disagree);
+
+  // Selected: a point only one file holds.
+  const Run one_sided = same("lbm,orbit", "dganger");
+  EXPECT_EQ(one_sided.status, 1);
+  EXPECT_EQ(one_sided.err, "only in " + a + ": lbm x dganger\n" + disagree);
+
+  // A selection neither file holds compares nothing, which is no agreement.
+  const Run none = same("wrf", "baseline");
+  EXPECT_EQ(none.status, 1);
+  EXPECT_EQ(none.out, "");
+  EXPECT_EQ(none.err, "avr_sweep: no selected point is in " + a + " or " + b + "\n");
+
+  for (const std::string& f : {a, b, out_path, err_path}) std::remove(f.c_str());
+}
+
 // ---- end-to-end: avr_report ----------------------------------------------
 
 std::string slurp(const std::string& path) {
