@@ -281,7 +281,7 @@ uint32_t DoppelgangerSystem::take_tag_way(uint64_t now, uint64_t line) {
   return victim;
 }
 
-bool DoppelgangerSystem::install(uint64_t now, uint64_t line, const MemoryRegion* r,
+void DoppelgangerSystem::install(uint64_t now, uint64_t line, const MemoryRegion* r,
                                  bool dirty) {
   // Tag allocation first (LRU within the 4x tag array set). The data-entry
   // allocation below can only free more ways; evict_data_entry moves the
@@ -293,7 +293,6 @@ bool DoppelgangerSystem::install(uint64_t now, uint64_t line, const MemoryRegion
   // The key, the dedup copy and the fill copy all go through the line's
   // resolved host bytes.
   std::byte* host = r->host.get() + (line - r->base);
-  bool deduped = false;
   uint32_t idx;
   if (r->approx) {
     const uint64_t key = map_key(span_of(*r), r->base, host);
@@ -304,7 +303,6 @@ bool DoppelgangerSystem::install(uint64_t now, uint64_t line, const MemoryRegion
       // approximation. Copy them into the backing store so the application
       // observes them on every future read.
       std::memcpy(host, repr_[idx].data(), kCachelineBytes);
-      deduped = true;
       ++counters_.dedup_hits;
     } else {
       idx = alloc_data_entry(now, key);
@@ -325,7 +323,6 @@ bool DoppelgangerSystem::install(uint64_t now, uint64_t line, const MemoryRegion
   t.dirty = dirty;
   t.approx = r->approx;
   t.data_idx = idx;
-  return deduped;
 }
 
 uint64_t DoppelgangerSystem::request(uint64_t now, uint64_t line, bool write) {

@@ -109,9 +109,8 @@ class DoppelgangerSystem final : public LlcSystem {
   uint64_t map_key(Span& span, uint64_t base, const std::byte* host) const;
   /// The span slot of region `r`.
   Span& span_of(const MemoryRegion& r);
-  /// Insert `line` (of region `r`, nullptr if unmapped) after a fill;
-  /// returns true if it deduplicated.
-  bool install(uint64_t now, uint64_t line, const MemoryRegion* r, bool dirty);
+  /// Insert `line` (of region `r`, nullptr if unmapped) after a fill.
+  void install(uint64_t now, uint64_t line, const MemoryRegion* r, bool dirty);
   uint32_t alloc_data_entry(uint64_t now, uint64_t key);
   void evict_data_entry(uint64_t now, uint32_t idx);
   /// Returns a valid data entry to the free list.
