@@ -112,6 +112,51 @@ void BM_DoppelgangerMissStream(benchmark::State& state) {
 }
 BENCHMARK(BM_DoppelgangerMissStream);
 
+// Doppelganger's approximate miss path: a cyclic stream over four times the
+// tag capacity of approximate lines misses on every read. Half the lines
+// hold one of 256 repeated patterns, so a miss maps the line's key and
+// often deduplicates onto a resident entry; the other half hold noise and
+// take a data entry of their own, so the full data array evicts its LRU
+// entry with all of its sharers and the tag array detaches its LRU tags
+// (erasing their keys). Every eighth iteration also writes the line it just
+// read, a hit that unshares it when it deduplicated.
+void BM_DoppelgangerApproxMissStream(benchmark::State& state) {
+  SimConfig cfg;
+  cfg.llc = {64 * 1024, 16, 15};
+  RegionRegistry regions;
+  DoppelgangerSystem sys(cfg, regions);
+  const uint64_t lines = 4 * cfg.dg_tag_factor * cfg.llc.size_bytes / kCachelineBytes;
+  const uint64_t base =
+      regions.allocate("stream", lines * kCachelineBytes, /*approx=*/true);
+  Xoshiro256 rng(11);
+  for (uint64_t i = 0; i < lines; ++i) {
+    const bool patterned = rng.below(2) != 0;
+    const float v0 = static_cast<float>(rng.below(256));
+    for (uint32_t k = 0; k < kValuesPerLine; ++k)
+      regions.store<float>(base + i * kCachelineBytes + k * 4,
+                           patterned ? v0 + 0.25f * static_cast<float>(k)
+                                     : static_cast<float>(rng.uniform(0, 256)));
+  }
+  uint64_t now = 0;
+  const auto step = [&](uint64_t i) {
+    const uint64_t line = base + i * kCachelineBytes;
+    benchmark::DoNotOptimize(sys.request(now, line, false));
+    if ((i & 7) == 0) benchmark::DoNotOptimize(sys.request(now, line, true));
+    now += 100;
+  };
+  for (uint64_t i = 0; i < lines; ++i) step(i);  // reach steady state
+  const DoppelgangerCounters& c = sys.counters();
+  if (c.dedup_hits == 0 || c.unshares == 0 || c.data_evictions == 0 ||
+      c.tag_evictions == 0)
+    state.SkipWithError("the stream misses a Doppelganger path");
+  uint64_t i = 0;
+  for (auto _ : state) {
+    step(i);
+    if (++i == lines) i = 0;
+  }
+}
+BENCHMARK(BM_DoppelgangerApproxMissStream);
+
 }  // namespace
 
 BENCHMARK_MAIN();
