@@ -18,7 +18,6 @@ AvrLlc::AvrLlc(const CacheConfig& cfg) : ways_(cfg.ways) {
   set_bits_ = static_cast<uint32_t>(std::countr_zero(sets));
   tags_.resize(uint64_t{sets_} * ways_);
   bpa_.resize(uint64_t{sets_} * ways_);
-  tags_used_.resize(sets_);
   bpa_used_.resize(sets_);
 }
 
@@ -38,23 +37,15 @@ const AvrLlc::TagEntry* AvrLlc::find_tag(uint64_t block) const {
 }
 
 // The victim of a set with a free way is its first free way, and of a full
-// set its first way of least stamp. The set's use count says which case
-// holds, a branch that stays predicted while the cache is full. A full
-// set's victim is the first strict minimum of one branch-free pass over
-// the stamps.
+// set its first way of least stamp. Keying a free way as 0 and a used one
+// as its stamp (every used entry was stamped by ++lru_clock_, so >= 1)
+// makes both the first strict minimum of one branch-free pass.
 template <typename Entry>
-uint32_t AvrLlc::victim_way(const Entry* base, uint32_t used) const {
-  assert(used == std::count_if(base, base + ways_,
-                               [](const Entry& e) { return in_use(e); }));
-  if (used < ways_) {
-    uint32_t w = 0;
-    while (in_use(base[w])) ++w;
-    return w;
-  }
+uint32_t AvrLlc::victim_way(const Entry* base) const {
   uint32_t victim = 0;
-  uint64_t key = base[0].lru;
+  uint64_t key = in_use(base[0]) ? base[0].lru : 0;
   for (uint32_t w = 1; w < ways_; ++w) {
-    const uint64_t k = base[w].lru;
+    const uint64_t k = in_use(base[w]) ? base[w].lru : 0;
     victim = k < key ? w : victim;
     key = k < key ? k : key;
   }
@@ -68,12 +59,10 @@ uint32_t AvrLlc::ensure_tag(uint64_t block, std::vector<LlcVictim>& out) {
   // resident UCLs and CMSs (Sec. 3.4, "Allocation for a tag entry").
   const uint32_t set = static_cast<uint32_t>(tag_index(block));
   TagEntry* base = &tags_[uint64_t{set} * ways_];
-  const uint32_t victim = victim_way(base, tags_used_[set]);
+  const uint32_t victim = victim_way(base);
   if (base[victim].valid()) {
     evict_tag(set, victim, out);
     ++counters_.tag_evictions;
-  } else {
-    ++tags_used_[set];
   }
   base[victim] = TagEntry{};
   base[victim].block_tag = block_tag(block);
@@ -88,17 +77,13 @@ AvrLlc::TagEntry& AvrLlc::revive_tag(uint32_t tag_idx, uint64_t block) {
     // and the caller, maybe_free_tag only clears the tag.
     t = TagEntry{};
     t.block_tag = block_tag(block);
-    ++tags_used_[tag_idx / ways_];
   }
   return t;
 }
 
 void AvrLlc::maybe_free_tag(uint32_t tag_idx) {
   TagEntry& t = tags_[tag_idx];
-  if (t.valid() && t.cms == 0 && t.ucl_mask == 0) {
-    t.invalidate();
-    --tags_used_[tag_idx / ways_];
-  }
+  if (t.valid() && t.cms == 0 && t.ucl_mask == 0) t.invalidate();
 }
 
 void AvrLlc::evict_tag(uint32_t set, uint32_t way, std::vector<LlcVictim>& out) {
@@ -119,7 +104,7 @@ void AvrLlc::evict_tag(uint32_t set, uint32_t way, std::vector<LlcVictim>& out) 
     remove_cms_entries(tidx);
     t.cms = 0;
   }
-  t.invalidate();  // ensure_tag reuses the way at once: tags_used_ stays
+  t.invalidate();
 }
 
 // ---- BPA / data array -----------------------------------------------------
@@ -145,7 +130,17 @@ const AvrLlc::BpaEntry* AvrLlc::find_ucl(uint64_t line) const {
 }
 
 uint32_t AvrLlc::make_room(uint64_t set, std::vector<LlcVictim>& out) {
-  const uint32_t victim = victim_way(&bpa_[set * ways_], bpa_used_[set]);
+  const BpaEntry* base = &bpa_[set * ways_];
+  assert(bpa_used_[set] == std::count_if(base, base + ways_,
+                                         [](const BpaEntry& e) { return e.valid; }));
+  // A set with a free way gives its first one: the pass below would pick
+  // it too, but an emptying or cold cache should not pay for a pass over
+  // every way. A full cache skips this branch every time.
+  uint32_t victim = 0;
+  if (bpa_used_[set] < ways_)
+    while (base[victim].valid) ++victim;
+  else
+    victim = victim_way(base);
   if (bpa_[set * ways_ + victim].valid) release_entry(set, victim, out);
   return victim;
 }
@@ -182,9 +177,10 @@ AvrLlc::BpaEntry& AvrLlc::cms_entry(uint32_t tag_idx, uint32_t i) {
 }
 
 void AvrLlc::remove_cms_entries(uint32_t tag_idx) {
+  const uint32_t tset = tag_idx / ways_;
   for (uint32_t i = 0; i < tags_[tag_idx].cms; ++i) {
     cms_entry(tag_idx, i).valid = false;
-    --bpa_used_[(tag_idx / ways_ + i) & (sets_ - 1)];
+    --bpa_used_[(tset + i) & (sets_ - 1)];
   }
 }
 

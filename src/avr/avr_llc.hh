@@ -173,11 +173,10 @@ class AvrLlc {
   const BpaEntry* find_ucl(uint64_t line) const;
   static bool in_use(const TagEntry& t) { return t.valid(); }
   static bool in_use(const BpaEntry& e) { return e.valid; }
-  /// The victim way of the set whose ways start at `base` and of which
-  /// `used` are in use: its first free way, else its first least recently
-  /// used way.
+  /// The victim way of the set whose ways start at `base`: its first free
+  /// way, else its first least recently used way.
   template <typename Entry>
-  uint32_t victim_way(const Entry* base, uint32_t used) const;
+  uint32_t victim_way(const Entry* base) const;
   /// Release the victim way of BPA set `set`, appending any eviction to
   /// `out`. Returns the freed way.
   uint32_t make_room(uint64_t set, std::vector<LlcVictim>& out);
@@ -190,9 +189,8 @@ class AvrLlc {
 
   std::vector<TagEntry> tags_;  // sets_ x ways_
   std::vector<BpaEntry> bpa_;   // sets_ x ways_
-  // Ways in use per set, so a victim pick knows up front whether the set
+  // Valid entries per BPA set, so make_room knows up front whether the set
   // has a free way.
-  std::vector<uint16_t> tags_used_;
   std::vector<uint16_t> bpa_used_;
   uint32_t sets_ = 0;
   uint32_t ways_ = 0;

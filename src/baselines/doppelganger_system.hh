@@ -60,6 +60,7 @@ class DoppelgangerSystem final : public LlcSystem {
   // The bookkeeping lives in flat arrays sized at construction (the span
   // slots grow once per region), so the miss path does not allocate.
   // Entries refer to each other by index.
+
   // The tag array is split by use: a lookup scans only tag_line_, a victim
   // pick only tag_lru_, and the rest of an entry sits in tags_.
   static constexpr uint64_t kNoLine = ~uint64_t{0};  // an invalid tag's line
