@@ -131,8 +131,8 @@ const AvrLlc::BpaEntry* AvrLlc::find_ucl(uint64_t line) const {
 
 uint32_t AvrLlc::make_room(uint64_t set, std::vector<LlcVictim>& out) {
   const BpaEntry* base = &bpa_[set * ways_];
-  assert(bpa_used_[set] == std::count_if(base, base + ways_,
-                                         [](const BpaEntry& e) { return e.valid; }));
+  assert(bpa_used_[set] ==
+         std::count_if(base, base + ways_, [](const BpaEntry& e) { return e.valid; }));
   // A set with a free way gives its first one: the pass below would pick
   // it too, but an emptying or cold cache should not pay for a pass over
   // every way. A full cache skips this branch every time.
