@@ -59,6 +59,20 @@ class SetAssocCache {
   /// if present, else allocate it dirty. Returns the allocation's eviction.
   Eviction write_back(uint64_t addr);
 
+  /// write_back(addr) through a remembered slot index: if `hint` is the way
+  /// of `addr`'s set that holds its tag, the line is refreshed there without
+  /// a scan. The hint is advisory: a slot since refilled by another line, or
+  /// any other index, fails the check and the call falls back to the scan.
+  /// Tags are unique within a set, so the outcome is always write_back(addr)'s.
+  Eviction write_back(uint64_t addr, uint64_t hint) {
+    const uint64_t base = set_of(addr) * ways_;
+    if (hint - base < ways_ && lines_[hint].tag == tag_of(addr)) {
+      touch(lines_[hint], /*write=*/true);
+      return {};
+    }
+    return write_back(addr);
+  }
+
   /// Mark an existing line dirty (refreshing LRU). Returns false if absent.
   bool mark_dirty(uint64_t addr);
 

@@ -20,28 +20,38 @@ MemoryHierarchy::MemoryHierarchy(const SimConfig& cfg, LlcSystem& llc,
     f.l1 = l1_.back().get();
     f.mask = l1_.back()->num_sets() - 1;
     filters_.push_back(std::move(f));
+    l2_slots_.emplace_back(uint64_t{l1_.back()->num_sets()} * l1_.back()->ways());
   }
 }
 
 void MemoryHierarchy::flush_filters() const {
   for (L1Filter& f : filters_) {
-    if (f.pending == 0) continue;
+    const uint64_t hits = f.pending + f.scanned;
+    if (hits == 0) continue;
     f.l1->count_filtered_hits(f.pending);
-    accesses_ += f.pending;
-    latency_sum_ += f.pending * lat_l1_;
-    f.pending = 0;
+    accesses_ += hits;
+    latency_sum_ += hits * lat_l1_;
+    f.pending = f.scanned = 0;
   }
 }
 
-void MemoryHierarchy::evict_from_l1(uint32_t core, uint64_t now, const Eviction& ev) {
+void MemoryHierarchy::evict_from_l1(uint32_t core, uint64_t now, const Eviction& ev,
+                                    uint64_t l2_slot) {
   if (!ev.valid || !ev.dirty) return;
   // Dirty L1 victim lands in the L2 (write-back, allocate on writeback).
-  const Eviction ev2 = l2_[core]->write_back(ev.addr);
+  const Eviction ev2 = l2_[core]->write_back(ev.addr, l2_slot);
   if (ev2.valid && ev2.dirty) llc_.writeback(now, ev2.addr);
 }
 
 AccessOutcome MemoryHierarchy::access(uint32_t core, uint64_t now, uint64_t addr,
                                       bool write) {
+  const SetAssocCache::Slot s1 = filters_[core].scan(addr, write);
+  if (!s1.hit) return l1_miss(core, now, addr, write, s1);
+  return {lat_l1_, ServedBy::kL1};
+}
+
+AccessOutcome MemoryHierarchy::l1_miss(uint32_t core, uint64_t now, uint64_t addr,
+                                       bool write, SetAssocCache::Slot s1) {
   addr = line_addr(addr);
   ++accesses_;
   AccessOutcome out;
@@ -50,16 +60,6 @@ AccessOutcome MemoryHierarchy::access(uint32_t core, uint64_t now, uint64_t addr
   // uses, and stays valid because nothing between lookup and fill touches
   // that cache (the L2 and LLC work never reaches the L1; the LLC request
   // never reaches the L2).
-  SetAssocCache& l1 = *l1_[core];
-  const SetAssocCache::Slot s1 = l1.lookup(addr, write);
-  if (s1.hit) {
-    arm_filter(core, addr, write);
-    out.latency = lat_l1_;
-    out.level = ServedBy::kL1;
-    latency_sum_ += out.latency;
-    return out;
-  }
-
   SetAssocCache& l2 = *l2_[core];
   const SetAssocCache::Slot s2 = l2.lookup(addr, /*write=*/false);
   if (s2.hit) {
@@ -81,10 +81,14 @@ AccessOutcome MemoryHierarchy::access(uint32_t core, uint64_t now, uint64_t addr
 
   // Fill L1 (write-allocate: the store dirties the L1 copy). The filled
   // line is the new MRU of its set, so it arms the filter slot — which also
-  // retires any line the fill evicted from that set.
-  const Eviction ev1 = l1.fill(s1, addr, write);
-  arm_filter(core, addr, write);
-  evict_from_l1(core, now, ev1);
+  // retires any line the fill evicted from that set. The line now sits in
+  // L2 slot s2; its L1 slot trades the victim's remembered slot for that.
+  const Eviction ev1 = l1_[core]->fill(s1, addr, write);
+  filters_[core].arm(addr, write);
+  uint32_t& remembered = l2_slots_[core][s1.idx];
+  const uint32_t victim_l2_slot = remembered;
+  remembered = static_cast<uint32_t>(s2.idx);
+  evict_from_l1(core, now, ev1, victim_l2_slot);
   latency_sum_ += out.latency;
   return out;
 }

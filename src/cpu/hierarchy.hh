@@ -6,10 +6,14 @@
 // one slot per L1 set holding the set's most-recently-used line. A repeat
 // access to that line is an L1 hit that cannot change any simulated state
 // (the line is already MRU, so true-LRU ordering is unaffected), so
-// filter_hit() short-circuits it to one compare plus a deferred counter
+// L1Filter::hit() short-circuits it to one compare plus a deferred counter
 // bump, bypassing the SetAssocCache scan and the AccessOutcome plumbing.
-// See docs/ARCHITECTURE.md ("Access-chain fast path") for the exactness
-// argument and the invalidation contract.
+// An access the filter passes on gets one L1 scan, L1Filter::scan(), which
+// the interval core runs itself: a hit ends there, a miss hands its slot to
+// l1_miss(), which never rescans the L1. Each L1 line also remembers the L2
+// slot it came from, so a dirty L1 victim's write-back usually skips the L2
+// scan. See docs/ARCHITECTURE.md ("Access-chain fast path") for the
+// exactness argument and the invalidation contract.
 #pragma once
 
 #include <cstdint>
@@ -52,17 +56,26 @@ class MemoryHierarchy {
   /// A load/store of the cacheline containing `addr` by `core` at `now`.
   AccessOutcome access(uint32_t core, uint64_t now, uint64_t addr, bool write);
 
+  /// access() after an L1 lookup of `addr` missed: `s1` is the miss slot the
+  /// counted lookup returned (L1Filter::scan), so the L1 is not scanned
+  /// again. Nothing may touch the core's L1 between the lookup and this call.
+  AccessOutcome l1_miss(uint32_t core, uint64_t now, uint64_t addr, bool write,
+                        SetAssocCache::Slot s1);
+
   /// Per-core MRU line filter, the per-access fast path: lines[s] is the
   /// MRU line of L1 set s (kNoLine when disarmed), dirty[s] whether that L1
   /// copy is known dirty. `pending` counts filtered hits not yet folded
-  /// into the reporting counters — the simulation itself never reads those
-  /// counters, so folding happens lazily on the cold read paths.
+  /// into any counter, `scanned` the L1 hits scan() served, which the L1
+  /// counted but the hierarchy's access and latency sums do not yet hold —
+  /// the simulation itself never reads those counters, so folding happens
+  /// lazily on the cold read paths.
   struct L1Filter {
     std::vector<uint64_t> lines;
     std::vector<uint8_t> dirty;
     SetAssocCache* l1 = nullptr;
     uint64_t mask = 0;
     uint64_t pending = 0;
+    uint64_t scanned = 0;
 
     /// True iff the access is a repeat L1 hit on the MRU line of its set:
     /// the access is then fully accounted (an L1 hit at l1_latency) and
@@ -82,6 +95,28 @@ class MemoryHierarchy {
       }
       ++pending;
       return true;
+    }
+
+    /// The counted L1 lookup of an access hit() passed on. A hit is then
+    /// fully accounted as an L1 hit at l1_latency: the lookup refreshed LRU
+    /// (and dirtied the line on a write), the line arms its slot as the new
+    /// MRU of its set, and `scanned` defers the hierarchy's share. A miss
+    /// slot is for MemoryHierarchy::l1_miss.
+    SetAssocCache::Slot scan(uint64_t addr, bool write) {
+      const uint64_t line = line_addr(addr);
+      const SetAssocCache::Slot s = l1->lookup(line, write);
+      if (s.hit) {
+        arm(line, write);
+        ++scanned;
+      }
+      return s;
+    }
+
+    /// Arm the slot for `line`, which just became the MRU of its set.
+    void arm(uint64_t line, bool known_dirty) {
+      const uint64_t slot = (line / kCachelineBytes) & mask;
+      lines[slot] = line;
+      dirty[slot] = known_dirty ? 1 : 0;
     }
   };
 
@@ -119,18 +154,13 @@ class MemoryHierarchy {
  private:
   static constexpr uint64_t kNoLine = ~uint64_t{0};
 
-  /// Arm the filter slot for `line` (which just became the MRU of its set).
-  void arm_filter(uint32_t core, uint64_t line, bool known_dirty) {
-    L1Filter& f = filters_[core];
-    const uint64_t slot = (line / kCachelineBytes) & f.mask;
-    f.lines[slot] = line;
-    f.dirty[slot] = known_dirty ? 1 : 0;
-  }
-
-  /// Fold pending filtered hits into the reporting counters (cold path).
+  /// Fold the filters' deferred L1 hits into the reporting counters (cold
+  /// path).
   void flush_filters() const;
 
-  void evict_from_l1(uint32_t core, uint64_t now, const Eviction& ev);
+  /// Write a dirty L1 victim into the L2, trying `l2_slot` (the L2 slot the
+  /// line was found in or filled into) before the set scan.
+  void evict_from_l1(uint32_t core, uint64_t now, const Eviction& ev, uint64_t l2_slot);
 
   SimConfig cfg_;
   LlcSystem& llc_;
@@ -138,6 +168,9 @@ class MemoryHierarchy {
   std::vector<std::unique_ptr<SetAssocCache>> l1_;
   std::vector<std::unique_ptr<SetAssocCache>> l2_;
   mutable std::vector<L1Filter> filters_;
+  // l2_slots_[core][i]: the L2 slot index of the line in L1 slot i, as of
+  // its fill. Advisory — SetAssocCache::write_back(addr, hint) checks it.
+  std::vector<std::vector<uint32_t>> l2_slots_;
   // Per-access invariants hoisted out of access(): the latency ladder is
   // config-constant, so the hot path adds plain members instead of chasing
   // two levels of config structs per instrumented load/store.

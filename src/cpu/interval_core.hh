@@ -10,9 +10,10 @@
 //
 // Hot-path shape: every instrumented access enters through access(), which
 // charges the surrounding non-memory instructions and the load/store in one
-// step, then tries the hierarchy's per-core MRU line filter. Only filter
-// misses (L1 set-MRU changes, L2/LLC/DRAM traffic) reach memory_op()'s
-// interval bookkeeping.
+// step, then tries the hierarchy's per-core MRU line filter inline. A filter
+// miss takes l1_access(), out of line: one scan of the core's L1, where an
+// L1 hit ends, and only L1 misses (L2/LLC/DRAM traffic) reach the
+// hierarchy's miss path and the interval bookkeeping.
 #pragma once
 
 #include <cstdint>
@@ -34,9 +35,10 @@ class IntervalCore {
         rob_size_(cfg.rob_size),
         // ILP a full ROB can hide under perfect overlap.
         hide_cycles_(cfg.rob_size / cfg.dispatch_width),
-        // The MRU-filter fast path is exact only if a filtered hit (an L1
-        // hit) can never expose a stall; with l1_latency > hide_cycles it
-        // would, so such configs take the full path for every access.
+        // Serving an L1 hit in the core (the MRU filter, or l1_access's
+        // scan) skips the interval bookkeeping, which is exact only if an L1
+        // hit can never expose a stall; with l1_latency > hide_cycles it
+        // would, so such configs charge every access through it.
         filter_ok_(mem.l1_hit_latency() <= hide_cycles_) {}
 
   /// Commit `n` non-memory instructions.
@@ -49,7 +51,7 @@ class IntervalCore {
   void access(uint64_t addr, bool write, uint64_t pre_ops) {
     instructions_ += pre_ops + 1;
     if (filter_ok_ && filter_->hit(addr, write)) return;
-    memory_op(addr, write);
+    l1_access(addr, write);
   }
 
   /// Commit a load/store of `addr`.
@@ -68,7 +70,13 @@ class IntervalCore {
   uint32_t id() const { return id_; }
 
  private:
-  void memory_op(uint64_t addr, bool write) {
+  /// An access the MRU filter did not serve. Out of line, so that the
+  /// filter test stays the only code access() inlines into every workload.
+  [[gnu::noinline]] void l1_access(uint64_t addr, bool write) {
+    const SetAssocCache::Slot s1 = filter_->scan(addr, write);
+    // An L1 hit ends here when it cannot stall: the bookkeeping below
+    // would find nothing exposed. Otherwise it stalls like any miss.
+    if (s1.hit && filter_ok_) return;
     // Misses within one ROB window all issue from the window's start time:
     // the OoO engine had them in flight together. The DRAM model then
     // queues them behind each other (bank/bus contention), and the core
@@ -77,11 +85,11 @@ class IntervalCore {
     const bool in_window =
         window_done_ != 0 && (instructions_ - window_first_instr_ < rob_size_);
     const uint64_t issue = in_window ? window_issue_ : cycles();
-    const AccessOutcome out = mem_.access(id_, issue, addr, write);
+    const uint64_t latency = s1.hit ? mem_.l1_hit_latency()
+                                    : mem_.l1_miss(id_, issue, addr, write, s1).latency;
     // Only latencies beyond what the ROB hides become stalls; on-chip hits
     // (L1/L2/LLC/DBUF, including AVR decompression) are absorbed by ILP.
-    const uint64_t exposed =
-        out.latency > hide_cycles_ ? out.latency - hide_cycles_ : 0;
+    const uint64_t exposed = latency > hide_cycles_ ? latency - hide_cycles_ : 0;
     if (exposed == 0) return;
 
     const uint64_t done = issue + exposed;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "baselines/baseline_system.hh"
 #include "cpu/hierarchy.hh"
 #include "cpu/interval_core.hh"
@@ -68,6 +71,81 @@ TEST(Hierarchy, MpkiCountsOnlyLlcMisses) {
   r.hier.access(0, 100, r.base, false);
   EXPECT_EQ(r.hier.llc_requests(), 1u);
   EXPECT_EQ(r.hier.llc_misses(), 1u);
+}
+
+// Rig geometry: the 4-way L1 has 16 sets and the 8-way L2 32 sets, so lines
+// 1 KB apart share an L1 set and lines 2 KB apart also share an L2 set.
+constexpr uint64_t kL1SetStride = 1024;
+constexpr uint64_t kL2SetStride = 2048;
+
+bool dirty_in(const SetAssocCache& c, uint64_t line) {
+  for (const auto& [addr, dirty] : c.valid_lines())
+    if (addr == line) return dirty;
+  return false;
+}
+
+TEST(Hierarchy, DirtyVictimStillInItsL2SlotIsRefreshedInPlace) {
+  Rig r;
+  const uint64_t x = r.base;
+  r.core.store(x);
+  // Four lines of x's L1 set in another L2 set push x out of the L1.
+  for (uint64_t j = 0; j < 4; ++j) r.core.load(x + kL1SetStride + j * kL2SetStride);
+  ASSERT_FALSE(r.hier.l1(0).probe(x));
+  const CacheCounters& l2 = r.hier.l2(0).counters();
+  EXPECT_TRUE(dirty_in(r.hier.l2(0), x));
+  EXPECT_EQ(l2.fills, l2.misses);  // the write-back allocated nothing
+}
+
+TEST(Hierarchy, DirtyVictimWhoseL2SlotWasRefilledIsAllocatedDirty) {
+  // Orbit's case: the L2 drops a line the L1 still holds dirty, so the L2
+  // slot the line was filled into now holds another line.
+  Rig r;
+  const uint64_t x = r.base;
+  r.core.store(x);
+  // Eight more lines of x's L2 set (and L1 set) evict x from the L2; x stays
+  // in the L1 because each of them is followed by an L1 hit on x.
+  for (uint64_t i = 1; i <= 8; ++i) {
+    r.core.load(x + i * kL2SetStride);
+    r.core.load(x);
+  }
+  ASSERT_TRUE(r.hier.l1(0).probe(x));
+  ASSERT_FALSE(r.hier.l2(0).probe(x));
+  const uint64_t l2_fills = r.hier.l2(0).counters().fills;
+  for (uint64_t j = 0; j < 4; ++j) r.core.load(x + kL1SetStride + j * kL2SetStride);
+  ASSERT_FALSE(r.hier.l1(0).probe(x));
+  // Four demand fills plus the write-back's own allocation.
+  EXPECT_EQ(r.hier.l2(0).counters().fills, l2_fills + 5);
+  EXPECT_TRUE(dirty_in(r.hier.l2(0), x));
+}
+
+TEST(Hierarchy, RoundRobinOverOneL1SetEvictsTheTrueLruLine) {
+  // Heat's pattern: four lines of one L1 set in turn, so every access moves
+  // the set's MRU line and the MRU filter never catches one. The core
+  // serves the hits from its own L1 scan; the hierarchy's access() is the
+  // full path it must match.
+  Rig core_rig, full_rig;
+  std::vector<std::pair<uint64_t, bool>> stream;
+  for (int round = 0; round < 10; ++round)
+    for (uint64_t k = 0; k < 4; ++k) stream.emplace_back(k * kL1SetStride, k == 3);
+  stream.emplace_back(4 * kL1SetStride, false);
+  for (const auto& [off, write] : stream) {
+    core_rig.core.access(core_rig.base + off, write, 0);
+    full_rig.hier.access(0, 0, full_rig.base + off, write);
+  }
+  const SetAssocCache& l1 = core_rig.hier.l1(0);
+  EXPECT_FALSE(l1.probe(core_rig.base));  // the LRU line
+  for (uint64_t k = 1; k <= 4; ++k) EXPECT_TRUE(l1.probe(core_rig.base + k * kL1SetStride));
+  const CacheCounters& a = l1.counters();
+  const CacheCounters& b = full_rig.hier.l1(0).counters();
+  EXPECT_EQ(a.hits, 36u);
+  EXPECT_EQ(a.misses, 5u);
+  EXPECT_EQ(a.accesses, b.accesses);
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.evictions, b.evictions);
+  EXPECT_EQ(a.dirty_evictions, b.dirty_evictions);
+  EXPECT_EQ(core_rig.hier.total_accesses(), full_rig.hier.total_accesses());
+  EXPECT_DOUBLE_EQ(core_rig.hier.amat(), full_rig.hier.amat());
 }
 
 TEST(IntervalCore, DispatchWidthBoundsIpc) {
