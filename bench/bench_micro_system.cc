@@ -78,6 +78,26 @@ void BM_AccessChainAddr(benchmark::State& state) {
 }
 BENCHMARK(BM_AccessChainAddr);
 
+/// Heat's stencil pattern: four lines of one L1 set read in turn (a column's
+/// four rows, 1 kB apart in the scaled L1's 16 sets), so every access
+/// changes its set's MRU line and the MRU filter misses each one, while
+/// every access is an L1 hit.
+void BM_AccessChainL1Rotate(benchmark::State& state) {
+  System sys(Design::kBaseline, small_cfg());
+  const uint64_t set_stride = 1024;
+  const RegionHandle h = sys.alloc_region("bench.rotate", 4 * set_stride, /*approx=*/false);
+  for (uint64_t row = 0; row < 4; ++row) sys.load_f32(h, row * set_stride);
+  uint64_t i = 0;
+  float acc = 0;
+  for (auto _ : state) {
+    // Rows turn every access; the word within the line every four.
+    acc += sys.load_f32(h, (i & 3) * set_stride + (i & 60));
+    ++i;
+  }
+  benchmark::DoNotOptimize(acc);
+}
+BENCHMARK(BM_AccessChainL1Rotate);
+
 /// Line-stride reads over a window larger than the private caches but
 /// LLC-resident: every access walks the full L1 -> L2 -> LLC dispatch.
 void BM_AccessChainLlc(benchmark::State& state) {
