@@ -84,14 +84,14 @@ BENCHMARK(BM_AccessChainAddr);
 /// every access is an L1 hit.
 void BM_AccessChainL1Rotate(benchmark::State& state) {
   System sys(Design::kBaseline, small_cfg());
-  const uint64_t set_stride = 1024;
-  const RegionHandle h = sys.alloc_region("bench.rotate", 4 * set_stride, /*approx=*/false);
-  for (uint64_t row = 0; row < 4; ++row) sys.load_f32(h, row * set_stride);
+  constexpr uint64_t kRow = 1024;
+  const RegionHandle h = sys.alloc_region("bench.rotate", 4 * kRow, /*approx=*/false);
+  for (uint64_t row = 0; row < 4; ++row) sys.load_f32(h, row * kRow);
   uint64_t i = 0;
   float acc = 0;
   for (auto _ : state) {
     // Rows turn every access; the word within the line every four.
-    acc += sys.load_f32(h, (i & 3) * set_stride + (i & 60));
+    acc += sys.load_f32(h, (i & 3) * kRow + (i & 60));
     ++i;
   }
   benchmark::DoNotOptimize(acc);

@@ -133,8 +133,9 @@ TEST(Hierarchy, RoundRobinOverOneL1SetEvictsTheTrueLruLine) {
     full_rig.hier.access(0, 0, full_rig.base + off, write);
   }
   const SetAssocCache& l1 = core_rig.hier.l1(0);
-  EXPECT_FALSE(l1.probe(core_rig.base));  // the LRU line
-  for (uint64_t k = 1; k <= 4; ++k) EXPECT_TRUE(l1.probe(core_rig.base + k * kL1SetStride));
+  const uint64_t base = core_rig.base;
+  EXPECT_FALSE(l1.probe(base));  // the LRU line
+  for (uint64_t k = 1; k <= 4; ++k) EXPECT_TRUE(l1.probe(base + k * kL1SetStride));
   const CacheCounters& a = l1.counters();
   const CacheCounters& b = full_rig.hier.l1(0).counters();
   EXPECT_EQ(a.hits, 36u);
