@@ -19,27 +19,6 @@ SetAssocCache::SetAssocCache(uint64_t size_bytes, uint32_t ways, uint64_t line_b
   lines_.resize(uint64_t{sets_} * ways_);
 }
 
-Eviction SetAssocCache::fill(Slot slot, uint64_t addr, bool dirty) {
-  // The slot must be the miss slot of `addr` in the cache as it is now: a
-  // mutation of this cache between lookup and fill would stale it.
-  assert(!slot.hit && locate(addr) == slot &&
-         "fill of a present line or through a stale slot");
-  Line& victim = lines_[slot.idx];
-  Eviction ev;
-  if (victim.valid()) {
-    ev.valid = true;
-    ev.dirty = victim.dirty;
-    ev.addr = (victim.tag << tag_shift_) | (set_of(addr) << line_shift_);
-    ++counters_.evictions;
-    if (ev.dirty) ++counters_.dirty_evictions;
-  }
-  victim.dirty = dirty;
-  victim.tag = tag_of(addr);
-  victim.lru = ++lru_clock_;
-  ++counters_.fills;
-  return ev;
-}
-
 Eviction SetAssocCache::write_back(uint64_t addr) {
   const Slot s = locate(addr);
   if (!s.hit) return fill(s, addr, /*dirty=*/true);

@@ -6,6 +6,7 @@
 // AVR LLC (src/avr/avr_llc.hh) has its own decoupled structure.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -128,8 +129,8 @@ class SetAssocCache {
   CacheCounters counters_;
 };
 
-// The scan and the counted lookup are inline: they run on every access the
-// L1 filter passes on, and on the L2 and LLC paths below it.
+// The scan, the counted lookup and the fill are inline: they run on every
+// access the L1 filter passes on, and on the L2 and LLC paths below it.
 inline SetAssocCache::Slot SetAssocCache::locate(uint64_t addr) const {
   const uint64_t tag = tag_of(addr);
   const uint64_t base = set_of(addr) * ways_;
@@ -157,6 +158,27 @@ inline SetAssocCache::Slot SetAssocCache::lookup(uint64_t addr, bool write) {
   touch(lines_[s.idx], write);
   ++counters_.hits;
   return s;
+}
+
+inline Eviction SetAssocCache::fill(Slot slot, uint64_t addr, bool dirty) {
+  // The slot must be the miss slot of `addr` in the cache as it is now: a
+  // mutation of this cache between lookup and fill would stale it.
+  assert(!slot.hit && locate(addr) == slot &&
+         "fill of a present line or through a stale slot");
+  Line& victim = lines_[slot.idx];
+  Eviction ev;
+  if (victim.valid()) {
+    ev.valid = true;
+    ev.dirty = victim.dirty;
+    ev.addr = (victim.tag << tag_shift_) | (set_of(addr) << line_shift_);
+    ++counters_.evictions;
+    if (ev.dirty) ++counters_.dirty_evictions;
+  }
+  victim.dirty = dirty;
+  victim.tag = tag_of(addr);
+  victim.lru = ++lru_clock_;
+  ++counters_.fills;
+  return ev;
 }
 
 }  // namespace avr

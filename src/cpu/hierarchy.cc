@@ -35,14 +35,6 @@ void MemoryHierarchy::flush_filters() const {
   }
 }
 
-void MemoryHierarchy::evict_from_l1(uint32_t core, uint64_t now, const Eviction& ev,
-                                    uint64_t l2_slot) {
-  if (!ev.valid || !ev.dirty) return;
-  // Dirty L1 victim lands in the L2 (write-back, allocate on writeback).
-  const Eviction ev2 = l2_[core]->write_back(ev.addr, l2_slot);
-  if (ev2.valid && ev2.dirty) llc_.writeback(now, ev2.addr);
-}
-
 AccessOutcome MemoryHierarchy::access(uint32_t core, uint64_t now, uint64_t addr,
                                       bool write) {
   const SetAssocCache::Slot s1 = filters_[core].scan(addr, write);
@@ -81,14 +73,18 @@ AccessOutcome MemoryHierarchy::l1_miss(uint32_t core, uint64_t now, uint64_t add
 
   // Fill L1 (write-allocate: the store dirties the L1 copy). The filled
   // line is the new MRU of its set, so it arms the filter slot — which also
-  // retires any line the fill evicted from that set. The line now sits in
-  // L2 slot s2; its L1 slot trades the victim's remembered slot for that.
+  // retires any line the fill evicted from that set.
   const Eviction ev1 = l1_[core]->fill(s1, addr, write);
   filters_[core].arm(addr, write);
+  // A dirty victim lands in the L2 (allocate on write-back), tried first at
+  // the L2 slot its L1 slot remembers; the slot then remembers s2, where
+  // the new line sits.
   uint32_t& remembered = l2_slots_[core][s1.idx];
-  const uint32_t victim_l2_slot = remembered;
+  if (ev1.valid && ev1.dirty) {
+    const Eviction ev2 = l2.write_back(ev1.addr, remembered);
+    if (ev2.valid && ev2.dirty) llc_.writeback(now, ev2.addr);
+  }
   remembered = static_cast<uint32_t>(s2.idx);
-  evict_from_l1(core, now, ev1, victim_l2_slot);
   latency_sum_ += out.latency;
   return out;
 }

@@ -158,10 +158,6 @@ class MemoryHierarchy {
   /// path).
   void flush_filters() const;
 
-  /// Write a dirty L1 victim into the L2, trying `l2_slot` (the L2 slot the
-  /// line was found in or filled into) before the set scan.
-  void evict_from_l1(uint32_t core, uint64_t now, const Eviction& ev, uint64_t l2_slot);
-
   SimConfig cfg_;
   LlcSystem& llc_;
   LlcRequestFn request_fn_;
