@@ -42,53 +42,6 @@ AccessOutcome MemoryHierarchy::access(uint32_t core, uint64_t now, uint64_t addr
   return {lat_l1_, ServedBy::kL1};
 }
 
-AccessOutcome MemoryHierarchy::l1_miss(uint32_t core, uint64_t now, uint64_t addr,
-                                       bool write, SetAssocCache::Slot s1) {
-  addr = line_addr(addr);
-  ++accesses_;
-  AccessOutcome out;
-
-  // One scan per level: a miss slot names the victim way the fill below
-  // uses, and stays valid because nothing between lookup and fill touches
-  // that cache (the L2 and LLC work never reaches the L1; the LLC request
-  // never reaches the L2).
-  SetAssocCache& l2 = *l2_[core];
-  const SetAssocCache::Slot s2 = l2.lookup(addr, /*write=*/false);
-  if (s2.hit) {
-    out.latency = lat_l1l2_;
-    out.level = ServedBy::kL2;
-  } else {
-    ++llc_requests_;
-    const LlcReply reply = request_fn_(llc_, now, addr, /*write=*/false);
-    if (reply.miss) {
-      ++llc_misses_;
-      out.level = ServedBy::kMemory;
-    } else {
-      out.level = ServedBy::kLlc;
-    }
-    out.latency = lat_l1l2_ + reply.latency;
-    const Eviction ev2 = l2.fill(s2, addr, /*dirty=*/false);
-    if (ev2.valid && ev2.dirty) llc_.writeback(now, ev2.addr);
-  }
-
-  // Fill L1 (write-allocate: the store dirties the L1 copy). The filled
-  // line is the new MRU of its set, so it arms the filter slot — which also
-  // retires any line the fill evicted from that set.
-  const Eviction ev1 = l1_[core]->fill(s1, addr, write);
-  filters_[core].arm(addr, write);
-  // A dirty victim lands in the L2 (allocate on write-back), tried first at
-  // the L2 slot its L1 slot remembers; the slot then remembers s2, where
-  // the new line sits.
-  uint32_t& remembered = l2_slots_[core][s1.idx];
-  if (ev1.valid && ev1.dirty) {
-    const Eviction ev2 = l2.write_back(ev1.addr, remembered);
-    if (ev2.valid && ev2.dirty) llc_.writeback(now, ev2.addr);
-  }
-  remembered = static_cast<uint32_t>(s2.idx);
-  latency_sum_ += out.latency;
-  return out;
-}
-
 void MemoryHierarchy::drain(uint64_t now) {
   flush_filters();
   for (L1Filter& f : filters_) {
