@@ -17,13 +17,14 @@ SimConfig cfg() {
 }
 
 struct Rig {
-  Rig()
-      : llc(c, regions),
+  explicit Rig(const SimConfig& cc = cfg())
+      : c(cc),
+        llc(c, regions),
         hier(c, llc, 1, &llc_request_thunk<BaselineSystem>),
         core(c.core, hier, 0) {
     base = regions.allocate("buf", 1 << 22, false);
   }
-  SimConfig c = cfg();
+  SimConfig c;
   RegionRegistry regions;
   BaselineSystem llc;
   MemoryHierarchy hier;
@@ -163,6 +164,24 @@ TEST(IntervalCore, L1HitsDoNotStall) {
   for (int i = 0; i < 100; ++i) r.core.load(r.base);
   // 100 L1 hits at 4-wide = 25 cycles, no stall beyond that.
   EXPECT_EQ(r.core.cycles(), after_miss + 25);
+}
+
+TEST(IntervalCore, L1HitsStallWhenSlowerThanTheRobHides) {
+  // With l1_latency > rob_size / dispatch_width an L1 hit exposes the
+  // difference: the core must charge it even though it serves the hit.
+  SimConfig c = cfg();
+  const uint64_t hide = c.core.rob_size / c.core.dispatch_width;
+  c.core.l1_latency = static_cast<uint32_t>(hide + 10);
+  Rig r(c);
+  r.core.load(r.base);  // cold miss
+  const uint64_t cycles = r.core.cycles(), instrs = r.core.instructions();
+  for (int i = 0; i < 10; ++i) {
+    r.core.ops(c.core.rob_size);  // each hit opens a new ROB window
+    r.core.load(r.base);
+  }
+  const uint64_t width = c.core.dispatch_width;
+  const uint64_t dispatch = r.core.instructions() / width - instrs / width;
+  EXPECT_EQ(r.core.cycles() - cycles, dispatch + 10 * 10);
 }
 
 TEST(IntervalCore, MissStallsExceedHideWindow) {
