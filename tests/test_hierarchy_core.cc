@@ -169,19 +169,20 @@ TEST(IntervalCore, L1HitsDoNotStall) {
 TEST(IntervalCore, L1HitsStallWhenSlowerThanTheRobHides) {
   // With l1_latency > rob_size / dispatch_width an L1 hit exposes the
   // difference: the core must charge it even though it serves the hit.
+  constexpr uint64_t kExposed = 10, kHits = 10;
   SimConfig c = cfg();
   const uint64_t hide = c.core.rob_size / c.core.dispatch_width;
-  c.core.l1_latency = static_cast<uint32_t>(hide + 10);
+  c.core.l1_latency = static_cast<uint32_t>(hide + kExposed);
   Rig r(c);
   r.core.load(r.base);  // cold miss
   const uint64_t cycles = r.core.cycles(), instrs = r.core.instructions();
-  for (int i = 0; i < 10; ++i) {
+  for (uint64_t i = 0; i < kHits; ++i) {
     r.core.ops(c.core.rob_size);  // each hit opens a new ROB window
     r.core.load(r.base);
   }
   const uint64_t width = c.core.dispatch_width;
   const uint64_t dispatch = r.core.instructions() / width - instrs / width;
-  EXPECT_EQ(r.core.cycles() - cycles, dispatch + 10 * 10);
+  EXPECT_EQ(r.core.cycles() - cycles, dispatch + kHits * kExposed);
 }
 
 TEST(IntervalCore, MissStallsExceedHideWindow) {
