@@ -10,13 +10,15 @@
 //
 // Hot-path shape: every instrumented access enters through access(), which
 // charges the surrounding non-memory instructions and the load/store in one
-// step, then tries the hierarchy's per-core MRU line filter inline. A filter
-// miss takes l1_access(), out of line: one scan of the core's L1, where an
-// L1 hit ends, and only L1 misses (L2/LLC/DRAM traffic) reach the
-// hierarchy's miss path and the interval bookkeeping.
+// step, then tries the hierarchy's MRU line filter inline. A filter miss
+// takes l1_access(), out of line: one scan of the L1, where an L1 hit ends,
+// and only L1 misses (L2/LLC/DRAM traffic) reach the hierarchy's miss path
+// and the interval bookkeeping.
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 
 #include "common/config.hh"
 #include "cpu/hierarchy.hh"
@@ -25,10 +27,11 @@ namespace avr {
 
 class IntervalCore {
  public:
+  /// The simulator models one core: `id` must be 0, else this throws
+  /// std::invalid_argument.
   IntervalCore(const CoreConfig& cfg, MemoryHierarchy& mem, uint32_t id)
       : mem_(mem),
-        filter_(mem.filter(id)),
-        id_(id),
+        filter_(mem.filter()),
         // Per-access invariants, hoisted so the access path touches plain
         // members instead of re-deriving them from the config every access.
         dispatch_width_(cfg.dispatch_width),
@@ -39,7 +42,10 @@ class IntervalCore {
         // scan) skips the interval bookkeeping, which is exact only if an L1
         // hit can never expose a stall; with l1_latency > hide_cycles it
         // would, so such configs charge every access through it.
-        filter_ok_(mem.l1_hit_latency() <= hide_cycles_) {}
+        filter_ok_(mem.l1_hit_latency() <= hide_cycles_) {
+    if (id != 0)
+      throw std::invalid_argument("IntervalCore: id must be 0, got " + std::to_string(id));
+  }
 
   /// Commit `n` non-memory instructions.
   void ops(uint64_t n) { instructions_ += n; }
@@ -67,7 +73,6 @@ class IntervalCore {
     const uint64_t c = cycles();
     return c ? static_cast<double>(instructions_) / static_cast<double>(c) : 0.0;
   }
-  uint32_t id() const { return id_; }
 
  private:
   /// An access the MRU filter did not serve. Out of line, so that the
@@ -85,8 +90,8 @@ class IntervalCore {
     const bool in_window =
         window_done_ != 0 && (instructions_ - window_first_instr_ < rob_size_);
     const uint64_t issue = in_window ? window_issue_ : cycles();
-    const uint64_t latency = s1.hit ? mem_.l1_hit_latency()
-                                    : mem_.l1_miss(id_, issue, addr, write, s1).latency;
+    const uint64_t latency =
+        s1.hit ? mem_.l1_hit_latency() : mem_.l1_miss(issue, addr, write, s1);
     // Only latencies beyond what the ROB hides become stalls; on-chip hits
     // (L1/L2/LLC/DBUF, including AVR decompression) are absorbed by ILP.
     const uint64_t exposed = latency > hide_cycles_ ? latency - hide_cycles_ : 0;
@@ -106,7 +111,6 @@ class IntervalCore {
 
   MemoryHierarchy& mem_;
   MemoryHierarchy::L1Filter* filter_;
-  uint32_t id_;
   // Set once in the constructor; see the init list.
   uint64_t dispatch_width_;
   uint64_t rob_size_;

@@ -1,7 +1,7 @@
 #include "runtime/system.hh"
 
-#include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "avr/avr_system.hh"
 #include "baselines/baseline_system.hh"
@@ -12,11 +12,14 @@
 namespace avr {
 
 System::System(Design design, SimConfig cfg, uint32_t num_cores, bool timing)
-    : design_(design), cfg_(cfg), timing_(timing) {
+    : design_(design), cfg_(cfg) {
+  if (num_cores != 1)
+    throw std::invalid_argument("System: num_cores must be 1, got " +
+                                std::to_string(num_cores));
   // A bad config fails here, naming the knob, instead of dividing by zero
   // or shifting out of range somewhere in the model.
   validate_config(cfg_);
-  if (!timing_) return;  // golden/functional run: no machinery at all
+  if (!timing) return;  // golden/functional run: no machinery at all
   MemoryHierarchy::LlcRequestFn request_fn = nullptr;
   switch (design) {
     case Design::kBaseline:
@@ -37,11 +40,9 @@ System::System(Design design, SimConfig cfg, uint32_t num_cores, bool timing)
       request_fn = &llc_request_thunk<AvrSystem>;
       break;
   }
-  hier_ = std::make_unique<MemoryHierarchy>(cfg_, *llc_, num_cores, request_fn);
-  for (uint32_t c = 0; c < num_cores; ++c)
-    cores_.push_back(std::make_unique<IntervalCore>(cfg_.core, *hier_, c));
+  hier_ = std::make_unique<MemoryHierarchy>(cfg_, *llc_, 1, request_fn);
+  core_ = std::make_unique<IntervalCore>(cfg_.core, *hier_, 0);
   ops_per_access_ = cfg_.ops_per_access;
-  active_core_ptr_ = cores_[0].get();
 }
 
 System::~System() = default;
@@ -54,23 +55,20 @@ uint64_t System::alloc(const std::string& name, uint64_t bytes, bool approx,
 }
 
 void System::finish() {
-  if (finished_ || !timing_) return;
+  if (finished_ || !core_) return;
   finished_ = true;
-  const uint64_t now = cores_.empty() ? 0 : cores_[0]->cycles();
-  hier_->drain(now);
+  hier_->drain(core_->cycles());
 }
 
 RunMetrics System::metrics() const {
   RunMetrics m;
   m.footprint_bytes = regions_.total_bytes();
   m.approx_bytes = regions_.approx_bytes();
-  if (!timing_) return m;
+  if (!core_) return m;
 
-  for (const auto& c : cores_) {
-    m.cycles = std::max(m.cycles, c->cycles());
-    m.instructions += c->instructions();
-  }
-  m.ipc = m.cycles ? static_cast<double>(m.instructions) / m.cycles : 0;
+  m.cycles = core_->cycles();
+  m.instructions = core_->instructions();
+  m.ipc = core_->ipc();
   m.amat = hier_->amat();
   m.llc_requests = hier_->llc_requests();
   m.llc_misses = hier_->llc_misses();

@@ -1,5 +1,5 @@
 // Full simulated system for one design point: region registry + interval
-// core(s) + private caches + design-specific LLC subsystem + DRAM + energy.
+// core + private caches + design-specific LLC subsystem + DRAM + energy.
 //
 // This is also the *runtime API* workloads program against:
 //   alloc()          — the paper's wrapped malloc + approximation annotation
@@ -51,7 +51,8 @@ struct RunMetrics {
 class System {
  public:
   /// Throws std::invalid_argument naming the knob or cache if `cfg` fails
-  /// validate_config (common/config_table.hh).
+  /// validate_config (common/config_table.hh). The simulator models one
+  /// core, so `num_cores` must be 1; any other value throws too.
   System(Design design, SimConfig cfg, uint32_t num_cores = 1,
          bool timing = true);
   ~System();
@@ -118,16 +119,9 @@ class System {
     __builtin_memcpy(h.host + off, &v, sizeof(float));
   }
 
-  /// Non-memory instructions surrounding the accesses, charged to the core
-  /// selected by use_core() — the same core the accesses bill to.
+  /// Non-memory instructions surrounding the accesses.
   void ops(uint64_t n) {
-    if (timing_) core(active_core_).ops(n);
-  }
-  /// Route subsequent accesses to a given simulated core (round-robin
-  /// partitioning of multi-core workloads).
-  void use_core(uint32_t c) {
-    active_core_ = c < cores_.size() ? c : 0;
-    active_core_ptr_ = cores_.empty() ? nullptr : cores_[active_core_].get();
+    if (core_) core_->ops(n);
   }
 
   void finish();
@@ -150,32 +144,26 @@ class System {
   const RegionRegistry& regions() const { return regions_; }
   LlcSystem& llc_system() { return *llc_; }
   MemoryHierarchy& hierarchy() { return *hier_; }
-  IntervalCore& core(uint32_t c = 0) { return *cores_[c]; }
   Design design() const { return design_; }
   const SimConfig& config() const { return cfg_; }
 
  private:
   void touch(uint64_t addr, bool write) {
     if (hook_) (*hook_)(addr, write);
-    // active_core_ptr_ is null exactly when timing is off (no cores built),
-    // so one test covers both "functional run" and "nothing to charge".
-    if (IntervalCore* c = active_core_ptr_)
-      c->access(addr, write, ops_per_access_);
+    if (core_) core_->access(addr, write, ops_per_access_);
   }
 
   Design design_;
   SimConfig cfg_;
-  bool timing_;
   bool finished_ = false;
-  uint32_t active_core_ = 0;
   uint64_t ops_per_access_ = 0;        // hoisted from cfg_ for touch()
-  IntervalCore* active_core_ptr_ = nullptr;  // hoisted cores_[active_core_]
   AccessHook hook_fn_;                 // capture storage (set_access_hook)
   const AccessHook* hook_ = nullptr;   // non-null iff capture is attached
   RegionRegistry regions_;
   std::unique_ptr<LlcSystem> llc_;
   std::unique_ptr<MemoryHierarchy> hier_;
-  std::vector<std::unique_ptr<IntervalCore>> cores_;
+  // Null exactly when timing is off: a functional run builds no machinery.
+  std::unique_ptr<IntervalCore> core_;
 };
 
 }  // namespace avr

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "baselines/baseline_system.hh"
 #include "cpu/hierarchy.hh"
 #include "cpu/interval_core.hh"
+#include "reference_hierarchy.hh"
+#include "runtime/system.hh"
 
 namespace avr {
 namespace {
@@ -34,25 +37,30 @@ struct Rig {
 
 TEST(Hierarchy, L1HitAfterFill) {
   Rig r;
-  auto first = r.hier.access(0, 0, r.base, false);
-  EXPECT_EQ(first.level, ServedBy::kMemory);
-  auto second = r.hier.access(0, 100, r.base, false);
-  EXPECT_EQ(second.level, ServedBy::kL1);
-  EXPECT_EQ(second.latency, r.c.core.l1_latency);
+  r.core.load(r.base);
+  EXPECT_EQ(r.hier.llc_misses(), 1u);
+  r.core.load(r.base);
+  const CacheCounters& l1 = r.hier.l1(0).counters();
+  EXPECT_EQ(l1.misses, 1u);
+  EXPECT_EQ(l1.hits, 1u);
+  EXPECT_EQ(r.hier.llc_misses(), 1u);
 }
 
 TEST(Hierarchy, L2CatchesL1Evictions) {
   Rig r;
   // Touch enough lines to overflow L1 (4 kB = 64 lines) but not L2.
-  for (int i = 0; i < 128; ++i) r.hier.access(0, 0, r.base + i * 64, false);
+  for (int i = 0; i < 128; ++i) r.core.load(r.base + i * 64);
+  const uint64_t llc_requests = r.hier.llc_requests();
+  ASSERT_EQ(r.hier.l2(0).counters().hits, 0u);
   // The first line is gone from L1 but present in L2.
-  auto out = r.hier.access(0, 1000, r.base, false);
-  EXPECT_EQ(out.level, ServedBy::kL2);
+  r.core.load(r.base);
+  EXPECT_EQ(r.hier.l2(0).counters().hits, 1u);
+  EXPECT_EQ(r.hier.llc_requests(), llc_requests);
 }
 
 TEST(Hierarchy, DirtyDataReachesMemoryOnDrain) {
   Rig r;
-  r.hier.access(0, 0, r.base, true);
+  r.core.store(r.base);
   EXPECT_EQ(r.llc.dram().bytes_written(), 0u);
   r.hier.drain(10000);
   EXPECT_GE(r.llc.dram().bytes_written(), kCachelineBytes);
@@ -60,16 +68,18 @@ TEST(Hierarchy, DirtyDataReachesMemoryOnDrain) {
 
 TEST(Hierarchy, AmatAveragesLatencies) {
   Rig r;
-  r.hier.access(0, 0, r.base, false);       // memory
-  r.hier.access(0, 100, r.base, false);     // L1 hit
+  r.core.load(r.base);  // memory
+  const double miss = r.hier.amat();
+  EXPECT_GT(miss, static_cast<double>(r.c.core.l1_latency));
+  r.core.load(r.base);  // L1 hit
   EXPECT_EQ(r.hier.total_accesses(), 2u);
-  EXPECT_GT(r.hier.amat(), 1.0);
+  EXPECT_DOUBLE_EQ(r.hier.amat(), (miss + r.c.core.l1_latency) / 2);
 }
 
 TEST(Hierarchy, MpkiCountsOnlyLlcMisses) {
   Rig r;
-  r.hier.access(0, 0, r.base, false);
-  r.hier.access(0, 100, r.base, false);
+  r.core.load(r.base);
+  r.core.load(r.base);
   EXPECT_EQ(r.hier.llc_requests(), 1u);
   EXPECT_EQ(r.hier.llc_misses(), 1u);
 }
@@ -122,32 +132,30 @@ TEST(Hierarchy, DirtyVictimWhoseL2SlotWasRefilledIsAllocatedDirty) {
 TEST(Hierarchy, RoundRobinOverOneL1SetEvictsTheTrueLruLine) {
   // Heat's pattern: four lines of one L1 set in turn, so every access moves
   // the set's MRU line and the MRU filter never catches one. The core
-  // serves the hits from its own L1 scan; the hierarchy's access() is the
-  // full path it must match.
-  Rig core_rig, full_rig;
+  // serves the hits from its own L1 scan, which must match the true-LRU
+  // reference fed the same stream.
+  Rig r;
+  ReferenceHierarchy ref(r.c);
   std::vector<std::pair<uint64_t, bool>> stream;
   for (int round = 0; round < 10; ++round)
     for (uint64_t k = 0; k < 4; ++k) stream.emplace_back(k * kL1SetStride, k == 3);
   stream.emplace_back(4 * kL1SetStride, false);
   for (const auto& [off, write] : stream) {
-    core_rig.core.access(core_rig.base + off, write, 0);
-    full_rig.hier.access(0, 0, full_rig.base + off, write);
+    r.core.access(r.base + off, write, 0);
+    ref.access(r.base + off, write);
   }
-  const SetAssocCache& l1 = core_rig.hier.l1(0);
-  const uint64_t base = core_rig.base;
-  EXPECT_FALSE(l1.probe(base));  // the LRU line
-  for (uint64_t k = 1; k <= 4; ++k) EXPECT_TRUE(l1.probe(base + k * kL1SetStride));
+  const SetAssocCache& l1 = r.hier.l1(0);
+  EXPECT_FALSE(l1.probe(r.base));  // the LRU line
+  for (uint64_t k = 1; k <= 4; ++k) EXPECT_TRUE(l1.probe(r.base + k * kL1SetStride));
   const CacheCounters& a = l1.counters();
-  const CacheCounters& b = full_rig.hier.l1(0).counters();
+  const ReferenceCache::Counters& b = ref.l1().counters();
   EXPECT_EQ(a.hits, 36u);
   EXPECT_EQ(a.misses, 5u);
-  EXPECT_EQ(a.accesses, b.accesses);
   EXPECT_EQ(a.hits, b.hits);
   EXPECT_EQ(a.misses, b.misses);
   EXPECT_EQ(a.evictions, b.evictions);
   EXPECT_EQ(a.dirty_evictions, b.dirty_evictions);
-  EXPECT_EQ(core_rig.hier.total_accesses(), full_rig.hier.total_accesses());
-  EXPECT_DOUBLE_EQ(core_rig.hier.amat(), full_rig.hier.amat());
+  EXPECT_EQ(r.hier.total_accesses(), stream.size());
 }
 
 TEST(IntervalCore, DispatchWidthBoundsIpc) {
@@ -187,12 +195,15 @@ TEST(IntervalCore, L1HitsStallWhenSlowerThanTheRobHides) {
 
 TEST(IntervalCore, MissStallsExceedHideWindow) {
   Rig r;
-  const uint64_t rob_hide = r.c.core.rob_size / r.c.core.dispatch_width;
+  const uint64_t width = r.c.core.dispatch_width;
+  const uint64_t rob_hide = r.c.core.rob_size / width;
   r.core.load(r.base);
-  EXPECT_GT(r.core.cycles(), 0u);
-  // A single DRAM miss costs latency - hide, which must be positive.
-  EXPECT_GT(r.core.cycles(), 1u);
-  (void)rob_hide;
+  // After one access the AMAT is that access's latency.
+  const auto latency = static_cast<uint64_t>(r.hier.amat());
+  ASSERT_EQ(r.hier.llc_misses(), 1u);
+  ASSERT_GT(latency, rob_hide);
+  // A lone DRAM miss costs its dispatch plus latency - hide.
+  EXPECT_EQ(r.core.cycles(), r.core.instructions() / width + (latency - rob_hide));
 }
 
 TEST(IntervalCore, BurstMissesOverlap) {
@@ -216,6 +227,18 @@ TEST(IntervalCore, InstructionsCounted) {
   r.core.load(r.base);
   r.core.store(r.base);
   EXPECT_EQ(r.core.instructions(), 12u);
+}
+
+TEST(OneCore, OtherCoreCountsAreRefused) {
+  Rig r;
+  for (const uint32_t n : {0u, 2u}) {
+    EXPECT_THROW(System(Design::kBaseline, r.c, n), std::invalid_argument);
+    EXPECT_THROW(System(Design::kBaseline, r.c, n, /*timing=*/false),
+                 std::invalid_argument);
+    EXPECT_THROW(MemoryHierarchy(r.c, r.llc, n, &llc_request_thunk<BaselineSystem>),
+                 std::invalid_argument);
+  }
+  EXPECT_THROW(IntervalCore(r.c.core, r.hier, 1), std::invalid_argument);
 }
 
 }  // namespace
