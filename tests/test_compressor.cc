@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -213,6 +214,124 @@ TEST(Compressor, FixedPointDTypeRoundTrip) {
                 std::abs(orig.to_double()) * comp.t1() + 1e-4)
         << i;
   }
+}
+
+// ---- variant selection ------------------------------------------------------
+
+/// A seeded corpus block of one of four shapes: trace-like (a random walk
+/// with spikes and overwritten values, scattered outliers), a 1D ramp with
+/// spikes (1D interpolates the ramp exactly, 2D does not), a smooth 2D
+/// field with spikes, or a rough block near the budget.
+Block variant_corpus_block(uint64_t seed) {
+  Xoshiro256 rng(seed);
+  Block b;
+  switch (seed % 4) {
+    case 0: {
+      const double overwrite = rng.uniform(0.0, 0.05);
+      float v = 100.0f + 50.0f * static_cast<float>(rng.uniform());
+      for (float& x : b) {
+        v += static_cast<float>(rng.uniform(-1.0, 1.0));
+        x = v;
+        if (rng.uniform() < 0.02)
+          x += 40.0f * static_cast<float>(rng.uniform(-1.0, 1.0));
+        if (rng.uniform() < overwrite)
+          x = 0.25f * v + static_cast<float>(rng.uniform(-0.5, 0.5));
+      }
+      break;
+    }
+    case 1:
+      for (uint32_t i = 0; i < kValuesPerBlock; ++i)
+        b[i] = 1000.0f +
+               static_cast<float>(rng.uniform(0.5, 4.0)) * static_cast<float>(i);
+      for (uint32_t k = rng.below(40); k > 0; --k)
+        b[rng.below(kValuesPerBlock)] *= 1.5f;
+      break;
+    case 2:
+      b = smooth_2d_block(static_cast<float>(rng.uniform(5.0, 50.0)));
+      for (uint32_t k = rng.below(60); k > 0; --k)
+        b[rng.below(kValuesPerBlock)] *= 1.3f;
+      break;
+    default: {
+      const double roughness = rng.uniform(0.02, 0.12);
+      for (float& x : b)
+        x = 100.0f * (1.0f + static_cast<float>(roughness * rng.uniform(-1.0, 1.0)));
+      break;
+    }
+  }
+  return b;
+}
+
+void expect_same_attempt(const CompressionAttempt& got,
+                         const CompressionAttempt& want, uint64_t seed) {
+  EXPECT_EQ(got.block.method, want.block.method) << "seed " << seed;
+  EXPECT_EQ(got.block.bias, want.block.bias) << "seed " << seed;
+  EXPECT_EQ(got.block.summary, want.block.summary) << "seed " << seed;
+  EXPECT_EQ(got.block.outlier_map.words(), want.block.outlier_map.words())
+      << "seed " << seed;
+  EXPECT_EQ(got.block.outliers, want.block.outliers) << "seed " << seed;
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.avg_error),
+            std::bit_cast<uint64_t>(want.avg_error))
+      << "seed " << seed;
+}
+
+TEST(Compressor, BothVariantsPickWhatTheSelectionRulePicks) {
+  // compress() with both variants on bounds the later variant's scan by the
+  // earlier winner's outlier count. The result must be the selection rule
+  // applied by hand to each variant compressed alone: 1D replaces 2D only
+  // with strictly fewer lines, or equal lines and strictly fewer outliers.
+  AvrConfig only2d = default_cfg();
+  only2d.enable_1d = false;
+  AvrConfig only1d = default_cfg();
+  only1d.enable_2d = false;
+  const Compressor both(default_cfg()), c2d(only2d), c1d(only1d);
+  CompressorScratch scratch;
+  uint32_t both_fail = 0, one_passes = 0, fewer_lines_1d = 0,
+           fewer_outliers_1d = 0, tie_kept_2d = 0, more_1d = 0;
+  for (uint64_t seed = 0; seed < 2000; ++seed) {
+    const Block b = variant_corpus_block(seed);
+    const auto r2 = c2d.compress(b);
+    const auto r1 = c1d.compress(b);
+    const auto got = both.compress(b, DType::kFloat32, scratch);
+    if (!r1 && !r2) {
+      EXPECT_FALSE(got) << "seed " << seed;
+      ++both_fail;
+      continue;
+    }
+    ASSERT_TRUE(got) << "seed " << seed;
+    const CompressionAttempt* want = r2 ? &*r2 : &*r1;
+    if (r1 && r2) {
+      const uint32_t l1 = r1->block.lines(), l2 = r2->block.lines();
+      const uint32_t o1 = r1->block.outliers.size(), o2 = r2->block.outliers.size();
+      if (l1 < l2) {
+        want = &*r1;
+        ++fewer_lines_1d;
+      } else if (l1 == l2 && o1 < o2) {
+        want = &*r1;
+        ++fewer_outliers_1d;
+      } else if (l1 == l2) {
+        ++tie_kept_2d;
+      } else {
+        ++more_1d;
+      }
+    } else {
+      ++one_passes;
+    }
+    expect_same_attempt(*got, *want, seed);
+    // The reconstruction compress() kept is the winner's.
+    Block kept, fresh;
+    both.write_reconstruction(got->block, scratch, kept);
+    both.reconstruct(want->block, fresh);
+    for (uint32_t i = 0; i < kValuesPerBlock; ++i)
+      ASSERT_EQ(f32_bits(kept[i]), f32_bits(fresh[i]))
+          << "seed " << seed << ", value " << i;
+  }
+  // The corpus reaches every branch of the rule.
+  EXPECT_GT(both_fail, 50u);
+  EXPECT_GT(one_passes, 50u);
+  EXPECT_GT(fewer_lines_1d, 50u);
+  EXPECT_GT(fewer_outliers_1d, 50u);
+  EXPECT_GT(tie_kept_2d, 50u);
+  EXPECT_GT(more_1d, 50u);
 }
 
 // ---- property sweeps --------------------------------------------------------

@@ -13,6 +13,7 @@
 // simd_set_level's validation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
@@ -382,14 +383,14 @@ struct ScanResult {
 };
 
 ScanResult run_scan(const FloatBlock& orig, const RawBlock& recon, int8_t bias,
-                    uint32_t limit) {
+                    uint32_t limit, uint32_t max_outliers = kMaxBlockOutliers) {
   ScanResult r;
   Bitmap256 map;
   map.words().fill(~uint64_t{0});  // poison: the scan must zero it itself
   simd::ErrorScanState st;
   st.bitmap_words = map.words().data();
   st.outlier_bits = r.bits.data();
-  st.max_outliers = kMaxBlockOutliers;
+  st.max_outliers = max_outliers;
   r.ok = simd::kernels().error_scan_f32(orig.data(), recon.data(),
                                         kValuesPerBlock, bias, limit, &st);
   r.n_outliers = st.n_outliers;
@@ -400,10 +401,11 @@ ScanResult run_scan(const FloatBlock& orig, const RawBlock& recon, int8_t bias,
 }
 
 void expect_scan_parity(const FloatBlock& orig, const RawBlock& recon,
-                        int8_t bias, uint32_t limit, const char* what) {
+                        int8_t bias, uint32_t limit, const char* what,
+                        uint32_t max_outliers = kMaxBlockOutliers) {
   ScanResult ref;
   for_each_level([&](SimdLevel lvl) {
-    const ScanResult got = run_scan(orig, recon, bias, limit);
+    const ScanResult got = run_scan(orig, recon, bias, limit, max_outliers);
     if (lvl == SimdLevel::kScalar) {
       ref = got;
       return;
@@ -633,6 +635,91 @@ TEST(SimdKernels, ErrorScanBudgetCrossedInsideOneGroup) {
       if (r.ok) {
         EXPECT_EQ(r.n_outliers, x.before + x.in_group) << what;
       }
+    }
+  }
+}
+
+/// Lane recipes with a seeded random outlier count from 0 to 8 in every
+/// group until `total` outliers are planted (the trace-block shape), plus
+/// unbias-spill lanes in about a quarter of the groups when bias != 0.
+void scattered_lanes(Xoshiro256& rng, int8_t bias, uint32_t total,
+                     std::array<Lane, kValuesPerBlock>& lanes,
+                     std::array<bool, kValuesPerBlock>& spill) {
+  lanes.fill(Lane::kExact);
+  spill.fill(false);
+  uint32_t planted = 0;
+  for (uint32_t g = 0; g < kValuesPerBlock / 8; ++g) {
+    const uint32_t k = std::min<uint32_t>(rng.below(9), total - planted);
+    planted += k;
+    std::array<uint32_t, 8> pos{0, 1, 2, 3, 4, 5, 6, 7};
+    for (uint32_t l = 7; l > 0; --l) std::swap(pos[l], pos[rng.below(l + 1)]);
+    for (uint32_t l = 0; l < 8; ++l)
+      lanes[g * 8 + pos[l]] =
+          l < k ? (rng.below(16) == 0 ? Lane::kNan : Lane::kOutlier)
+                : (rng.below(2) ? Lane::kNear : Lane::kExact);
+    if (bias != 0 && rng.below(4) == 0) spill[g * 8 + rng.below(8)] = true;
+  }
+}
+
+TEST(SimdKernels, ErrorScanScatteredParityAtEveryBudget) {
+  // Every budget from 0 to 104 against blocks holding exactly the budget,
+  // one more, or a random count below it, scattered over the groups: the
+  // vector path, the one-at-a-time path near the budget and the abort
+  // verdict all run against the scalar scan.
+  const uint32_t limit = 1u << (kMantissaBits - 10);
+  Xoshiro256 rng(33);
+  for (uint32_t budget = 0; budget <= kMaxBlockOutliers; ++budget) {
+    for (int8_t bias : {int8_t{0}, int8_t{120}, int8_t{-128}}) {
+      const uint32_t below = static_cast<uint32_t>(rng.below(budget + 1));
+      for (uint32_t total : {budget, budget + 1, below}) {
+        std::array<Lane, kValuesPerBlock> lanes;
+        std::array<bool, kValuesPerBlock> spill;
+        scattered_lanes(rng, bias, total, lanes, spill);
+        const uint32_t planted = static_cast<uint32_t>(
+            std::count_if(lanes.begin(), lanes.end(), [](Lane l) {
+              return l == Lane::kOutlier || l == Lane::kNan;
+            }));
+        const DenseScanCase c = make_dense_case(rng, bias, lanes, spill, limit);
+        const std::string what = "budget " + std::to_string(budget) + ", " +
+                                 std::to_string(planted) + " outliers, bias " +
+                                 std::to_string(bias);
+        expect_scan_parity(c.orig, c.recon, c.bias, limit, what.c_str(), budget);
+        ScopedLevel pin(SimdLevel::kScalar);
+        const ScanResult r = run_scan(c.orig, c.recon, c.bias, limit, budget);
+        EXPECT_EQ(r.ok, planted <= budget) << what;
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, ErrorScanWritesNothingPastBudget) {
+  // The scan may write outlier_bits[0, max_outliers) only: a sentinel
+  // from max_outliers on must survive every budget at every level, on
+  // blocks that pass and blocks that abort.
+  constexpr uint32_t kSentinel = 0xDEADBEEFu;
+  const uint32_t limit = 1u << (kMantissaBits - 10);
+  Xoshiro256 rng(404);
+  for (uint32_t budget = 0; budget <= kMaxBlockOutliers; ++budget) {
+    for (int8_t bias : {int8_t{0}, int8_t{120}, int8_t{-128}}) {
+      std::array<Lane, kValuesPerBlock> lanes;
+      std::array<bool, kValuesPerBlock> spill;
+      scattered_lanes(rng, bias, budget + rng.below(2), lanes, spill);
+      const DenseScanCase c = make_dense_case(rng, bias, lanes, spill, limit);
+      for_each_level([&](SimdLevel lvl) {
+        Bitmap256 map;
+        std::array<uint32_t, kValuesPerBlock> bits;
+        bits.fill(kSentinel);
+        simd::ErrorScanState st;
+        st.bitmap_words = map.words().data();
+        st.outlier_bits = bits.data();
+        st.max_outliers = budget;
+        simd::kernels().error_scan_f32(c.orig.data(), c.recon.data(),
+                                       kValuesPerBlock, c.bias, limit, &st);
+        for (uint32_t k = budget; k < bits.size(); ++k)
+          ASSERT_EQ(bits[k], kSentinel) << "budget " << budget << ", bias "
+                                        << int{bias} << ", entry " << k
+                                        << ", level " << simd_level_name(lvl);
+      });
     }
   }
 }
