@@ -46,7 +46,7 @@ bool Compressor::value_is_outlier(float original, float approx) const {
 
 bool Compressor::try_method(const MethodVariant& variant,
                             std::span<const float, kValuesPerBlock> original,
-                            int8_t bias, DType dtype,
+                            int8_t bias, DType dtype, uint32_t max_outliers,
                             CompressorScratch& scratch) const {
   CompressionAttempt& att = scratch.candidate;
   att.block.method = variant.method;
@@ -75,7 +75,7 @@ bool Compressor::try_method(const MethodVariant& variant,
       const double a = Fixed32::from_raw(scratch.recon[i].raw()).to_double();
       const double rel = relative_error(a, o);
       if (rel >= t1()) {
-        if (blk.outliers.full()) return false;  // cannot fit in 8 lines
+        if (blk.outliers.size() == max_outliers) return false;  // over budget
         blk.outlier_map.set(i);
         blk.outliers.push_back(std::bit_cast<uint32_t>(original[i]));
       } else {
@@ -97,12 +97,12 @@ bool Compressor::try_method(const MethodVariant& variant,
     simd::ErrorScanState st;
     st.bitmap_words = blk.outlier_map.words().data();
     st.outlier_bits = scratch.outlier_bits.data();
-    st.max_outliers = kMaxBlockOutliers;
+    st.max_outliers = max_outliers;
     static_assert(sizeof(Fixed32) == sizeof(int32_t));
     if (!simd::kernels().error_scan_f32(
             original.data(), reinterpret_cast<const int32_t*>(scratch.recon.data()),
             kValuesPerBlock, bias, limit, &st))
-      return false;  // cannot fit in 8 lines
+      return false;  // over budget
     for (uint32_t k = 0; k < st.n_outliers; ++k)
       blk.outliers.push_back(scratch.outlier_bits[k]);
     non_outliers = st.non_outliers;
@@ -137,7 +137,14 @@ std::optional<CompressionAttempt> Compressor::compress(
   bool have_best = false;
   for (const MethodVariant& v : method_variants()) {
     if (!(cfg_.*v.enabled)) continue;
-    if (!try_method(v, vals, bias, dtype, scratch)) continue;
+    // A later variant replaces the best only with strictly fewer outliers:
+    // method_lines never falls as the count grows, so at the best's count
+    // it has at least as many lines, and a tie in lines needs strictly fewer
+    // outliers. Its scan may therefore abort there. The best has at least
+    // one outlier, else the loop broke below.
+    const uint32_t max_outliers =
+        have_best ? scratch.best.block.outliers.size() - 1 : kMaxBlockOutliers;
+    if (!try_method(v, vals, bias, dtype, max_outliers, scratch)) continue;
     const CompressionAttempt& att = scratch.candidate;
     if (!have_best || att.block.lines() < scratch.best.block.lines() ||
         (att.block.lines() == scratch.best.block.lines() &&

@@ -9,7 +9,9 @@
 //                                                    decompressor runs)
 //                stage 5  integer-domain error check + incremental outlier
 //                         scan (aborts the variant the moment the outlier
-//                         budget is exceeded)
+//                         budget is exceeded; once a variant has passed,
+//                         the budget is one below its outlier count, the
+//                         most a later variant can need and still win)
 //                pick the best passing variant;
 //                fallback  when every lossy variant failed and
 //                          enable_bdi_hybrid is set, encode the raw bit
@@ -148,11 +150,12 @@ class Compressor {
 
  private:
   /// Runs stages 3-5 of one variant against the shared fixed-point image in
-  /// `scratch`, filling scratch.candidate. False when the variant fails the
-  /// outlier budget or a threshold.
+  /// `scratch`, filling scratch.candidate. False when the variant needs more
+  /// than `max_outliers` outliers or fails a threshold.
   bool try_method(const MethodVariant& variant,
                   std::span<const float, kValuesPerBlock> original,
-                  int8_t bias, DType dtype, CompressorScratch& scratch) const;
+                  int8_t bias, DType dtype, uint32_t max_outliers,
+                  CompressorScratch& scratch) const;
 
   /// The decompressor tail shared by reconstruct() and
   /// write_reconstruction(): fixed-point image -> float (unbiased) ->

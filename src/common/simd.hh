@@ -79,9 +79,12 @@ namespace simd {
 
 /// Caller-wired state of the float-path error scan (error_scan_f32): the
 /// scan zeroes and fills `bitmap_words`, appends exact outlier images to
-/// `outlier_bits` in block order, and accumulates the counters. On a false
-/// return (outlier budget exceeded, scan aborted) the state is partial and
-/// must be discarded, mirroring the scalar scan's abandoned attempt.
+/// `outlier_bits` in block order, and accumulates the counters. It writes
+/// only outlier_bits[0, max_outliers); entries from n_outliers on hold
+/// unspecified values (a vector level stores whole 8-lane groups while the
+/// budget leaves room for them). On a false return (outlier budget
+/// exceeded, scan aborted) the state is partial and must be discarded,
+/// mirroring the scalar scan's abandoned attempt.
 struct ErrorScanState {
   uint64_t* bitmap_words = nullptr;  // ceil(n/64) words, zeroed by the scan
   uint32_t* outlier_bits = nullptr;  // capacity >= max_outliers

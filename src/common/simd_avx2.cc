@@ -335,16 +335,42 @@ void reconstruct_2d_avx2(const int32_t* avg, const uint8_t* left,
   if (mask32(ov)) reconstruct_2d_scalar(avg, left, right, w, out);
 }
 
+/// Outlier compaction table: entry m packs the lane indices of m's set
+/// bits, lowest first, one per nibble (1 KB). Shifting a broadcast entry
+/// right by 4*j puts the j-th index in lane j's low bits, which is all
+/// _mm256_permutevar8x32_epi32 reads.
+struct CompactTable {
+  uint32_t idx[256];
+};
+
+constexpr CompactTable make_compact_table() {
+  CompactTable t{};
+  for (uint32_t m = 0; m < 256; ++m) {
+    uint32_t packed = 0, k = 0;
+    for (uint32_t l = 0; l < 8; ++l)
+      if ((m >> l) & 1) packed |= l << (4 * k++);
+    t.idx[m] = packed;
+  }
+  return t;
+}
+
+constexpr CompactTable kCompactTable = make_compact_table();
+
 bool error_scan_f32_avx2(const float* original, const int32_t* recon_raw,
                          size_t n, int8_t bias, uint32_t limit,
                          ErrorScanState* st) {
-  for (size_t k = 0; k < (n + 63) / 64; ++k) st->bitmap_words[k] = 0;
+  uint64_t* const words = st->bitmap_words;
+  uint32_t* const out = st->outlier_bits;
+  const uint32_t max_outliers = st->max_outliers;
+  uint32_t n_out = st->n_outliers;
+  for (size_t k = 0; k < (n + 63) / 64; ++k) words[k] = 0;
   const __m256 scale = _mm256_set1_ps(kFixedOneInv);
   const __m256i ff = _mm256_set1_epi32(0xFF);
   const __m256i zero = _mm256_setzero_si256();
   const __m256i ones = _mm256_set1_epi32(-1);
   const __m256i mant = _mm256_set1_epi32(static_cast<int>(kF32MantissaMask));
   const __m256i limm1 = _mm256_set1_epi32(static_cast<int>(limit) - 1);
+  const __m256i nibbles = _mm256_setr_epi32(0, 4, 8, 12, 16, 20, 24, 28);
   const int delta = -static_cast<int>(bias);
   __m256i dmacc = zero;
   int64_t dm_sum = 0;
@@ -372,23 +398,36 @@ bool error_scan_f32_avx2(const float* original, const int32_t* recon_raw,
     if (bad) {
       // An unbias-spill lane: its vector image is wrong, so the whole group
       // re-runs scalar, preserving outlier order and the budget verdict.
+      st->n_outliers = n_out;
       if (!error_scan_range_scalar(original, recon_raw, bias, limit, i, i + 8, st))
         return false;
+      n_out = st->n_outliers;
       continue;
     }
+    // Outliers stay on the vector path. The verdict is the scalar one (the
+    // budget is exceeded iff the running count passes it); an aborted scan's
+    // partial state is discarded by contract. Images are appended in lane
+    // order, which is block order.
     const int om = mask32(outl);
     const uint32_t k = static_cast<uint32_t>(__builtin_popcount(om));
-    if (k != 0) {
-      // Outliers stay on the vector path. The verdict is the scalar one
-      // (the budget is exceeded iff the running count passes it); an
-      // aborted scan's partial state is discarded by contract. Images are
-      // appended in lane order, which is block order.
-      if (st->n_outliers + k > st->max_outliers) return false;
-      st->bitmap_words[i >> 6] |= uint64_t(static_cast<uint32_t>(om)) << (i & 63);
+    if (n_out + k > max_outliers) return false;
+    words[i >> 6] |= uint64_t(static_cast<uint32_t>(om)) << (i & 63);
+    if (n_out + 8 <= max_outliers) {
+      // Branch-free: the group's outliers are permuted to the front of one
+      // 8-lane store, whatever their count. The lanes past k land below
+      // max_outliers, past the new count, where the buffer is unspecified.
+      const __m256i idx =
+          _mm256_srlv_epi32(_mm256_set1_epi32(static_cast<int>(kCompactTable.idx[om])),
+                            nibbles);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + n_out),
+                          _mm256_permutevar8x32_epi32(ob, idx));
+      n_out += k;
+    } else {
+      // Within 8 of the budget: one image at a time, so nothing is written
+      // at or past max_outliers.
       alignas(32) uint32_t img[8];
       _mm256_store_si256(reinterpret_cast<__m256i*>(img), ob);
-      for (int m = om; m != 0; m &= m - 1)
-        st->outlier_bits[st->n_outliers++] = img[__builtin_ctz(m)];
+      for (int m = om; m != 0; m &= m - 1) out[n_out++] = img[__builtin_ctz(m)];
     }
     fast_lanes += 8 - k;
     dmacc = _mm256_add_epi32(dmacc, _mm256_andnot_si256(_mm256_or_si256(outl, eq), dm));
@@ -401,6 +440,7 @@ bool error_scan_f32_avx2(const float* original, const int32_t* recon_raw,
     }
   }
   dm_sum += hsum_epi32(dmacc);
+  st->n_outliers = n_out;
   st->dm_sum += dm_sum;
   st->non_outliers += fast_lanes;
   if (i < n)
