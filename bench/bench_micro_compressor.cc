@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cmath>
+#include <vector>
 
 #include "avr/bias.hh"
 #include "avr/compressor.hh"
@@ -34,8 +35,10 @@ std::array<float, kValuesPerBlock> make_block(int kind) {
       // sub-block average by only ~3%, below T1 for the neighbours.
       for (uint32_t i = 7; i < 256; i += 64) b[i] *= 1.5f;
       break;
-    case 3:  // dense outliers: a x1.25 spike in 3 of every 4 8-value groups,
-             // the outlier-in-most-groups shape of trace-driven sweeps
+    case 3:  // dense outliers: a x1.25 spike in 3 of every 4 8-value groups.
+             // One outlier per group in a fixed pattern, which a branch
+             // predictor learns; trace blocks scatter theirs (see
+             // trace_shaped_blocks).
       for (uint32_t i = 0; i < 256; ++i) b[i] = 50.0f + 0.05f * i;
       for (uint32_t g = 0; g < 32; ++g)
         if (g % 4 != 3) b[g * 8 + rng.below(8)] *= 1.25f;
@@ -44,6 +47,28 @@ std::array<float, kValuesPerBlock> make_block(int kind) {
       for (auto& v : b) v = static_cast<float>(rng.uniform(-1e6, 1e6));
   }
   return b;
+}
+
+/// Blocks shaped like the ones trace replay compresses: trace::init_region's
+/// random walk with sparse spikes, with 3% of the values overwritten the way
+/// replayed stores write them (a quarter of the walk plus jitter). Each
+/// 8-value group then holds a seeded random outlier count from 0 to 8 (all
+/// of them occur), about 54 outliers per passing block. Benches cycle
+/// through the set so no branch predictor can learn one block's pattern.
+std::vector<std::array<float, kValuesPerBlock>> trace_shaped_blocks() {
+  std::vector<std::array<float, kValuesPerBlock>> blocks(64);
+  Xoshiro256 rng(1);
+  float v = 100.0f + 50.0f * static_cast<float>(rng.uniform());
+  for (auto& b : blocks) {
+    for (float& x : b) {
+      v += static_cast<float>(rng.uniform(-1.0, 1.0));
+      x = v;
+      if (rng.uniform() < 0.02) x += 40.0f * static_cast<float>(rng.uniform(-1.0, 1.0));
+      if (rng.uniform() < 0.03)
+        x = 0.25f * v + static_cast<float>(rng.uniform(-0.5, 0.5));
+    }
+  }
+  return blocks;
 }
 
 void BM_Compress(benchmark::State& state) {
@@ -59,6 +84,22 @@ void BM_Compress(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kBlockBytes);
 }
 BENCHMARK(BM_Compress)->Arg(0)->Arg(1)->Arg(2);
+
+void BM_CompressScattered(benchmark::State& state) {
+  // One compression event per iteration over the trace-shaped blocks, in
+  // turn: both variants scan, and some blocks fail the budget.
+  Compressor comp(AvrConfig{});
+  CompressorScratch scratch;
+  const auto blocks = trace_shaped_blocks();
+  size_t b = 0;
+  for (auto _ : state) {
+    auto att = comp.compress(blocks[b], DType::kFloat32, scratch);
+    benchmark::DoNotOptimize(att);
+    b = (b + 1) % blocks.size();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kBlockBytes);
+}
+BENCHMARK(BM_CompressScattered);
 
 void BM_CompressColdScratch(benchmark::State& state) {
   // The convenience overload: a fresh stack scratch per call (one-off
@@ -225,44 +266,51 @@ void BM_KernelReconstruct2D(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelReconstruct2D)->Arg(0)->Arg(2);
 
-/// The error scan of `block` against its 1D reconstruction, at the level
-/// state.range(0) pins.
+/// Error scans of `blocks` against their 1D reconstructions, in turn, at
+/// the level state.range(0) pins. Blocks whose scan exceeds the outlier
+/// budget are left out: they would abort early, and only whole scans are
+/// timed.
 void run_error_scan(benchmark::State& state,
-                    const std::array<float, kValuesPerBlock>& block) {
+                    const std::vector<std::array<float, kValuesPerBlock>>& blocks) {
   ScopedSimdLevel pin(state);
   if (!pin.ok()) return;
-  std::array<float, kValuesPerBlock> biased;
-  std::array<Fixed32, kValuesPerBlock> fixed, recon;
-  const int8_t bias = choose_bias(block);
-  bias_block(block, biased, bias);
-  fixed32_from_f32_batch(biased, fixed);
-  downsample::reconstruct_1d(downsample::compress_1d(fixed), recon);
+  struct Scan {
+    const float* original;
+    std::array<Fixed32, kValuesPerBlock> recon;
+    int8_t bias;
+  };
   const uint32_t limit = 1u << (kMantissaBits - AvrConfig{}.t1_mantissa_msbit);
   Bitmap256 map;
   std::array<uint32_t, kMaxBlockOutliers> bits;
-  {
-    // Time whole scans only: an over-budget block would abort early.
+  auto scan = [&](const Scan& sc) {
     simd::ErrorScanState st;
     st.bitmap_words = map.words().data();
     st.outlier_bits = bits.data();
     st.max_outliers = kMaxBlockOutliers;
-    if (!simd::kernels().error_scan_f32(
-            block.data(), reinterpret_cast<const int32_t*>(recon.data()),
-            kValuesPerBlock, bias, limit, &st)) {
-      state.SkipWithError("scan exceeds the outlier budget");
-      return;
-    }
+    return simd::kernels().error_scan_f32(
+        sc.original, reinterpret_cast<const int32_t*>(sc.recon.data()),
+        kValuesPerBlock, sc.bias, limit, &st);
+  };
+  std::vector<Scan> scans;
+  for (const auto& block : blocks) {
+    Scan sc{block.data(), {}, choose_bias(block)};
+    std::array<float, kValuesPerBlock> biased;
+    std::array<Fixed32, kValuesPerBlock> fixed;
+    bias_block(block, biased, sc.bias);
+    fixed32_from_f32_batch(biased, fixed);
+    downsample::reconstruct_1d(downsample::compress_1d(fixed), sc.recon);
+    if (scan(sc)) scans.push_back(sc);
   }
+  if (scans.empty()) {
+    state.SkipWithError("scan exceeds the outlier budget");
+    return;
+  }
+  size_t k = 0;
   for (auto _ : state) {
-    simd::ErrorScanState st;
-    st.bitmap_words = map.words().data();
-    st.outlier_bits = bits.data();
-    st.max_outliers = kMaxBlockOutliers;
-    bool ok = simd::kernels().error_scan_f32(
-        block.data(), reinterpret_cast<const int32_t*>(recon.data()),
-        kValuesPerBlock, bias, limit, &st);
+    bool ok = scan(scans[k]);
     benchmark::DoNotOptimize(ok);
-    benchmark::DoNotOptimize(st);
+    benchmark::DoNotOptimize(bits);
+    k = (k + 1) % scans.size();
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kBlockBytes);
 }
@@ -270,15 +318,22 @@ void run_error_scan(benchmark::State& state,
 void BM_KernelErrorScan(benchmark::State& state) {
   // The sparse-spike block: mostly exact-or-near groups plus a few outlier
   // groups.
-  run_error_scan(state, make_block(1));
+  run_error_scan(state, {make_block(1)});
 }
 BENCHMARK(BM_KernelErrorScan)->Arg(0)->Arg(2);
 
 void BM_KernelErrorScanDense(benchmark::State& state) {
-  // An outlier in most groups: the path the trace-driven sweeps take.
-  run_error_scan(state, make_block(3));
+  // One outlier in 3 of 4 groups, in a fixed pattern.
+  run_error_scan(state, {make_block(3)});
 }
 BENCHMARK(BM_KernelErrorScanDense)->Arg(0)->Arg(2);
+
+void BM_KernelErrorScanScattered(benchmark::State& state) {
+  // The trace-block shape: a random outlier count in every group, so the
+  // count cannot be predicted group to group.
+  run_error_scan(state, trace_shaped_blocks());
+}
+BENCHMARK(BM_KernelErrorScanScattered)->Arg(0)->Arg(2);
 
 void BM_KernelTruncate(benchmark::State& state) {
   ScopedSimdLevel pin(state);
