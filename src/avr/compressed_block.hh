@@ -43,7 +43,6 @@ class OutlierList {
  public:
   constexpr uint32_t size() const { return n_; }
   constexpr bool empty() const { return n_ == 0; }
-  constexpr bool full() const { return n_ == kMaxBlockOutliers; }
   constexpr void clear() { n_ = 0; }
 
   constexpr void push_back(uint32_t bits) {
