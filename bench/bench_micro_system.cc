@@ -14,6 +14,7 @@
 #include "trace/trace_format.hh"
 #include "trace/trace_gen.hh"
 #include "trace/trace_replay.hh"
+#include "workloads/trace.hh"
 
 namespace {
 
@@ -254,6 +255,28 @@ void BM_TraceReplayZipf(benchmark::State& state) {
                           static_cast<int64_t>(t.access_count()));
 }
 BENCHMARK(BM_TraceReplayZipf);
+
+/// One 256 KiB replay region's initial contents, the size of each trace-mix
+/// region: /0 generates them (trace::init_region), /1 copies the image the
+/// region-image memo keeps from a key's third request on.
+void BM_TraceRegionImage(benchmark::State& state) {
+  const bool from_memo = state.range(0) != 0;
+  System sys(Design::kBaseline, small_cfg(), 1, /*timing=*/false);
+  const RegionHandle h = sys.alloc_region("image", 256 << 10, true);
+  const uint64_t seed = 0x517EC0DE;
+  // The memo keeps an image from its third request on.
+  for (int r = 0; from_memo && r < 3; ++r) fill_trace_region(sys, h, seed);
+  for (auto _ : state) {
+    if (from_memo)
+      fill_trace_region(sys, h, seed);
+    else
+      trace::init_region(sys, h, seed);
+    benchmark::DoNotOptimize(h.host);
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(h.bytes));
+}
+BENCHMARK(BM_TraceRegionImage)->Arg(0)->Arg(1);
 
 /// A 32768-record trace file in the system temp directory, removed when the
 /// bench ends; what one trace-mix input holds.

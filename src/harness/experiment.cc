@@ -91,7 +91,7 @@ ExperimentRunner::Config& ExperimentRunner::config(const SimConfig& cfg) {
     }
   }
   // Workers racing on a config's first points wait for one load.
-  std::call_once(c->loaded, [&] { load_disk_cache(*c); });
+  c->loaded.run([&] { load_disk_cache(*c); });
   return *c;
 }
 
@@ -172,14 +172,14 @@ SimConfig ExperimentRunner::config_for(const Workload& wl) const {
 const std::vector<double>& ExperimentRunner::golden(Config& c,
                                                     const std::string& name) {
   // One golden run per (config, workload) even when several design points
-  // of the same workload start concurrently: the once_flag makes every
-  // other thread wait for (not duplicate) the computation.
-  std::once_flag* flag;
+  // of the same workload start concurrently: every other thread waits for
+  // (not duplicates) the computation.
+  Once* once;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    flag = &c.golden_once[name];
+    once = &c.golden_once[name];
   }
-  std::call_once(*flag, [&] {
+  once->run([&] {
     // The workload and its System are destroyed before this returns: their
     // memory is free before the caller builds its timed System.
     auto wl = make_workload(name);
@@ -240,10 +240,10 @@ double ExperimentRunner::cost_estimate(const sweep::VariantPoint& vp) {
 const ExperimentResult& ExperimentRunner::run(const sweep::VariantPoint& vp) {
   const auto& [name, d] = vp.point;
   Config& c = config(vp.config);
-  // Per-point once_flag: concurrent callers of the same uncached point wait
-  // for one simulation instead of each running a duplicate. A throwing run
-  // leaves the flag unset, so a later call retries.
-  std::once_flag* flag;
+  // Per-point Once: concurrent callers of the same uncached point wait for
+  // one simulation instead of each running a duplicate. A throwing run
+  // leaves the point undone, so a later call retries.
+  Once* once;
   {
     std::lock_guard<std::mutex> lk(mu_);
     auto it = c.results.find(vp.point);
@@ -251,7 +251,7 @@ const ExperimentResult& ExperimentRunner::run(const sweep::VariantPoint& vp) {
       prof_totals_.bump(prof::Counter::kCacheHits);
       return it->second;
     }
-    flag = &c.run_once[vp.point];
+    once = &c.run_once[vp.point];
   }
   auto simulate = [&] {
     if (verbose_)
@@ -329,7 +329,7 @@ const ExperimentResult& ExperimentRunner::run(const sweep::VariantPoint& vp) {
     c.results.emplace(vp.point, std::move(res));
   };
   try {
-    std::call_once(*flag, simulate);
+    once->run(simulate);
   } catch (...) {
     rethrow_with("point " + name + " x " + to_string(d) +
                  (c.name.empty() ? "" : " [" + c.name + "]") + " failed: ");

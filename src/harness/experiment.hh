@@ -4,6 +4,7 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <map>
 #include <mutex>
 #include <string>
@@ -128,17 +129,51 @@ class ExperimentRunner {
   std::vector<prof::PointProfile> profile_points();
 
  private:
+  /// Runs a callable once across threads: concurrent callers wait for the
+  /// running one, and a callable that throws leaves the work undone, so the
+  /// next caller (or a waiter) runs it again. std::call_once promises the
+  /// same, but libstdc++'s leaves its flag wedged after a throw under TSan.
+  class Once {
+   public:
+    template <class F>
+    void run(F&& f) {
+      std::unique_lock<std::mutex> lk(mu_);
+      cv_.wait(lk, [this] { return !running_; });
+      if (done_) return;
+      running_ = true;
+      lk.unlock();
+      try {
+        f();
+      } catch (...) {
+        lk.lock();
+        running_ = false;
+        cv_.notify_all();
+        throw;
+      }
+      lk.lock();
+      running_ = false;
+      done_ = true;
+      cv_.notify_all();
+    }
+
+   private:
+    std::mutex mu_;
+    std::condition_variable cv_;
+    bool running_ = false;
+    bool done_ = false;
+  };
+
   /// Everything the runner holds for one config. `base`, `fingerprint` and
   /// `name` are set when the entry is created and never change.
   struct Config {
     SimConfig base;
     uint64_t fingerprint = 0;
-    std::string name;       // config_diff(base), stamped on profile points
-    std::once_flag loaded;  // the config's disk records, read on first sight
+    std::string name;  // config_diff(base), stamped on profile points
+    Once loaded;       // the config's disk records, read on first sight
     std::map<std::string, std::vector<double>> golden;
-    std::map<std::string, std::once_flag> golden_once;
+    std::map<std::string, Once> golden_once;
     std::map<sweep::Point, ExperimentResult> results;
-    std::map<sweep::Point, std::once_flag> run_once;
+    std::map<sweep::Point, Once> run_once;
   };
 
   /// The entry for `cfg`, created and loaded from disk on first sight.

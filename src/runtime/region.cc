@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <stdexcept>
 
 namespace avr {
@@ -17,8 +16,7 @@ uint64_t RegionRegistry::allocate(std::string name, uint64_t bytes, bool approx,
   r.approx = approx;
   r.dtype = dtype;
   r.name = std::move(name);
-  r.host = std::make_unique<std::byte[]>(padded);
-  std::memset(r.host.get(), 0, padded);
+  r.host = std::make_unique<std::byte[]>(padded);  // value-initialized: zeroed
   // Separate consecutive regions by a page so a block never straddles two
   // regions and allocation stays page-aligned like the paper's wrapper.
   next_base_ += (padded + kPageBytes - 1) & ~(kPageBytes - 1);

@@ -5,19 +5,29 @@
 // beyond the Debug asserts every workload gets.
 //
 // A sweep builds the same trace workload many times over — parse_workload_list,
-// cost_estimate per design, the golden run, run() per design — so parsed
-// files are memoised per process (TraceMemo below): one full read +
-// validation per file version, shared read-only by every workload built
-// from it. A parse costs under a millisecond per 32768-record trace on a
-// 4-vCPU Xeon VM, most of it first touch of the record array, so
-// parse_workload_list loads a sweep's traces serially and reports the
-// first bad one in list order.
+// cost_estimate per design, the golden run, run() per design — so the
+// process keeps two memos:
+//
+// - TraceMemo: parsed files, one full read + validation per file version,
+//   shared read-only by every workload built from it. A parse costs under a
+//   millisecond per 32768-record trace on a 4-vCPU Xeon VM, most of it first
+//   touch of the record array, so parse_workload_list loads a sweep's traces
+//   serially and reports the first bad one in list order.
+// - RegionImageMemo: the initial contents of each replay region. They
+//   depend only on the region's seed (its index) and padded size, so the
+//   traces of a sweep share a few images, which a run copies instead of
+//   regenerating. An image is kept from its third request on: a one-point
+//   process (golden run, then the point) asks for each image twice, so it
+//   never holds a copy beside its own regions and its peak RSS is that of
+//   the point alone.
 #include "workloads/trace.hh"
 
 #include <sys/stat.h>
 
 #include <atomic>
+#include <cstring>
 #include <list>
+#include <map>
 #include <mutex>
 #include <stdexcept>
 #include <unordered_map>
@@ -62,7 +72,7 @@ class TraceWorkload final : public Workload {
       handles_.push_back(sys.alloc_region(r.name, r.bytes, r.approx));
       // Recorded contents act like pre-existing memory: poked (functional
       // only), so the replayed stream is exactly the recorded one.
-      trace::init_region(sys, handles_.back(), 0x517EC0DE + i);
+      fill_trace_region(sys, handles_.back(), 0x517EC0DE + i);
     }
     cursor_ = trace::ReplayCursor(trace_->regions.size());
     trace::replay(sys, *trace_, handles_, cursor_);
@@ -208,7 +218,71 @@ class TraceMemo {
   uint64_t bytes_ = 0;
 };
 
+/// Per-process memo of replay region images, keyed by (seed, padded bytes),
+/// within kTraceImageMemoBudgetBytes. trace::init_region stays the generator:
+/// a request the memo cannot serve runs it on the region itself, and the
+/// third and later requests for a key copy the result into the memo. Images
+/// are never dropped, so a pointer read under the lock stays valid for the
+/// copy made outside it. Two threads racing to keep one key generate the
+/// same bytes; the first insert wins.
+class RegionImageMemo {
+ public:
+  static RegionImageMemo& instance() {
+    static RegionImageMemo memo;
+    return memo;
+  }
+
+  void fill(System& sys, const RegionHandle& h, uint64_t seed) {
+    std::unique_lock<std::mutex> lk(mu_);
+    Entry& e = entries_[{seed, h.bytes}];
+    if (e.image) {
+      const std::byte* image = e.image.get();
+      lk.unlock();
+      std::memcpy(h.host, image, h.bytes);
+      return;
+    }
+    const bool keep = ++e.requests >= kKeepFromRequest && fits(h.bytes);
+    lk.unlock();
+    trace::init_region(sys, h, seed);
+    if (!keep) return;
+    auto image = std::make_unique_for_overwrite<std::byte[]>(h.bytes);
+    std::memcpy(image.get(), h.host, h.bytes);
+    lk.lock();
+    if (e.image || !fits(h.bytes)) return;
+    e.image = std::move(image);
+    bytes_ += h.bytes;
+  }
+
+  uint64_t bytes() {
+    std::lock_guard<std::mutex> lk(mu_);
+    return bytes_;
+  }
+
+ private:
+  /// A one-point process asks for each image twice, the golden run and the
+  /// point: keeping it then would only add its size to the peak RSS.
+  static constexpr uint32_t kKeepFromRequest = 3;
+
+  bool fits(uint64_t n) const { return n <= kTraceImageMemoBudgetBytes - bytes_; }
+
+  using Key = std::pair<uint64_t, uint64_t>;  // (seed, padded bytes)
+  struct Entry {
+    uint32_t requests = 0;
+    std::unique_ptr<const std::byte[]> image;  // null until kept
+  };
+
+  std::mutex mu_;                 // guards entries_ and bytes_
+  std::map<Key, Entry> entries_;  // never erased: an Entry& stays valid
+  uint64_t bytes_ = 0;            // sum of the kept images' sizes
+};
+
 }  // namespace
+
+void fill_trace_region(System& sys, const RegionHandle& h, uint64_t seed) {
+  RegionImageMemo::instance().fill(sys, h, seed);
+}
+
+uint64_t trace_image_memo_bytes() { return RegionImageMemo::instance().bytes(); }
 
 bool is_trace_workload_name(const std::string& name) {
   return name.rfind(kTracePrefix, 0) == 0;

@@ -5,6 +5,7 @@
 // hand-written kernels.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -12,6 +13,9 @@
 #include "workloads/workload.hh"
 
 namespace avr {
+
+class System;
+struct RegionHandle;
 
 /// Workload over an in-memory trace (benches and tests); `name` becomes the
 /// sweep-point key. Throws std::invalid_argument if `t` fails
@@ -32,6 +36,21 @@ std::unique_ptr<Workload> make_trace_workload_from_spec(const std::string& name)
 /// How many times this process has read and validated a trace file for
 /// make_trace_workload_from_spec (memo misses). For tests.
 uint64_t trace_file_parses();
+
+/// Image bytes the per-process region-image memo holds at most. Images
+/// beyond it are generated for every request, as without the memo.
+inline constexpr uint64_t kTraceImageMemoBudgetBytes = 32ull << 20;
+
+/// Fills the replay region `h` with exactly the bytes
+/// trace::init_region(sys, h, seed) writes. From the third request for one
+/// (seed, h.bytes) on, the image is kept in a per-process memo (within
+/// kTraceImageMemoBudgetBytes) and later requests copy it instead of
+/// regenerating it. Thread-safe.
+void fill_trace_region(System& sys, const RegionHandle& h, uint64_t seed);
+
+/// Bytes of region images the memo behind fill_trace_region holds. For
+/// tests.
+uint64_t trace_image_memo_bytes();
 
 /// True iff `name` is a trace sweep-point spec ("trace:<path>").
 bool is_trace_workload_name(const std::string& name);

@@ -1,11 +1,13 @@
 // Trace replay as a first-class sweep point: deterministic replay, pinned
 // golden digests for a bundled trace on every design, eager (startup-time)
 // rejection of bad workload names and trace specs, the per-process trace
-// memo, and cache integration.
+// and region-image memos, and cache integration.
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstddef>
 #include <cstdio>
+#include <cstring>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -19,6 +21,7 @@
 #include "harness/sweep.hh"
 #include "runtime/system.hh"
 #include "trace/trace_gen.hh"
+#include "trace/trace_replay.hh"
 #include "workloads/trace.hh"
 #include "workloads/workload.hh"
 #include "workloads/workload_registry.hh"
@@ -303,6 +306,127 @@ TEST(TraceMemo, ConcurrentLoadsOfOneFileAllSucceed) {
     });
   for (auto& th : pool) th.join();
   for (int i = 0; i < kThreads; ++i) EXPECT_EQ(estimates[i], t.access_count()) << i;
+}
+
+// ---- region-image memo -----------------------------------------------------
+//
+// The memo is per process and keyed by (seed, padded bytes), so every test
+// below asks for keys no other test uses: seeds far from the workload's
+// 0x517EC0DE + region index, each test its own.
+
+/// `bytes` of region contents as trace::init_region writes them.
+std::vector<std::byte> generated(System& sys, uint64_t bytes, uint64_t seed) {
+  std::vector<std::byte> buf(bytes);
+  trace::init_region(sys, {buf.data(), 0, bytes}, seed);
+  return buf;
+}
+
+/// `bytes` of region contents as fill_trace_region writes them.
+std::vector<std::byte> filled(System& sys, uint64_t bytes, uint64_t seed) {
+  std::vector<std::byte> buf(bytes);
+  fill_trace_region(sys, {buf.data(), 0, bytes}, seed);
+  return buf;
+}
+
+TEST(TraceImageMemo, CopiesEqualTheGeneratorsBytes) {
+  System sys(Design::kBaseline, SimConfig{}, 1, /*timing=*/false);
+  // The regions of a 3-region mixed trace, under the workload's own seeds:
+  // the first requests generate, the later ones copy the kept image.
+  const trace::Trace t = test_trace();
+  for (size_t i = 0; i < t.regions.size(); ++i) {
+    const trace::TraceRegion& r = t.regions[i];
+    const uint64_t seed = 0x517EC0DE + i;
+    const std::vector<std::byte> ref = generated(sys, r.bytes, seed);
+    for (int request = 0; request < 4; ++request) {
+      const std::string name = r.name + "." + std::to_string(request);
+      const RegionHandle h = sys.alloc_region(name, r.bytes, r.approx);
+      fill_trace_region(sys, h, seed);
+      EXPECT_EQ(std::memcmp(h.host, ref.data(), ref.size()), 0)
+          << "region " << i << ", request " << request;
+    }
+  }
+  // A region padded up to whole blocks: the image covers the padding too.
+  // Its seed was kept at a smaller size first, which is another image.
+  const uint64_t seed = 0xA11CE001, small = 2 * kBlockBytes;
+  for (int request = 0; request < 4; ++request)
+    EXPECT_EQ(filled(sys, small, seed), generated(sys, small, seed)) << request;
+  const std::vector<std::byte> ref = generated(sys, 4 * kBlockBytes, seed);
+  for (int request = 0; request < 4; ++request) {
+    const std::string name = "padded." + std::to_string(request);
+    const RegionHandle h = sys.alloc_region(name, 3 * kBlockBytes + 100, true);
+    ASSERT_EQ(h.bytes, 4 * kBlockBytes);
+    fill_trace_region(sys, h, seed);
+    EXPECT_EQ(std::memcmp(h.host, ref.data(), ref.size()), 0) << request;
+  }
+  // And whole workload runs, the later ones served from the memo.
+  std::vector<uint64_t> digests;
+  for (int run = 0; run < 4; ++run) {
+    auto wl = make_trace_workload("trace:mem", test_trace());
+    System timed(Design::kAvr, point_config(*wl));
+    wl->run(timed);
+    digests.push_back(fnv1a(wl->output(timed)));
+  }
+  for (int run = 1; run < 4; ++run) EXPECT_EQ(digests[run], digests[0]) << run;
+}
+
+TEST(TraceImageMemo, KeepsAnImageFromItsThirdRequest) {
+  System sys(Design::kBaseline, SimConfig{}, 1, /*timing=*/false);
+  const uint64_t seed = 0xA11CE002, bytes = 8 * kBlockBytes;
+  const std::vector<std::byte> ref = generated(sys, bytes, seed);
+  const uint64_t before = trace_image_memo_bytes();
+  // A one-point process's golden run and point: nothing kept.
+  EXPECT_EQ(filled(sys, bytes, seed), ref);
+  EXPECT_EQ(filled(sys, bytes, seed), ref);
+  EXPECT_EQ(trace_image_memo_bytes(), before);
+  EXPECT_EQ(filled(sys, bytes, seed), ref);
+  EXPECT_EQ(trace_image_memo_bytes(), before + bytes);
+  EXPECT_EQ(filled(sys, bytes, seed), ref);
+  EXPECT_EQ(trace_image_memo_bytes(), before + bytes);
+}
+
+TEST(TraceImageMemo, ConcurrentRequestsKeepOneImage) {
+  System sys(Design::kBaseline, SimConfig{}, 1, /*timing=*/false);
+  const uint64_t seed = 0xA11CE003, bytes = 64 * kBlockBytes;
+  const std::vector<std::byte> ref = generated(sys, bytes, seed);
+  const uint64_t before = trace_image_memo_bytes();
+  constexpr int kThreads = 4, kRequests = 3;
+  std::vector<std::vector<std::byte>> got(kThreads * kRequests);
+  std::vector<std::thread> pool;
+  for (int i = 0; i < kThreads; ++i)
+    pool.emplace_back([&, i] {
+      for (int r = 0; r < kRequests; ++r)
+        got[i * kRequests + r] = filled(sys, bytes, seed);
+    });
+  for (auto& th : pool) th.join();
+  for (size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], ref) << i;
+  EXPECT_EQ(trace_image_memo_bytes(), before + bytes);
+}
+
+/// Fills the memo's budget, then checks that an image past it is still
+/// generated bit-identically and not kept. Returns an exit status: 0 if
+/// so, 2 if the budget did not fill, 3 if a request's bytes differ from
+/// init_region's, 4 if the image was kept.
+int fill_budget_and_check() {
+  System sys(Design::kBaseline, SimConfig{}, 1, /*timing=*/false);
+  // One image takes every whole block of room the budget has left.
+  const uint64_t left = kTraceImageMemoBudgetBytes - trace_image_memo_bytes();
+  const uint64_t room = left / kBlockBytes * kBlockBytes;
+  for (int r = 0; r < 3; ++r) filled(sys, room, 0xA11CE004);
+  const uint64_t full = trace_image_memo_bytes();
+  if (full + kBlockBytes <= kTraceImageMemoBudgetBytes) return 2;
+  const uint64_t seed = 0xA11CE005, bytes = 2 * kBlockBytes;
+  const std::vector<std::byte> ref = generated(sys, bytes, seed);
+  for (int r = 0; r < 4; ++r) {
+    if (filled(sys, bytes, seed) != ref) return 3;
+  }
+  return trace_image_memo_bytes() == full ? 0 : 4;
+}
+
+TEST(TraceImageMemo, AFullBudgetStillGeneratesEveryImage) {
+  // A full memo would change what the other tests see, so this runs in a
+  // child process of its own.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(std::exit(fill_budget_and_check()), ::testing::ExitedWithCode(0), "");
 }
 
 // ---- sweep-point integration ----------------------------------------------
