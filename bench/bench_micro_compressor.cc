@@ -101,6 +101,27 @@ void BM_CompressScattered(benchmark::State& state) {
 }
 BENCHMARK(BM_CompressScattered);
 
+void BM_CompressEventScattered(benchmark::State& state) {
+  // A whole compression event as AvrSystem drives it, over the trace-shaped
+  // blocks in turn: compress() the block's values in place, then write the
+  // reconstruction back over them. Each iteration first restores the
+  // block's original values (a 1 KB copy, part of the time).
+  Compressor comp(AvrConfig{});
+  CompressorScratch scratch;
+  const auto blocks = trace_shaped_blocks();
+  std::array<float, kValuesPerBlock> vals;
+  size_t b = 0;
+  for (auto _ : state) {
+    vals = blocks[b];
+    if (auto att = comp.compress(vals, DType::kFloat32, scratch))
+      benchmark::DoNotOptimize(comp.write_reconstruction(att->block, scratch, vals));
+    benchmark::DoNotOptimize(vals);
+    b = (b + 1) % blocks.size();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kBlockBytes);
+}
+BENCHMARK(BM_CompressEventScattered);
+
 void BM_CompressColdScratch(benchmark::State& state) {
   // The convenience overload: a fresh stack scratch per call (one-off
   // library users); the delta against BM_Compress is the scratch setup.
@@ -182,31 +203,21 @@ class ScopedSimdLevel {
   bool ok_;
 };
 
-void BM_KernelConvert(benchmark::State& state) {
+void BM_KernelConvertBiased(benchmark::State& state) {
+  // Stages 1 and 2 of compress(): bias and convert in one pass, at the
+  // bias choose_bias picks for the block.
   ScopedSimdLevel pin(state);
   if (!pin.ok()) return;
   const auto block = make_block(0);
+  const int8_t bias = choose_bias(block);
   std::array<Fixed32, kValuesPerBlock> out;
   for (auto _ : state) {
-    fixed32_from_f32_batch(block, out);
+    fixed32_from_f32_batch(block, out, bias);
     benchmark::DoNotOptimize(out);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kBlockBytes);
 }
-BENCHMARK(BM_KernelConvert)->Arg(0)->Arg(2);
-
-void BM_KernelBias(benchmark::State& state) {
-  ScopedSimdLevel pin(state);
-  if (!pin.ok()) return;
-  const auto block = make_block(0);
-  std::array<float, kValuesPerBlock> out;
-  for (auto _ : state) {
-    bias_block(block, out, 10);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kBlockBytes);
-}
-BENCHMARK(BM_KernelBias)->Arg(0)->Arg(2);
+BENCHMARK(BM_KernelConvertBiased)->Arg(0)->Arg(2);
 
 void BM_KernelSummarize1D(benchmark::State& state) {
   ScopedSimdLevel pin(state);
@@ -267,9 +278,9 @@ void BM_KernelReconstruct2D(benchmark::State& state) {
 BENCHMARK(BM_KernelReconstruct2D)->Arg(0)->Arg(2);
 
 /// Error scans of `blocks` against their 1D reconstructions, in turn, at
-/// the level state.range(0) pins. Blocks whose scan exceeds the outlier
-/// budget are left out: they would abort early, and only whole scans are
-/// timed.
+/// the level state.range(0) pins, each writing the decompressed image as
+/// compress() has it do. Blocks whose scan exceeds the outlier budget are
+/// left out: they would abort early, and only whole scans are timed.
 void run_error_scan(benchmark::State& state,
                     const std::vector<std::array<float, kValuesPerBlock>>& blocks) {
   ScopedSimdLevel pin(state);
@@ -282,10 +293,12 @@ void run_error_scan(benchmark::State& state,
   const uint32_t limit = 1u << (kMantissaBits - AvrConfig{}.t1_mantissa_msbit);
   Bitmap256 map;
   std::array<uint32_t, kMaxBlockOutliers> bits;
+  std::array<float, kValuesPerBlock> image;
   auto scan = [&](const Scan& sc) {
     simd::ErrorScanState st;
     st.bitmap_words = map.words().data();
     st.outlier_bits = bits.data();
+    st.image = image.data();
     st.max_outliers = kMaxBlockOutliers;
     return simd::kernels().error_scan_f32(
         sc.original, reinterpret_cast<const int32_t*>(sc.recon.data()),
@@ -294,10 +307,8 @@ void run_error_scan(benchmark::State& state,
   std::vector<Scan> scans;
   for (const auto& block : blocks) {
     Scan sc{block.data(), {}, choose_bias(block)};
-    std::array<float, kValuesPerBlock> biased;
     std::array<Fixed32, kValuesPerBlock> fixed;
-    bias_block(block, biased, sc.bias);
-    fixed32_from_f32_batch(biased, fixed);
+    fixed32_from_f32_batch(block, fixed, sc.bias);
     downsample::reconstruct_1d(downsample::compress_1d(fixed), sc.recon);
     if (scan(sc)) scans.push_back(sc);
   }
@@ -310,6 +321,7 @@ void run_error_scan(benchmark::State& state,
     bool ok = scan(scans[k]);
     benchmark::DoNotOptimize(ok);
     benchmark::DoNotOptimize(bits);
+    benchmark::DoNotOptimize(image);
     k = (k + 1) % scans.size();
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kBlockBytes);

@@ -29,8 +29,7 @@ AvrSystem::CompressOutcome AvrSystem::compress_block_values(uint64_t block) {
       std::memcmp(r.values.data(), vals.data(), vals.size_bytes()) == 0) {
     out = r.outcome;
   } else {
-    std::memcpy(r.values.data(), vals.data(), vals.size_bytes());
-    r.dtype = dtype;
+    bool changed = false;
     if (auto att = compressor_.compress(vals, dtype, scratch_)) {
       // The block now lives in summarized form: every subsequent read
       // observes the reconstruction, written back from the image compress()
@@ -38,12 +37,17 @@ AvrSystem::CompressOutcome AvrSystem::compress_block_values(uint64_t block) {
       // bit-identical. Exact-tier encodings (BDI-hybrid) write nothing —
       // their reconstruction is the identity, so the backing store stays
       // untouched.
-      compressor_.write_reconstruction(att->block, scratch_, vals);
+      changed = compressor_.write_reconstruction(att->block, scratch_, vals);
       out = {att->block.lines(), att->block.method, att->block.bias};
     }
-    r.outcome = out;
-    r.valid = out.lines == 0 ||
-              std::memcmp(r.values.data(), vals.data(), vals.size_bytes()) == 0;
+    // Only an event that left the values as they were is remembered, so
+    // only then is the input copied.
+    r.valid = !changed;
+    if (r.valid) {
+      std::memcpy(r.values.data(), vals.data(), vals.size_bytes());
+      r.dtype = dtype;
+      r.outcome = out;
+    }
   }
   ++counters_.compress_attempts;
   if (out.lines == 0) {

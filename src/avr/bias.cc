@@ -29,17 +29,7 @@ int8_t choose_bias(std::span<const float, kValuesPerBlock> vals) {
 }
 
 void apply_bias(std::span<float, kValuesPerBlock> vals, int8_t bias) {
-  if (bias == 0) return;
-  simd::kernels().bias_block(vals.data(), vals.data(), vals.size(), bias);
-}
-
-void bias_block(std::span<const float, kValuesPerBlock> in,
-                std::span<float, kValuesPerBlock> out, int8_t bias) {
-  if (bias == 0) {
-    std::copy(in.begin(), in.end(), out.begin());
-    return;
-  }
-  simd::kernels().bias_block(in.data(), out.data(), kValuesPerBlock, bias);
+  for (float& v : vals) v = f32_scale_exponent(v, bias);
 }
 
 }  // namespace avr

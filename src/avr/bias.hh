@@ -25,14 +25,9 @@ inline constexpr int kBiasTargetExponent = 137;
 int8_t choose_bias(std::span<const float, kValuesPerBlock> vals);
 
 /// Applies `bias` to the exponent field of every finite non-zero value,
-/// in place. Zero/denormal values are left untouched.
+/// in place. Zero/denormal values are left untouched. (The compressor
+/// biases and converts in one pass: fixed32_from_f32_batch.)
 void apply_bias(std::span<float, kValuesPerBlock> vals, int8_t bias);
-
-/// Fused copy + bias: writes the biased image of `in` to `out` in one pass
-/// (stage 1 of the compressor pipeline; `bias == 0` degenerates to a plain
-/// copy). Equivalent to copying then apply_bias, without the extra sweep.
-void bias_block(std::span<const float, kValuesPerBlock> in,
-                std::span<float, kValuesPerBlock> out, int8_t bias);
 
 /// Undoes the bias on a single value (the 8-bit exponent adder of the
 /// decompressor). Zero stays zero. Header-inline: the decompressor and the

@@ -49,6 +49,13 @@ class OutlierList {
     assert(n_ < kMaxBlockOutliers && "OutlierList overflow: attempt not aborted");
     v_[n_++] = bits;
   }
+  /// In-place fill: a writer stores up to kMaxBlockOutliers images from
+  /// storage() on, then sets the count once.
+  constexpr uint32_t* storage() { return v_.data(); }
+  constexpr void set_size(uint32_t n) {
+    assert(n <= kMaxBlockOutliers && "OutlierList overflow: attempt not aborted");
+    n_ = n;
+  }
   constexpr void assign(uint32_t n, uint32_t bits) {
     n_ = n;
     for (uint32_t i = 0; i < n; ++i) v_[i] = bits;

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cmath>
+#include <cstring>
 
 #include "avr/bias.hh"
 #include "avr/downsample.hh"
@@ -91,20 +92,23 @@ bool Compressor::try_method(const MethodVariant& variant,
     // per-value double divisions (every |dm|/2^23 term is an exact multiple
     // of 2^-23 and the sum stays below 2^31 of them, so deferring the
     // division reproduces the old double accumulation bit for bit). The
-    // scan itself is a dispatched SIMD kernel writing the bitmap words and
-    // the outlier images directly; a false return is the budget abort.
+    // scan itself is a dispatched SIMD kernel writing the bitmap words, the
+    // outlier images straight into the candidate's list (its capacity
+    // kMaxBlockOutliers covers every budget), and the decompressed block
+    // into the image slot the winner does not hold; a false return is the
+    // budget abort.
     const uint32_t limit = 1u << (kMantissaBits - cfg_.t1_mantissa_msbit);
     simd::ErrorScanState st;
     st.bitmap_words = blk.outlier_map.words().data();
-    st.outlier_bits = scratch.outlier_bits.data();
+    st.outlier_bits = blk.outliers.storage();
+    st.image = scratch.images[scratch.best_image ^ 1].data();
     st.max_outliers = max_outliers;
     static_assert(sizeof(Fixed32) == sizeof(int32_t));
     if (!simd::kernels().error_scan_f32(
             original.data(), reinterpret_cast<const int32_t*>(scratch.recon.data()),
             kValuesPerBlock, bias, limit, &st))
       return false;  // over budget
-    for (uint32_t k = 0; k < st.n_outliers; ++k)
-      blk.outliers.push_back(scratch.outlier_bits[k]);
+    blk.outliers.set_size(st.n_outliers);
     non_outliers = st.non_outliers;
     att.avg_error =
         non_outliers
@@ -124,12 +128,11 @@ std::optional<CompressionAttempt> Compressor::compress(
   // Per block event, never per access: cheap enough to stay always-on.
   AVR_PROF_SCOPE(prof::Phase::kCompress);
   // Stages 1+2, shared by every variant: bias into the comfortable Q16.16
-  // range, then batch-convert to fixed point.
+  // range and convert to fixed point, in one pass.
   int8_t bias = 0;
   if (dtype == DType::kFloat32) {
     bias = choose_bias(vals);
-    bias_block(vals, scratch.biased, bias);
-    fixed32_from_f32_batch(scratch.biased, scratch.fixed);
+    fixed32_from_f32_batch(vals, scratch.fixed, bias);
   } else {
     fixed32_from_raw_bits_batch(vals, scratch.fixed);
   }
@@ -150,7 +153,10 @@ std::optional<CompressionAttempt> Compressor::compress(
         (att.block.lines() == scratch.best.block.lines() &&
          att.block.outliers.size() < scratch.best.block.outliers.size())) {
       scratch.best = att;
-      scratch.best_recon = scratch.recon;
+      if (dtype == DType::kFloat32)
+        scratch.best_image ^= 1;  // the candidate's image is the winner's now
+      else
+        scratch.best_recon = scratch.recon;
       have_best = true;
     }
     // A 1-line, zero-outlier encoding is unbeatable: replacement requires
@@ -199,12 +205,22 @@ void Compressor::reconstruct(const CompressedBlock& cb,
   finish_reconstruct(cb, recon, out);
 }
 
-void Compressor::write_reconstruction(const CompressedBlock& cb,
+bool Compressor::write_reconstruction(const CompressedBlock& cb,
                                       const CompressorScratch& scratch,
                                       std::span<float, kValuesPerBlock> out) const {
   AVR_PROF_SCOPE(prof::Phase::kCompress);
-  if (method_is_exact(cb.method)) return;
-  finish_reconstruct(cb, scratch.best_recon, out);
+  if (method_is_exact(cb.method)) return false;
+  // A float block's image is the one its winning scan wrote; a kFixed32
+  // block's is finished here from the winner's fixed-point image.
+  std::array<float, kValuesPerBlock> fixed_image;
+  const float* image = scratch.images[scratch.best_image].data();
+  if (cb.dtype == DType::kFixed32) {
+    finish_reconstruct(cb, scratch.best_recon, fixed_image);
+    image = fixed_image.data();
+  }
+  if (std::memcmp(image, out.data(), out.size_bytes()) == 0) return false;
+  std::memcpy(out.data(), image, out.size_bytes());
+  return true;
 }
 
 void Compressor::finish_reconstruct(const CompressedBlock& cb,

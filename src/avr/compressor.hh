@@ -1,8 +1,8 @@
 // The AVR compressor / decompressor module (Sec. 3.3, Fig. 4), structured
 // as the staged pipeline the hardware synthesizes:
 //
-//   compress():  stage 1  bias exponents            (shared by all variants)
-//                stage 2  float -> Q16.16 batch     (shared by all variants)
+//   compress():  stages 1+2  bias exponents and convert float -> Q16.16,
+//                            one pass   (shared by all variants)
 //                per lossy variant from the method table:
 //                stage 3  summarize (downsample)
 //                stage 4  reconstruct kernel        (same kernel the
@@ -11,7 +11,10 @@
 //                         scan (aborts the variant the moment the outlier
 //                         budget is exceeded; once a variant has passed,
 //                         the budget is one below its outlier count, the
-//                         most a later variant can need and still win)
+//                         most a later variant can need and still win).
+//                         For a float block the scan also emits the
+//                         decompressed image: the unbiased reconstruction,
+//                         with each outlier's original bits in place
 //                pick the best passing variant;
 //                fallback  when every lossy variant failed and
 //                          enable_bdi_hybrid is set, encode the raw bit
@@ -22,9 +25,10 @@
 //                fixed-to-float -> unbias -> overlay outliers per bitmap.
 //                Lossless-exact encodings reconstruct to the stored image
 //                itself, so reconstruct() is a documented no-op for them.
-//                write_reconstruction() runs the same tail from the image
-//                compress() kept in scratch, so a compression event
-//                interpolates its winning variant once.
+//                write_reconstruction() writes back the image compress()
+//                kept in scratch: for a float block a copy of the winning
+//                scan's image, so a compression event builds the
+//                decompressed block once.
 //
 // The class itself stays a pure function of its inputs (no architectural
 // state), so the LLC-side machinery can reuse one instance everywhere. All
@@ -57,23 +61,26 @@ struct CompressionAttempt {
   double avg_error = 0.0;  // mean mantissa-relative error of non-outliers
 };
 
-/// Caller-owned working set of the compression pipeline: the biased float
-/// image, its fixed-point conversion (both shared across variants), the
-/// per-variant reconstruction, the winning variant's reconstruction, and
-/// the candidate encoding the error check fills in place. Everything is a
-/// flat array (structure-of-arrays), sized for one 256-value block; reusing
-/// one scratch across events keeps the datapath allocation-free and its
-/// working set cache-resident.
+/// Caller-owned working set of the compression pipeline: the fixed-point
+/// image of the block (shared across variants), the per-variant
+/// reconstruction, the decompressed float images the error scans write,
+/// and the candidate encoding the error check fills in place. Everything is
+/// a flat array (structure-of-arrays), sized for one 256-value block;
+/// reusing one scratch across events keeps the datapath allocation-free and
+/// its working set cache-resident.
 struct CompressorScratch {
-  std::array<float, kValuesPerBlock> biased;
   std::array<Fixed32, kValuesPerBlock> fixed;
   std::array<Fixed32, kValuesPerBlock> recon;
-  /// The fixed-point image of `best` (copied from `recon` whenever `best`
-  /// changes: a later variant's attempt overwrites `recon`).
+  /// kFixed32 blocks only: the fixed-point image of `best` (copied from
+  /// `recon` whenever `best` changes: a later variant's attempt overwrites
+  /// `recon`).
   std::array<Fixed32, kValuesPerBlock> best_recon;
-  /// Outlier bit images the dispatched error-scan kernel collects before
-  /// they are pushed (in block order) into the candidate's outlier list.
-  std::array<uint32_t, kMaxBlockOutliers> outlier_bits;
+  /// Float blocks only: the decompressed images the error scans write. The
+  /// winner's is images[best_image]; a later variant scans into the other
+  /// one, so a new winner flips the index instead of being copied. Zeroed
+  /// once, so an aborted scan leaves no indeterminate value behind.
+  std::array<std::array<float, kValuesPerBlock>, 2> images{};
+  uint32_t best_image = 0;
   CompressionAttempt candidate;
   CompressionAttempt best;
 };
@@ -132,9 +139,12 @@ class Compressor {
 
   /// Writes the reconstruction of the encoding the last compress() call on
   /// `scratch` returned, from the image compress() already built: equal to
-  /// reconstruct(cb, out) bit for bit, without interpolating again. A no-op
-  /// for lossless-exact encodings, like reconstruct().
-  void write_reconstruction(const CompressedBlock& cb,
+  /// reconstruct(cb, out) bit for bit, without interpolating again. Returns
+  /// whether `out` changed: false, with nothing written, for lossless-exact
+  /// encodings (like reconstruct()) and when `out` already holds the image
+  /// bit for bit (checked before the write, stopping at the first
+  /// difference).
+  bool write_reconstruction(const CompressedBlock& cb,
                             const CompressorScratch& scratch,
                             std::span<float, kValuesPerBlock> out) const;
 
@@ -157,7 +167,7 @@ class Compressor {
                   int8_t bias, DType dtype, uint32_t max_outliers,
                   CompressorScratch& scratch) const;
 
-  /// The decompressor tail shared by reconstruct() and
+  /// The decompressor tail of reconstruct() and of a kFixed32 block's
   /// write_reconstruction(): fixed-point image -> float (unbiased) ->
   /// overlay the exactly-stored outliers per the bitmap.
   static void finish_reconstruct(const CompressedBlock& cb,

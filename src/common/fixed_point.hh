@@ -89,9 +89,11 @@ class Fixed32 {
 // SIMD kernel (common/simd.hh) — one indirect call per block, with the
 // scalar reference loop preserved verbatim in simd.cc.
 
-/// Float block -> Q16.16 block. Non-finite inputs (the NaN/Inf values the
-/// error check later stores exactly as outliers) map to raw 0, matching the
-/// scalar compressor convention, not saturation.
+/// Float block -> Q16.16 block, each value first given `bias` on its
+/// exponent field (the compressor's stages 1 and 2 in one pass; fields of 0
+/// stay put, and bias 0 is the plain conversion). Non-finite inputs (the
+/// NaN/Inf values the error check later stores exactly as outliers) map to
+/// raw 0, matching the scalar compressor convention, not saturation.
 ///
 /// The fast path is a single range test around the branch-heavy scalar
 /// conversion: any `scaled` strictly inside (INT32_MIN-0.5, INT32_MAX+0.5)
@@ -100,7 +102,8 @@ class Fixed32 {
 /// anyway), and NaN fails the range test, so the slow path sees exactly the
 /// non-finite and saturating inputs. Defined in simd.cc; every dispatch
 /// level is bit-identical.
-void fixed32_from_f32_batch(std::span<const float> in, std::span<Fixed32> out);
+void fixed32_from_f32_batch(std::span<const float> in, std::span<Fixed32> out,
+                            int8_t bias = 0);
 
 /// Reinterpret a block of raw 32-bit images (DType::kFixed32 regions store
 /// Q16.16 bit patterns in float-typed storage) as fixed-point values.

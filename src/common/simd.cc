@@ -122,9 +122,10 @@ namespace detail {
 // (fixed_point.hh, bias.cc, downsample.cc, compressor.cc): the definition
 // of "bit-identical" for every other dispatch level.
 
-void fixed32_from_f32_scalar(const float* in, int32_t* out, size_t n) {
+void fixed32_from_f32_biased_scalar(const float* in, int32_t* out, size_t n,
+                                    int8_t bias) {
   for (size_t i = 0; i < n; ++i) {
-    const float v = in[i];
+    const float v = f32_scale_exponent(in[i], bias);
     const double scaled = static_cast<double>(v) * kFixedOne;
     if (scaled > kConvertLo && scaled < kConvertHi) {
       out[i] = static_cast<int32_t>(scaled >= 0 ? scaled + 0.5 : scaled - 0.5);
@@ -140,10 +141,6 @@ void fixed32_to_f32_unbias_scalar(const int32_t* in, float* out, size_t n,
     const float f = static_cast<float>(in[i]) / Fixed32::kOne;
     out[i] = bias == 0 ? f : f32_scale_exponent(f, -bias);
   }
-}
-
-void bias_block_scalar(const float* in, float* out, size_t n, int8_t bias) {
-  for (size_t i = 0; i < n; ++i) out[i] = f32_scale_exponent(in[i], bias);
 }
 
 void exponent_minmax_scalar(const float* in, size_t n, int* e_max, int* e_min) {
@@ -261,6 +258,7 @@ bool error_scan_range_scalar(const float* original, const int32_t* recon_raw,
         std::bit_cast<uint32_t>(bias == 0 ? rf : f32_scale_exponent(rf, -bias));
     if (ob == ab) {  // exact reconstruction: non-outlier, zero error
       ++st->non_outliers;
+      if (st->image) st->image[i] = std::bit_cast<float>(ob);
       continue;
     }
     const bool nonfinite = ((ob >> kMantissaBits) & kExponentMask) == kExponentMask;
@@ -282,6 +280,7 @@ bool error_scan_range_scalar(const float* original, const int32_t* recon_raw,
       st->dm_sum += dm;
       ++st->non_outliers;
     }
+    if (st->image) st->image[i] = std::bit_cast<float>(outlier ? ob : ab);
   }
   return true;
 }
@@ -298,12 +297,11 @@ bool error_scan_f32_scalar(const float* original, const int32_t* recon_raw,
 }  // namespace
 
 const KernelTable kScalarTable = {
-    fixed32_from_f32_scalar, fixed32_to_f32_unbias_scalar,
-    bias_block_scalar,       exponent_minmax_scalar,
-    truncate_low_bits_scalar, summarize_1d_scalar,
-    summarize_2d_scalar,     lerp_gather_scalar,
-    reconstruct_2d_scalar,   error_scan_f32_scalar,
-    crc32c_update_scalar,
+    fixed32_from_f32_biased_scalar, fixed32_to_f32_unbias_scalar,
+    exponent_minmax_scalar,         truncate_low_bits_scalar,
+    summarize_1d_scalar,            summarize_2d_scalar,
+    lerp_gather_scalar,             reconstruct_2d_scalar,
+    error_scan_f32_scalar,          crc32c_update_scalar,
 };
 
 }  // namespace detail
@@ -311,11 +309,12 @@ const KernelTable kScalarTable = {
 
 // ---- dispatched definitions of the header-declared batch entry points ------
 
-void fixed32_from_f32_batch(std::span<const float> in, std::span<Fixed32> out) {
+void fixed32_from_f32_batch(std::span<const float> in, std::span<Fixed32> out,
+                            int8_t bias) {
   static_assert(sizeof(Fixed32) == sizeof(int32_t) &&
                 alignof(Fixed32) == alignof(int32_t));
-  simd::kernels().fixed32_from_f32(
-      in.data(), reinterpret_cast<int32_t*>(out.data()), in.size());
+  simd::kernels().fixed32_from_f32_biased(
+      in.data(), reinterpret_cast<int32_t*>(out.data()), in.size(), bias);
 }
 
 void f32_truncate_low_bits_batch(std::span<float> vals, unsigned n) {

@@ -82,12 +82,16 @@ namespace simd {
 /// `outlier_bits` in block order, and accumulates the counters. It writes
 /// only outlier_bits[0, max_outliers); entries from n_outliers on hold
 /// unspecified values (a vector level stores whole 8-lane groups while the
-/// budget leaves room for them). On a false return (outlier budget
-/// exceeded, scan aborted) the state is partial and must be discarded,
-/// mirroring the scalar scan's abandoned attempt.
+/// budget leaves room for them). When `image` is set, the scan also writes
+/// the decompressed float block there: image[i] is the original bits for
+/// an outlier and the unbiased reconstruction otherwise (for an exact
+/// value the two are the same bits). On a false return (outlier budget
+/// exceeded, scan aborted) the state and the image are partial and must be
+/// discarded, mirroring the scalar scan's abandoned attempt.
 struct ErrorScanState {
   uint64_t* bitmap_words = nullptr;  // ceil(n/64) words, zeroed by the scan
   uint32_t* outlier_bits = nullptr;  // capacity >= max_outliers
+  float* image = nullptr;            // optional: n values, or nullptr
   uint32_t max_outliers = 0;
   uint32_t n_outliers = 0;
   uint32_t non_outliers = 0;
@@ -100,19 +104,19 @@ struct ErrorScanState {
 /// scalar reference implementations in simd.cc — every other level must be
 /// bit-identical on every input.
 struct KernelTable {
-  /// Float block -> Q16.16 raw block: saturating round-half-away-from-zero
-  /// conversion, non-finite inputs -> 0 (fixed_point.hh's batch contract).
-  void (*fixed32_from_f32)(const float* in, int32_t* out, size_t n);
+  /// Stages 1 and 2 of the compressor in one pass: float block -> Q16.16
+  /// raw block, each value first given `bias` on its exponent field
+  /// (f32_scale_exponent: fields of 0 stay put, bias 0 is the plain
+  /// conversion), then converted with saturating round-half-away-from-zero,
+  /// non-finite -> 0 (fixed_point.hh's batch contract). in and out must not
+  /// overlap.
+  void (*fixed32_from_f32_biased)(const float* in, int32_t* out, size_t n,
+                                  int8_t bias);
 
   /// Q16.16 raw -> float with the block bias undone: out[i] =
   /// unbias(raw/2^16). The decompressor's fixed->float stage.
   void (*fixed32_to_f32_unbias)(const int32_t* in, float* out, size_t n,
                                 int8_t bias);
-
-  /// Fused copy + exponent bias (bias != 0; callers special-case 0 to a
-  /// copy): out[i] = in[i] with `bias` added to the exponent field of
-  /// every value whose field is nonzero. in == out is allowed (in-place).
-  void (*bias_block)(const float* in, float* out, size_t n, int8_t bias);
 
   /// choose_bias's reduction: max exponent field over the block, and min
   /// over nonzero fields with zero fields contributing 256.
@@ -147,9 +151,10 @@ struct KernelTable {
 
   /// The float-path error check of Compressor::try_method: classifies every
   /// value against its reconstruction (exact / outlier / mantissa delta),
-  /// fills `st`, and returns false the moment the outlier budget would be
-  /// exceeded. `recon_raw` is the biased-domain Q16.16 reconstruction;
-  /// `limit` the mantissa-difference outlier threshold.
+  /// fills `st` (and st->image, when set: the decompressed block), and
+  /// returns false the moment the outlier budget would be exceeded.
+  /// `recon_raw` is the biased-domain Q16.16 reconstruction; `limit` the
+  /// mantissa-difference outlier threshold.
   bool (*error_scan_f32)(const float* original, const int32_t* recon_raw,
                          size_t n, int8_t bias, uint32_t limit,
                          ErrorScanState* st);

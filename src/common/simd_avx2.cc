@@ -79,15 +79,20 @@ inline __m256i sub_overflow(__m256i a, __m256i b, __m256i d) {
   return _mm256_and_si256(_mm256_xor_si256(b, a), _mm256_xor_si256(b, d));
 }
 
-void fixed32_from_f32_avx2(const float* in, int32_t* out, size_t n) {
+void fixed32_from_f32_biased_avx2(const float* in, int32_t* out, size_t n,
+                                  int8_t bias) {
   const __m256d lo = _mm256_set1_pd(kConvertLo);
   const __m256d hi = _mm256_set1_pd(kConvertHi);
   const __m256d one = _mm256_set1_pd(kFixedOne);
   const __m256d half = _mm256_set1_pd(0.5);
   const __m256d sign = _mm256_set1_pd(-0.0);
+  const int delta = bias;
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    const __m256 v = _mm256_loadu_ps(in + i);
+    __m256i b = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + i));
+    int bad = 0;
+    if (delta != 0) b = exp_add_guarded(b, delta, &bad);
+    const __m256 v = _mm256_castsi256_ps(b);
     const __m256d s0 = _mm256_mul_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(v)), one);
     const __m256d s1 = _mm256_mul_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(v, 1)), one);
     // Round half away from zero: add copysign(0.5, s), truncate. (For
@@ -99,20 +104,23 @@ void fixed32_from_f32_avx2(const float* in, int32_t* out, size_t n) {
     _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i + 4),
                      _mm256_cvttpd_epi32(r1));
     // Ordered in-range compares: NaN lanes fail into the slow path exactly
-    // like the scalar range test; out-of-range lanes (saturate / Inf) too.
+    // like the scalar range test; out-of-range lanes (saturate / Inf) too,
+    // and so do the lanes whose biased exponent spilled.
     const int ok =
         _mm256_movemask_pd(_mm256_and_pd(_mm256_cmp_pd(s0, lo, _CMP_GT_OQ),
                                          _mm256_cmp_pd(s0, hi, _CMP_LT_OQ))) |
         (_mm256_movemask_pd(_mm256_and_pd(_mm256_cmp_pd(s1, lo, _CMP_GT_OQ),
                                           _mm256_cmp_pd(s1, hi, _CMP_LT_OQ)))
          << 4);
-    if (ok != 0xFF) {
+    const int redo = (ok ^ 0xFF) | bad;
+    if (redo != 0) {
       for (int l = 0; l < 8; ++l) {
-        if (!((ok >> l) & 1)) fixed32_from_f32_scalar(in + i + l, out + i + l, 1);
+        if ((redo >> l) & 1)
+          fixed32_from_f32_biased_scalar(in + i + l, out + i + l, 1, bias);
       }
     }
   }
-  if (i < n) fixed32_from_f32_scalar(in + i, out + i, n - i);
+  if (i < n) fixed32_from_f32_biased_scalar(in + i, out + i, n - i, bias);
 }
 
 void fixed32_to_f32_unbias_avx2(const int32_t* in, float* out, size_t n,
@@ -140,27 +148,6 @@ void fixed32_to_f32_unbias_avx2(const int32_t* in, float* out, size_t n,
     }
   }
   if (i < n) fixed32_to_f32_unbias_scalar(in + i, out + i, n - i, bias);
-}
-
-void bias_block_avx2(const float* in, float* out, size_t n, int8_t bias) {
-  const int delta = bias;
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i b = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + i));
-    int bad = 0;
-    const __m256i res = exp_add_guarded(b, delta, &bad);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), res);
-    if (bad) {
-      // The call may be in-place (apply_bias), so spill lanes re-run from
-      // the loaded originals, not from in[] (already overwritten above).
-      alignas(32) float orig[8];
-      _mm256_store_ps(orig, _mm256_castsi256_ps(b));
-      for (int l = 0; l < 8; ++l) {
-        if ((bad >> l) & 1) bias_block_scalar(orig + l, out + i + l, 1, bias);
-      }
-    }
-  }
-  if (i < n) bias_block_scalar(in + i, out + i, n - i, bias);
 }
 
 void exponent_minmax_avx2(const float* in, size_t n, int* e_max, int* e_min) {
@@ -361,6 +348,7 @@ bool error_scan_f32_avx2(const float* original, const int32_t* recon_raw,
                          ErrorScanState* st) {
   uint64_t* const words = st->bitmap_words;
   uint32_t* const out = st->outlier_bits;
+  float* const image = st->image;
   const uint32_t max_outliers = st->max_outliers;
   uint32_t n_out = st->n_outliers;
   for (size_t k = 0; k < (n + 63) / 64; ++k) words[k] = 0;
@@ -404,6 +392,10 @@ bool error_scan_f32_avx2(const float* original, const int32_t* recon_raw,
       n_out = st->n_outliers;
       continue;
     }
+    // The decompressed image: an outlier lane keeps its original bits.
+    if (image)
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(image + i),
+                          _mm256_blendv_epi8(ab, ob, outl));
     // Outliers stay on the vector path. The verdict is the scalar one (the
     // budget is exceeded iff the running count passes it); an aborted scan's
     // partial state is discarded by contract. Images are appended in lane
@@ -467,12 +459,11 @@ uint32_t crc32c_update_avx2(uint32_t crc, const uint8_t* data, size_t n) {
 }  // namespace
 
 const KernelTable kAvx2Table = {
-    fixed32_from_f32_avx2, fixed32_to_f32_unbias_avx2,
-    bias_block_avx2,       exponent_minmax_avx2,
-    truncate_low_bits_avx2, summarize_1d_avx2,
-    summarize_2d_avx2,     lerp_gather_avx2,
-    reconstruct_2d_avx2,   error_scan_f32_avx2,
-    crc32c_update_avx2,
+    fixed32_from_f32_biased_avx2, fixed32_to_f32_unbias_avx2,
+    exponent_minmax_avx2,         truncate_low_bits_avx2,
+    summarize_1d_avx2,            summarize_2d_avx2,
+    lerp_gather_avx2,             reconstruct_2d_avx2,
+    error_scan_f32_avx2,          crc32c_update_avx2,
 };
 
 }  // namespace avr::simd::detail

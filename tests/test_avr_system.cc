@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 
+#include "common/fp_bits.hh"
 #include "common/prng.hh"
 #include "common/profile.hh"
 
@@ -303,6 +306,48 @@ TEST_F(AvrSystemTest, RecompressingUnchangedValuesRunsTheCompressorOnce) {
     EXPECT_EQ(sys.counters().compress_attempts, 2u);
     EXPECT_EQ(sys.counters().compress_successes, 2u);
     EXPECT_TRUE(sys.llc().cms_present(block));
+  }
+}
+
+// Only an event that left the values as they were is remembered: a block
+// that compresses unchanged hits on its next eviction, and a lossy one,
+// which the compression rewrites, is compressed again.
+TEST_F(AvrSystemTest, OnlyValuePreservingCompressionsAreRemembered) {
+  for (const bool lossy : {false, true}) {
+    SCOPED_TRACE(lossy ? "lossy" : "unchanged");
+    RegionRegistry regions;
+    AvrSystem sys(tiny_cfg(), regions);
+    const uint64_t block = regions.allocate("approx", 4 * kBlockBytes, true);
+    const uint64_t exact = regions.allocate("exact", 64 * kBlockBytes, false);
+    // A constant block reconstructs to itself. A smooth field with a small
+    // ripple compresses to one line too, but its reconstruction is not the
+    // input.
+    const auto vals = regions.block_values(block);
+    for (uint32_t i = 0; i < kValuesPerBlock; ++i)
+      vals[i] = lossy ? 100.0f + 0.5f * static_cast<float>(i / 16) +
+                            0.01f * std::sin(static_cast<float>(i))
+                      : 42.0f;
+    BlockMeta& m = sys.cmt().lookup(block);
+    m.method = Method::kDownsample2D;
+    m.size_lines = 1;
+    sys.request(0, block, false);
+    ASSERT_TRUE(sys.llc().cms_present(block));
+
+    std::array<float, kValuesPerBlock> before;
+    std::copy(vals.begin(), vals.end(), before.begin());
+    EXPECT_GT(evict_dirty_ucl(sys, block, 1, exact), 0u);
+    const bool same = std::equal(vals.begin(), vals.end(), before.begin(),
+                                 [](float a, float b) { return f32_bits(a) == f32_bits(b); });
+    ASSERT_EQ(same, !lossy);
+    const uint64_t second = evict_dirty_ucl(sys, block, 2, exact);
+    if (lossy)
+      EXPECT_GT(second, 0u);
+    else
+      EXPECT_EQ(second, 0u);
+    EXPECT_EQ(sys.counters().compress_attempts, 2u);
+    EXPECT_EQ(sys.counters().compress_successes, 2u);
+    ASSERT_NE(sys.cmt().peek(block), nullptr);
+    EXPECT_EQ(sys.cmt().peek(block)->size_lines, 1u);
   }
 }
 

@@ -90,7 +90,8 @@ Block smooth_2d_field() {
 TEST(CompressorWriteback, TwoDWinsWhileOneDIsTriedAfter) {
   // Planted outliers keep the 2D encoding from being the unbeatable
   // 1-line, zero-outlier result, so the 1D variant still runs and leaves
-  // its own image in scratch.recon: the write-back must use the winner's.
+  // its own image in the scratch image the winner does not hold: the
+  // write-back must use the winner's.
   Block b = smooth_2d_field();
   b[5] = -b[5];
   b[77] *= 4.0f;
@@ -102,8 +103,8 @@ TEST(CompressorWriteback, TwoDWinsWhileOneDIsTriedAfter) {
   ASSERT_TRUE(att.has_value());
   ASSERT_EQ(att->block.method, Method::kDownsample2D);
   ASSERT_FALSE(att->block.lines() == 1 && att->block.outliers.empty());
-  EXPECT_NE(scratch.recon, scratch.best_recon)
-      << "the 1D attempt should have overwritten the per-variant image";
+  EXPECT_NE(scratch.images[0], scratch.images[1])
+      << "the 1D attempt should have written the other image";
 }
 
 TEST(CompressorWriteback, OneDWinsAfterTwoDWasTried) {

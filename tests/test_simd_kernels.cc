@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "avr/bias.hh"
+#include "avr/compressed_block.hh"
 #include "avr/compressor.hh"
 #include "avr/downsample.hh"
 #include "common/fixed_point.hh"
@@ -197,19 +198,83 @@ constexpr int8_t kBiases[] = {-128, -37, -5, -1, 1, 5, 37, 127};
 
 // ---- per-kernel parity ----------------------------------------------------
 
-TEST(SimdKernels, Fixed32FromF32Parity) {
-  for (const FloatBlock& b : float_corpora()) {
-    RawBlock ref{};
-    for_each_level([&](SimdLevel lvl) {
-      RawBlock out{};
-      simd::kernels().fixed32_from_f32(b.data(), out.data(), kValuesPerBlock);
-      if (lvl == SimdLevel::kScalar)
-        ref = out;
-      else
-        EXPECT_EQ(std::memcmp(out.data(), ref.data(), sizeof(out)), 0)
-            << "level " << simd_level_name(lvl);
-    });
+/// The fused kernel's definition, composed per value from the two stages
+/// it replaced: f32_scale_exponent, then the saturating conversion with
+/// non-finite values to 0.
+int32_t biased_convert_reference(float v, int8_t bias) {
+  const float b = f32_scale_exponent(v, bias);
+  return std::isfinite(b) ? Fixed32::from_float(b).raw() : 0;
+}
+
+/// Values, after biasing, at the conversion's edges: signed zeros,
+/// denormals, NaN and ±Inf; scaled values at ±2^31 and ±2^23 and one step
+/// either side; exact halves ((2k+1)·2^-17 scales to k + 0.5); the float
+/// whose scaled value is just below 0.5, and the float just below 0.5.
+std::vector<float> convert_edge_values() {
+  std::vector<float> v = {0.0f, -0.0f, kDenormal, -kDenormal, kNan, -kNan, kInf, -kInf};
+  for (const float m : {0x1p15f, 0x1p7f}) {
+    for (const float x : {m, std::nextafter(m, 0.0f), std::nextafter(m, 2 * m)}) {
+      v.push_back(x);
+      v.push_back(-x);
+    }
   }
+  for (int k = 0; k < 8; ++k) {
+    const float h = static_cast<float>(2 * k + 1) * 0x1p-17f;
+    v.push_back(h);
+    v.push_back(-h);
+  }
+  for (const float x : {std::nextafter(0x1p-17f, 0.0f), std::nextafter(0.5f, 0.0f)}) {
+    v.push_back(x);
+    v.push_back(-x);
+  }
+  return v;
+}
+
+/// A block that lands on the edge values once `bias` is applied: lanes
+/// alternate between an edge value's pre-image under the bias (where the
+/// exponent field allows one) and the edge value itself, which the bias
+/// then moves, spilling the field out of range at the extreme biases.
+FloatBlock convert_edge_block(int8_t bias) {
+  const std::vector<float> edges = convert_edge_values();
+  FloatBlock b;
+  for (uint32_t i = 0; i < kValuesPerBlock; ++i) {
+    const float x = edges[i % edges.size()];
+    const int pre = static_cast<int>(f32_exponent(x)) - bias;
+    const bool has_pre = f32_exponent(x) != 0 && f32_is_finite(x) && pre >= 1 && pre <= 254;
+    b[i] = (i / edges.size()) % 2 == 0 && has_pre ? f32_scale_exponent(x, -bias) : x;
+  }
+  return b;
+}
+
+TEST(SimdKernels, Fixed32FromF32BiasedParity) {
+  // Every bias from -128 to 127, over the adversarial corpora and a block
+  // of conversion edges, at every level against the per-value composition
+  // of biasing and conversion.
+  std::vector<FloatBlock> corpora = float_corpora();
+  uint32_t spilled = 0;
+  for (int bias_i = -128; bias_i <= 127; ++bias_i) {
+    const int8_t bias = static_cast<int8_t>(bias_i);
+    corpora.push_back(convert_edge_block(bias));
+    for (const FloatBlock& b : corpora) {
+      RawBlock want;
+      for (uint32_t i = 0; i < kValuesPerBlock; ++i) {
+        want[i] = biased_convert_reference(b[i], bias);
+        const int e = static_cast<int>(f32_exponent(b[i]));
+        spilled += e != 0 && (e + bias < 0 || e + bias > 255);
+      }
+      for_each_level([&](SimdLevel lvl) {
+        RawBlock out{};
+        simd::kernels().fixed32_from_f32_biased(b.data(), out.data(),
+                                                kValuesPerBlock, bias);
+        for (uint32_t i = 0; i < kValuesPerBlock; ++i)
+          ASSERT_EQ(out[i], want[i]) << "value " << i << " (" << b[i] << "), bias "
+                                     << bias_i << ", level " << simd_level_name(lvl);
+      });
+    }
+    corpora.pop_back();
+  }
+  // The corpus holds exponent-spill lanes.
+  EXPECT_GT(spilled, 1000u);
 }
 
 TEST(SimdKernels, Fixed32ToF32UnbiasParity) {
@@ -237,30 +302,6 @@ TEST(SimdKernels, Fixed32ToF32UnbiasParity) {
         else
           EXPECT_EQ(std::memcmp(out.data(), ref0.data(), sizeof(out)), 0)
               << "level " << simd_level_name(lvl) << " bias 0";
-      });
-    }
-  }
-}
-
-TEST(SimdKernels, BiasBlockParity) {
-  for (const FloatBlock& b : float_corpora()) {
-    for (int8_t bias : kBiases) {
-      FloatBlock ref{};
-      for_each_level([&](SimdLevel lvl) {
-        FloatBlock out{};
-        simd::kernels().bias_block(b.data(), out.data(), kValuesPerBlock, bias);
-        if (lvl == SimdLevel::kScalar)
-          ref = out;
-        else
-          EXPECT_EQ(std::memcmp(out.data(), ref.data(), sizeof(out)), 0)
-              << "level " << simd_level_name(lvl) << " bias " << int(bias);
-        // In-place form (apply_bias): spill lanes must re-read the original
-        // values, not the partially-stored fast-path result.
-        FloatBlock inplace = b;
-        simd::kernels().bias_block(inplace.data(), inplace.data(),
-                                   kValuesPerBlock, bias);
-        EXPECT_EQ(std::memcmp(inplace.data(), ref.data(), sizeof(inplace)), 0)
-            << "in-place, level " << simd_level_name(lvl) << " bias " << int(bias);
       });
     }
   }
@@ -380,6 +421,7 @@ struct ScanResult {
   int64_t dm_sum = 0;
   std::array<uint64_t, 4> words{};
   std::array<uint32_t, kMaxBlockOutliers> bits{};
+  FloatBlock image{};
 };
 
 ScanResult run_scan(const FloatBlock& orig, const RawBlock& recon, int8_t bias,
@@ -390,6 +432,7 @@ ScanResult run_scan(const FloatBlock& orig, const RawBlock& recon, int8_t bias,
   simd::ErrorScanState st;
   st.bitmap_words = map.words().data();
   st.outlier_bits = r.bits.data();
+  st.image = r.image.data();
   st.max_outliers = max_outliers;
   r.ok = simd::kernels().error_scan_f32(orig.data(), recon.data(),
                                         kValuesPerBlock, bias, limit, &st);
@@ -400,6 +443,21 @@ ScanResult run_scan(const FloatBlock& orig, const RawBlock& recon, int8_t bias,
   return r;
 }
 
+/// The decompressor's image of a scan's result: the unbiased
+/// reconstruction, with the outliers' original bits overlaid per the
+/// bitmap, in block order.
+FloatBlock decompressed_image(const RawBlock& recon, int8_t bias,
+                              const ScanResult& r) {
+  FloatBlock img;
+  ScopedLevel pin(SimdLevel::kScalar);
+  simd::kernels().fixed32_to_f32_unbias(recon.data(), img.data(),
+                                        kValuesPerBlock, bias);
+  uint32_t k = 0;
+  for (uint32_t i = 0; i < kValuesPerBlock; ++i)
+    if ((r.words[i / 64] >> (i % 64)) & 1) img[i] = bits_f32(r.bits[k++]);
+  return img;
+}
+
 void expect_scan_parity(const FloatBlock& orig, const RawBlock& recon,
                         int8_t bias, uint32_t limit, const char* what,
                         uint32_t max_outliers = kMaxBlockOutliers) {
@@ -408,6 +466,12 @@ void expect_scan_parity(const FloatBlock& orig, const RawBlock& recon,
     const ScanResult got = run_scan(orig, recon, bias, limit, max_outliers);
     if (lvl == SimdLevel::kScalar) {
       ref = got;
+      // The scan's image is the decompressor's, bit for bit.
+      if (ref.ok) {
+        const FloatBlock want = decompressed_image(recon, bias, ref);
+        EXPECT_EQ(std::memcmp(ref.image.data(), want.data(), sizeof(want)), 0)
+            << what << ", scalar image";
+      }
       return;
     }
     ASSERT_EQ(got.ok, ref.ok) << what << ", level " << simd_level_name(lvl);
@@ -423,6 +487,9 @@ void expect_scan_parity(const FloatBlock& orig, const RawBlock& recon,
     for (uint32_t k = 0; k < ref.n_outliers; ++k)
       ASSERT_EQ(got.bits[k], ref.bits[k])
           << what << ", outlier " << k << ", level " << simd_level_name(lvl);
+    for (uint32_t i = 0; i < kValuesPerBlock; ++i)
+      ASSERT_EQ(f32_bits(got.image[i]), f32_bits(ref.image[i]))
+          << what << ", image value " << i << ", level " << simd_level_name(lvl);
   });
 }
 
@@ -432,14 +499,12 @@ TEST(SimdKernels, ErrorScanParityOnPipelineBlocks) {
   // original against the resulting Q16.16 image.
   const uint32_t limit = 1u << (kMantissaBits - 10);
   for (const FloatBlock& b : float_corpora()) {
-    FloatBlock biased;
     std::array<Fixed32, kValuesPerBlock> fixed, recon;
     int8_t bias = 0;
     {
       ScopedLevel pin(SimdLevel::kScalar);
       bias = choose_bias(b);
-      bias_block(b, biased, bias);
-      fixed32_from_f32_batch(biased, fixed);
+      fixed32_from_f32_batch(b, fixed, bias);
       downsample::reconstruct_1d(downsample::compress_1d(fixed), recon);
     }
     RawBlock recon_raw;
@@ -665,7 +730,8 @@ TEST(SimdKernels, ErrorScanScatteredParityAtEveryBudget) {
   // Every budget from 0 to 104 against blocks holding exactly the budget,
   // one more, or a random count below it, scattered over the groups: the
   // vector path, the one-at-a-time path near the budget and the abort
-  // verdict all run against the scalar scan.
+  // verdict all run against the scalar scan, and every passing scan's image
+  // against the decompressor's (expect_scan_parity).
   const uint32_t limit = 1u << (kMantissaBits - 10);
   Xoshiro256 rng(33);
   for (uint32_t budget = 0; budget <= kMaxBlockOutliers; ++budget) {
@@ -695,7 +761,9 @@ TEST(SimdKernels, ErrorScanScatteredParityAtEveryBudget) {
 TEST(SimdKernels, ErrorScanWritesNothingPastBudget) {
   // The scan may write outlier_bits[0, max_outliers) only: a sentinel
   // from max_outliers on must survive every budget at every level, on
-  // blocks that pass and blocks that abort.
+  // blocks that pass and blocks that abort. Both for a bare array without
+  // an image, and in place into an OutlierList's storage with the image
+  // written, as compress() wires it.
   constexpr uint32_t kSentinel = 0xDEADBEEFu;
   const uint32_t limit = 1u << (kMantissaBits - 10);
   Xoshiro256 rng(404);
@@ -719,6 +787,21 @@ TEST(SimdKernels, ErrorScanWritesNothingPastBudget) {
           ASSERT_EQ(bits[k], kSentinel) << "budget " << budget << ", bias "
                                         << int{bias} << ", entry " << k
                                         << ", level " << simd_level_name(lvl);
+
+        OutlierList list;
+        list.assign(kMaxBlockOutliers, kSentinel);
+        FloatBlock image{};
+        st = simd::ErrorScanState{};
+        st.bitmap_words = map.words().data();
+        st.outlier_bits = list.storage();
+        st.image = image.data();
+        st.max_outliers = budget;
+        simd::kernels().error_scan_f32(c.orig.data(), c.recon.data(),
+                                       kValuesPerBlock, c.bias, limit, &st);
+        for (uint32_t k = budget; k < kMaxBlockOutliers; ++k)
+          ASSERT_EQ(list[k], kSentinel) << "in place, budget " << budget
+                                        << ", bias " << int{bias} << ", entry "
+                                        << k << ", level " << simd_level_name(lvl);
       });
     }
   }
