@@ -27,7 +27,7 @@
 namespace avr {
 
 /// Plain-field counters for everything the request/eviction flows count.
-/// request() runs once per LLC request of every core, so no string-keyed
+/// request() runs once per LLC request of the core, so no string-keyed
 /// maps here; stats() snapshots these into the reporting StatGroup.
 struct AvrSystemCounters {
   uint64_t requests = 0;

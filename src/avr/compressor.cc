@@ -227,15 +227,15 @@ void Compressor::finish_reconstruct(const CompressedBlock& cb,
                                     std::span<const Fixed32, kValuesPerBlock> recon,
                                     std::span<float, kValuesPerBlock> out) {
   // Back to the float domain (decompressor right half of Fig. 4): kFixed32
-  // regions store Q16.16 bit patterns verbatim; float regions unbias
-  // through the dispatched batch kernel.
+  // regions store Q16.16 bit patterns verbatim; float regions convert and
+  // unbias each value. No sweep decodes here (the error scan writes the
+  // image a compression event stores), so this stays scalar.
   if (cb.dtype == DType::kFixed32) {
     static_assert(sizeof(Fixed32) == sizeof(float));
     __builtin_memcpy(out.data(), recon.data(), recon.size_bytes());
   } else {
-    simd::kernels().fixed32_to_f32_unbias(
-        reinterpret_cast<const int32_t*>(recon.data()), out.data(),
-        kValuesPerBlock, cb.bias);
+    for (uint32_t i = 0; i < kValuesPerBlock; ++i)
+      out[i] = unbias_value(recon[i].to_float(), cb.bias);
   }
 
   // Overlay the exactly-stored outliers per the bitmap (DBUF fill, Fig. 4),

@@ -14,8 +14,8 @@ struct CoreConfig {
   uint32_t dispatch_width = 4;   // 4-way issue/commit OoO
   uint32_t rob_size = 192;       // instruction window for miss overlap
   double freq_ghz = 3.2;
-  // Fraction of a long-latency miss penalty hidden by MLP when a second
-  // miss falls inside the same ROB window (interval model, Genbrugge'10).
+  // Private-cache hit latencies in core cycles; an L2 hit is charged
+  // l1_latency + l2_latency (cpu/hierarchy.cc).
   uint32_t l1_latency = 1;
   uint32_t l2_latency = 8;
 };

@@ -3,8 +3,8 @@
 // Everything in this file is compiled for baseline x86-64 (no -m flags):
 // the scalar kernels double as the slow paths the AVX2 TU falls back to,
 // so they must be callable from any CPU the binary runs on. The AVX2 table
-// lives in simd_avx2.cc, referenced only when the build enables dispatch
-// (AVR_SIMD_DISPATCH, set by the AVR_SIMD CMake option on x86-64).
+// lives in simd_avx2.cc, referenced only when the build compiles it
+// (AVR_SIMD_DISPATCH, which CMake sets on every x86-64 target).
 #include <algorithm>
 #include <atomic>
 #include <bit>
@@ -132,14 +132,6 @@ void fixed32_from_f32_biased_scalar(const float* in, int32_t* out, size_t n,
     } else {
       out[i] = std::isfinite(v) ? Fixed32::from_float(v).raw() : 0;
     }
-  }
-}
-
-void fixed32_to_f32_unbias_scalar(const int32_t* in, float* out, size_t n,
-                                  int8_t bias) {
-  for (size_t i = 0; i < n; ++i) {
-    const float f = static_cast<float>(in[i]) / Fixed32::kOne;
-    out[i] = bias == 0 ? f : f32_scale_exponent(f, -bias);
   }
 }
 
@@ -297,11 +289,11 @@ bool error_scan_f32_scalar(const float* original, const int32_t* recon_raw,
 }  // namespace
 
 const KernelTable kScalarTable = {
-    fixed32_from_f32_biased_scalar, fixed32_to_f32_unbias_scalar,
-    exponent_minmax_scalar,         truncate_low_bits_scalar,
-    summarize_1d_scalar,            summarize_2d_scalar,
-    lerp_gather_scalar,             reconstruct_2d_scalar,
-    error_scan_f32_scalar,          crc32c_update_scalar,
+    fixed32_from_f32_biased_scalar, exponent_minmax_scalar,
+    truncate_low_bits_scalar,       summarize_1d_scalar,
+    summarize_2d_scalar,            lerp_gather_scalar,
+    reconstruct_2d_scalar,          error_scan_f32_scalar,
+    crc32c_update_scalar,
 };
 
 }  // namespace detail

@@ -10,11 +10,11 @@
 // Dispatch contract:
 //   - Two implementation levels: kScalar (the reference, always built) and
 //     kAvx2 (AVX2, 8 lanes). The active level is chosen ONCE, on first use,
-//     as the highest level both the build (CMake option AVR_SIMD) and the
-//     CPU (__builtin_cpu_supports) provide, overridable with the
-//     environment variable AVR_SIMD=scalar|avx2 (an unsupported or
-//     unparseable override warns and clamps). A CPU without AVX2 runs the
-//     scalar reference, which produces the same bits.
+//     as the highest level both the build (the AVX2 TU is compiled on every
+//     x86-64 target) and the CPU (__builtin_cpu_supports) provide,
+//     overridable with the environment variable AVR_SIMD=scalar|avx2 (an
+//     unsupported or unparseable override warns and clamps). A CPU without
+//     AVX2 runs the scalar reference, which produces the same bits.
 //   - Every kernel is *proven bit-identical* to the scalar reference on all
 //     inputs: the vector bodies run an in-range fast path and re-run the
 //     scalar reference for any lane (or block) whose value falls outside it
@@ -112,11 +112,6 @@ struct KernelTable {
   /// overlap.
   void (*fixed32_from_f32_biased)(const float* in, int32_t* out, size_t n,
                                   int8_t bias);
-
-  /// Q16.16 raw -> float with the block bias undone: out[i] =
-  /// unbias(raw/2^16). The decompressor's fixed->float stage.
-  void (*fixed32_to_f32_unbias)(const int32_t* in, float* out, size_t n,
-                                int8_t bias);
 
   /// choose_bias's reduction: max exponent field over the block, and min
   /// over nonzero fields with zero fields contributing 256.

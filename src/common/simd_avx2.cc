@@ -123,33 +123,6 @@ void fixed32_from_f32_biased_avx2(const float* in, int32_t* out, size_t n,
   if (i < n) fixed32_from_f32_biased_scalar(in + i, out + i, n - i, bias);
 }
 
-void fixed32_to_f32_unbias_avx2(const int32_t* in, float* out, size_t n,
-                                int8_t bias) {
-  const __m256 scale = _mm256_set1_ps(kFixedOneInv);
-  const int delta = -static_cast<int>(bias);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i raw = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + i));
-    // cvtepi32_ps rounds to nearest even like the scalar (float) cast, and
-    // the 2^-16 multiply is the exact /65536 (no Q16.16 result is denormal).
-    const __m256 f = _mm256_mul_ps(_mm256_cvtepi32_ps(raw), scale);
-    if (delta == 0) {
-      _mm256_storeu_ps(out + i, f);
-      continue;
-    }
-    int bad = 0;
-    const __m256i res = exp_add_guarded(_mm256_castps_si256(f), delta, &bad);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), res);
-    if (bad) {
-      for (int l = 0; l < 8; ++l) {
-        if ((bad >> l) & 1)
-          fixed32_to_f32_unbias_scalar(in + i + l, out + i + l, 1, bias);
-      }
-    }
-  }
-  if (i < n) fixed32_to_f32_unbias_scalar(in + i, out + i, n - i, bias);
-}
-
 void exponent_minmax_avx2(const float* in, size_t n, int* e_max, int* e_min) {
   const __m256i ff = _mm256_set1_epi32(0xFF);
   const __m256i big = _mm256_set1_epi32(256);
@@ -459,11 +432,11 @@ uint32_t crc32c_update_avx2(uint32_t crc, const uint8_t* data, size_t n) {
 }  // namespace
 
 const KernelTable kAvx2Table = {
-    fixed32_from_f32_biased_avx2, fixed32_to_f32_unbias_avx2,
-    exponent_minmax_avx2,         truncate_low_bits_avx2,
-    summarize_1d_avx2,            summarize_2d_avx2,
-    lerp_gather_avx2,             reconstruct_2d_avx2,
-    error_scan_f32_avx2,          crc32c_update_avx2,
+    fixed32_from_f32_biased_avx2, exponent_minmax_avx2,
+    truncate_low_bits_avx2,       summarize_1d_avx2,
+    summarize_2d_avx2,            lerp_gather_avx2,
+    reconstruct_2d_avx2,          error_scan_f32_avx2,
+    crc32c_update_avx2,
 };
 
 }  // namespace avr::simd::detail

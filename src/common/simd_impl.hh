@@ -35,8 +35,6 @@ inline constexpr double kConvertHi = static_cast<double>(INT32_MAX) + 0.5;
 // always *relative to these*.
 void fixed32_from_f32_biased_scalar(const float* in, int32_t* out, size_t n,
                                     int8_t bias);
-void fixed32_to_f32_unbias_scalar(const int32_t* in, float* out, size_t n,
-                                  int8_t bias);
 void exponent_minmax_scalar(const float* in, size_t n, int* e_max, int* e_min);
 void truncate_low_bits_scalar(float* vals, size_t n, unsigned bits);
 void summarize_1d_scalar(const int32_t* in, int32_t* out);

@@ -18,11 +18,11 @@
 namespace avr {
 namespace {
 
-/// Static cost heuristic, used for points with no persisted measurement:
-/// simulation time scales with the workload's footprint (tracked by its LLC
-/// size, which preserves the paper's footprint-to-LLC ratio) times how much
-/// work the design adds per access. Normalized to rough seconds so the
-/// values are comparable with measured wall_seconds. The factors are the
+/// Static cost heuristic, used for points with no seed cost: simulation
+/// time scales with the workload's footprint (tracked by its LLC size,
+/// which preserves the paper's footprint-to-LLC ratio) times how much work
+/// the design adds per access. Normalized to rough seconds so the values
+/// are comparable with the seed costs' measured seconds. The factors are the
 /// geomean per-point cost ratios over baseline across the seven kernels,
 /// measured once Doppelganger's data-array LRU became O(1); Doppelganger
 /// and AVR land within run-to-run noise of each other (1.5-1.7x).
@@ -202,15 +202,9 @@ bool ExperimentRunner::cached(const sweep::VariantPoint& vp) {
 
 double ExperimentRunner::cost_estimate(const sweep::VariantPoint& vp) {
   const auto& [wl, d] = vp.point;
-  {
-    Config& c = config(vp.config);
-    std::lock_guard<std::mutex> lk(mu_);
-    auto it = c.results.find(vp.point);
-    if (it != c.results.end() && it->second.wall_seconds > 0)
-      return it->second.wall_seconds;
-  }
-  // Cold cache: the committed seed costs (measured on the default config)
-  // still order points far better than the footprint heuristic below.
+  // The committed seed costs (measured on the default config) order points
+  // far better than the footprint heuristic below. A point the runner
+  // already holds a result for is a lookup, so its cost never matters.
   if (auto it = seed_costs_.find(vp.point); it != seed_costs_.end())
     return it->second;
   uint64_t footprint = 64 * 1024;

@@ -28,9 +28,9 @@ struct ExperimentResult {
   /// from several configurations — the ablation sweeps — side by side.
   uint64_t config_hash = 0;
   /// Wall-clock seconds the point took to simulate. Persisted in the disk
-  /// cache and fed back as the cost estimate for longest-first scheduling;
-  /// NOT part of the simulated result (shard caches produced on different
-  /// machines differ here while agreeing on every metric).
+  /// cache and reported in the profile sidecar; NOT part of the simulated
+  /// result (shard caches produced on different machines differ here while
+  /// agreeing on every metric).
   double wall_seconds = 0;
 };
 
@@ -91,11 +91,11 @@ class ExperimentRunner {
                                         const std::vector<Design>& designs,
                                         unsigned n_threads = 0);
 
-  /// Estimated cost of a point, in arbitrary but mutually comparable units.
-  /// A persisted wall_seconds measurement (loaded from the disk cache or
-  /// observed this process) wins, then the committed seed-cost file, then a
-  /// static heuristic scaling the workload's footprint by a per-design
-  /// factor.
+  /// Estimated cost of a point, in arbitrary but mutually comparable units:
+  /// the committed seed-cost file's measurement, else a static heuristic
+  /// scaling the workload's footprint by a per-design factor. A point the
+  /// runner already holds a result for is a lookup, so its estimate only
+  /// places it in the schedule and never orders a simulation.
   double cost_estimate(const sweep::VariantPoint& vp);
   double cost_estimate(const std::string& wl, Design d) {
     return cost_estimate({base_, {wl, d}});

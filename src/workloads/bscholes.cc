@@ -19,7 +19,6 @@ class BscholesWorkload final : public Workload {
   static constexpr uint32_t kRounds = 4;  // re-priced per "trading day"
 
   std::string name() const override { return "bscholes"; }
-  double paper_compression_ratio() const override { return 4.7; }
   uint64_t llc_bytes() const override { return 128 * 1024; }
   uint32_t t1_msbit() const override { return 6; }  // 1.56 %: price inputs
 

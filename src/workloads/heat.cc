@@ -18,7 +18,6 @@ class HeatWorkload final : public Workload {
   static constexpr uint32_t kIters = 40;
 
   std::string name() const override { return "heat"; }
-  double paper_compression_ratio() const override { return 10.5; }
   uint64_t llc_bytes() const override { return 64 * 1024; }
 
   void run(System& sys) override {

@@ -23,7 +23,6 @@ class KmeansWorkload final : public Workload {
   static constexpr uint32_t kMaxIters = 30;  // Lloyd iteration cap (sklearn-style)
 
   std::string name() const override { return "kmeans"; }
-  double paper_compression_ratio() const override { return 2.3; }
   uint64_t llc_bytes() const override { return 64 * 1024; }
 
   void run(System& sys) override {

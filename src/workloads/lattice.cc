@@ -21,7 +21,6 @@ class LatticeWorkload final : public Workload {
   static constexpr uint32_t kIters = 24;
 
   std::string name() const override { return "lattice"; }
-  double paper_compression_ratio() const override { return 9.6; }
   uint64_t llc_bytes() const override { return 128 * 1024; }
   uint32_t t1_msbit() const override { return 7; }  // 0.78 %: iterative state
 

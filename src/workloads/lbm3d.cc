@@ -19,7 +19,6 @@ class Lbm3dWorkload final : public Workload {
   static constexpr uint32_t kIters = 8;
 
   std::string name() const override { return "lbm"; }
-  double paper_compression_ratio() const override { return 15.6; }
   uint64_t llc_bytes() const override { return 64 * 1024; }
   uint32_t t1_msbit() const override { return 7; }  // 0.78 %: iterative state
 

@@ -22,7 +22,6 @@ class OrbitWorkload final : public Workload {
   static constexpr uint32_t kSample = 64;  // output every kSample steps
 
   std::string name() const override { return "orbit"; }
-  double paper_compression_ratio() const override { return 16.0; }
   uint64_t llc_bytes() const override { return 64 * 1024; }
 
   void run(System& sys) override {

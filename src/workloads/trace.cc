@@ -60,8 +60,6 @@ class TraceWorkload final : public Workload {
       : name_(std::move(name)), trace_(std::move(t.trace)), accesses_(t.accesses) {}
 
   std::string name() const override { return name_; }
-  /// Not one of the paper's Table 2 applications: no reference ratio.
-  double paper_compression_ratio() const override { return 0.0; }
   uint64_t access_estimate() const override { return accesses_; }
 
   void run(System& sys) override {

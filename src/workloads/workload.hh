@@ -29,9 +29,6 @@ class Workload {
   virtual void run(System& sys) = 0;
   /// Output values (functional read; call after run()).
   virtual std::vector<double> output(const System& sys) const = 0;
-  /// Compression ratio the paper reports for this app (Table 4), for the
-  /// experiment logs.
-  virtual double paper_compression_ratio() const = 0;
 
   /// Private-cache scale divisor (default 16: L1 = 4 kB, L2 = 16 kB).
   virtual uint32_t cache_scale() const { return 16; }

@@ -21,7 +21,6 @@ class WrfWorkload final : public Workload {
   static constexpr uint32_t kSteps = 3;
 
   std::string name() const override { return "wrf"; }
-  double paper_compression_ratio() const override { return 3.4; }
   uint64_t llc_bytes() const override { return 128 * 1024; }
 
   void run(System& sys) override {

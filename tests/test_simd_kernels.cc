@@ -277,36 +277,6 @@ TEST(SimdKernels, Fixed32FromF32BiasedParity) {
   EXPECT_GT(spilled, 1000u);
 }
 
-TEST(SimdKernels, Fixed32ToF32UnbiasParity) {
-  for (const RawBlock& b : raw_corpora()) {
-    for (int8_t bias : kBiases) {
-      FloatBlock ref{};
-      for_each_level([&](SimdLevel lvl) {
-        FloatBlock out{};
-        simd::kernels().fixed32_to_f32_unbias(b.data(), out.data(),
-                                              kValuesPerBlock, bias);
-        if (lvl == SimdLevel::kScalar)
-          ref = out;
-        else
-          EXPECT_EQ(std::memcmp(out.data(), ref.data(), sizeof(out)), 0)
-              << "level " << simd_level_name(lvl) << " bias " << int(bias);
-      });
-      // bias == 0 is the pure Q16.16 -> float path.
-      FloatBlock ref0{};
-      for_each_level([&](SimdLevel lvl) {
-        FloatBlock out{};
-        simd::kernels().fixed32_to_f32_unbias(b.data(), out.data(),
-                                              kValuesPerBlock, 0);
-        if (lvl == SimdLevel::kScalar)
-          ref0 = out;
-        else
-          EXPECT_EQ(std::memcmp(out.data(), ref0.data(), sizeof(out)), 0)
-              << "level " << simd_level_name(lvl) << " bias 0";
-      });
-    }
-  }
-}
-
 TEST(SimdKernels, ExponentMinmaxParity) {
   for (const FloatBlock& b : float_corpora()) {
     int ref_max = 0, ref_min = 0;
@@ -449,9 +419,8 @@ ScanResult run_scan(const FloatBlock& orig, const RawBlock& recon, int8_t bias,
 FloatBlock decompressed_image(const RawBlock& recon, int8_t bias,
                               const ScanResult& r) {
   FloatBlock img;
-  ScopedLevel pin(SimdLevel::kScalar);
-  simd::kernels().fixed32_to_f32_unbias(recon.data(), img.data(),
-                                        kValuesPerBlock, bias);
+  for (uint32_t i = 0; i < kValuesPerBlock; ++i)
+    img[i] = unbias_value(Fixed32::from_raw(recon[i]).to_float(), bias);
   uint32_t k = 0;
   for (uint32_t i = 0; i < kValuesPerBlock; ++i)
     if ((r.words[i / 64] >> (i % 64)) & 1) img[i] = bits_f32(r.bits[k++]);
@@ -599,14 +568,10 @@ DenseScanCase make_dense_case(Xoshiro256& rng, int8_t bias,
   c.bias = bias;
   for (uint32_t i = 0; i < kValuesPerBlock; ++i)
     c.recon[i] = dense_raw(rng, bias, spill[i] && bias != 0);
-  FloatBlock ab{};
-  {
-    ScopedLevel pin(SimdLevel::kScalar);
-    simd::kernels().fixed32_to_f32_unbias(c.recon.data(), ab.data(),
-                                          kValuesPerBlock, bias);
+  for (uint32_t i = 0; i < kValuesPerBlock; ++i) {
+    const float ab = unbias_value(Fixed32::from_raw(c.recon[i]).to_float(), bias);
+    c.orig[i] = dense_orig(rng, ab, lanes[i], limit);
   }
-  for (uint32_t i = 0; i < kValuesPerBlock; ++i)
-    c.orig[i] = dense_orig(rng, ab[i], lanes[i], limit);
   return c;
 }
 
