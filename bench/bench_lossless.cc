@@ -99,7 +99,7 @@ void BM_CompressorBdiFallback(benchmark::State& state) {
     vals[i] = (i % 2) ? 1.0e10f : 1.0f;
   CompressorScratch scratch;
   for (auto _ : state) {
-    auto att = comp.compress(vals, DType::kFloat32, scratch);
+    auto att = comp.compress(vals, scratch);
     benchmark::DoNotOptimize(att);
   }
 }

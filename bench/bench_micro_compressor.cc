@@ -78,7 +78,7 @@ void BM_Compress(benchmark::State& state) {
   CompressorScratch scratch;
   const auto block = make_block(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    auto att = comp.compress(block, DType::kFloat32, scratch);
+    auto att = comp.compress(block, scratch);
     benchmark::DoNotOptimize(att);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kBlockBytes);
@@ -93,7 +93,7 @@ void BM_CompressScattered(benchmark::State& state) {
   const auto blocks = trace_shaped_blocks();
   size_t b = 0;
   for (auto _ : state) {
-    auto att = comp.compress(blocks[b], DType::kFloat32, scratch);
+    auto att = comp.compress(blocks[b], scratch);
     benchmark::DoNotOptimize(att);
     b = (b + 1) % blocks.size();
   }
@@ -113,7 +113,7 @@ void BM_CompressEventScattered(benchmark::State& state) {
   size_t b = 0;
   for (auto _ : state) {
     vals = blocks[b];
-    if (auto att = comp.compress(vals, DType::kFloat32, scratch))
+    if (auto att = comp.compress(vals, scratch))
       benchmark::DoNotOptimize(comp.write_reconstruction(att->block, scratch, vals));
     benchmark::DoNotOptimize(vals);
     b = (b + 1) % blocks.size();
@@ -134,25 +134,6 @@ void BM_CompressColdScratch(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kBlockBytes);
 }
 BENCHMARK(BM_CompressColdScratch)->Arg(0);
-
-void BM_CompressFixed32(benchmark::State& state) {
-  // DType::kFixed32 datapath: raw Q16.16 images, no bias stage, the
-  // relative-error scan instead of the mantissa scan.
-  Compressor comp(AvrConfig{});
-  CompressorScratch scratch;
-  std::array<float, kValuesPerBlock> block;
-  for (uint32_t i = 0; i < kValuesPerBlock; ++i) {
-    const Fixed32 f =
-        Fixed32::from_float(100.0f + 0.05f * static_cast<float>(i % 64));
-    block[i] = std::bit_cast<float>(f.raw());
-  }
-  for (auto _ : state) {
-    auto att = comp.compress(block, DType::kFixed32, scratch);
-    benchmark::DoNotOptimize(att);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kBlockBytes);
-}
-BENCHMARK(BM_CompressFixed32);
 
 void BM_Reconstruct(benchmark::State& state) {
   Compressor comp(AvrConfig{});

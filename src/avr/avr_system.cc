@@ -15,22 +15,15 @@ AvrSystem::AvrSystem(const SimConfig& cfg, RegionRegistry& regions)
       cmt_(),
       compressor_(cfg.avr) {}
 
-DType AvrSystem::dtype_of(uint64_t addr) const {
-  const MemoryRegion* r = regions_.find(addr);
-  return r ? r->dtype : DType::kFloat32;
-}
-
 AvrSystem::CompressOutcome AvrSystem::compress_block_values(uint64_t block) {
   const std::span<float, kValuesPerBlock> vals = regions_.block_values(block);
-  const DType dtype = dtype_of(block);
   RememberedCompression& r = remembered_[(block / kBlockBytes) % kCompressMemoEntries];
   CompressOutcome out;
-  if (r.valid && r.dtype == dtype &&
-      std::memcmp(r.values.data(), vals.data(), vals.size_bytes()) == 0) {
+  if (r.valid && std::memcmp(r.values.data(), vals.data(), vals.size_bytes()) == 0) {
     out = r.outcome;
   } else {
     bool changed = false;
-    if (auto att = compressor_.compress(vals, dtype, scratch_)) {
+    if (auto att = compressor_.compress(vals, scratch_)) {
       // The block now lives in summarized form: every subsequent read
       // observes the reconstruction, written back from the image compress()
       // already built. Outliers are stored exactly, so they stay
@@ -45,7 +38,6 @@ AvrSystem::CompressOutcome AvrSystem::compress_block_values(uint64_t block) {
     r.valid = !changed;
     if (r.valid) {
       std::memcpy(r.values.data(), vals.data(), vals.size_bytes());
-      r.dtype = dtype;
       r.outcome = out;
     }
   }

@@ -90,7 +90,6 @@ class AvrSystem final : public LlcSystem {
 
  private:
   bool approx(uint64_t addr) const { return regions_.is_approx(addr); }
-  DType dtype_of(uint64_t addr) const;
 
   struct CompressOutcome {
     uint32_t lines = 0;  // 0 = compression failed
@@ -139,12 +138,11 @@ class AvrSystem final : public LlcSystem {
 
   /// A compression attempt that left the block's values as they were: a
   /// failure, or a success whose reconstruction equals its input bit for
-  /// bit. Since Compressor::compress is a pure function of the bits, the
-  /// dtype and the config, any later attempt on equal bits and dtype has
-  /// this outcome and leaves the values as they are too.
+  /// bit. Since Compressor::compress is a pure function of the bits and
+  /// the config, any later attempt on equal bits has this outcome and
+  /// leaves the values as they are too.
   struct RememberedCompression {
     bool valid = false;
-    DType dtype = DType::kFloat32;
     CompressOutcome outcome;
     std::array<float, kValuesPerBlock> values;  // the attempt's input
   };

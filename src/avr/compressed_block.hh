@@ -81,7 +81,6 @@ class OutlierList {
 
 struct CompressedBlock {
   Method method = Method::kUncompressed;
-  DType dtype = DType::kFloat32;
   int8_t bias = 0;  // exponent bias applied before fixed-point conversion
   std::array<int32_t, kSummaryValues> summary{};  // Q16.16 raw, biased domain
   Bitmap256 outlier_map;

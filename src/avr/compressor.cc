@@ -47,12 +47,11 @@ bool Compressor::value_is_outlier(float original, float approx) const {
 
 bool Compressor::try_method(const MethodVariant& variant,
                             std::span<const float, kValuesPerBlock> original,
-                            int8_t bias, DType dtype, uint32_t max_outliers,
+                            int8_t bias, uint32_t max_outliers,
                             CompressorScratch& scratch) const {
   CompressionAttempt& att = scratch.candidate;
   att.block.method = variant.method;
   att.block.bias = bias;
-  att.block.dtype = dtype;
   att.block.outlier_map.reset();
   att.block.outliers.clear();
 
@@ -65,57 +64,35 @@ bool Compressor::try_method(const MethodVariant& variant,
 
   // Stage 5: error check + incremental outlier scan (Sec. 3.3). The scan
   // aborts the variant the moment the outlier budget would be exceeded.
+  // The outlier rule and the block-average error are both defined on the
+  // mantissa field, so the whole scan runs in the integer domain — one
+  // int64 accumulator of absolute mantissa differences replaces the
+  // per-value double divisions (every |dm|/2^23 term is an exact multiple
+  // of 2^-23 and the sum stays below 2^31 of them, so deferring the
+  // division reproduces the old double accumulation bit for bit). The
+  // scan itself is a dispatched SIMD kernel writing the bitmap words, the
+  // outlier images straight into the candidate's list (its capacity
+  // kMaxBlockOutliers covers every budget), and the decompressed block
+  // into the image slot the winner does not hold; a false return is the
+  // budget abort.
   CompressedBlock& blk = att.block;
-  uint32_t non_outliers = 0;
-  if (dtype == DType::kFixed32) {
-    // Fixed point: relative error via subtraction and compare (footnote 1),
-    // accumulated in the same double order as the error reports.
-    double err_sum = 0.0;
-    for (uint32_t i = 0; i < kValuesPerBlock; ++i) {
-      const double o = scratch.fixed[i].to_double();
-      const double a = Fixed32::from_raw(scratch.recon[i].raw()).to_double();
-      const double rel = relative_error(a, o);
-      if (rel >= t1()) {
-        if (blk.outliers.size() == max_outliers) return false;  // over budget
-        blk.outlier_map.set(i);
-        blk.outliers.push_back(std::bit_cast<uint32_t>(original[i]));
-      } else {
-        err_sum += rel;
-        ++non_outliers;
-      }
-    }
-    att.avg_error = non_outliers ? err_sum / non_outliers : 0.0;
-  } else {
-    // Float: the outlier rule and the block-average error are both defined
-    // on the mantissa field, so the whole scan runs in the integer domain —
-    // one int64 accumulator of absolute mantissa differences replaces the
-    // per-value double divisions (every |dm|/2^23 term is an exact multiple
-    // of 2^-23 and the sum stays below 2^31 of them, so deferring the
-    // division reproduces the old double accumulation bit for bit). The
-    // scan itself is a dispatched SIMD kernel writing the bitmap words, the
-    // outlier images straight into the candidate's list (its capacity
-    // kMaxBlockOutliers covers every budget), and the decompressed block
-    // into the image slot the winner does not hold; a false return is the
-    // budget abort.
-    const uint32_t limit = 1u << (kMantissaBits - cfg_.t1_mantissa_msbit);
-    simd::ErrorScanState st;
-    st.bitmap_words = blk.outlier_map.words().data();
-    st.outlier_bits = blk.outliers.storage();
-    st.image = scratch.images[scratch.best_image ^ 1].data();
-    st.max_outliers = max_outliers;
-    static_assert(sizeof(Fixed32) == sizeof(int32_t));
-    if (!simd::kernels().error_scan_f32(
-            original.data(), reinterpret_cast<const int32_t*>(scratch.recon.data()),
-            kValuesPerBlock, bias, limit, &st))
-      return false;  // over budget
-    blk.outliers.set_size(st.n_outliers);
-    non_outliers = st.non_outliers;
-    att.avg_error =
-        non_outliers
-            ? (static_cast<double>(st.dm_sum) /
-               static_cast<double>(1u << kMantissaBits)) / non_outliers
-            : 0.0;
-  }
+  const uint32_t limit = 1u << (kMantissaBits - cfg_.t1_mantissa_msbit);
+  simd::ErrorScanState st;
+  st.bitmap_words = blk.outlier_map.words().data();
+  st.outlier_bits = blk.outliers.storage();
+  st.image = scratch.images[scratch.best_image ^ 1].data();
+  st.max_outliers = max_outliers;
+  static_assert(sizeof(Fixed32) == sizeof(int32_t));
+  if (!simd::kernels().error_scan_f32(
+          original.data(), reinterpret_cast<const int32_t*>(scratch.recon.data()),
+          kValuesPerBlock, bias, limit, &st))
+    return false;  // over budget
+  blk.outliers.set_size(st.n_outliers);
+  att.avg_error =
+      st.non_outliers
+          ? (static_cast<double>(st.dm_sum) /
+             static_cast<double>(1u << kMantissaBits)) / st.non_outliers
+          : 0.0;
 
   if (att.avg_error > t2()) return false;
   if (blk.lines() > kMaxCompressedLines) return false;
@@ -123,19 +100,13 @@ bool Compressor::try_method(const MethodVariant& variant,
 }
 
 std::optional<CompressionAttempt> Compressor::compress(
-    std::span<const float, kValuesPerBlock> vals, DType dtype,
-    CompressorScratch& scratch) const {
+    std::span<const float, kValuesPerBlock> vals, CompressorScratch& scratch) const {
   // Per block event, never per access: cheap enough to stay always-on.
   AVR_PROF_SCOPE(prof::Phase::kCompress);
   // Stages 1+2, shared by every variant: bias into the comfortable Q16.16
   // range and convert to fixed point, in one pass.
-  int8_t bias = 0;
-  if (dtype == DType::kFloat32) {
-    bias = choose_bias(vals);
-    fixed32_from_f32_batch(vals, scratch.fixed, bias);
-  } else {
-    fixed32_from_raw_bits_batch(vals, scratch.fixed);
-  }
+  const int8_t bias = choose_bias(vals);
+  fixed32_from_f32_batch(vals, scratch.fixed, bias);
 
   bool have_best = false;
   for (const MethodVariant& v : method_variants()) {
@@ -147,16 +118,13 @@ std::optional<CompressionAttempt> Compressor::compress(
     // one outlier, else the loop broke below.
     const uint32_t max_outliers =
         have_best ? scratch.best.block.outliers.size() - 1 : kMaxBlockOutliers;
-    if (!try_method(v, vals, bias, dtype, max_outliers, scratch)) continue;
+    if (!try_method(v, vals, bias, max_outliers, scratch)) continue;
     const CompressionAttempt& att = scratch.candidate;
     if (!have_best || att.block.lines() < scratch.best.block.lines() ||
         (att.block.lines() == scratch.best.block.lines() &&
          att.block.outliers.size() < scratch.best.block.outliers.size())) {
       scratch.best = att;
-      if (dtype == DType::kFloat32)
-        scratch.best_image ^= 1;  // the candidate's image is the winner's now
-      else
-        scratch.best_recon = scratch.recon;
+      scratch.best_image ^= 1;  // the candidate's image is the winner's now
       have_best = true;
     }
     // A 1-line, zero-outlier encoding is unbeatable: replacement requires
@@ -177,7 +145,6 @@ std::optional<CompressionAttempt> Compressor::compress(
     CompressionAttempt& att = scratch.candidate;
     att.block = CompressedBlock{};
     att.block.method = Method::kBdiHybrid;
-    att.block.dtype = dtype;
     att.block.encoded_bytes = static_cast<uint32_t>(bytes);
     att.avg_error = 0.0;
     if (att.block.lines() <= kMaxCompressedLines) {
@@ -202,7 +169,21 @@ void Compressor::reconstruct(const CompressedBlock& cb,
 
   std::array<Fixed32, kValuesPerBlock> recon;
   variant_for(cb.method).reconstruct(avg, recon);
-  finish_reconstruct(cb, recon, out);
+
+  // Back to the float domain (decompressor right half of Fig. 4): convert
+  // and unbias each value. No sweep decodes here (the error scan writes the
+  // image a compression event stores), so this stays scalar.
+  for (uint32_t i = 0; i < kValuesPerBlock; ++i)
+    out[i] = unbias_value(recon[i].to_float(), cb.bias);
+
+  // Overlay the exactly-stored outliers per the bitmap (DBUF fill, Fig. 4),
+  // walking only the set bits.
+  uint32_t oi = 0;
+  const std::array<uint64_t, 4>& words = cb.outlier_map.words();
+  for (uint32_t w = 0; w < words.size(); ++w)
+    for (uint64_t m = words[w]; m != 0; m &= m - 1)
+      out[w * 64 + static_cast<uint32_t>(std::countr_zero(m))] =
+          bits_f32(cb.outliers[oi++]);
 }
 
 bool Compressor::write_reconstruction(const CompressedBlock& cb,
@@ -210,42 +191,11 @@ bool Compressor::write_reconstruction(const CompressedBlock& cb,
                                       std::span<float, kValuesPerBlock> out) const {
   AVR_PROF_SCOPE(prof::Phase::kCompress);
   if (method_is_exact(cb.method)) return false;
-  // A float block's image is the one its winning scan wrote; a kFixed32
-  // block's is finished here from the winner's fixed-point image.
-  std::array<float, kValuesPerBlock> fixed_image;
+  // The block's image is the one its winning scan wrote.
   const float* image = scratch.images[scratch.best_image].data();
-  if (cb.dtype == DType::kFixed32) {
-    finish_reconstruct(cb, scratch.best_recon, fixed_image);
-    image = fixed_image.data();
-  }
   if (std::memcmp(image, out.data(), out.size_bytes()) == 0) return false;
   std::memcpy(out.data(), image, out.size_bytes());
   return true;
-}
-
-void Compressor::finish_reconstruct(const CompressedBlock& cb,
-                                    std::span<const Fixed32, kValuesPerBlock> recon,
-                                    std::span<float, kValuesPerBlock> out) {
-  // Back to the float domain (decompressor right half of Fig. 4): kFixed32
-  // regions store Q16.16 bit patterns verbatim; float regions convert and
-  // unbias each value. No sweep decodes here (the error scan writes the
-  // image a compression event stores), so this stays scalar.
-  if (cb.dtype == DType::kFixed32) {
-    static_assert(sizeof(Fixed32) == sizeof(float));
-    __builtin_memcpy(out.data(), recon.data(), recon.size_bytes());
-  } else {
-    for (uint32_t i = 0; i < kValuesPerBlock; ++i)
-      out[i] = unbias_value(recon[i].to_float(), cb.bias);
-  }
-
-  // Overlay the exactly-stored outliers per the bitmap (DBUF fill, Fig. 4),
-  // walking only the set bits; both dtypes store the original bit image.
-  uint32_t oi = 0;
-  const std::array<uint64_t, 4>& words = cb.outlier_map.words();
-  for (uint32_t w = 0; w < words.size(); ++w)
-    for (uint64_t m = words[w]; m != 0; m &= m - 1)
-      out[w * 64 + static_cast<uint32_t>(std::countr_zero(m))] =
-          bits_f32(cb.outliers[oi++]);
 }
 
 }  // namespace avr

@@ -12,9 +12,9 @@
 //                         budget is exceeded; once a variant has passed,
 //                         the budget is one below its outlier count, the
 //                         most a later variant can need and still win).
-//                         For a float block the scan also emits the
-//                         decompressed image: the unbiased reconstruction,
-//                         with each outlier's original bits in place
+//                         The scan also emits the decompressed image: the
+//                         unbiased reconstruction, with each outlier's
+//                         original bits in place
 //                pick the best passing variant;
 //                fallback  when every lossy variant failed and
 //                          enable_bdi_hybrid is set, encode the raw bit
@@ -26,9 +26,8 @@
 //                Lossless-exact encodings reconstruct to the stored image
 //                itself, so reconstruct() is a documented no-op for them.
 //                write_reconstruction() writes back the image compress()
-//                kept in scratch: for a float block a copy of the winning
-//                scan's image, so a compression event builds the
-//                decompressed block once.
+//                kept in scratch, a copy of the winning scan's image, so a
+//                compression event builds the decompressed block once.
 //
 // The class itself stays a pure function of its inputs (no architectural
 // state), so the LLC-side machinery can reuse one instance everywhere. All
@@ -71,14 +70,10 @@ struct CompressionAttempt {
 struct CompressorScratch {
   std::array<Fixed32, kValuesPerBlock> fixed;
   std::array<Fixed32, kValuesPerBlock> recon;
-  /// kFixed32 blocks only: the fixed-point image of `best` (copied from
-  /// `recon` whenever `best` changes: a later variant's attempt overwrites
-  /// `recon`).
-  std::array<Fixed32, kValuesPerBlock> best_recon;
-  /// Float blocks only: the decompressed images the error scans write. The
-  /// winner's is images[best_image]; a later variant scans into the other
-  /// one, so a new winner flips the index instead of being copied. Zeroed
-  /// once, so an aborted scan leaves no indeterminate value behind.
+  /// The decompressed images the error scans write. The winner's is
+  /// images[best_image]; a later variant scans into the other one, so a new
+  /// winner flips the index instead of being copied. Zeroed once, so an
+  /// aborted scan leaves no indeterminate value behind.
   std::array<std::array<float, kValuesPerBlock>, 2> images{};
   uint32_t best_image = 0;
   CompressionAttempt candidate;
@@ -111,23 +106,21 @@ class Compressor {
  public:
   explicit Compressor(const AvrConfig& cfg) : cfg_(cfg) {}
 
-  /// Tries to compress a block of 256 values, reusing `scratch` for every
-  /// intermediate buffer. Returns std::nullopt when no enabled variant
+  /// Tries to compress a block of 256 fp32 values, reusing `scratch` for
+  /// every intermediate buffer. Returns std::nullopt when no enabled variant
   /// meets the T1/T2 thresholds within 8 lines (the block then stays
   /// uncompressed, Fig. 2b) — unless cfg.enable_bdi_hybrid is set and the
   /// raw bit image BDI-encodes within 8 lines, in which case the result is
   /// an exact Method::kBdiHybrid encoding with avg_error == 0.
   std::optional<CompressionAttempt> compress(
-      std::span<const float, kValuesPerBlock> vals, DType dtype,
-      CompressorScratch& scratch) const;
+      std::span<const float, kValuesPerBlock> vals, CompressorScratch& scratch) const;
 
   /// Convenience overload with a private stack scratch (tests, examples,
   /// one-off calls; per-event paths should thread a persistent scratch).
   std::optional<CompressionAttempt> compress(
-      std::span<const float, kValuesPerBlock> vals,
-      DType dtype = DType::kFloat32) const {
+      std::span<const float, kValuesPerBlock> vals) const {
     CompressorScratch scratch;
-    return compress(vals, dtype, scratch);
+    return compress(vals, scratch);
   }
 
   /// Reconstructs the approximate block values: interpolated summary with
@@ -164,15 +157,8 @@ class Compressor {
   /// than `max_outliers` outliers or fails a threshold.
   bool try_method(const MethodVariant& variant,
                   std::span<const float, kValuesPerBlock> original,
-                  int8_t bias, DType dtype, uint32_t max_outliers,
+                  int8_t bias, uint32_t max_outliers,
                   CompressorScratch& scratch) const;
-
-  /// The decompressor tail of reconstruct() and of a kFixed32 block's
-  /// write_reconstruction(): fixed-point image -> float (unbiased) ->
-  /// overlay the exactly-stored outliers per the bitmap.
-  static void finish_reconstruct(const CompressedBlock& cb,
-                                 std::span<const Fixed32, kValuesPerBlock> recon,
-                                 std::span<float, kValuesPerBlock> out);
 
   AvrConfig cfg_;
 };

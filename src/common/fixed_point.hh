@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <type_traits>
 
 namespace avr {
 
@@ -104,18 +103,5 @@ class Fixed32 {
 /// level is bit-identical.
 void fixed32_from_f32_batch(std::span<const float> in, std::span<Fixed32> out,
                             int8_t bias = 0);
-
-/// Reinterpret a block of raw 32-bit images (DType::kFixed32 regions store
-/// Q16.16 bit patterns in float-typed storage) as fixed-point values.
-inline void fixed32_from_raw_bits_batch(std::span<const float> in,
-                                        std::span<Fixed32> out) {
-  static_assert(sizeof(Fixed32) == sizeof(float) &&
-                std::is_trivially_copyable_v<Fixed32>);
-  // Through void*: Fixed32 is trivially copyable (asserted above), but its
-  // default member initializer makes it non-trivial to GCC's
-  // -Wclass-memaccess.
-  __builtin_memcpy(static_cast<void*>(out.data()), in.data(),
-                   in.size() * sizeof(float));
-}
 
 }  // namespace avr

@@ -246,8 +246,10 @@ void lerp_gather_avx2(const int32_t* avg, const uint8_t* left,
   }
   if (i < n)
     lerp_gather_scalar(avg, left + i, right + i, w + i, log2_den, out + i, n - i);
-  // Any int32 delta overflow (adversarial kFixed32 raws): the scalar lerp
-  // works in 64-bit there, so redo the whole call scalar.
+  // Any int32 delta overflow (a bias-0 float block, e.g. one with a NaN
+  // lane, whose neighbouring summaries saturate to INT32_MAX and
+  // INT32_MIN): the scalar lerp works in 64-bit there, so redo the whole
+  // call scalar.
   if (mask32(ov)) lerp_gather_scalar(avg, left, right, w, log2_den, out, n);
 }
 
@@ -256,8 +258,9 @@ void reconstruct_2d_avx2(const int32_t* avg, const uint8_t* left,
   // Same hoisted shape as the scalar kernel: 4x16 column pass, then the
   // vertical lerps. Each average row is 4 values, replicated across both
   // register halves so the 0..3 axis-table indices select via one permute.
-  // Delta overflow anywhere (adversarial kFixed32 raws) redoes the whole
-  // block scalar at the end, like the scalar kernel's 64-bit math.
+  // Delta overflow anywhere (neighbouring summaries saturated to INT32_MAX
+  // and INT32_MIN, as in a bias-0 float block) redoes the whole block
+  // scalar at the end, like the scalar kernel's 64-bit math.
   const __m128i shift = _mm_cvtsi32_si128(3);
   __m256i ov = _mm256_setzero_si256();
   alignas(32) int32_t col[4][16];

@@ -23,12 +23,4 @@ const char* to_string(Method m) {
   return "?";
 }
 
-const char* to_string(DType t) {
-  switch (t) {
-    case DType::kFloat32: return "float32";
-    case DType::kFixed32: return "fixed32";
-  }
-  return "?";
-}
-
 }  // namespace avr

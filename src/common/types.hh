@@ -6,6 +6,9 @@
 //   CMS                 = compressed memory sub-block, one 64 B piece of a
 //                         compressed block stored in the LLC
 //   UCL                 = uncompressed cacheline stored in the LLC
+//   value               = one fp32 word, 256 per block; approximable regions
+//                         hold fp32 only (the compressor converts to fixed
+//                         point itself, Sec. 3.3)
 #pragma once
 
 #include <cstddef>
@@ -39,13 +42,6 @@ constexpr uint32_t line_in_block(uint64_t addr) {
   return static_cast<uint32_t>((addr >> 6) & (kBlockLines - 1));
 }
 
-/// Datatype of values in an approximable region (Sec. 3.3 supports 32-bit
-/// float and fixed point; the compressor dispatches on this).
-enum class DType : uint8_t {
-  kFloat32 = 0,
-  kFixed32 = 1,  // Q16.16 two's-complement fixed point
-};
-
 /// Compression method recorded in the CMT (2-bit field, Fig. 3). The first
 /// three values are the paper's; kBdiHybrid is the extension design point:
 /// lossless base-delta-immediate fallback when a block blows the lossy
@@ -69,6 +65,5 @@ enum class Design : uint8_t {
 
 const char* to_string(Design d);
 const char* to_string(Method m);
-const char* to_string(DType t);
 
 }  // namespace avr

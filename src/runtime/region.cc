@@ -6,15 +6,13 @@
 
 namespace avr {
 
-uint64_t RegionRegistry::allocate(std::string name, uint64_t bytes, bool approx,
-                                  DType dtype) {
+uint64_t RegionRegistry::allocate(std::string name, uint64_t bytes, bool approx) {
   if (bytes == 0) throw std::invalid_argument("empty region");
   const uint64_t padded = (bytes + kBlockBytes - 1) & ~(kBlockBytes - 1);
   MemoryRegion r;
   r.base = next_base_;
   r.bytes = padded;
   r.approx = approx;
-  r.dtype = dtype;
   r.name = std::move(name);
   r.host = std::make_unique<std::byte[]>(padded);  // value-initialized: zeroed
   // Separate consecutive regions by a page so a block never straddles two

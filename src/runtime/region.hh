@@ -2,8 +2,10 @@
 //
 // Workloads allocate buffers through the runtime; each allocation reserves a
 // block-aligned simulated address range and registers whether it is
-// approximable and what datatype it holds (the paper's malloc wrapper +
-// OS page-table annotation, Sec. 3.1). The compression designs mutate the
+// approximable (the paper's malloc wrapper + OS page-table annotation,
+// Sec. 3.1). An approximable region holds fp32 values: every kernel and
+// every trace is fp32, and the compressor converts them to fixed point
+// itself (Sec. 3.3). The compression designs mutate the
 // host memory through this registry, which is how approximation errors
 // propagate into application output exactly as in the paper's methodology
 // ("we actually update the values of the memory contents").
@@ -24,7 +26,6 @@ struct MemoryRegion {
   uint64_t base = 0;    // simulated physical address, kBlockBytes-aligned
   uint64_t bytes = 0;   // padded to a whole number of blocks
   bool approx = false;
-  DType dtype = DType::kFloat32;
   std::string name;
   std::unique_ptr<std::byte[]> host;  // backing store, `bytes` long
 };
@@ -48,8 +49,7 @@ class RegionRegistry {
  public:
   /// Allocates a region of `bytes` (rounded up to whole memory blocks).
   /// Returns its simulated base address.
-  uint64_t allocate(std::string name, uint64_t bytes, bool approx,
-                    DType dtype = DType::kFloat32);
+  uint64_t allocate(std::string name, uint64_t bytes, bool approx);
 
   /// Region containing `addr`, or nullptr.
   const MemoryRegion* find(uint64_t addr) const;

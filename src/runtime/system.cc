@@ -47,11 +47,10 @@ System::System(Design design, SimConfig cfg, uint32_t num_cores, bool timing)
 
 System::~System() = default;
 
-uint64_t System::alloc(const std::string& name, uint64_t bytes, bool approx,
-                       DType dtype) {
+uint64_t System::alloc(const std::string& name, uint64_t bytes, bool approx) {
   // ZeroAVR measures the AVR hardware with *nothing* marked approximate.
   const bool effective_approx = design_ == Design::kZeroAvr ? false : approx;
-  return regions_.allocate(name, bytes, effective_approx, dtype);
+  return regions_.allocate(name, bytes, effective_approx);
 }
 
 void System::finish() {

@@ -60,15 +60,13 @@ class System {
   // ---- runtime API for workloads -------------------------------------------
   /// Block-aligned allocation; `approx` marks the region compressible
   /// (ignored — forced false — under ZeroAVR, which is the point of ZeroAVR).
-  uint64_t alloc(const std::string& name, uint64_t bytes, bool approx,
-                 DType dtype = DType::kFloat32);
+  uint64_t alloc(const std::string& name, uint64_t bytes, bool approx);
 
   /// alloc() returning a resolved RegionHandle — the fast-path API the
   /// workloads program against: functional access through a handle is one
   /// pointer add instead of a registry search per load/store.
-  RegionHandle alloc_region(const std::string& name, uint64_t bytes, bool approx,
-                            DType dtype = DType::kFloat32) {
-    alloc(name, bytes, approx, dtype);
+  RegionHandle alloc_region(const std::string& name, uint64_t bytes, bool approx) {
+    alloc(name, bytes, approx);
     return regions_.handle(name);
   }
   /// Handle for an already-allocated region (invalid handle if unknown).

@@ -196,26 +196,6 @@ TEST(Compressor, TinyMagnitudesCompressViaBiasing) {
   EXPECT_GT(att->block.bias, 0);
 }
 
-TEST(Compressor, FixedPointDTypeRoundTrip) {
-  Compressor comp(default_cfg());
-  Block b;
-  for (uint32_t i = 0; i < kValuesPerBlock; ++i) {
-    const Fixed32 f = Fixed32::from_float(10.0f + 0.01f * static_cast<float>(i));
-    b[i] = std::bit_cast<float>(f.raw());
-  }
-  auto att = comp.compress(b, DType::kFixed32);
-  ASSERT_TRUE(att);
-  Block out;
-  comp.reconstruct(att->block, out);
-  for (uint32_t i = 0; i < kValuesPerBlock; ++i) {
-    const auto orig = Fixed32::from_raw(std::bit_cast<int32_t>(b[i]));
-    const auto rec = Fixed32::from_raw(std::bit_cast<int32_t>(out[i]));
-    EXPECT_NEAR(rec.to_double(), orig.to_double(),
-                std::abs(orig.to_double()) * comp.t1() + 1e-4)
-        << i;
-  }
-}
-
 // ---- variant selection ------------------------------------------------------
 
 /// A seeded corpus block of one of four shapes: trace-like (a random walk
@@ -291,7 +271,7 @@ TEST(Compressor, BothVariantsPickWhatTheSelectionRulePicks) {
     const Block b = variant_corpus_block(seed);
     const auto r2 = c2d.compress(b);
     const auto r1 = c1d.compress(b);
-    const auto got = both.compress(b, DType::kFloat32, scratch);
+    const auto got = both.compress(b, scratch);
     if (!r1 && !r2) {
       EXPECT_FALSE(got) << "seed " << seed;
       ++both_fail;

@@ -1,7 +1,7 @@
 // Compressor edge-case pins, written against the pre-pipeline datapath so
 // they gate the staged-pipeline refactor: denormal-heavy blocks, all-NaN /
-// all-Inf blocks, blocks with exactly kMaxOutliers outliers (the 8-line
-// boundary), and DType::kFixed32 round-trips.
+// all-Inf blocks, and blocks with exactly kMaxOutliers outliers (the 8-line
+// boundary).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -10,7 +10,6 @@
 
 #include "avr/compressor.hh"
 #include "common/fp_bits.hh"
-#include "common/prng.hh"
 
 namespace avr {
 namespace {
@@ -143,81 +142,6 @@ TEST(CompressorEdge, OneOverMaxOutliersFailsToCompress) {
   const Block b =
       zero_block_with_negzero_outliers(CompressedBlock::kMaxOutliers + 1);
   EXPECT_FALSE(comp.compress(b).has_value());
-}
-
-// ---- DType::kFixed32 ------------------------------------------------------
-
-Block fixed_block_from_doubles(const std::array<double, 4>& pattern,
-                               double step) {
-  Block b;
-  for (uint32_t i = 0; i < kValuesPerBlock; ++i) {
-    const double v = pattern[i % 4] + step * static_cast<double>(i / 4);
-    b[i] = std::bit_cast<float>(Fixed32::from_float(static_cast<float>(v)).raw());
-  }
-  return b;
-}
-
-TEST(CompressorEdge, Fixed32SmoothRampRoundTrips) {
-  Compressor comp(AvrConfig{});
-  const Block b = fixed_block_from_doubles({10.0, 10.001, 10.002, 10.003}, 0.004);
-  auto att = comp.compress(b, DType::kFixed32);
-  ASSERT_TRUE(att);
-  EXPECT_EQ(att->block.dtype, DType::kFixed32);
-  EXPECT_EQ(att->block.bias, 0);  // fixed point never biases
-  Block out;
-  comp.reconstruct(att->block, out);
-  for (uint32_t i = 0; i < kValuesPerBlock; ++i) {
-    const double o = Fixed32::from_raw(std::bit_cast<int32_t>(b[i])).to_double();
-    const double r = Fixed32::from_raw(std::bit_cast<int32_t>(out[i])).to_double();
-    if (att->block.outlier_map.test(i))
-      EXPECT_EQ(std::bit_cast<int32_t>(out[i]), std::bit_cast<int32_t>(b[i]));
-    else
-      EXPECT_LT(relative_error(r, o), comp.t1()) << i;
-  }
-}
-
-TEST(CompressorEdge, Fixed32NegativeValuesRoundTrip) {
-  Compressor comp(AvrConfig{});
-  const Block b =
-      fixed_block_from_doubles({-200.0, -200.5, -201.0, -201.5}, -0.25);
-  auto att = comp.compress(b, DType::kFixed32);
-  ASSERT_TRUE(att);
-  Block out;
-  comp.reconstruct(att->block, out);
-  for (uint32_t i = 0; i < kValuesPerBlock; ++i) {
-    const double o = Fixed32::from_raw(std::bit_cast<int32_t>(b[i])).to_double();
-    const double r = Fixed32::from_raw(std::bit_cast<int32_t>(out[i])).to_double();
-    if (!att->block.outlier_map.test(i)) {
-      EXPECT_LT(relative_error(r, o), comp.t1()) << i;
-    }
-  }
-}
-
-TEST(CompressorEdge, Fixed32SpikesAreExactOutliers) {
-  Compressor comp(AvrConfig{});
-  Block b = fixed_block_from_doubles({100.0, 100.1, 100.2, 100.3}, 0.1);
-  const int32_t spike = Fixed32::from_float(-30000.0f).raw();
-  b[11] = std::bit_cast<float>(spike);
-  b[130] = std::bit_cast<float>(spike);
-  auto att = comp.compress(b, DType::kFixed32);
-  ASSERT_TRUE(att);
-  EXPECT_TRUE(att->block.outlier_map.test(11));
-  EXPECT_TRUE(att->block.outlier_map.test(130));
-  Block out;
-  comp.reconstruct(att->block, out);
-  EXPECT_EQ(std::bit_cast<int32_t>(out[11]), spike);
-  EXPECT_EQ(std::bit_cast<int32_t>(out[130]), spike);
-}
-
-TEST(CompressorEdge, Fixed32WhiteNoiseFailsToCompress) {
-  Compressor comp(AvrConfig{});
-  Xoshiro256 rng(7);
-  Block b;
-  for (auto& v : b)
-    v = std::bit_cast<float>(
-        Fixed32::from_float(static_cast<float>(rng.uniform(-30000.0, 30000.0)))
-            .raw());
-  EXPECT_FALSE(comp.compress(b, DType::kFixed32).has_value());
 }
 
 }  // namespace

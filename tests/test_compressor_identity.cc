@@ -42,15 +42,15 @@ void fold(uint64_t& h, T v) {
 /// Folds one compression attempt (or its absence) and, on success, the full
 /// reconstruction, into the digest.
 void fold_attempt(uint64_t& h, const Compressor& comp,
-                  std::span<const float, kValuesPerBlock> vals, DType dtype) {
-  auto att = comp.compress(vals, dtype);
+                  std::span<const float, kValuesPerBlock> vals) {
+  auto att = comp.compress(vals);
   if (!att) {
     fold<uint8_t>(h, 0xEE);  // "did not compress" marker
     return;
   }
   fold<uint8_t>(h, 0x01);
   fold(h, static_cast<uint8_t>(att->block.method));
-  fold(h, static_cast<uint8_t>(att->block.dtype));
+  fold(h, uint8_t{0});  // the fp32 value-type byte the captures folded
   fold(h, att->block.bias);
   for (int32_t s : att->block.summary) fold(h, s);
   for (uint64_t w : att->block.outlier_map.words()) fold(h, w);
@@ -81,7 +81,7 @@ uint64_t workload_digest(const std::string& name) {
     const uint64_t stride = nblocks > 48 ? nblocks / 48 : 1;
     for (uint64_t b = 0; b < nblocks; b += stride) {
       const uint64_t addr = r.base + b * kBlockBytes;
-      fold_attempt(h, comp, sys.regions().block_values(addr), r.dtype);
+      fold_attempt(h, comp, sys.regions().block_values(addr));
     }
   }
   return h;

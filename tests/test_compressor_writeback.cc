@@ -2,9 +2,8 @@
 // writes back the image compress() built in scratch, and it must equal
 // reconstruct(att->block) bit for bit — on the workload corpora of
 // test_compressor_identity (every approximable region of every generator,
-// up to ~48 blocks each), under both value types, and on the two
-// selection orders where the scratch's per-variant image is not the
-// winner's.
+// up to ~48 blocks each), and on the two selection orders where the
+// scratch's per-variant image is not the winner's.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -28,8 +27,8 @@ using Block = std::array<float, kValuesPerBlock>;
 /// Returns the attempt for further checks, or nullopt if it did not compress.
 std::optional<CompressionAttempt> expect_writeback_matches(
     const Compressor& comp, std::span<const float, kValuesPerBlock> vals,
-    DType dtype, CompressorScratch& scratch, const std::string& what) {
-  auto att = comp.compress(vals, dtype, scratch);
+    CompressorScratch& scratch, const std::string& what) {
+  auto att = comp.compress(vals, scratch);
   if (!att) return att;
   Block want;
   Block got;
@@ -61,14 +60,8 @@ TEST_P(CompressorWriteback, EqualsReconstructOnWorkloadCorpus) {
     const uint64_t stride = nblocks > 48 ? nblocks / 48 : 1;
     for (uint64_t b = 0; b < nblocks; b += stride) {
       const auto vals = sys.regions().block_values(r.base + b * kBlockBytes);
-      // The region's own type, then the other one over the same bits.
-      const DType other =
-          r.dtype == DType::kFixed32 ? DType::kFloat32 : DType::kFixed32;
-      for (DType dtype : {r.dtype, other}) {
-        const std::string what = name + " block " + std::to_string(b) +
-                                 (dtype == DType::kFixed32 ? " fixed32" : " float");
-        if (expect_writeback_matches(comp, vals, dtype, scratch, what)) ++compressed;
-      }
+      const std::string what = name + " block " + std::to_string(b);
+      if (expect_writeback_matches(comp, vals, scratch, what)) ++compressed;
     }
   }
   EXPECT_GT(compressed, 0u) << name;
@@ -98,8 +91,7 @@ TEST(CompressorWriteback, TwoDWinsWhileOneDIsTriedAfter) {
   b[200] = 1e6f;
   const Compressor comp{AvrConfig{}};
   CompressorScratch scratch;
-  const auto att =
-      expect_writeback_matches(comp, b, DType::kFloat32, scratch, "2D then 1D");
+  const auto att = expect_writeback_matches(comp, b, scratch, "2D then 1D");
   ASSERT_TRUE(att.has_value());
   ASSERT_EQ(att->block.method, Method::kDownsample2D);
   ASSERT_FALSE(att->block.lines() == 1 && att->block.outliers.empty());
@@ -119,8 +111,7 @@ TEST(CompressorWriteback, OneDWinsAfterTwoDWasTried) {
   b[10] -= 200.0f;
   const Compressor comp{AvrConfig{}};
   CompressorScratch scratch;
-  const auto att =
-      expect_writeback_matches(comp, b, DType::kFloat32, scratch, "1D after 2D");
+  const auto att = expect_writeback_matches(comp, b, scratch, "1D after 2D");
   ASSERT_TRUE(att.has_value());
   EXPECT_EQ(att->block.method, Method::kDownsample1D);
   EXPECT_EQ(att->block.outliers.size(), 2u);
@@ -135,7 +126,7 @@ TEST(CompressorWriteback, ExactTierWritesNothing) {
   Block vals;
   for (uint32_t i = 0; i < kValuesPerBlock; ++i) vals[i] = (i % 2) ? 1.0e10f : 1.0f;
   CompressorScratch scratch;
-  const auto att = comp.compress(vals, DType::kFloat32, scratch);
+  const auto att = comp.compress(vals, scratch);
   ASSERT_TRUE(att.has_value());
   ASSERT_EQ(att->block.method, Method::kBdiHybrid);
   Block out;

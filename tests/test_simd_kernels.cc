@@ -156,6 +156,21 @@ std::vector<FloatBlock> float_corpora() {
     for (float& v : b) v = bits_f32(static_cast<uint32_t>(rng.next()));
     blocks.push_back(b);
   }
+  // int32 interpolation-delta overflow from floats. The NaN lane makes
+  // choose_bias return 0, so +32768 and -32768 saturate to INT32_MAX and
+  // INT32_MIN, and neighbouring summaries overflow on subtraction. The
+  // plateaus reconstruct exactly, so a wrapped delta changes the outlier
+  // set. Split by rows, 1D wins and the 1D lerp overflows; split by
+  // columns, only 2D compresses and its column pass overflows.
+  for (const bool by_rows : {true, false}) {
+    FloatBlock b;
+    for (uint32_t i = 0; i < kValuesPerBlock; ++i) {
+      const uint32_t pos = by_rows ? i / 16 : i % 16;
+      b[i] = pos < 8 ? 32768.0f : -32768.0f;
+    }
+    b[0] = kNan;
+    blocks.push_back(b);
+  }
   return blocks;
 }
 

@@ -28,7 +28,6 @@ TEST(Types, Names) {
   EXPECT_STREQ(to_string(Design::kZeroAvr), "ZeroAVR");
   EXPECT_STREQ(to_string(Design::kDoppelganger), "dganger");
   EXPECT_STREQ(to_string(Method::kDownsample2D), "ds2d");
-  EXPECT_STREQ(to_string(DType::kFloat32), "float32");
 }
 
 TEST(StatGroup, CountersAccumulate) {
